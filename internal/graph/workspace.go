@@ -59,10 +59,6 @@ type Workspace struct {
 	// query.
 	mf *maxflowScratch
 
-	// Source of the last ShortestTreeWS run; TreePathWS traces against
-	// it. -1 until a tree query has run.
-	treeSrc int32
-
 	// Min-cut path counters: queries resolved by the unit-weight
 	// bridge-DFS fast path vs the full Stoer-Wagner phase loop. The
 	// workspace is single-goroutine, so plain increments suffice;
@@ -81,7 +77,7 @@ func (w *Workspace) MinCutStats() (fastPath, stoerWagner uint64) {
 // NewWorkspace returns an empty workspace; it grows to fit the first
 // graph it is used with.
 func NewWorkspace() *Workspace {
-	return &Workspace{treeSrc: -1}
+	return &Workspace{}
 }
 
 // begin starts a new query over a graph with n vertices: it grows the

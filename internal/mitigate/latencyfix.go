@@ -61,10 +61,10 @@ func LatencyImprovementsCtx(ctx context.Context, m *fiber.Map, a *atlas.Atlas, s
 
 	// A latency study lists pairs grouped by source (A ascending, then
 	// B), so the ROW scan batches per source: one full shortest-path
-	// tree per distinct A (graph.ShortestTreeWS), then every B of the
-	// group traces its path off the settled parent array instead of
-	// running its own Dijkstra. A traced path is bit-identical to the
-	// per-pair ShortestPathWS it replaces — parents only change on
+	// tree per distinct A (graph.Tree), then every B of the group
+	// traces its path off the tree instead of running its own
+	// Dijkstra. A traced path is bit-identical to the per-pair
+	// ShortestPathWS it replaces — parents only change on
 	// strictly-shorter relaxations, so early-stop and full-settle runs
 	// agree — and groups are independent, keeping the output identical
 	// for any worker count.
@@ -82,7 +82,7 @@ func LatencyImprovementsCtx(ctx context.Context, m *fiber.Map, a *atlas.Atlas, s
 		gr := groups[gi]
 		imps := make([]*LatencyImprovement, gr.hi-gr.lo)
 		na := m.Node(study[gr.lo].A)
-		treeBuilt := false
+		var tree *graph.Tree // built on the group's first eligible pair
 		for i := gr.lo; i < gr.hi; i++ {
 			pl := study[i]
 			if pl.BestMs <= pl.RowMs*1.02 {
@@ -92,11 +92,10 @@ func LatencyImprovementsCtx(ctx context.Context, m *fiber.Map, a *atlas.Atlas, s
 			if na.AtlasCity < 0 || na.AtlasCity >= rg.NumVertices() || nb.AtlasCity < 0 {
 				continue
 			}
-			if !treeBuilt {
-				rg.ShortestTreeWS(ws, na.AtlasCity, nil)
-				treeBuilt = true
+			if tree == nil {
+				tree = rg.ShortestTree(ws, na.AtlasCity, nil)
 			}
-			path, ok := rg.TreePathWS(ws, nb.AtlasCity)
+			path, ok := tree.Path(nb.AtlasCity)
 			if !ok {
 				continue
 			}

@@ -43,9 +43,9 @@ func (tr *TraceRecord) ChromeTrace() ([]byte, error) {
 	// Lane assignment: spans sorted by start (the stored order), each
 	// placed on its parent's lane when the parent isn't running a
 	// sibling there, else the first lane free at its start time.
-	laneEnd := []int64{}         // per lane, the end offset of its last span
-	laneOf := map[uint32]int{}   // span id -> lane
-	childAt := map[int]int64{}   // lane -> end of the last child placed there
+	laneEnd := []int64{}       // per lane, the end offset of its last span
+	laneOf := map[uint32]int{} // span id -> lane
+	childAt := map[int]int64{} // lane -> end of the last child placed there
 	place := func(s *SpanRecord) int {
 		end := s.StartNs + s.DurNs
 		if pl, ok := laneOf[s.ParentID]; ok && childAt[pl] <= s.StartNs {

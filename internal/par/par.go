@@ -16,11 +16,6 @@
 //     order, so hop-level randomness never depends on scheduling.
 //  3. Results land at out[i]; reduction happens in index order in the
 //     caller, never in completion order.
-//
-// Memo is the companion piece for ported loops that used serial
-// memoization: it caches *pure* computations behind a mutex, so a
-// cache hit and a recomputation are indistinguishable and the memo
-// affects speed only, never results.
 package par
 
 import (
@@ -433,43 +428,4 @@ func MapSeededRangeCtxWith[S, T any](ctx context.Context, lo, hi, workers int, s
 		}
 	})
 	return out, err
-}
-
-// Memo is a mutex-guarded cache for pure computations shared by
-// workers. Do computes outside the lock, so two workers may both
-// compute a missing entry — for a pure fn both results are equal and
-// last-write-wins is harmless. That trade keeps the critical section
-// tiny and, crucially, keeps results independent of scheduling.
-type Memo[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]V
-}
-
-// NewMemo returns an empty memo.
-func NewMemo[K comparable, V any]() *Memo[K, V] {
-	return &Memo[K, V]{m: make(map[K]V)}
-}
-
-// Do returns the cached value for key, computing and caching it with
-// fn on a miss. fn must be pure: its result may be discarded in favor
-// of a concurrent worker's identical one.
-func (t *Memo[K, V]) Do(key K, fn func() V) V {
-	t.mu.Lock()
-	if v, ok := t.m[key]; ok {
-		t.mu.Unlock()
-		return v
-	}
-	t.mu.Unlock()
-	v := fn()
-	t.mu.Lock()
-	t.m[key] = v
-	t.mu.Unlock()
-	return v
-}
-
-// Len returns the number of cached entries.
-func (t *Memo[K, V]) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
 }

@@ -182,29 +182,3 @@ func TestForPropagatesPanic(t *testing.T) {
 		}
 	})
 }
-
-func TestMemoCachesPureResults(t *testing.T) {
-	m := NewMemo[int, int]()
-	var calls atomic.Int32
-	square := func(k int) func() int {
-		return func() int { calls.Add(1); return k * k }
-	}
-	For(500, 8, func(i int) {
-		k := i % 10
-		if got := m.Do(k, square(k)); got != k*k {
-			t.Errorf("memo(%d) = %d", k, got)
-		}
-	})
-	if m.Len() != 10 {
-		t.Errorf("memo holds %d entries, want 10", m.Len())
-	}
-	// Racing workers may compute a key more than once; after warmup a
-	// serial pass must not compute at all.
-	warm := calls.Load()
-	for k := 0; k < 10; k++ {
-		m.Do(k, square(k))
-	}
-	if calls.Load() != warm {
-		t.Errorf("warm memo recomputed: %d -> %d calls", warm, calls.Load())
-	}
-}

@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -67,8 +68,8 @@ func TestMapSeededRangeCtxWithMatchesStateless(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 8} {
 		got, err := MapSeededRangeCtxWith(context.Background(), lo, hi, workers, seed,
-			NewMemo[int, int], // any state works; a memo doubles as scratch
-			func(i int, rng *rand.Rand, _ *Memo[int, int]) int64 {
+			func() *strings.Builder { return new(strings.Builder) }, // any opaque state works
+			func(i int, rng *rand.Rand, _ *strings.Builder) int64 {
 				return int64(i) + rng.Int63n(1000)
 			})
 		if err != nil {

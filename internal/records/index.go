@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -46,6 +47,9 @@ type Index struct {
 	corpus   *Corpus
 	postings map[string][]posting
 	docLen   []float64
+	// scratch pools per-query accumulators, so concurrent searches
+	// neither share nor reallocate them.
+	scratch sync.Pool
 }
 
 // BuildIndex indexes every document's title and body.
@@ -78,42 +82,87 @@ type Result struct {
 // Search scores documents against the query by TF-IDF sum and returns
 // the top k hits, best first. Ties break by document id for
 // determinism.
+//
+// Scores accumulate in a dense per-document array, each document's
+// terms added in query-token order and then posting order (the float
+// sums depend on that order), and a bounded insertion keeps only the
+// k best: a query hashes no document ids and never sorts the hundreds
+// of scored documents it discards.
 func (idx *Index) Search(query string, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	nDocs := float64(len(idx.corpus.Docs))
-	scores := make(map[int32]float64)
-	seen := make(map[string]bool)
-	for _, t := range Tokenize(query) {
-		if seen[t] {
-			continue
+	sc, _ := idx.scratch.Get().(*searchScratch)
+	if sc == nil {
+		sc = &searchScratch{
+			scores: make([]float64, len(idx.docLen)),
+			scored: make([]bool, len(idx.docLen)),
 		}
-		seen[t] = true
+	}
+	defer idx.scratch.Put(sc)
+
+	nDocs := float64(len(idx.corpus.Docs))
+	toks := Tokenize(query)
+	for i, t := range toks {
+		if containsString(toks[:i], t) {
+			continue // a repeated query term scores once
+		}
 		ps := idx.postings[t]
 		if len(ps) == 0 {
 			continue
 		}
 		idf := math.Log(1 + nDocs/float64(len(ps)))
 		for _, p := range ps {
+			if !sc.scored[p.doc] {
+				sc.scored[p.doc] = true
+				sc.touched = append(sc.touched, p.doc)
+			}
 			// Length-normalized TF.
-			scores[p.doc] += idf * p.tf / math.Sqrt(idx.docLen[p.doc])
+			sc.scores[p.doc] += idf * p.tf / math.Sqrt(idx.docLen[p.doc])
 		}
 	}
-	out := make([]Result, 0, len(scores))
-	for doc, s := range scores {
-		out = append(out, Result{DocID: int(doc), Score: s})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+
+	keepAll := k >= len(sc.touched)
+	out := make([]Result, 0, min(k, len(sc.touched)))
+	for _, doc := range sc.touched {
+		r := Result{DocID: int(doc), Score: sc.scores[doc]}
+		sc.scores[doc], sc.scored[doc] = 0, false
+		switch {
+		case keepAll:
+			out = append(out, r) // sorted once below
+		case len(out) < k || r.ranksBefore(out[k-1]):
+			i := sort.Search(len(out), func(i int) bool { return r.ranksBefore(out[i]) })
+			if len(out) < k {
+				out = append(out, Result{})
+			}
+			copy(out[i+1:], out[i:len(out)-1])
+			out[i] = r
 		}
-		return out[i].DocID < out[j].DocID
-	})
-	if len(out) > k {
-		out = out[:k]
 	}
+	if keepAll {
+		sort.Slice(out, func(i, j int) bool { return out[i].ranksBefore(out[j]) })
+	}
+	sc.touched = sc.touched[:0]
 	return out
+}
+
+// ranksBefore is the result order: score descending, then document id
+// ascending. Document ids are unique, so the order is total and the
+// top k are the same set a full sort would keep.
+func (r Result) ranksBefore(o Result) bool {
+	if r.Score != o.Score {
+		return r.Score > o.Score
+	}
+	return r.DocID < o.DocID
+}
+
+// searchScratch is one query's accumulator: dense scores, a scored
+// flag per document, and the scored documents in first-touch order.
+// Search leaves it zeroed for reuse.
+type searchScratch struct {
+	scores  []float64
+	scored  []bool
+	touched []int32
 }
 
 // Doc returns the indexed document by id.

@@ -133,14 +133,14 @@ func (p *GridPlan) Geom() GridGeom {
 // outcome in plan order plus the lattice geometry needed to raster
 // it. Build one with BuildHeatmap.
 type Heatmap struct {
-	GridHash        string        `json:"gridHash"`
-	BaselineVersion uint64        `json:"baselineVersion"`
-	Spec            GridSpec      `json:"spec"`
-	Rows            int           `json:"rows"`
-	Cols            int           `json:"cols"`
-	Total           int           `json:"total"`
-	Completed       int           `json:"completed"`
-	MaxSeverity     float64       `json:"maxSeverity"`
+	GridHash        string   `json:"gridHash"`
+	BaselineVersion uint64   `json:"baselineVersion"`
+	Spec            GridSpec `json:"spec"`
+	Rows            int      `json:"rows"`
+	Cols            int      `json:"cols"`
+	Total           int      `json:"total"`
+	Completed       int      `json:"completed"`
+	MaxSeverity     float64  `json:"maxSeverity"`
 	// MaxLostTrafficGbps is the worst capacity-layer severity across
 	// completed cells, the Gbps counterpart of MaxSeverity.
 	MaxLostTrafficGbps float64       `json:"maxLostTrafficGbps"`

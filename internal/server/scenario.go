@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"intertubes/internal/obs"
@@ -54,7 +55,10 @@ func (s *Server) decodeError(w http.ResponseWriter, err error) {
 // and stamps its ID on the response, so a client can fetch the
 // evaluation's span tree from /api/traces/{id} afterwards. The header
 // is set before the handler writes anything; an unrecorded request
-// (recorder disabled) gets no header.
+// (recorder disabled) gets no header. The handler ends the returned
+// root span — sealing the trace into the store — after encoding the
+// response and before writing its first byte, so a client that reads
+// the response and at once asks for the trace always finds it.
 func startScenarioTrace(ctx context.Context, w http.ResponseWriter, name string) (context.Context, *obs.Span) {
 	ctx, sp := obs.StartTrace(ctx, name)
 	if id := sp.TraceID(); id != "" {
@@ -71,13 +75,13 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, sp := startScenarioTrace(r.Context(), w, "http.scenario")
-	defer sp.End()
 	res, err := s.study.Scenarios().Eval(ctx, sc)
 	if err != nil {
+		sp.End()
 		s.scenarioError(w, r, err)
 		return
 	}
-	s.writeJSON(w, res)
+	s.writeJSONAfter(w, res, sp.End)
 }
 
 // handleScenarioReport is the rendered-text variant of POST
@@ -89,14 +93,16 @@ func (s *Server) handleScenarioReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, sp := startScenarioTrace(r.Context(), w, "http.scenario.report")
-	defer sp.End()
 	res, err := s.study.Scenarios().Eval(ctx, sc)
 	if err != nil {
+		sp.End()
 		s.scenarioError(w, r, err)
 		return
 	}
+	body := scenario.Render(res)
+	sp.End()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if _, err := fmt.Fprint(w, scenario.Render(res)); err != nil {
+	if _, err := io.WriteString(w, body); err != nil {
 		s.reportWriteError(err)
 	}
 }

@@ -343,7 +343,15 @@ func (s *Server) handleResilience(w http.ResponseWriter, _ *http.Request) {
 // body; a failure writing the encoded bytes means headers are already
 // sent, so it is logged and counted but cannot change the response.
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+	s.writeJSONAfter(w, v, func() {})
+}
+
+// writeJSONAfter is writeJSON with a hook that runs once the response
+// is encoded (or failed to encode) and before its first byte is
+// written.
+func (s *Server) writeJSONAfter(w http.ResponseWriter, v any, beforeWrite func()) {
 	raw, err := json.MarshalIndent(v, "", " ")
+	beforeWrite()
 	if err != nil {
 		encodeFailures.Inc()
 		s.log.Error("response encode failed", "err", err)

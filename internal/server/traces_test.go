@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"intertubes/internal/obs"
@@ -14,6 +16,18 @@ import (
 // scenario request carries X-Trace-Id, the ID resolves at /api/traces
 // (index) and /api/traces/{id} (JSON and Chrome trace-event formats),
 // and the Chrome export shows the overlay path's stage attribution.
+
+// traceNonce numbers uncachedScenario bodies.
+var traceNonce atomic.Int64
+
+// uncachedScenario wraps scenario fields with a fresh overrides.probes
+// value. The override only matters with includeTraffic, so the
+// evaluation is unchanged, but it enters the content hash: every call
+// misses the shared server's cache and records the full span tree, no
+// matter how often the test runs (-count).
+func uncachedScenario(fields string) string {
+	return fmt.Sprintf(`{%s, "overrides": {"probes": %d}}`, fields, 1000+traceNonce.Add(1))
+}
 
 func postScenario(t *testing.T, body string) *http.Response {
 	t.Helper()
@@ -27,7 +41,7 @@ func postScenario(t *testing.T, body string) *http.Response {
 }
 
 func TestScenarioTraceEndToEnd(t *testing.T) {
-	resp := postScenario(t, `{"cutMostShared": 4}`)
+	resp := postScenario(t, uncachedScenario(`"cutMostShared": 4`))
 	if resp.StatusCode != 200 {
 		t.Fatalf("scenario status %d", resp.StatusCode)
 	}
@@ -120,7 +134,7 @@ func TestTraceNotFoundAndBadFormat(t *testing.T) {
 	if resp, _ := get(t, "/api/traces/nope"); resp.StatusCode != 404 {
 		t.Errorf("unknown trace status = %d, want 404", resp.StatusCode)
 	}
-	resp := postScenario(t, `{"cutMostShared": 2}`)
+	resp := postScenario(t, uncachedScenario(`"cutMostShared": 2`))
 	id := resp.Header.Get("X-Trace-Id")
 	if id == "" {
 		t.Fatal("no trace ID")

@@ -1,8 +1,8 @@
 package traceroute
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"intertubes/internal/atlas"
@@ -50,15 +50,77 @@ var domainForISP = map[string]string{
 	"Windstream":       "windstream.net",
 }
 
-// ISPForDomain resolves a hop name's domain back to a provider name,
-// the way the paper's naming-hint analysis did.
-func ISPForDomain(hopName string) (string, bool) {
-	for isp, dom := range domainForISP {
-		if strings.HasSuffix(hopName, dom) {
-			return isp, true
+// domainTable resolves hop-name domains to providers.
+type domainTable struct {
+	exact map[string]string // domain -> provider
+	// bySuffix lists every domain longest first (then
+	// lexicographically), so the first suffix match is the longest.
+	bySuffix []domainEntry
+}
+
+type domainEntry struct{ domain, isp string }
+
+func newDomainTable(domains map[string]string) *domainTable {
+	t := &domainTable{exact: make(map[string]string, len(domains))}
+	for isp, dom := range domains {
+		t.exact[dom] = isp
+		t.bySuffix = append(t.bySuffix, domainEntry{domain: dom, isp: isp})
+	}
+	sort.Slice(t.bySuffix, func(i, j int) bool {
+		di, dj := t.bySuffix[i].domain, t.bySuffix[j].domain
+		if len(di) != len(dj) {
+			return len(di) > len(dj)
+		}
+		return di < dj
+	})
+	return t
+}
+
+// resolve returns the provider of a hop name whose domain — the labels
+// after the interface and city code — is dom: the provider owning
+// exactly dom if there is one, else the one whose domain is the
+// longest suffix of name. Both rules are independent of map order, so
+// a name resolves the same way on every call.
+func (t *domainTable) resolve(name, dom string) (string, bool) {
+	if isp, ok := t.exact[dom]; ok {
+		return isp, true
+	}
+	for _, e := range t.bySuffix {
+		if strings.HasSuffix(name, e.domain) {
+			return e.isp, true
 		}
 	}
 	return "", false
+}
+
+var domains = newDomainTable(domainForISP)
+
+// splitHopName locates the city-code label of a hop name
+// ("ae-3.dllstx.sprintlink.net" -> "dllstx", "sprintlink.net"); ok is
+// false when the name has fewer than two dots.
+func splitHopName(name string) (code, dom string, ok bool) {
+	i := strings.IndexByte(name, '.')
+	if i < 0 {
+		return "", "", false
+	}
+	j := strings.IndexByte(name[i+1:], '.')
+	if j < 0 {
+		return "", "", false
+	}
+	j += i + 1
+	return name[i+1 : j], name[j+1:], true
+}
+
+// ISPForDomain resolves a hop name's domain back to a provider name,
+// the way the paper's naming-hint analysis did: by the provider whose
+// domain is exactly the name's domain, else by the longest provider
+// domain the name ends with.
+func ISPForDomain(hopName string) (string, bool) {
+	_, dom, ok := splitHopName(hopName)
+	if !ok {
+		dom = hopName
+	}
+	return domains.resolve(hopName, dom)
 }
 
 // Namer translates between cities and router-name city codes.
@@ -86,7 +148,7 @@ func NewNamer(a *atlas.Atlas) *Namer {
 			if _, taken := n.byCode[code]; !taken {
 				break
 			}
-			code = fmt.Sprintf("%s%d", base, suffix)
+			code = base + strconv.Itoa(suffix)
 		}
 		n.codes[i] = code
 		n.byCode[code] = i
@@ -122,17 +184,17 @@ func (n *Namer) HopName(ifIndex, city int, isp string) string {
 	if !ok {
 		dom = "unknown.net"
 	}
-	return fmt.Sprintf("ae-%d.%s.%s", ifIndex, n.codes[city], dom)
+	return "ae-" + strconv.Itoa(ifIndex) + "." + n.codes[city] + "." + dom
 }
 
 // DecodeHopName extracts the city and provider from a router name.
 // It returns ok=false if either part cannot be resolved.
 func (n *Namer) DecodeHopName(name string) (city int, isp string, ok bool) {
-	parts := strings.SplitN(name, ".", 3)
-	if len(parts) < 3 {
+	code, dom, ok := splitHopName(name)
+	if !ok {
 		return 0, "", false
 	}
-	city, cok := n.CityForCode(parts[1])
-	isp, iok := ISPForDomain(name)
+	city, cok := n.byCode[code]
+	isp, iok := domains.resolve(name, dom)
 	return city, isp, cok && iok
 }

@@ -6,10 +6,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"intertubes/internal/fiber"
-	"intertubes/internal/graph"
-	"intertubes/internal/par"
 )
 
 // parse.go reads textual traceroute output back into Traces, so the
@@ -132,18 +128,8 @@ func (c *Campaign) FormatText(t Trace) string {
 // resolvable hop cities. It returns the number of traces that
 // contributed at least one attribution.
 func (c *Campaign) OverlayParsed(traces []ParsedTrace) int {
-	mg := c.res.Map.Graph()
-	cityNode := make([]int, len(c.res.Atlas.Cities))
-	for i := range cityNode {
-		cityNode[i] = -1
-	}
-	for _, n := range c.res.Map.Nodes {
-		if n.AtlasCity >= 0 {
-			cityNode[n.AtlasCity] = int(n.ID)
-		}
-	}
-	memo := par.NewMemo[pathKey, []fiber.ConduitID]()
-	ws := graph.NewWorkspace() // serial overlay: one workspace for every query
+	routes := newOverlayRoutes(c.res, c.ispIndex)
+	sc := newProbeScratch() // serial overlay: one scratch for every query
 	contributed := 0
 	for _, pt := range traces {
 		// Rebuild a Trace with ground-truth-free city hops.
@@ -167,7 +153,7 @@ func (c *Campaign) OverlayParsed(traces []ParsedTrace) int {
 			continue
 		}
 		tr := Trace{SrcCity: firstCity, DstCity: lastCity, Hops: hops}
-		attrs, misses := c.attribute(ws, tr, mg, cityNode, memo)
+		attrs, misses := c.attribute(sc, tr, routes)
 		c.apply(tr.WestToEast(c), attrs, misses)
 		if len(attrs) > 0 {
 			contributed++

@@ -4,9 +4,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
-	"intertubes/internal/atlas"
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
@@ -28,27 +28,9 @@ import (
 //     per-probe work — fan out over a worker pool via par.MapSeeded:
 //     hop-level randomness (MPLS tunnels, RTT jitter, rDNS noise)
 //     comes from per-chunk streams on a fixed grid, and the route
-//     memos cache pure shortest-path results, so any worker count
-//     produces bit-identical traces.
+//     tables (routes.go) hold pure shortest-path trees, so any worker
+//     count produces bit-identical traces.
 //  3. Campaign counters are reduced in probe order on one goroutine.
-
-// ispContext caches the routing state for one transit provider.
-type ispContext struct {
-	name string
-	// truthWF routes over the provider's ground-truth corridor edges.
-	truthWF graph.WeightFunc
-	// truthEdges is the provider's ground-truth footprint.
-	truthEdges map[int]bool
-	// nodes are the atlas cities on the provider's backbone.
-	nodes []int
-	// weight is the provider's share of transit (backbone size).
-	weight float64
-}
-
-type pathKey struct {
-	isp  int
-	a, b int
-}
 
 // segAttr is one conduit attribution extracted from a trace: the
 // overlay's output for a single visible hop pair, before it is folded
@@ -58,6 +40,24 @@ type segAttr struct {
 	isp     string
 	correct bool // matches the provider's ground-truth footprint
 }
+
+// probeScratch is one worker's probe scratch: the workspace tree
+// builds run in, the buffer segment walks append to, and the decoded
+// hops and attributions of the trace being attributed.
+type probeScratch struct {
+	ws    *graph.Workspace
+	edges []int
+	hops  []decodedHop
+	attrs []segAttr
+}
+
+// decodedHop is what a measurement study reads off one hop name.
+type decodedHop struct {
+	city int
+	isp  string
+}
+
+func newProbeScratch() *probeScratch { return &probeScratch{ws: graph.NewWorkspace()} }
 
 // Run synthesizes a campaign over the built map and overlays it onto
 // the published conduits.
@@ -93,7 +93,7 @@ func RunCtx(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaig
 		c.truthByName[name] = fp.Edges
 	}
 
-	// Transit providers, deterministic order. Provider memo indices
+	// Transit providers, deterministic order. Provider indices
 	// are assigned up front so workers never mutate the index map.
 	names := make([]string, 0, len(res.Truth))
 	for name := range res.Truth {
@@ -103,27 +103,9 @@ func RunCtx(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaig
 	for i, name := range names {
 		c.ispIndex[name] = i
 	}
-	var isps []*ispContext
+	isps := transitProviders(res, names)
 	var totalWeight float64
-	for _, name := range names {
-		fp := res.Truth[name]
-		if len(fp.Edges) == 0 {
-			continue
-		}
-		edges := fp.Edges
-		ctx := &ispContext{
-			name:       name,
-			truthEdges: edges,
-			nodes:      fp.Nodes(a),
-			weight:     float64(len(edges)),
-			truthWF: func(eid int) float64 {
-				if !edges[eid] {
-					return inf
-				}
-				return a.Corridors[eid].LengthKm
-			},
-		}
-		isps = append(isps, ctx)
+	for _, ctx := range isps {
 		totalWeight += ctx.weight
 	}
 
@@ -136,45 +118,11 @@ func RunCtx(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaig
 	}
 	grav := newGravity(pops, allCities)
 
-	// Map graph for the overlay (vertices are fiber.NodeIDs).
-	mg := res.Map.Graph()
-	cityNode := make([]int, len(a.Cities)) // atlas city -> map node or -1
-	for i := range cityNode {
-		cityNode[i] = -1
-	}
-	for _, n := range res.Map.Nodes {
-		if n.AtlasCity >= 0 {
-			cityNode[n.AtlasCity] = int(n.ID)
-		}
-	}
-
-	// Route memos shared by the workers. Every cached value is a pure
-	// function of the immutable map/atlas, so the memos change speed,
-	// never results.
-	truthPaths := par.NewMemo[pathKey, graph.Path]()
-	nearestMemo := par.NewMemo[pathKey, int]() // (isp, city, 0) -> backbone node
-	peerHubs := par.NewMemo[[2]int, []int]()   // (isp1, isp2) -> peering cities
-	overlayMemo := par.NewMemo[pathKey, []fiber.ConduitID]()
-
-	nearestBackbone := func(ispIdx int, ctx *ispContext, city int) int {
-		return nearestMemo.Do(pathKey{isp: ispIdx, a: city}, func() int {
-			loc := a.Cities[city].Loc
-			best, bestD := -1, 1e18
-			for _, n := range ctx.nodes {
-				if d := a.Cities[n].Loc.DistanceKm(loc); d < bestD {
-					best, bestD = n, d
-				}
-			}
-			return best
-		})
-	}
-	memoPath := func(ws *graph.Workspace, ispIdx int, ctx *ispContext, from, to int) (graph.Path, bool) {
-		path := truthPaths.Do(pathKey{isp: ispIdx, a: from, b: to}, func() graph.Path {
-			p, _ := g.ShortestPathWS(ws, from, to, ctx.truthWF)
-			return p
-		})
-		return path, len(path.Edges) > 0
-	}
+	// Route tables shared by the workers (routes.go). Every entry is a
+	// pure function of the immutable map/atlas, so the tables change
+	// speed, never results.
+	truth := newTruthRoutes(a, g, isps)
+	overlay := newOverlayRoutes(res, c.ispIndex)
 
 	// Phase 1: probe-level decisions from the campaign stream. The
 	// per-probe call pattern is fixed — every probe draws endpoints,
@@ -223,7 +171,7 @@ func RunCtx(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaig
 		attrs    []segAttr
 		misses   int
 	}
-	probe := func(i int, prng *rand.Rand, ws *graph.Workspace) probeOut {
+	probe := func(i int, prng *rand.Rand, sc *probeScratch) probeOut {
 		sp := specs[i]
 		if sp.src == sp.dst || sp.src < 0 {
 			return probeOut{}
@@ -239,36 +187,35 @@ func RunCtx(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaig
 			if isp2Idx == sp.ispIdx {
 				isp2Idx = (isp2Idx + 1) % len(isps)
 			}
-			ctx2 := isps[isp2Idx]
-			hub := choosePeerHub(a, peerHubs, sp.ispIdx, isp2Idx, ctx, ctx2, sp.src, sp.dst)
+			hub := truth.peerHub(sp.ispIdx, isp2Idx, sp.src, sp.dst)
 			if hub < 0 {
 				return probeOut{} // the two providers never meet
 			}
-			entry := nearestBackbone(sp.ispIdx, ctx, sp.src)
-			exit := nearestBackbone(isp2Idx, ctx2, sp.dst)
+			entry := truth.nearestBackbone(sp.ispIdx, sp.src)
+			exit := truth.nearestBackbone(isp2Idx, sp.dst)
 			if entry < 0 || exit < 0 || entry == hub || exit == hub {
 				return probeOut{}
 			}
-			p1, ok1 := memoPath(ws, sp.ispIdx, ctx, entry, hub)
-			p2, ok2 := memoPath(ws, isp2Idx, ctx2, hub, exit)
+			p1, ok1 := truth.path(sc.ws, sp.ispIdx, entry, hub)
+			p2, ok2 := truth.path(sc.ws, isp2Idx, hub, exit)
 			if !ok1 || !ok2 {
 				return probeOut{}
 			}
-			trace = c.synthesizeTwo(prng, ctx, ctx2, sp.src, sp.dst, p1, p2)
+			trace = c.synthesizeTwo(prng, ctx, isps[isp2Idx], sp.src, sp.dst, p1, p2)
 		} else {
-			entry := nearestBackbone(sp.ispIdx, ctx, sp.src)
-			exit := nearestBackbone(sp.ispIdx, ctx, sp.dst)
+			entry := truth.nearestBackbone(sp.ispIdx, sp.src)
+			exit := truth.nearestBackbone(sp.ispIdx, sp.dst)
 			if entry < 0 || exit < 0 || entry == exit {
 				return probeOut{} // no long-haul transit on this trace
 			}
-			path, ok := memoPath(ws, sp.ispIdx, ctx, entry, exit)
+			path, ok := truth.path(sc.ws, sp.ispIdx, entry, exit)
 			if !ok {
 				return probeOut{}
 			}
 			trace = c.synthesize(prng, ctx, sp.src, sp.dst, path)
 		}
 		out := probeOut{ok: true, trace: trace, westEast: trace.WestToEast(c)}
-		out.attrs, out.misses = c.attribute(ws, trace, mg, cityNode, overlayMemo)
+		out.attrs, out.misses = c.attribute(sc, trace, overlay)
 		return out
 	}
 
@@ -286,7 +233,7 @@ func RunCtx(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaig
 		}
 		_, synthSpan := obs.Trace(ctx, "traceroute.synthesize")
 		synthSpan.SetWorkers(par.Workers(opts.Workers))
-		outs, err := par.MapSeededRangeCtxWith(ctx, lo, hi, opts.Workers, synthSeed, graph.NewWorkspace, probe)
+		outs, err := par.MapSeededRangeCtxWith(ctx, lo, hi, opts.Workers, synthSeed, newProbeScratch, probe)
 		synthSpan.SetItems(int64(hi - lo))
 		synthSpan.End()
 		if err != nil {
@@ -311,66 +258,47 @@ func RunCtx(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaig
 	return c, nil
 }
 
-// choosePeerHub returns the atlas city where the two providers hand
-// traffic off: among the biggest cities both backbones touch, the one
-// closest to the src-dst great-circle midpoint. Returns -1 if the
-// footprints are disjoint.
-func choosePeerHub(a *atlas.Atlas, memo *par.Memo[[2]int, []int], i1, i2 int, c1, c2 *ispContext, src, dst int) int {
-	key := [2]int{i1, i2}
-	if i1 > i2 {
-		key = [2]int{i2, i1}
-	}
-	hubs := memo.Do(key, func() []int {
-		in2 := make(map[int]bool, len(c2.nodes))
-		for _, n := range c2.nodes {
-			in2[n] = true
-		}
-		var common []int
-		for _, n := range c1.nodes {
-			if in2[n] {
-				common = append(common, n)
-			}
-		}
-		// Providers peer at their biggest mutual markets: keep the top
-		// few by population.
-		sort.Slice(common, func(x, y int) bool {
-			px, py := a.Cities[common[x]].Population, a.Cities[common[y]].Population
-			if px != py {
-				return px > py
-			}
-			return common[x] < common[y]
-		})
-		if len(common) > 4 {
-			common = common[:4]
-		}
-		return common
-	})
-	if len(hubs) == 0 {
-		return -1
-	}
-	mid := geo.Midpoint(a.Cities[src].Loc, a.Cities[dst].Loc)
-	best, bestD := -1, math.Inf(1)
-	for _, h := range hubs {
-		if d := a.Cities[h].Loc.DistanceKm(mid); d < bestD {
-			best, bestD = h, d
-		}
-	}
-	return best
+// synthesize renders one single-provider trace.
+func (c *Campaign) synthesize(rng *rand.Rand, ctx *ispContext, src, dst int, path graph.Path) Trace {
+	hops, mpls := c.appendHops(rng, ctx, src, path, make([]Hop, 0, len(path.Nodes)))
+	return Trace{SrcCity: src, DstCity: dst, ISP: ctx.name, MPLS: mpls, Hops: hops}
 }
 
-// synthesize renders the visible hops of one trace: every backbone
-// city on the path, unless the segment rides an MPLS tunnel, in which
-// case only the ingress and egress are visible (paper §4.3's caveat).
-// Each hop name resolves unless rDNS noise hides it.
-func (c *Campaign) synthesize(rng *rand.Rand, ctx *ispContext, src, dst int, path graph.Path) Trace {
+// synthesizeTwo renders a two-provider trace: the first provider's
+// hops up to the peering hub, then the second provider's hops. Either
+// segment may independently ride an MPLS tunnel.
+func (c *Campaign) synthesizeTwo(rng *rand.Rand, ctx1, ctx2 *ispContext, src, dst int, p1, p2 graph.Path) Trace {
+	hops, mpls1 := c.appendHops(rng, ctx1, src, p1, make([]Hop, 0, len(p1.Nodes)+len(p2.Nodes)))
+	// Continue the clock: the second segment's RTTs stack on the
+	// first segment's final RTT.
+	base := 0.0
+	if len(hops) > 0 {
+		base = hops[len(hops)-1].RTTms
+	}
+	first := len(hops)
+	// The second segment begins at the peering hub, so its access
+	// tail is zero-length.
+	hops, mpls2 := c.appendHops(rng, ctx2, p2.Nodes[0], p2, hops)
+	for i := first; i < len(hops); i++ {
+		hops[i].RTTms += base
+	}
+	return Trace{SrcCity: src, DstCity: dst, ISP: ctx1.name, PeerISP: ctx2.name, MPLS: mpls1 || mpls2, Hops: hops}
+}
+
+// appendHops renders the visible hops of one provider segment onto
+// hops: every backbone city on the path, unless the segment rides an
+// MPLS tunnel, in which case only the ingress and egress are visible
+// (paper §4.3's caveat). Each hop name resolves unless rDNS noise
+// hides it. It reports whether the segment tunnels.
+func (c *Campaign) appendHops(rng *rand.Rand, ctx *ispContext, src int, path graph.Path, hops []Hop) ([]Hop, bool) {
 	a := c.res.Atlas
-	t := Trace{SrcCity: src, DstCity: dst, ISP: ctx.name}
-	t.MPLS = rng.Float64() < c.Opts.MPLSProb
+	mpls := rng.Float64() < c.Opts.MPLSProb
 
 	cities := path.Nodes
 	visible := cities
-	if t.MPLS && len(cities) > 2 {
-		visible = []int{cities[0], cities[len(cities)-1]}
+	if mpls && len(cities) > 2 {
+		ends := [2]int{cities[0], cities[len(cities)-1]}
+		visible = ends[:]
 	}
 	// Cumulative RTT: access tail to the first hop plus fiber distance
 	// along the backbone, times two (round trip), with jitter.
@@ -385,32 +313,9 @@ func (c *Campaign) synthesize(rng *rand.Rand, ctx *ispContext, src, dst int, pat
 		if rng.Float64() >= c.Opts.GeoNoiseProb {
 			h.Name = c.namer.HopName(1+rng.Intn(9), city, ctx.name)
 		}
-		t.Hops = append(t.Hops, h)
+		hops = append(hops, h)
 	}
-	return t
-}
-
-// synthesizeTwo renders a two-provider trace: the first provider's
-// hops up to the peering hub, then the second provider's hops. Either
-// segment may independently ride an MPLS tunnel.
-func (c *Campaign) synthesizeTwo(rng *rand.Rand, ctx1, ctx2 *ispContext, src, dst int, p1, p2 graph.Path) Trace {
-	t1 := c.synthesize(rng, ctx1, src, dst, p1)
-	// The second segment begins at the peering hub, so its access
-	// tail is zero-length.
-	t2 := c.synthesize(rng, ctx2, p2.Nodes[0], dst, p2)
-	out := Trace{SrcCity: src, DstCity: dst, ISP: ctx1.name, PeerISP: ctx2.name, MPLS: t1.MPLS || t2.MPLS}
-	out.Hops = append(out.Hops, t1.Hops...)
-	// Continue the clock: the second segment's RTTs stack on the
-	// first segment's final RTT.
-	base := 0.0
-	if len(t1.Hops) > 0 {
-		base = t1.Hops[len(t1.Hops)-1].RTTms
-	}
-	for _, h := range t2.Hops {
-		h.RTTms += base
-		out.Hops = append(out.Hops, h)
-	}
-	return out
+	return hops, mpls
 }
 
 // attribute maps one trace's visible hop pairs onto published
@@ -418,15 +323,11 @@ func (c *Campaign) synthesizeTwo(rng *rand.Rand, ctx1, ctx2 *ispContext, src, ds
 // each attribution against ground truth. It mutates nothing on the
 // campaign: the counter updates happen in apply, on the reducing
 // goroutine.
-func (c *Campaign) attribute(ws *graph.Workspace, t Trace, mg *graph.Graph, cityNode []int, memo *par.Memo[pathKey, []fiber.ConduitID]) (attrs []segAttr, misses int) {
+func (c *Campaign) attribute(sc *probeScratch, t Trace, routes *overlayRoutes) (attrs []segAttr, misses int) {
 	m := c.res.Map
 
 	// Decode the hops a measurement study could decode.
-	type decoded struct {
-		city int
-		isp  string
-	}
-	var hops []decoded
+	sc.hops = sc.hops[:0]
 	for _, h := range t.Hops {
 		if h.Name == "" {
 			continue
@@ -435,21 +336,24 @@ func (c *Campaign) attribute(ws *graph.Workspace, t Trace, mg *graph.Graph, city
 		if !ok {
 			continue
 		}
-		hops = append(hops, decoded{city: city, isp: isp})
+		sc.hops = append(sc.hops, decodedHop{city: city, isp: isp})
 	}
-	for i := 1; i < len(hops); i++ {
-		a, b := hops[i-1], hops[i]
+	sc.attrs = sc.attrs[:0]
+	for i := 1; i < len(sc.hops); i++ {
+		a, b := sc.hops[i-1], sc.hops[i]
 		if a.city == b.city {
 			continue
 		}
 		isp := b.isp // the far end's provider owns the segment
-		conduits := c.segmentConduits(ws, a.city, b.city, isp, mg, cityNode, memo)
-		if conduits == nil {
+		var ok bool
+		sc.edges, ok = routes.segment(sc.ws, sc.edges[:0], a.city, b.city, isp)
+		if !ok {
 			misses++
 			continue
 		}
-		for _, cid := range conduits {
-			attrs = append(attrs, segAttr{
+		for _, eid := range sc.edges {
+			cid := fiber.ConduitID(eid)
+			sc.attrs = append(sc.attrs, segAttr{
 				cid: cid, isp: isp,
 				// Ground-truth scoring: did the overlay put the probe
 				// in a conduit the provider actually occupies?
@@ -457,7 +361,7 @@ func (c *Campaign) attribute(ws *graph.Workspace, t Trace, mg *graph.Graph, city
 			})
 		}
 	}
-	return attrs, misses
+	return slices.Clone(sc.attrs), misses
 }
 
 // apply folds one trace's attributions into the campaign counters.
@@ -491,45 +395,6 @@ func (c *Campaign) apply(westEast bool, attrs []segAttr, misses int) {
 			c.AttributionCorrect++
 		}
 	}
-}
-
-// segmentConduits maps a visible hop pair onto published conduits:
-// first over the provider's published footprint, then over any lit
-// conduit (the provider may be absent from the published map
-// entirely — that is how "additional ISPs" are discovered). A nil
-// return means the segment cannot be attributed.
-func (c *Campaign) segmentConduits(ws *graph.Workspace, cityA, cityB int, isp string, mg *graph.Graph, cityNode []int, memo *par.Memo[pathKey, []fiber.ConduitID]) []fiber.ConduitID {
-	idx, ok := c.ispIndex[isp]
-	if !ok {
-		// A provider outside the pre-assigned index set (possible only
-		// for external corpora): compute uncached rather than have
-		// racing workers grow the index map.
-		return c.computeSegmentConduits(ws, cityA, cityB, isp, mg, cityNode)
-	}
-	key := pathKey{isp: idx, a: cityA, b: cityB}
-	return memo.Do(key, func() []fiber.ConduitID {
-		return c.computeSegmentConduits(ws, cityA, cityB, isp, mg, cityNode)
-	})
-}
-
-func (c *Campaign) computeSegmentConduits(ws *graph.Workspace, cityA, cityB int, isp string, mg *graph.Graph, cityNode []int) []fiber.ConduitID {
-	m := c.res.Map
-	na, nb := cityNode[cityA], cityNode[cityB]
-	if na < 0 || nb < 0 {
-		return nil
-	}
-	path, ok := mg.ShortestPathWS(ws, na, nb, m.TenantWeight(isp))
-	if !ok {
-		path, ok = mg.ShortestPathWS(ws, na, nb, m.LitWeight())
-	}
-	if !ok {
-		return nil
-	}
-	out := make([]fiber.ConduitID, len(path.Edges))
-	for i, eid := range path.Edges {
-		out[i] = fiber.ConduitID(eid)
-	}
-	return out
 }
 
 // inf excludes an edge from Dijkstra (the graph package skips +Inf
