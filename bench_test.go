@@ -13,6 +13,7 @@ package intertubes_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -353,8 +354,9 @@ func BenchmarkEdgeBetweenness(b *testing.B) {
 
 // BenchmarkMaxFlow measures the Dinic max-flow kernel over the built
 // map graph with wavelength-derived capacities, cycling source/sink
-// across vertices. Run with -benchmem: the steady-state contract is
-// zero allocs/op (the workspace owns every scratch structure).
+// across vertices, uncapped (no flow limit). Run with -benchmem: the
+// steady-state contract is zero allocs/op (the workspace owns every
+// scratch structure).
 func BenchmarkMaxFlow(b *testing.B) {
 	sharedStudy()
 	m := benchRes.Map
@@ -365,7 +367,7 @@ func BenchmarkMaxFlow(b *testing.B) {
 	}
 	ws := graph.NewWorkspace()
 	n := g.NumVertices()
-	g.MaxFlowWS(ws, 0, n/2, caps, nil) // warm: CSR build + workspace growth
+	g.MaxFlowWS(ws, 0, n/2, caps, nil, math.Inf(1)) // warm: CSR build + workspace growth
 	var total float64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -375,7 +377,7 @@ func BenchmarkMaxFlow(b *testing.B) {
 		if src == dst {
 			dst = (dst + 1) % n
 		}
-		total += g.MaxFlowWS(ws, src, dst, caps, nil)
+		total += g.MaxFlowWS(ws, src, dst, caps, nil, math.Inf(1))
 	}
 	b.ReportMetric(total/float64(b.N), "gbps/op")
 }

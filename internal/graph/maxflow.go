@@ -3,35 +3,49 @@ package graph
 import "math"
 
 // maxflow.go grows the kernel from global min-cut to s-t maximum
-// flow. The capacity layer asks "how many Gbps survive between this
-// demand pair" for every scenario evaluation in a sweep, so the
-// kernel follows the same discipline as GlobalMinCutWS: the base CSR
-// stays shared and immutable, the query's per-edge capacities arrive
-// as a flat table, overlay-only conduits ride along as extra edges,
-// and every byte of scratch lives in the Workspace — zero allocations
-// once warm.
+// flow. The capacity layer asks "how many Gbps of this demand survive"
+// for every scenario evaluation in a sweep, so the kernel follows the
+// same discipline as GlobalMinCutWS: the base CSR stays shared and
+// immutable, the query's per-edge capacities arrive as a flat table,
+// overlay-only conduits ride along as extra edges, and every byte of
+// scratch lives in the Workspace — zero allocations once warm.
 //
-// The algorithm is Dinic's: BFS level graph, then DFS blocking flow
-// with per-vertex arc cursors. An undirected edge of capacity c
-// becomes a twin arc pair (u→v and v→u, capacity c each) that act as
-// each other's residuals — the standard undirected reduction, under
-// which the twin of arc a is arc a^1. Iteration order is fixed by the
-// staged arc order (base edges ascending by id, then extras in input
-// order), so the returned flow value is bit-identical across runs,
-// workspaces, and — because excluded arcs are never staged — across
-// hosting graphs that agree on the reachable subgraph.
+// The algorithm is Dinic's. An undirected edge of capacity c becomes a
+// twin arc pair (u→v and v→u, capacity c each) that act as each
+// other's residuals — the standard undirected reduction. Arcs are laid
+// out per tail vertex in CSR order, each carrying its head, its
+// residual capacity and its twin's index, so every scan reads arcs in
+// place. Levels are residual distances to dst, from a reverse BFS that
+// stops as soon as src is labeled; the blocking-flow DFS only steps to
+// a vertex one closer to dst, so it never enters a vertex that cannot
+// reach dst in the current phase. A flow limit ends the phase loop as
+// soon as the flow reaches it, so a caller that only needs
+// min(max flow, demand) never pays for the rest.
+//
+// Exactness: with integral capacities below 2^53 every residual,
+// bottleneck and running total is an exact integer in float64, so
+// every augmenting order returns the same value — the max flow, or the
+// limit once the flow reaches it. The capacity layer's capacities are
+// whole numbers of wavelengths (fiber/capacity.go), which is what
+// makes its results independent of arc order and hosting graph.
+
+// flowArc is one residual arc: head vertex, twin arc index, and
+// residual capacity.
+type flowArc struct {
+	to   int32
+	twin int32
+	cap  float64
+}
 
 // maxflowScratch is the reusable state of MaxFlowWS, owned by a
 // Workspace and grown lazily.
 type maxflowScratch struct {
-	arcOff []int32   // CSR offsets per vertex over staged arc cells
-	arcIdx []int32   // CSR cell -> arc id
-	arcTo  []int32   // per arc: head vertex
-	arcCap []float64 // per arc: residual capacity (twin of a is a^1)
-	cur    []int32   // staging cursor, then DFS arc cursor per vertex
-	level  []int32   // BFS level, -1 unreached
-	queue  []int32
-	path   []int32 // DFS stack of arc ids from src
+	off   []int32   // CSR offsets per tail vertex into arcs
+	arcs  []flowArc // arcs grouped by tail vertex
+	cur   []int32   // staging cursor, then DFS arc cursor per vertex
+	level []int32   // residual distance to dst; -1 unlabeled or pruned
+	queue []int32
+	path  []int32 // DFS stack of arc indices from src
 }
 
 // maxflow returns the workspace's max-flow scratch, allocating it on
@@ -44,14 +58,14 @@ func (w *Workspace) maxflow() *maxflowScratch {
 }
 
 // MaxFlow is the pooled-workspace convenience entry for MaxFlowWS.
-func (g *Graph) MaxFlow(src, dst int, caps []float64, extra []Edge) float64 {
+func (g *Graph) MaxFlow(src, dst int, caps []float64, extra []Edge, limit float64) float64 {
 	ws := getWS()
 	defer putWS(ws)
-	return g.MaxFlowWS(ws, src, dst, caps, extra)
+	return g.MaxFlowWS(ws, src, dst, caps, extra, limit)
 }
 
-// MaxFlowWS returns the maximum s-t flow of the graph under the given
-// edge capacities, with all scratch in ws:
+// MaxFlowWS returns min(max s-t flow, limit) of the graph under the
+// given edge capacities, with all scratch in ws:
 //
 //   - caps[eid] is the capacity of base edge eid; a zero, negative,
 //     +Inf, or NaN capacity excludes the edge, matching
@@ -59,188 +73,208 @@ func (g *Graph) MaxFlow(src, dst int, caps []float64, extra []Edge) float64 {
 //     default weight table);
 //   - extra lists overlay edges absent from the base graph (new
 //     conduit builds); their Weight fields are their capacities, under
-//     the same exclusion rule.
+//     the same exclusion rule;
+//   - limit caps the answer: the search stops as soon as the flow
+//     reaches it. math.Inf(1) means uncapped; a limit that is not
+//     positive returns 0.
 //
 // Edges are undirected: capacity c may be consumed in either
 // direction (but not both at once beyond c). Self-loops carry no
 // flow. src == dst, or either endpoint out of range, returns 0.
 //
-// With integral capacities the result is exact; in general the
-// float64 sum is deterministic because augmenting paths are found in
-// a fixed arc order.
-func (g *Graph) MaxFlowWS(ws *Workspace, src, dst int, caps []float64, extra []Edge) float64 {
+// With integral capacities below 2^53 the result is exact and
+// independent of arc order.
+func (g *Graph) MaxFlowWS(ws *Workspace, src, dst int, caps []float64, extra []Edge, limit float64) float64 {
 	n := g.n
-	if src == dst || src < 0 || src >= n || dst < 0 || dst >= n {
+	if src == dst || src < 0 || src >= n || dst < 0 || dst >= n || !(limit > 0) {
 		return 0
 	}
 	if caps == nil {
 		caps = g.topoView().defWeights
 	}
 	mf := ws.maxflow()
+	mf.stage(g, caps, extra)
 
+	s, t := int32(src), int32(dst)
+	total := 0.0
+	for mf.levels(s, t) {
+		if total = mf.blockingFlow(s, t, total, limit); total >= limit {
+			return limit
+		}
+	}
+	return total
+}
+
+// usableCap reports whether an edge carries flow: distinct in-range
+// endpoints and a positive finite capacity.
+func usableCap(u, v, n int, c float64) bool {
+	if c <= 0 || math.IsInf(c, 1) || math.IsNaN(c) {
+		return false
+	}
+	return u != v && u >= 0 && u < n && v >= 0 && v < n
+}
+
+// stage lays every usable edge's twin arc pair into per-tail CSR rows
+// with a counting sort: base edges ascending by id, then extras.
+func (mf *maxflowScratch) stage(g *Graph, caps []float64, extra []Edge) {
+	n := g.n
 	grow := func(p []int32, n int) []int32 {
 		if cap(p) < n {
 			return make([]int32, n)
 		}
 		return p[:n]
 	}
-	mf.arcOff = grow(mf.arcOff, n+1)
+	mf.off = grow(mf.off, n+1)
 	mf.cur = grow(mf.cur, n)
 	mf.level = grow(mf.level, n)
 	mf.queue = grow(mf.queue, n)
 	mf.path = grow(mf.path, n)
-	off, cur, level, queue, path := mf.arcOff, mf.cur, mf.level, mf.queue, mf.path
-
-	usable := func(u, v int, w float64) bool {
-		if w <= 0 || math.IsInf(w, 1) || math.IsNaN(w) {
-			return false
-		}
-		return u != v && u >= 0 && u < n && v >= 0 && v < n
-	}
+	off, cur := mf.off, mf.cur
 
 	// Pass 1: count usable arcs per tail vertex.
 	for i := range off {
 		off[i] = 0
 	}
-	na := 0
 	for eid := range g.edges {
 		e := &g.edges[eid]
-		if usable(e.U, e.V, caps[eid]) {
+		if usableCap(e.U, e.V, n, caps[eid]) {
 			off[e.U+1]++
 			off[e.V+1]++
-			na += 2
 		}
 	}
 	for i := range extra {
 		e := &extra[i]
-		if usable(e.U, e.V, e.Weight) {
+		if usableCap(e.U, e.V, n, e.Weight) {
 			off[e.U+1]++
 			off[e.V+1]++
-			na += 2
 		}
 	}
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
-
-	mf.arcIdx = grow(mf.arcIdx, na)
-	mf.arcTo = grow(mf.arcTo, na)
-	if cap(mf.arcCap) < na {
-		mf.arcCap = make([]float64, na)
+	na := int(off[n])
+	if cap(mf.arcs) < na {
+		mf.arcs = make([]flowArc, na)
 	}
-	arcIdx, arcTo, arcCap := mf.arcIdx[:na], mf.arcTo[:na], mf.arcCap[:na]
+	arcs := mf.arcs[:na]
+	mf.arcs = arcs
 
-	// Pass 2: lay the twin arc pairs in staged order and fill the CSR
-	// cells with a counting sort.
+	// Pass 2: place each twin pair in its tails' rows.
 	copy(cur, off[:n])
-	arc := int32(0)
-	add := func(u, v int, w float64) {
-		arcTo[arc], arcCap[arc] = int32(v), w
-		arcTo[arc+1], arcCap[arc+1] = int32(u), w
-		arcIdx[cur[u]] = arc
+	add := func(u, v int, c float64) {
+		a, b := cur[u], cur[v]
 		cur[u]++
-		arcIdx[cur[v]] = arc + 1
 		cur[v]++
-		arc += 2
+		arcs[a] = flowArc{to: int32(v), twin: b, cap: c}
+		arcs[b] = flowArc{to: int32(u), twin: a, cap: c}
 	}
 	for eid := range g.edges {
 		e := &g.edges[eid]
-		if usable(e.U, e.V, caps[eid]) {
+		if usableCap(e.U, e.V, n, caps[eid]) {
 			add(e.U, e.V, caps[eid])
 		}
 	}
 	for i := range extra {
 		e := &extra[i]
-		if usable(e.U, e.V, e.Weight) {
+		if usableCap(e.U, e.V, n, e.Weight) {
 			add(e.U, e.V, e.Weight)
 		}
 	}
+}
 
-	// BFS level graph over positive-residual arcs.
-	bfs := func() bool {
-		for i := 0; i < n; i++ {
-			level[i] = -1
-		}
-		level[src] = 0
-		queue[0] = int32(src)
-		qh, qt := 0, 1
-		for qh < qt {
-			u := queue[qh]
-			qh++
-			for c := off[u]; c < off[u+1]; c++ {
-				a := arcIdx[c]
-				if arcCap[a] <= 0 {
-					continue
-				}
-				v := arcTo[a]
-				if level[v] >= 0 {
-					continue
-				}
-				level[v] = level[u] + 1
-				queue[qt] = v
-				qt++
-			}
-		}
-		return level[dst] >= 0
+// levels labels vertices with their residual distance to t by a
+// reverse BFS, stopping as soon as s is labeled. It reports whether s
+// can still reach t. Vertices left unlabeled keep level -1; after a
+// failed search they are exactly the source side of a minimum cut.
+func (mf *maxflowScratch) levels(s, t int32) bool {
+	off, arcs, level, queue := mf.off, mf.arcs, mf.level, mf.queue
+	for i := range level {
+		level[i] = -1
 	}
-
-	total := 0.0
-	for bfs() {
-		// Blocking flow: iterative DFS with per-vertex cursors. A
-		// vertex that dead-ends is pruned by resetting its level; a
-		// saturated path arc fails the residual check on revisit, so
-		// cursors are never rewound within a phase.
-		copy(cur, off[:n])
-		sp := 0
-		v := int32(src)
-		for {
-			if v == int32(dst) {
-				b := math.Inf(1)
-				for i := 0; i < sp; i++ {
-					if c := arcCap[path[i]]; c < b {
-						b = c
-					}
-				}
-				cutAt := sp
-				for i := 0; i < sp; i++ {
-					a := path[i]
-					arcCap[a] -= b
-					arcCap[a^1] += b
-					if arcCap[a] <= 0 && i < cutAt {
-						cutAt = i
-					}
-				}
-				total += b
-				sp = cutAt
-				if sp == 0 {
-					v = int32(src)
-				} else {
-					v = arcTo[path[sp-1]]
-				}
+	level[t] = 0
+	queue[0] = t
+	qh, qt := 0, 1
+	for qh < qt {
+		v := queue[qh]
+		qh++
+		lv := level[v] + 1
+		for c, end := off[v], off[v+1]; c < end; c++ {
+			a := &arcs[c]
+			u := a.to
+			// a runs v→u; its twin u→v is the arc that brings u closer.
+			if level[u] >= 0 || arcs[a.twin].cap <= 0 {
 				continue
 			}
-			advanced := false
-			for cur[v] < off[v+1] {
-				a := arcIdx[cur[v]]
-				u := arcTo[a]
-				if arcCap[a] > 0 && level[u] == level[v]+1 {
-					path[sp] = a
-					sp++
-					v = u
-					advanced = true
-					break
-				}
-				cur[v]++
+			level[u] = lv
+			if u == s {
+				return true
 			}
-			if !advanced {
-				level[v] = -1
-				if sp == 0 {
-					break
-				}
-				sp--
-				v = arcTo[path[sp]^1]
-			}
+			queue[qt] = u
+			qt++
 		}
 	}
-	return total
+	return false
+}
+
+// blockingFlow saturates the current level graph from s to t with an
+// iterative DFS over per-vertex arc cursors, adding each augmentation
+// to total. It returns early once total reaches limit. A vertex that
+// dead-ends is pruned by clearing its level; a saturated path arc
+// fails the residual check on revisit, so cursors never rewind within
+// a phase.
+func (mf *maxflowScratch) blockingFlow(s, t int32, total, limit float64) float64 {
+	off, arcs, level, cur, path := mf.off, mf.arcs, mf.level, mf.cur, mf.path
+	copy(cur, off[:len(cur)])
+	sp := 0
+	v := s
+	for {
+		if v == t {
+			b := math.Inf(1)
+			for _, c := range path[:sp] {
+				if r := arcs[c].cap; r < b {
+					b = r
+				}
+			}
+			cutAt := sp
+			for i, c := range path[:sp] {
+				a := &arcs[c]
+				a.cap -= b
+				arcs[a.twin].cap += b
+				if a.cap <= 0 && i < cutAt {
+					cutAt = i
+				}
+			}
+			if total += b; total >= limit {
+				return total
+			}
+			// Resume from the tail of the first saturated arc.
+			sp = cutAt
+			if sp == 0 {
+				v = s
+			} else {
+				v = arcs[path[sp-1]].to
+			}
+			continue
+		}
+		want := level[v] - 1
+		c, end := cur[v], off[v+1]
+		for ; c < end; c++ {
+			if a := &arcs[c]; a.cap > 0 && level[a.to] == want {
+				break
+			}
+		}
+		cur[v] = c
+		if c < end {
+			path[sp] = c
+			sp++
+			v = arcs[c].to
+			continue
+		}
+		level[v] = -1
+		if sp == 0 {
+			return total
+		}
+		sp--
+		v = arcs[arcs[path[sp]].twin].to
+	}
 }

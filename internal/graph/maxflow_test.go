@@ -1,15 +1,22 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
 // maxflow_test.go pins MaxFlowWS to a naive Edmonds-Karp reference
-// over a dense residual matrix. Both sides use small integer
+// over a dense residual matrix, and checks a certificate for every
+// answer: the residual network the kernel leaves behind must hold a
+// feasible flow of the returned value and, when the limit did not
+// bind, a cut of equal capacity. Both sides use small integer
 // capacities, so float64 arithmetic is exact and every comparison is
 // equality, not tolerance.
+
+var inf = math.Inf(1)
 
 // refMaxFlow is BFS-augmenting-path Ford-Fulkerson over an adjacency
 // matrix. Parallel undirected edges merge by capacity sum, which
@@ -76,6 +83,131 @@ func combined(g *Graph, caps []float64, extra []Edge) ([]Edge, func(i int) float
 	}
 }
 
+// checkMaxFlowCertificate verifies the residual network ws holds
+// after got = MaxFlowWS(ws, src, dst, caps, extra, limit), without
+// trusting the kernel's layout:
+//
+//   - each vertex's arcs are exactly its usable incident edges (head
+//     and capacity, as multisets), twins pair up, and no residual is
+//     negative — so every arc's flow is within its capacity;
+//   - flow is conserved at every vertex other than src and dst;
+//   - the net flow out of src equals got, or reaches limit when the
+//     result is capped;
+//   - when the result is uncapped, the vertices the final reverse BFS
+//     left unlabeled contain src but not dst, and the edges leaving
+//     them carry exactly got capacity — a cut certifying maximality.
+func checkMaxFlowCertificate(g *Graph, ws *Workspace, src, dst int, caps []float64, extra []Edge, limit, got float64) error {
+	n := g.NumVertices()
+	if src == dst || src < 0 || src >= n || dst < 0 || dst >= n || !(limit > 0) {
+		if got != 0 {
+			return fmt.Errorf("degenerate query returned %v, want 0", got)
+		}
+		return nil // nothing staged
+	}
+	all, capOf := combined(g, caps, extra)
+	// The usable-edge rule, restated rather than borrowed from the
+	// kernel: positive finite capacity, not a self-loop.
+	usable := func(i int) (float64, bool) {
+		c := capOf(i)
+		return c, c > 0 && !math.IsInf(c, 1) && all[i].U != all[i].V
+	}
+	type half struct {
+		to  int
+		cap float64
+	}
+	sortHalves := func(hs []half) {
+		sort.Slice(hs, func(i, j int) bool {
+			if hs[i].to != hs[j].to {
+				return hs[i].to < hs[j].to
+			}
+			return hs[i].cap < hs[j].cap
+		})
+	}
+	want := make([][]half, n)
+	for i, e := range all {
+		if c, ok := usable(i); ok {
+			want[e.U] = append(want[e.U], half{e.V, c})
+			want[e.V] = append(want[e.V], half{e.U, c})
+		}
+	}
+
+	mf := ws.mf
+	if len(mf.off) != n+1 || int(mf.off[n]) != len(mf.arcs) {
+		return fmt.Errorf("CSR offsets do not cover %d vertices / %d arcs", n, len(mf.arcs))
+	}
+	tail := func(a int32) int {
+		return sort.Search(n, func(v int) bool { return mf.off[v+1] > a })
+	}
+	netOut := make([]float64, n)
+	for v := 0; v < n; v++ {
+		var have []half
+		for a := mf.off[v]; a < mf.off[v+1]; a++ {
+			arc := mf.arcs[a]
+			if arc.twin < 0 || int(arc.twin) >= len(mf.arcs) {
+				return fmt.Errorf("arc %d: twin %d out of range", a, arc.twin)
+			}
+			tw := mf.arcs[arc.twin]
+			if tw.twin != a || int(tw.to) != v || tail(arc.twin) != int(arc.to) {
+				return fmt.Errorf("arc %d (%d→%d): twin %d does not run back", a, v, arc.to, arc.twin)
+			}
+			if arc.cap < 0 {
+				return fmt.Errorf("arc %d (%d→%d): negative residual %v", a, v, arc.to, arc.cap)
+			}
+			// Twin residuals always sum to twice the edge capacity; the
+			// flow on v→to is half their difference.
+			have = append(have, half{int(arc.to), (arc.cap + tw.cap) / 2})
+			netOut[v] += (tw.cap - arc.cap) / 2
+		}
+		sortHalves(have)
+		sortHalves(want[v])
+		if fmt.Sprint(have) != fmt.Sprint(want[v]) {
+			return fmt.Errorf("vertex %d: staged arcs %v, usable edges %v", v, have, want[v])
+		}
+	}
+	for v := 0; v < n; v++ {
+		if v != src && v != dst && netOut[v] != 0 {
+			return fmt.Errorf("vertex %d: flow not conserved (net out %v)", v, netOut[v])
+		}
+	}
+	if got >= limit {
+		if got != limit || netOut[src] < limit {
+			return fmt.Errorf("capped result %v with net flow %v, limit %v", got, netOut[src], limit)
+		}
+		return nil
+	}
+	if netOut[src] != got {
+		return fmt.Errorf("net flow out of src = %v, result %v", netOut[src], got)
+	}
+	if mf.level[src] >= 0 || mf.level[dst] < 0 {
+		return fmt.Errorf("final BFS labeled src (%d) or left dst unlabeled (%d)", mf.level[src], mf.level[dst])
+	}
+	cut := 0.0
+	for i, e := range all {
+		if c, ok := usable(i); ok && (mf.level[e.U] < 0) != (mf.level[e.V] < 0) {
+			cut += c
+		}
+	}
+	if cut != got {
+		return fmt.Errorf("unlabeled-set cut capacity %v != flow %v", cut, got)
+	}
+	return nil
+}
+
+// randomLimit draws a flow limit relative to the true max flow: +Inf,
+// below it (fractional, as demand limits are), equal, or above.
+func randomLimit(rng *rand.Rand, maxFlow float64) float64 {
+	switch rng.Intn(4) {
+	case 0:
+		return inf
+	case 1:
+		return maxFlow * rng.Float64()
+	case 2:
+		return maxFlow
+	default:
+		return maxFlow + 0.5 + float64(rng.Intn(3))
+	}
+}
+
 func TestMaxFlowMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	ws := NewWorkspace()
@@ -101,14 +233,18 @@ func TestMaxFlowMatchesReference(t *testing.T) {
 		}
 		src, dst := rng.Intn(n), rng.Intn(n)
 
-		got := g.MaxFlowWS(ws, src, dst, caps, extra)
 		all, capOf := combined(g, caps, extra)
-		want := 0.0
+		ref := 0.0
 		if src != dst {
-			want = refMaxFlow(n, all, capOf, src, dst)
+			ref = refMaxFlow(n, all, capOf, src, dst)
 		}
-		if got != want {
-			t.Fatalf("trial %d: MaxFlowWS(%d,%d) = %v, reference %v", trial, src, dst, got, want)
+		limit := randomLimit(rng, ref)
+		got := g.MaxFlowWS(ws, src, dst, caps, extra, limit)
+		if want := math.Min(ref, limit); got != want && !(limit <= 0 && got == 0) {
+			t.Fatalf("trial %d: MaxFlowWS(%d,%d, limit %v) = %v, reference %v", trial, src, dst, limit, got, want)
+		}
+		if err := checkMaxFlowCertificate(g, ws, src, dst, caps, extra, limit, got); err != nil {
+			t.Fatalf("trial %d: MaxFlowWS(%d,%d, limit %v) = %v: %v", trial, src, dst, limit, got, err)
 		}
 	}
 }
@@ -130,10 +266,16 @@ func TestMaxFlowReuseMatchesFresh(t *testing.T) {
 		// Interleave a Dijkstra query so dist/heap scratch churns
 		// between flow queries.
 		g.ShortestDistancesWS(reused, src, nil, nil)
-		got := g.MaxFlowWS(reused, src, dst, caps, nil)
+		got := g.MaxFlowWS(reused, src, dst, caps, nil, inf)
+		if err := checkMaxFlowCertificate(g, reused, src, dst, caps, nil, inf, got); err != nil {
+			t.Fatalf("trial %d: reused ws: %v", trial, err)
+		}
 		want := NewWorkspace()
-		if fresh := g.MaxFlowWS(want, src, dst, caps, nil); got != fresh {
+		if fresh := g.MaxFlowWS(want, src, dst, caps, nil, inf); got != fresh {
 			t.Fatalf("trial %d: reused ws = %v, fresh ws = %v", trial, got, fresh)
+		}
+		if err := checkMaxFlowCertificate(g, want, src, dst, caps, nil, inf, got); err != nil {
+			t.Fatalf("trial %d: fresh ws: %v", trial, err)
 		}
 	}
 }
@@ -152,7 +294,7 @@ func TestMaxFlowEpochWrap(t *testing.T) {
 	ws := NewWorkspace()
 	check := func() {
 		t.Helper()
-		if f := g.MaxFlowWS(ws, 0, 3, caps, nil); f != 5 {
+		if f := g.MaxFlowWS(ws, 0, 3, caps, nil, inf); f != 5 {
 			t.Fatalf("flow after epoch %d = %v, want 5", ws.epoch, f)
 		}
 		if d := g.ShortestDistancesWS(ws, 0, nil, nil); d[3] != 2 {
@@ -171,18 +313,18 @@ func TestMaxFlowDegenerate(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	ws := NewWorkspace()
 	caps := []float64{7}
-	if f := g.MaxFlowWS(ws, 0, 0, caps, nil); f != 0 {
+	if f := g.MaxFlowWS(ws, 0, 0, caps, nil, inf); f != 0 {
 		t.Fatalf("src==dst flow = %v, want 0", f)
 	}
-	if f := g.MaxFlowWS(ws, 0, 2, caps, nil); f != 0 {
+	if f := g.MaxFlowWS(ws, 0, 2, caps, nil, inf); f != 0 {
 		t.Fatalf("disconnected flow = %v, want 0", f)
 	}
-	if f := g.MaxFlowWS(ws, -1, 1, caps, nil); f != 0 {
+	if f := g.MaxFlowWS(ws, -1, 1, caps, nil, inf); f != 0 {
 		t.Fatalf("out-of-range src flow = %v, want 0", f)
 	}
 	// A pure-extra path: flow exists even when every base edge is
 	// excluded.
-	if f := g.MaxFlowWS(ws, 0, 2, []float64{0}, []Edge{{U: 0, V: 2, Weight: 3}}); f != 3 {
+	if f := g.MaxFlowWS(ws, 0, 2, []float64{0}, []Edge{{U: 0, V: 2, Weight: 3}}, inf); f != 3 {
 		t.Fatalf("extra-edge flow = %v, want 3", f)
 	}
 }
@@ -195,10 +337,77 @@ func TestMaxFlowWSZeroAllocs(t *testing.T) {
 		caps[i] = float64(1 + i%5)
 	}
 	extra := []Edge{{U: 1, V: 7, Weight: 2}}
-	g.MaxFlowWS(ws, 0, 399, caps, extra) // warm: scratch growth
+	g.MaxFlowWS(ws, 0, 399, caps, extra, inf) // warm: scratch growth
 	if avg := testing.AllocsPerRun(50, func() {
-		g.MaxFlowWS(ws, 0, 399, caps, extra)
+		g.MaxFlowWS(ws, 0, 399, caps, extra, inf)
 	}); avg != 0 {
 		t.Fatalf("MaxFlowWS allocates %.1f per run, want 0", avg)
 	}
+}
+
+// FuzzMaxFlow decodes a small multigraph from the fuzz bytes — a
+// vertex count, then (u, v, capacity) triples whose capacity byte also
+// yields the excluded values 0 and +Inf, a split between base and
+// extra edges, endpoints and a limit — and holds MaxFlowWS to
+// min(reference, limit) plus the certificate.
+func FuzzMaxFlow(f *testing.F) {
+	f.Add([]byte{4, 0, 3, 1, 2, 0, 1, 5, 1, 2, 3, 2, 3, 4, 0, 2, 9, 0})
+	f.Add([]byte{6, 1, 5, 0xff, 0, 1, 3, 1, 2, 0, 2, 3, 7, 3, 4, 2, 4, 5, 1, 2, 4, 3})
+	f.Add([]byte{2, 0, 1, 1, 0, 1, 0, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		n := 2 + int(data[0])%14
+		src, dst := int(data[1])%n, int(data[2])%n
+		limit := inf
+		if lb := data[3]; lb < 0xf0 {
+			limit = float64(lb) / 4 // fractional limits, as demand limits are
+		}
+		data = data[4:]
+		nBase := 0
+		if len(data) > 0 {
+			nBase = int(data[0])
+			data = data[1:]
+		}
+		capOf := func(b byte) float64 {
+			switch {
+			case b == 0:
+				return 0
+			case b == 0xff:
+				return inf
+			}
+			return float64(b % 9)
+		}
+		g := New(n)
+		var caps []float64
+		var extra []Edge
+		for i := 0; len(data) >= 3 && i < 64; i++ {
+			u, v, c := int(data[0])%n, int(data[1])%n, capOf(data[2])
+			data = data[3:]
+			if i < nBase {
+				g.AddEdge(u, v, 1)
+				caps = append(caps, c)
+			} else {
+				extra = append(extra, Edge{U: u, V: v, Weight: c})
+			}
+		}
+		ws := NewWorkspace()
+		got := g.MaxFlowWS(ws, src, dst, caps, extra, limit)
+		all, capAt := combined(g, caps, extra)
+		ref := 0.0
+		if src != dst {
+			ref = refMaxFlow(n, all, capAt, src, dst)
+		}
+		want := math.Min(ref, limit)
+		if limit <= 0 {
+			want = 0
+		}
+		if got != want {
+			t.Fatalf("MaxFlowWS(%d,%d, limit %v) = %v, want min(%v, limit)", src, dst, limit, got, ref)
+		}
+		if err := checkMaxFlowCertificate(g, ws, src, dst, caps, extra, limit, got); err != nil {
+			t.Fatalf("MaxFlowWS(%d,%d, limit %v) = %v: %v", src, dst, limit, got, err)
+		}
+	})
 }

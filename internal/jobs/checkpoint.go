@@ -143,6 +143,31 @@ func writeCheckpoint(dir string, cp *Checkpoint) error {
 	return nil
 }
 
+// loadCheckpoint reads and validates one checkpoint file.
+func loadCheckpoint(path string) (*Checkpoint, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeCheckpoint(data)
+}
+
+// readCheckpoint loads and validates one job's checkpoint.
+func readCheckpoint(dir, id string) (*Checkpoint, error) {
+	path, err := checkpointPath(dir, id)
+	if err != nil {
+		return nil, err
+	}
+	cp, err := loadCheckpoint(path)
+	if err != nil {
+		return nil, err
+	}
+	if cp.ID != id {
+		return nil, fmt.Errorf("jobs: checkpoint %s holds job %s", path, cp.ID)
+	}
+	return cp, nil
+}
+
 // readCheckpoints loads every decodable checkpoint in dir, skipping
 // (and reporting) corrupt ones rather than failing recovery outright.
 func readCheckpoints(dir string) (cps []*Checkpoint, skipped []string, err error) {
@@ -155,13 +180,8 @@ func readCheckpoints(dir string) (cps []*Checkpoint, skipped []string, err error
 		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		data, rerr := os.ReadFile(filepath.Join(dir, name))
-		if rerr != nil {
-			skipped = append(skipped, name)
-			continue
-		}
-		cp, derr := DecodeCheckpoint(data)
-		if derr != nil {
+		cp, lerr := loadCheckpoint(filepath.Join(dir, name))
+		if lerr != nil {
 			skipped = append(skipped, name)
 			continue
 		}

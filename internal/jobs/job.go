@@ -90,9 +90,12 @@ type job struct {
 	state           State
 	err             string
 	// cells maps plan index → completed outcome. Canceled evaluations
-	// never land here.
-	cells   map[int]scenario.CellOutcome
-	resumed int
+	// never land here. A done job whose terminal checkpoint is on disk
+	// drops the map (nil) and keeps only its size in diskCells; its
+	// artifact is then rendered from the checkpoint.
+	cells     map[int]scenario.CellOutcome
+	diskCells int
+	resumed   int
 
 	created  time.Time
 	started  time.Time
@@ -109,6 +112,15 @@ type job struct {
 	subs  map[chan Event]struct{}
 }
 
+// completed counts the job's completed cells, held in memory or only
+// in its checkpoint.
+func (j *job) completed() int {
+	if j.cells == nil {
+		return j.diskCells
+	}
+	return len(j.cells)
+}
+
 func (j *job) status() Status {
 	return Status{
 		ID:              j.id,
@@ -118,7 +130,7 @@ func (j *job) status() Status {
 		State:           j.state,
 		Err:             j.err,
 		Total:           j.geom.Total,
-		Completed:       len(j.cells),
+		Completed:       j.completed(),
 		Resumed:         j.resumed,
 		Created:         j.created,
 		Started:         j.started,

@@ -128,8 +128,9 @@ func NewStore(eng *scenario.Engine, opts Options) (*Store, error) {
 }
 
 // recover loads checkpoints from disk: terminal jobs become queryable
-// records (their artifacts still render), pending/running ones are
-// re-queued to resume from their completed-cell set.
+// records (their artifacts still render — a done job's straight from
+// its checkpoint, so its cells are not kept in memory), pending/running
+// ones are re-queued to resume from their completed-cell set.
 func (s *Store) recover() error {
 	cps, skipped, err := readCheckpoints(s.opts.Dir)
 	if err != nil {
@@ -153,8 +154,12 @@ func (s *Store) recover() error {
 			resumed:         len(cp.Cells),
 			created:         time.Now(),
 		}
-		for _, c := range cp.Cells {
-			j.cells[c.Index] = c
+		if cp.State == StateDone {
+			j.cells, j.diskCells = nil, len(cp.Cells)
+		} else {
+			for _, c := range cp.Cells {
+				j.cells[c.Index] = c
+			}
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
@@ -268,9 +273,11 @@ func (s *Store) Get(id string) (Status, error) {
 }
 
 // Heatmap assembles the job's current artifact from its completed
-// cells — partial while running, final once done. Deterministic:
-// equal cell sets render byte-identically regardless of evaluation
-// order, interruptions, or worker count.
+// cells — partial while running, final once done. A done job's cells
+// come from its terminal checkpoint, read back through
+// DecodeCheckpoint like recovery reads it. Deterministic: equal cell
+// sets render byte-identically regardless of evaluation order,
+// interruptions, or worker count.
 func (s *Store) Heatmap(id string) (*scenario.Heatmap, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -278,13 +285,25 @@ func (s *Store) Heatmap(id string) (*scenario.Heatmap, error) {
 		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	geom, version := j.geom, j.baselineVersion
-	cells := make([]scenario.CellOutcome, 0, len(j.cells))
-	for _, c := range j.cells {
-		cells = append(cells, c)
+	geom, version, want := j.geom, j.baselineVersion, j.diskCells
+	if j.cells != nil {
+		cells := make([]scenario.CellOutcome, 0, len(j.cells))
+		for _, c := range j.cells {
+			cells = append(cells, c)
+		}
+		s.mu.Unlock()
+		return scenario.BuildHeatmap(geom, version, cells), nil
 	}
 	s.mu.Unlock()
-	return scenario.BuildHeatmap(geom, version, cells), nil
+	cp, err := readCheckpoint(s.opts.Dir, id)
+	if err != nil {
+		return nil, err
+	}
+	if cp.State != StateDone || cp.BaselineVersion != version || len(cp.Cells) != want {
+		return nil, fmt.Errorf("jobs: checkpoint of done job %s changed on disk (state %s, v%d, %d cells)",
+			id, cp.State, cp.BaselineVersion, len(cp.Cells))
+	}
+	return scenario.BuildHeatmap(geom, version, cp.Cells), nil
 }
 
 // Subscribe attaches a streaming listener to the job. The channel
@@ -317,7 +336,7 @@ func (s *Store) snapshotEvent(j *job) Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Event{JobID: j.id, State: j.state, Err: j.err,
-		Total: j.geom.Total, Completed: len(j.cells)}
+		Total: j.geom.Total, Completed: j.completed()}
 }
 
 // Cancel terminally cancels a job. Pending jobs cancel immediately;
@@ -467,11 +486,8 @@ func (s *Store) runJob(j *job) {
 
 	s.mu.Lock()
 	if j.canceled {
-		s.finishLocked(j, StateCanceled, "canceled before start")
 		s.mu.Unlock()
-		s.persist(j)
-		j.publish(s.snapshotEvent(j))
-		j.closeSubs()
+		s.terminate(j, StateCanceled, "canceled before start")
 		return
 	}
 	if version != j.baselineVersion || plan.Total() != j.geom.Total {
@@ -495,7 +511,7 @@ func (s *Store) runJob(j *job) {
 	s.updateGaugesLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.persist(j)
+	s.persist(j, StateRunning, "")
 	j.publish(s.snapshotEvent(j))
 	obs.Logger("jobs").Info("sweep started", "job", j.id,
 		"total", plan.Total(), "resumed", j.resumed, "workers", s.opts.Workers)
@@ -551,7 +567,7 @@ func (s *Store) runJob(j *job) {
 		completed := len(j.cells)
 		s.mu.Unlock()
 		cellsCompleted.Add(int64(len(fresh)))
-		s.persist(j)
+		s.persist(j, StateRunning, "")
 		if len(fresh) > 0 {
 			j.publish(Event{JobID: j.id, State: StateRunning,
 				Total: j.geom.Total, Completed: completed, Cells: fresh})
@@ -568,7 +584,7 @@ func (s *Store) runJob(j *job) {
 				s.updateGaugesLocked()
 				s.cond.Broadcast()
 				s.mu.Unlock()
-				s.persist(j)
+				s.persist(j, StatePending, "")
 				obs.Logger("jobs").Info("sweep parked for shutdown",
 					"job", j.id, "completed", completed, "total", j.geom.Total)
 				return
@@ -579,31 +595,45 @@ func (s *Store) runJob(j *job) {
 	}
 }
 
-// terminate finishes the job, persists the terminal checkpoint, and
-// tears down subscribers.
+// terminate writes the terminal checkpoint, then publishes the
+// terminal state and tears down subscribers. The order matters: Wait
+// returns as soon as the state is terminal, so by then the checkpoint
+// on disk must say so too. A done job whose checkpoint was written
+// drops its in-memory cells; failed and canceled jobs keep theirs for
+// the retry path.
 func (s *Store) terminate(j *job, st State, errText string) {
+	written := s.persist(j, st, errText)
 	s.mu.Lock()
 	s.finishLocked(j, st, errText)
+	if st == StateDone && written {
+		j.diskCells, j.cells = len(j.cells), nil
+	}
 	s.mu.Unlock()
-	s.persist(j)
 	j.publish(s.snapshotEvent(j))
 	j.closeSubs()
 	obs.Logger("jobs").Info("sweep finished", "job", j.id, "state", string(st), "err", errText)
 }
 
-// persist writes the job's checkpoint if the store has a directory.
-func (s *Store) persist(j *job) {
+// persist writes the job's checkpoint, recording st and errText as
+// its state, if the store has a directory. It reports whether the
+// checkpoint was written.
+func (s *Store) persist(j *job, st State, errText string) bool {
 	if s.opts.Dir == "" {
-		return
+		return false
 	}
 	s.mu.Lock()
+	if j.cells == nil {
+		// Done and already on disk; never overwrite it with no cells.
+		s.mu.Unlock()
+		return true
+	}
 	cp := &Checkpoint{
 		V:               checkpointVersion,
 		ID:              j.id,
 		Geom:            j.geom,
 		BaselineVersion: j.baselineVersion,
-		State:           j.state,
-		Err:             j.err,
+		State:           st,
+		Err:             errText,
 		Cells:           make([]scenario.CellOutcome, 0, len(j.cells)),
 	}
 	for _, c := range j.cells {
@@ -615,5 +645,7 @@ func (s *Store) persist(j *job) {
 	sort.Slice(cp.Cells, func(a, b int) bool { return cp.Cells[a].Index < cp.Cells[b].Index })
 	if err := writeCheckpoint(s.opts.Dir, cp); err != nil {
 		obs.Logger("jobs").Error("checkpoint write failed", "job", j.id, "err", err)
+		return false
 	}
+	return true
 }

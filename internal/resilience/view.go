@@ -9,13 +9,13 @@ import (
 
 // view.go holds the overlay-aware entry points the scenario engine's
 // copy-on-write path uses: the same per-provider metrics as CutImpact
-// and PartitionCosts, computed against a fiber.View (typically a
-// scenario overlay) without cloning a map, with reusable scratch, and
-// — for partition costs — through the sparse Stoer-Wagner kernel.
-// Both replicate the reference arithmetic exactly: the component
-// statistics are integers before the final divisions, and the unique
-// min-cut value is integral, so results are bit-identical to the
-// clone path.
+// and PartitionCosts, computed from one provider's dense row over the
+// shared conduit graph (no cloned map, no tenant-string searches),
+// with reusable scratch, and — for partition costs — through the
+// sparse Stoer-Wagner kernel. Both replicate the reference arithmetic
+// exactly: the component statistics are integers before the final
+// divisions, and the unique min-cut value is integral, so results are
+// bit-identical to the clone path.
 
 // ImpactScratch carries the union-find state ImpactOn reuses across
 // calls. The zero value is ready; not safe for concurrent use.
@@ -24,33 +24,37 @@ type ImpactScratch struct {
 	count  []int32
 }
 
-// ImpactOn computes one provider's Impact under a cut set, against a
-// view. nodes is the provider's footprint on the view (v.NodesOf(isp)
-// — callers typically have it already); cuts is the resolved cut list
-// and cut its indicator indexed by conduit id (ids at or beyond
-// len(cut) — overlay virtuals — are never cut). The result matches
-// the provider's row of CutImpact over the materialized equivalent.
-func (s *ImpactScratch) ImpactOn(v fiber.View, isp string, nodes []fiber.NodeID, cuts []fiber.ConduitID, cut []bool) Impact {
+// ImpactOn computes one provider's Impact under a cut set from its
+// dense row. g is the conduit graph (edge id = base conduit id); row
+// is the provider's per-edge table on the view the analysis runs on —
+// removals and additions applied, cut conduits still lit — with 1 on
+// its conduits and +Inf elsewhere, the row shape PartitionCostWS
+// takes; extra lists its overlay-only conduits. verts is its footprint
+// on that view (the endpoints of row and extra, ascending); cuts is
+// the resolved cut list and cut its indicator indexed by base conduit
+// id (extras are never cut). The result matches the provider's row of
+// CutImpact over the materialized equivalent.
+func (s *ImpactScratch) ImpactOn(g *graph.Graph, isp string, verts []int, row []float64, extra []graph.Edge, cuts []fiber.ConduitID, cut []bool) Impact {
 	im := Impact{ISP: isp}
 	for _, cid := range cuts {
-		if v.HasTenant(cid, isp) {
+		if row[cid] == 1 {
 			im.CutsHit++
 		}
 	}
-	n := len(nodes)
+	n := len(verts)
 	if n < 2 {
 		im.DisconnectedPairs = 0
 		im.LargestComponent = 1
 		return im
 	}
 
-	if nn := v.NumNodes(); len(s.parent) < nn {
+	if nn := g.NumVertices(); len(s.parent) < nn {
 		s.parent = make([]int32, nn)
 		s.count = make([]int32, nn)
 	}
 	parent := s.parent
-	for _, nid := range nodes {
-		parent[nid] = int32(nid)
+	for _, v := range verts {
+		parent[v] = int32(v)
 	}
 	find := func(x int32) int32 {
 		for parent[x] != x {
@@ -59,26 +63,27 @@ func (s *ImpactScratch) ImpactOn(v fiber.View, isp string, nodes []fiber.NodeID,
 		}
 		return x
 	}
-	nc := v.NumConduits()
-	for cid := fiber.ConduitID(0); int(cid) < nc; cid++ {
-		if int(cid) < len(cut) && cut[cid] {
-			continue
-		}
-		if !v.HasTenant(cid, isp) {
-			continue
-		}
-		a, b := v.ConduitEnds(cid)
+	union := func(a, b int) {
 		ra, rb := find(int32(a)), find(int32(b))
 		if ra != rb {
 			parent[ra] = rb
 		}
 	}
-	var sumSq, max int
-	for _, nid := range nodes {
-		s.count[find(int32(nid))]++
+	for eid, ne := 0, g.NumEdges(); eid < ne; eid++ {
+		if row[eid] == 1 && !cut[eid] {
+			e := g.Edge(eid)
+			union(e.U, e.V)
+		}
 	}
-	for _, nid := range nodes {
-		r := find(int32(nid))
+	for _, e := range extra {
+		union(e.U, e.V)
+	}
+	var sumSq, max int
+	for _, v := range verts {
+		s.count[find(int32(v))]++
+	}
+	for _, v := range verts {
+		r := find(int32(v))
 		if c := int(s.count[r]); c > 0 {
 			sumSq += c * c
 			if c > max {

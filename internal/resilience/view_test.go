@@ -24,6 +24,36 @@ func impactByISP(impacts []Impact) map[string]Impact {
 	return out
 }
 
+// rowFromView builds one provider's dense row from a view whose first
+// nb conduits are g's edges (the rest overlay-only): 1 on its
+// conduits and +Inf elsewhere, its overlay-only conduits as extra
+// edges, and its footprint v.NodesOf(isp).
+func rowFromView(g *graph.Graph, v fiber.View, nb int, isp string) (verts []int, row []float64, extra []graph.Edge) {
+	row = make([]float64, g.NumEdges())
+	for eid := range row {
+		row[eid] = math.Inf(1)
+		if v.HasTenant(fiber.ConduitID(eid), isp) {
+			row[eid] = 1
+		}
+	}
+	for cid := fiber.ConduitID(nb); int(cid) < v.NumConduits(); cid++ {
+		if v.HasTenant(cid, isp) {
+			a, b := v.ConduitEnds(cid)
+			extra = append(extra, graph.Edge{U: int(a), V: int(b), Weight: 1})
+		}
+	}
+	for _, n := range v.NodesOf(isp) {
+		verts = append(verts, int(n))
+	}
+	return verts, row, extra
+}
+
+// impactOnView runs ImpactOn on the row rowFromView builds.
+func impactOnView(s *ImpactScratch, g *graph.Graph, v fiber.View, nb int, isp string, cuts []fiber.ConduitID, cut []bool) Impact {
+	verts, row, extra := rowFromView(g, v, nb, isp)
+	return s.ImpactOn(g, isp, verts, row, extra, cuts, cut)
+}
+
 func cutIndicator(n int, cuts []fiber.ConduitID) []bool {
 	cut := make([]bool, n)
 	for _, cid := range cuts {
@@ -35,6 +65,7 @@ func cutIndicator(n int, cuts []fiber.ConduitID) []bool {
 func TestImpactOnMatchesCutImpactRing(t *testing.T) {
 	m, cids := ringMap(t)
 	mx := risk.Build(m, nil)
+	g := m.Graph()
 	var s ImpactScratch
 	cutSets := [][]fiber.ConduitID{
 		nil,
@@ -47,7 +78,7 @@ func TestImpactOnMatchesCutImpactRing(t *testing.T) {
 		want := impactByISP(CutImpact(m, mx, cuts))
 		cut := cutIndicator(m.NumConduits(), cuts)
 		for _, isp := range mx.ISPs {
-			got := s.ImpactOn(m, isp, m.NodesOf(isp), cuts, cut)
+			got := impactOnView(&s, g, m, m.NumConduits(), isp, cuts, cut)
 			if got != want[isp] {
 				t.Errorf("cuts %v isp %s: ImpactOn %+v != CutImpact %+v", cuts, isp, got, want[isp])
 			}
@@ -61,9 +92,10 @@ func TestImpactOnMatchesCutImpactAtlas(t *testing.T) {
 	cuts := mx.TopShared(5)
 	want := impactByISP(CutImpact(m, mx, cuts))
 	cut := cutIndicator(m.NumConduits(), cuts)
+	g := m.Graph()
 	var s ImpactScratch
 	for _, isp := range mx.ISPs {
-		got := s.ImpactOn(m, isp, m.NodesOf(isp), cuts, cut)
+		got := impactOnView(&s, g, m, m.NumConduits(), isp, cuts, cut)
 		if got != want[isp] {
 			t.Errorf("isp %s: ImpactOn %+v != CutImpact %+v", isp, got, want[isp])
 		}
@@ -107,9 +139,10 @@ func TestImpactOnOverlayMatchesMutatedClone(t *testing.T) {
 	want := impactByISP(CutImpact(pmPlus, mx2, pert.Cuts))
 	cut := cutIndicator(ov.NumBaseConduits(), pert.Cuts)
 	plus := ov.Plus()
+	g := m.Graph()
 	var s ImpactScratch
 	for _, isp := range mx2.ISPs {
-		got := s.ImpactOn(plus, isp, plus.NodesOf(isp), pert.Cuts, cut)
+		got := impactOnView(&s, g, plus, ov.NumBaseConduits(), isp, pert.Cuts, cut)
 		if got != want[isp] {
 			t.Errorf("isp %s: overlay ImpactOn %+v != clone CutImpact %+v", isp, got, want[isp])
 		}

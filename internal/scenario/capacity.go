@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"sort"
 
 	"intertubes/internal/fiber"
@@ -12,21 +13,20 @@ import (
 // populations (the same weighting the traceroute campaign draws its
 // endpoint mix from), evaluated against per-conduit capacities
 // (fiber/capacity.go) with the Dinic kernel. The baseline — demand
-// pairs, capacity table, per-pair max flows, and the lit-capacity
-// component of every node — is memoized once per snapshot; each
-// evaluation then reports how many Gbps of baseline-served demand the
-// perturbation strands.
+// pairs, capacity table, and per-pair served flows — is memoized once
+// per snapshot; each evaluation then reports how many Gbps of
+// baseline-served demand the perturbation strands.
 //
-// Both evaluation paths produce bit-identical LostTraffic values. The
-// clone path recomputes every pair's flow on the materialized map's
-// own graph; the overlay path runs on the shared snapshot graph with
-// the overlay's capacity table and virtual conduits as extra edges,
-// and reuses the memoized baseline flow for any pair whose source and
-// sink components the perturbation never reaches. Reuse is sound
-// because an excluded (zero-capacity) edge is never staged into the
-// flow network at all: two graphs that agree on the subgraph
-// reachable from the source produce identical augmenting-path
-// sequences, hence identical float64 flow sums.
+// Both evaluation paths produce bit-identical LostTraffic values.
+// Every capacity is a whole number of 40-Gbps wavelengths, so each
+// residual and flow total is an exact integer in float64 and the
+// kernel's answer — min(max flow, demand), asked for directly through
+// its flow limit — does not depend on arc order or on the graph that
+// hosts the edges. The clone path recomputes every pair on the
+// materialized map's own graph; the overlay path runs on the shared
+// snapshot graph with the overlay's capacity table and virtual
+// conduits as extra edges, and reuses every memoized baseline flow
+// when the perturbation changed no capacity at all.
 
 // demandPairs is how many top gravity pairs form the demand matrix.
 // Small enough that a capacity stage costs a bounded number of flow
@@ -69,12 +69,7 @@ type capacityBaseline struct {
 	offered float64
 	// caps[cid] is the baseline capacity of base conduit cid.
 	caps []float64
-	// comp[node] identifies the node's component in the baseline
-	// lit-capacity graph (conduits with positive capacity).
-	comp []int32
-	// served[i] is demand i's baseline carried Gbps; servedTotal their
-	// sum, accumulated in demand order.
-	served      []float64
+	// servedTotal is the baseline carried Gbps, summed over demands.
 	servedTotal float64
 }
 
@@ -93,58 +88,19 @@ func capacityTable(v fiber.View, dst []float64) []float64 {
 }
 
 // capacity memoizes the snapshot's capacity baseline: gravity
-// demands, the capacity table, lit-capacity components, and per-pair
-// baseline flows.
+// demands, the capacity table, and per-pair baseline flows.
 func (s *snapshot) capacity() *capacityBaseline {
 	s.capOnce.Do(func() {
 		s.baseline() // the conduit graph s.g rides with the baseline
 		m := s.res.Map
 		cb := &s.capBase
 		cb.caps = capacityTable(m, nil)
-
-		// Union-find components over positive-capacity conduits.
-		parent := make([]int32, m.NumNodes())
-		for i := range parent {
-			parent[i] = int32(i)
-		}
-		var find func(int32) int32
-		find = func(x int32) int32 {
-			for parent[x] != x {
-				parent[x] = parent[parent[x]]
-				x = parent[x]
-			}
-			return x
-		}
-		for cid, c := range cb.caps {
-			if c <= 0 {
-				continue
-			}
-			a, b := m.ConduitEnds(fiber.ConduitID(cid))
-			ra, rb := find(int32(a)), find(int32(b))
-			if ra != rb {
-				parent[ra] = rb
-			}
-		}
-		cb.comp = make([]int32, len(parent))
-		for i := range parent {
-			cb.comp[i] = find(int32(i))
-		}
-
 		cb.demands = buildDemands(m, cb.caps)
 		for _, d := range cb.demands {
 			cb.offered += d.gbps
 		}
 
-		ws := graph.NewWorkspace()
-		cb.served = make([]float64, len(cb.demands))
-		for i, d := range cb.demands {
-			mf := s.g.MaxFlowWS(ws, int(d.s), int(d.t), cb.caps, nil)
-			if mf > d.gbps {
-				mf = d.gbps
-			}
-			cb.served[i] = mf
-			cb.servedTotal += mf
-		}
+		cb.servedTotal = cb.servedOn(s.g, graph.NewWorkspace(), cb.caps, nil)
 	})
 	return &s.capBase
 }
@@ -203,74 +159,47 @@ func buildDemands(m *fiber.Map, caps []float64) []trafficDemand {
 	return out
 }
 
-// lostTrafficOn evaluates the demand matrix on a perturbed topology:
-// g must use the view's base conduit ids as edge ids, caps[eid] their
-// perturbed capacities, and extra any overlay-only conduits carrying
-// capacity as Weight. reusable (nil means never) reports whether a
-// demand index may take its memoized baseline flow instead of a fresh
-// query — callers guarantee that is exact, not approximate. Returns
-// the delta plus recomputed/reused counts for span attribution.
-func lostTrafficOn(cb *capacityBaseline, g *graph.Graph, ws *graph.Workspace, caps []float64, extra []graph.Edge, reusable func(i int) bool) (*LostTraffic, int, int) {
-	lt := &LostTraffic{
+// servedOn evaluates the demand matrix on a perturbed topology and
+// returns the carried Gbps, summed over demands: g must use the view's
+// base conduit ids as edge ids, caps[eid] their perturbed capacities,
+// and extra any overlay-only conduits carrying capacity as Weight.
+func (cb *capacityBaseline) servedOn(g *graph.Graph, ws *graph.Workspace, caps []float64, extra []graph.Edge) float64 {
+	served := 0.0
+	for _, d := range cb.demands {
+		served += g.MaxFlowWS(ws, int(d.s), int(d.t), caps, extra, d.gbps)
+	}
+	return served
+}
+
+// lostTraffic is the delta from the baseline to a network carrying
+// served Gbps.
+func (cb *capacityBaseline) lostTraffic(served float64) *LostTraffic {
+	return &LostTraffic{
 		Demands:          len(cb.demands),
 		OfferedGbps:      cb.offered,
 		ServedBeforeGbps: cb.servedTotal,
+		ServedAfterGbps:  served,
+		LostGbps:         cb.servedTotal - served,
 	}
-	recomputed, reused := 0, 0
-	for i, d := range cb.demands {
-		var served float64
-		if reusable != nil && reusable(i) {
-			served = cb.served[i]
-			reused++
-		} else {
-			served = g.MaxFlowWS(ws, int(d.s), int(d.t), caps, extra)
-			if served > d.gbps {
-				served = d.gbps
-			}
-			recomputed++
+}
+
+// unchanged reports whether a perturbed capacity table (base
+// conduits in caps, overlay-only conduits in extra) leaves the
+// baseline flow network exactly as it was: every base capacity equal
+// and no overlay conduit carrying capacity. Then every demand takes
+// its baseline flow.
+func (cb *capacityBaseline) unchanged(caps []float64, extra []graph.Edge) bool {
+	for _, e := range extra {
+		if e.Weight > 0 {
+			return false
 		}
-		lt.ServedAfterGbps += served
 	}
-	lt.LostGbps = lt.ServedBeforeGbps - lt.ServedAfterGbps
-	return lt, recomputed, reused
+	return slices.Equal(caps, cb.caps)
 }
 
 // lostTrafficClone is the clone path's capacity stage: recompute
-// every pair on the perturbed map's own graph. pm's conduit ids
-// coincide with the view the overlay path reads, so the staged flow
-// networks — and therefore the float sums — are identical.
+// every pair on the perturbed map's own graph.
 func lostTrafficClone(snap *snapshot, pm *fiber.Map) *LostTraffic {
 	cb := snap.capacity()
-	caps := capacityTable(pm, nil)
-	lt, _, _ := lostTrafficOn(cb, pm.Graph(), graph.NewWorkspace(), caps, nil, nil)
-	return lt
-}
-
-// capacityTouched marks the baseline lit-capacity components the
-// perturbation reaches: endpoints of cut conduits, of every conduit a
-// removed provider occupied (its capacity drops), and of additions
-// (which may gain capacity or bridge components). A demand pair whose
-// source and sink components are both unmarked sees a byte-identical
-// reachable subgraph, so its baseline flow is exact.
-func capacityTouched(m *fiber.Map, cb *capacityBaseline, cuts []fiber.ConduitID, pert fiber.Perturbation) map[int32]bool {
-	touched := make(map[int32]bool)
-	mark := func(n fiber.NodeID) { touched[cb.comp[n]] = true }
-	markConduit := func(cid fiber.ConduitID) {
-		a, b := m.ConduitEnds(cid)
-		mark(a)
-		mark(b)
-	}
-	for _, cid := range cuts {
-		markConduit(cid)
-	}
-	for _, isp := range pert.RemoveISPs {
-		for _, cid := range m.ConduitsOf(isp) {
-			markConduit(cid)
-		}
-	}
-	for _, ad := range pert.Additions {
-		mark(ad.A)
-		mark(ad.B)
-	}
-	return touched
+	return cb.lostTraffic(cb.servedOn(pm.Graph(), graph.NewWorkspace(), capacityTable(pm, nil), nil))
 }

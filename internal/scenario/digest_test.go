@@ -1,0 +1,164 @@
+package scenario
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"intertubes/internal/fiber"
+)
+
+// digest_test.go pins the engine's outputs byte for byte. Each digest
+// is the sha256 over the json.Marshal bytes of every Result in a fixed
+// scenario family, concatenated in order; the values were recorded
+// before the capacity stage moved onto the flow-limited Dinic kernel
+// and the touched-provider stages onto dense tenancy rows, and every
+// later kernel or stage rewrite must reproduce them exactly.
+
+// digestFamily is one pinned scenario family and its digest.
+type digestFamily struct {
+	name string
+	scs  []Scenario
+	want string
+}
+
+// digestFamilies returns the scenario families, in digest order.
+func digestFamilies(t *testing.T) []digestFamily {
+	t.Helper()
+	res, mx := build(t)
+	m := res.Map
+
+	var cuts, removals, adds, presetScs []Scenario
+	for cid := 0; cid < m.NumConduits(); cid++ {
+		cuts = append(cuts, Scenario{CutConduits: []fiber.ConduitID{fiber.ConduitID(cid)}})
+	}
+	for _, isp := range mx.ISPs {
+		removals = append(removals, Scenario{RemoveISPs: []string{isp}})
+	}
+	n := m.NumNodes()
+	for i := 0; i < n; i += 4 {
+		a, b := m.Node(fiber.NodeID(i)).Key(), m.Node(fiber.NodeID((i+n/2)%n)).Key()
+		adds = append(adds, Scenario{Additions: []Addition{{A: a, B: b}}})
+	}
+	for _, name := range PresetNames() {
+		presetScs = append(presetScs, Scenario{Preset: name})
+	}
+	return []digestFamily{
+		{"single-cuts", cuts, "7da2e8048f2c50d664f3474bcfcf8cd877b4d650e59432697557a6a24d09068c"},
+		{"isp-removals", removals, "54986f364fee405d98db3a4190ba6c0df5ea9cb06029cf5be13357df858faaca"},
+		{"additions", adds, "438ccc2326abc22e36d5fbb3d42c3619f81b8ac85395ef6e0885d2043f6674f1"},
+		{"presets", presetScs, "31a60631e8dff1c5117bd6258115fef447edbc02e47cd55153f0dd71d869dd7b"},
+	}
+}
+
+func TestResultDigests(t *testing.T) {
+	families := digestFamilies(t)
+	sizes := map[string]int{"single-cuts": 382, "isp-removals": 20, "additions": 64, "presets": 5}
+	eng := newEngine(t, 0)
+	for _, f := range families {
+		if len(f.scs) != sizes[f.name] {
+			t.Fatalf("%s: %d scenarios, want %d", f.name, len(f.scs), sizes[f.name])
+		}
+		h := sha256.New()
+		for _, sc := range f.scs {
+			r, err := eng.Evaluate(context.Background(), sc)
+			if err != nil {
+				t.Fatalf("%s: evaluate %+v: %v", f.name, sc, err)
+			}
+			b, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(b)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != f.want {
+			t.Errorf("%s digest = %s, want %s", f.name, got, f.want)
+		}
+	}
+}
+
+func TestHeatmapDigest(t *testing.T) {
+	eng := newEngine(t, 0)
+	plan, version, err := eng.PlanGrid(GridSpec{CellKm: 300, RadiiKm: []float64{100, 200}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Total() != 210 {
+		t.Fatalf("plan has %d cells, want 210", plan.Total())
+	}
+	scs := make([]Scenario, len(plan.Cells))
+	for i, c := range plan.Cells {
+		scs[i] = c.Scenario()
+	}
+	outs := Sweep(context.Background(), eng, scs, 0)
+	cells := make([]CellOutcome, len(outs))
+	for i, o := range outs {
+		cells[i] = ReduceCell(plan.Cells[i], o)
+	}
+	gj, err := BuildHeatmap(plan.Geom(), version, cells).GeoJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(gj)
+	const want = "5a94680c25d78906a0523f5963367632cb05c7109ffc6332102a4da328968163"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("heatmap GeoJSON digest = %s, want %s", got, want)
+	}
+}
+
+// TestCapacityTablesIntegral pins the premise the flow-limited kernel's
+// byte-identity rests on: every capacity the capacity stage stages is
+// a whole number of Gbps below 2^53, so every residual, bottleneck and
+// running flow total is exact in float64 and any augmenting order
+// returns the same max flow.
+func TestCapacityTablesIntegral(t *testing.T) {
+	const exact = 1 << 53
+	integral := func(c float64) bool {
+		return c >= 0 && c < exact && c == math.Trunc(c)
+	}
+	for _, km := range []float64{0.5, 37.25, 640, 1999.9, 2000.1, 3100, 4800.75} {
+		for tenants := 0; tenants <= 64; tenants++ {
+			for a := fiber.NodeID(0); a < 4; a++ {
+				if c := fiber.CapacityGbps(a, a+7, km, tenants); !integral(c) {
+					t.Fatalf("CapacityGbps(%d, %d, %v, %d) = %v, not an exact integer", a, a+7, km, tenants, c)
+				}
+			}
+		}
+	}
+
+	eng := newEngine(t, 0)
+	snap := eng.snapshot()
+	cb := snap.capacity()
+	for cid, c := range cb.caps {
+		if !integral(c) {
+			t.Fatalf("baseline capacity of conduit %d = %v, not an exact integer", cid, c)
+		}
+	}
+	plan, _, err := eng.PlanGrid(GridSpec{CellKm: 300, RadiiKm: []float64{100, 200}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := make([]Scenario, len(plan.Cells))
+	for i, c := range plan.Cells {
+		grid[i] = c.Scenario()
+	}
+	families := append(digestFamilies(t), digestFamily{name: "heatmap-cells", scs: grid})
+	for _, f := range families {
+		for _, sc := range f.scs {
+			sc, err := Resolve(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ov, _ := testOverlay(t, snap, sc)
+			final := ov.Final()
+			for cid, c := range capacityTable(final, nil) {
+				if !integral(c) {
+					t.Fatalf("%s %+v: capacity of conduit %d = %v, not an exact integer", f.name, sc, cid, c)
+				}
+			}
+		}
+	}
+}

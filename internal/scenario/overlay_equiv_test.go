@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"intertubes/internal/fiber"
+	"intertubes/internal/graph"
 )
 
 // overlay_equiv_test.go is the clone-vs-overlay differential harness:
@@ -114,6 +115,86 @@ func equivScenarios(t *testing.T) []Scenario {
 		},
 	)
 	return scs
+}
+
+// testOverlay builds the overlay the engine evaluates sc against,
+// resolving cuts and additions the way evaluateOverlay does, and
+// returns it with its perturbation.
+func testOverlay(t *testing.T, snap *snapshot, sc Scenario) (*fiber.Overlay, fiber.Perturbation) {
+	t.Helper()
+	m := snap.res.Map
+	cuts, err := resolveCutsOn(snap, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := keptISPs(snap, sc)
+	pert := fiber.Perturbation{Cuts: cuts, RemoveISPs: sc.RemoveISPs}
+	for _, ad := range sc.Additions {
+		a, _ := m.NodeByKey(ad.A)
+		b, _ := m.NodeByKey(ad.B)
+		tenants := ad.Tenants
+		if len(tenants) == 0 {
+			tenants = kept
+		}
+		pert.Additions = append(pert.Additions, fiber.OverlayAddition{A: a, B: b, Tenants: tenants})
+	}
+	ov, err := fiber.NewOverlay(m, pert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ov, pert
+}
+
+// TestProviderRowMatchesViews pins the dense-row helper the
+// disconnection and partition stages read to the overlay views it
+// replaces: the row marks exactly the base conduits the provider holds
+// in the view, extra holds exactly its overlay-new conduits, and verts
+// is NodesOf — on Plus without cuts, on Final with them.
+func TestProviderRowMatchesViews(t *testing.T) {
+	eng := newEngine(t, 0)
+	snap := eng.snapshot()
+	snap.baseline()
+	scr := getScratch(snap.g.NumEdges())
+	defer putScratch(scr)
+	for i, sc := range equivScenarios(t) {
+		sc, err := Resolve(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov, pert := testOverlay(t, snap, sc)
+		final := ov.Final()
+		nb := ov.NumBaseConduits()
+		for _, isp := range keptISPs(snap, sc) {
+			for _, tc := range []struct {
+				view fiber.View
+				cuts []fiber.ConduitID
+			}{{ov.Plus(), nil}, {final, pert.Cuts}} {
+				scr.providerRow(snap, ov, final, pert.Additions, isp, tc.cuts)
+				for cid := 0; cid < nb; cid++ {
+					if on := scr.w[cid] == 1; on != tc.view.HasTenant(fiber.ConduitID(cid), isp) {
+						t.Fatalf("scenario %d %s (cuts %v): row marks conduit %d %v", i, isp, tc.cuts != nil, cid, on)
+					}
+				}
+				var extra []graph.Edge
+				for cid := fiber.ConduitID(nb); int(cid) < tc.view.NumConduits(); cid++ {
+					if tc.view.HasTenant(cid, isp) {
+						a, b := tc.view.ConduitEnds(cid)
+						extra = append(extra, graph.Edge{U: int(a), V: int(b), Weight: 1})
+					}
+				}
+				if fmt.Sprint(scr.extra) != fmt.Sprint(extra) {
+					t.Fatalf("scenario %d %s (cuts %v): extra %v, view %v", i, isp, tc.cuts != nil, scr.extra, extra)
+				}
+				var verts []int
+				for _, n := range tc.view.NodesOf(isp) {
+					verts = append(verts, int(n))
+				}
+				if fmt.Sprint(scr.verts) != fmt.Sprint(verts) {
+					t.Fatalf("scenario %d %s (cuts %v): verts %v, NodesOf %v", i, isp, tc.cuts != nil, scr.verts, verts)
+				}
+			}
+		}
+	}
 }
 
 func TestOverlayMatchesClonePresets(t *testing.T) {

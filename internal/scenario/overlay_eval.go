@@ -26,11 +26,12 @@ import (
 //     cut conduit carries its (surviving) tenancy or an addition
 //     lights it; every other provider reuses its baseline row, which
 //     is exactly what the clone path would recompute for it;
-//   - touched partition costs run through the sparse Stoer-Wagner
-//     kernel with the snapshot's per-provider unit weight table,
-//     masked in place in a pooled scratch buffer (additions lower
-//     masks to 1, cuts raise them to +Inf, overlay-new conduits ride
-//     as extra edges);
+//   - touched providers read their dense rows: the snapshot's
+//     per-provider unit weight table, masked in place in a pooled
+//     scratch buffer (additions lower masks to 1, cuts raise them to
+//     +Inf, overlay-new conduits ride as extra edges), from which the
+//     footprint, the disconnection union-find and the sparse
+//     Stoer-Wagner partition cost are all read;
 //   - the heavyweight optional stages (latency, traffic) materialize
 //     a concrete map only when the scenario requests them.
 //
@@ -46,14 +47,15 @@ const (
 
 // evalScratch is the reusable per-evaluation workspace: the graph
 // kernel scratch, the union-find scratch, and the masked weight /
-// vertex / extra-edge buffers. Pooled so concurrent sweeps reuse a
-// few of them instead of reallocating per scenario.
+// vertex / extra-edge / vertex-mark buffers. Pooled so concurrent
+// sweeps reuse a few of them instead of reallocating per scenario.
 type evalScratch struct {
 	ws    *graph.Workspace
 	imp   resilience.ImpactScratch
 	w     []float64
 	verts []int
 	extra []graph.Edge
+	mark  []bool
 	// capW is the capacity stage's per-conduit capacity table
 	// (base conduits first, overlay virtuals after).
 	capW []float64
@@ -72,6 +74,50 @@ func getScratch(nEdges int) *evalScratch {
 }
 
 func putScratch(s *evalScratch) { scratchPool.Put(s) }
+
+// providerRow fills the scratch with one provider's dense row under
+// the perturbation: w is its snapshot unit-weight row with the tenancy
+// it gained on merged additions and, unless cuts is nil, the cut
+// conduits masked out (maskWeights); extra holds its overlay-new
+// conduits; verts its footprint — the endpoints of both, in ascending
+// node id. That footprint is exactly NodesOf on the matching overlay
+// view (Plus without cuts, Final with them), found without a search
+// over tenant strings, a map or a sort.
+func (s *evalScratch) providerRow(snap *snapshot, ov *fiber.Overlay, final fiber.View, adds []fiber.OverlayAddition, isp string, cuts []fiber.ConduitID) {
+	g := snap.g
+	nb := ov.NumBaseConduits()
+	w := s.w[:g.NumEdges()]
+	maskWeights(w, snap.ispW[snap.ispIdx[isp]], gainsFor(adds, ov.AdditionTargets(), nb, isp), cuts)
+	s.extra = s.extra[:0]
+	for cid := fiber.ConduitID(nb); int(cid) < final.NumConduits(); cid++ {
+		if final.HasTenant(cid, isp) {
+			a, b := final.ConduitEnds(cid)
+			s.extra = append(s.extra, graph.Edge{U: int(a), V: int(b), Weight: 1})
+		}
+	}
+
+	n := g.NumVertices()
+	if len(s.mark) < n {
+		s.mark = make([]bool, n)
+	}
+	mark := s.mark[:n]
+	for eid, x := range w {
+		if x == 1 {
+			e := g.Edge(eid)
+			mark[e.U], mark[e.V] = true, true
+		}
+	}
+	for _, e := range s.extra {
+		mark[e.U], mark[e.V] = true, true
+	}
+	s.verts = s.verts[:0]
+	for v, on := range mark {
+		if on {
+			s.verts = append(s.verts, v)
+			mark[v] = false
+		}
+	}
+}
 
 // maskWeights fills dst with the provider's unit weight row under the
 // perturbation: merged-addition tenancy gains first, then cuts to
@@ -171,7 +217,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 		return nil, err
 	}
 
-	plus, final := ov.Plus(), ov.Final()
+	final := ov.Final()
 	var mx2 *risk.Matrix
 	_ = stage("scenario.stage.matrix", func(sp *obs.Span) error {
 		mx2 = risk.BuildFrom(final, kept)
@@ -212,7 +258,9 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 
 	// Per-ISP disconnection on the plus view (cuts excluded by weight,
 	// footprints intact), in matrix order then stable-sorted by damage
-	// — CutImpact's exact ordering.
+	// — CutImpact's exact ordering. A provider only a cut touched reads
+	// its snapshot row and footprint as they are; one an addition
+	// lights reads its row with the gains merged in.
 	_ = stage("scenario.stage.disconnection", func(sp *obs.Span) error {
 		recomputed := 0
 		impacts := make([]resilience.Impact, 0, len(mx2.ISPs))
@@ -223,11 +271,13 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 				continue
 			}
 			recomputed++
-			nodes := snap.ispNodes[snap.ispIdx[isp]]
+			i := snap.ispIdx[isp]
+			verts, row, extra := snap.ispVerts[i], snap.ispW[i], []graph.Edge(nil)
 			if bits&touchedAdd != 0 {
-				nodes = plus.NodesOf(isp)
+				scr.providerRow(snap, ov, final, pert.Additions, isp, nil)
+				verts, row, extra = scr.verts, scr.w, scr.extra
 			}
-			impacts = append(impacts, scr.imp.ImpactOn(plus, isp, nodes, cuts, cutMask))
+			impacts = append(impacts, scr.imp.ImpactOn(snap.g, isp, verts, row, extra, cuts, cutMask))
 		}
 		sort.SliceStable(impacts, func(i, j int) bool {
 			return impacts[i].DisconnectedPairs > impacts[j].DisconnectedPairs
@@ -242,8 +292,8 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	}
 
 	// Partition cost on the final view. Touched providers run the
-	// sparse Stoer-Wagner kernel over the masked snapshot weight row;
-	// the rest reuse the baseline cost.
+	// sparse Stoer-Wagner kernel over their masked snapshot row; the
+	// rest reuse the baseline cost.
 	_ = stage("scenario.stage.partition", func(sp *obs.Span) error {
 		fast0, full0 := scr.ws.MinCutStats()
 		recomputed := 0
@@ -252,30 +302,13 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 			min int
 		}
 		pcs := make([]pcost, 0, len(kept))
-		nb := ov.NumBaseConduits()
-		nc := final.NumConduits()
 		for _, isp := range kept {
-			bits := touched[isp]
-			if bits == 0 {
+			if touched[isp] == 0 {
 				pcs = append(pcs, pcost{isp: isp, min: base.part[isp]})
 				continue
 			}
 			recomputed++
-			// Tenancy gains this provider received on merged (base-conduit)
-			// additions; overlay-new conduits become extra edges instead.
-			scr.verts = scr.verts[:0]
-			scr.extra = scr.extra[:0]
-			gains := gainsFor(pert.Additions, ov.AdditionTargets(), nb, isp)
-			maskWeights(scr.w, snap.ispW[snap.ispIdx[isp]], gains, cuts)
-			for cid := fiber.ConduitID(nb); int(cid) < nc; cid++ {
-				if final.HasTenant(cid, isp) {
-					a, b := final.ConduitEnds(cid)
-					scr.extra = append(scr.extra, graph.Edge{U: int(a), V: int(b), Weight: 1})
-				}
-			}
-			for _, n := range final.NodesOf(isp) {
-				scr.verts = append(scr.verts, int(n))
-			}
+			scr.providerRow(snap, ov, final, pert.Additions, isp, cuts)
 			min := resilience.PartitionCostWS(snap.g, scr.ws, scr.verts, scr.w, scr.extra)
 			pcs = append(pcs, pcost{isp: isp, min: min})
 		}
@@ -301,9 +334,9 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	// Capacity stage: re-flow the gravity demand matrix over the
 	// perturbed capacities. Base conduit capacities come from the
 	// final view (cuts dark, removals thinned, merged additions
-	// widened); overlay-new conduits ride as extra edges. A demand
-	// pair reuses its memoized baseline flow when the perturbation
-	// never reaches its source or sink component.
+	// widened); overlay-new conduits ride as extra edges. When the
+	// perturbation changed no capacity, every pair takes its memoized
+	// baseline flow.
 	_ = stage("scenario.stage.capacity", func(sp *obs.Span) error {
 		cb := snap.capacity()
 		scr.capW = capacityTable(final, scr.capW)
@@ -313,14 +346,13 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 			a, b := final.ConduitEnds(fiber.ConduitID(cid))
 			scr.extra = append(scr.extra, graph.Edge{U: int(a), V: int(b), Weight: scr.capW[cid]})
 		}
-		touchedComps := capacityTouched(m, cb, cuts, pert)
-		reusable := func(i int) bool {
-			d := &cb.demands[i]
-			return !touchedComps[cb.comp[d.s]] && !touchedComps[cb.comp[d.t]]
+		if cb.unchanged(scr.capW[:nb], scr.extra) {
+			res.LostTraffic = cb.lostTraffic(cb.servedTotal)
+			setReuseAttrs(sp, 0, len(cb.demands))
+			return nil
 		}
-		var recomputed, reused int
-		res.LostTraffic, recomputed, reused = lostTrafficOn(cb, snap.g, scr.ws, scr.capW[:nb], scr.extra, reusable)
-		setReuseAttrs(sp, recomputed, reused)
+		res.LostTraffic = cb.lostTraffic(cb.servedOn(snap.g, scr.ws, scr.capW[:nb], scr.extra))
+		setReuseAttrs(sp, len(cb.demands), 0)
 		return nil
 	})
 

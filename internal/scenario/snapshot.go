@@ -38,12 +38,13 @@ type snapshot struct {
 	base     baseline
 
 	// Overlay-path tables, built with the baseline: the conduit graph,
-	// and per matrix-ISP the unit weight table (1 on the provider's
-	// conduits, +Inf elsewhere), baseline footprint, and index.
+	// and per matrix-ISP the dense unit weight row (1 on the provider's
+	// conduits, +Inf elsewhere), baseline footprint (ascending vertex
+	// ids), and index.
 	g        *graph.Graph
 	ispIdx   map[string]int
 	ispW     [][]float64
-	ispNodes [][]fiber.NodeID
+	ispVerts [][]int
 
 	// Betweenness cut ranking, memoized for ResolveCuts: the full
 	// positive-betweenness ordering, of which every CutMostBetween
@@ -52,8 +53,7 @@ type snapshot struct {
 	btwRank []fiber.ConduitID
 
 	// Capacity-layer baseline (capacity.go): gravity demands, the
-	// conduit capacity table, lit-capacity components, and memoized
-	// per-pair baseline flows.
+	// conduit capacity table, and memoized per-pair baseline flows.
 	capOnce sync.Once
 	capBase capacityBaseline
 
@@ -121,7 +121,7 @@ func (s *snapshot) baseline() *baseline {
 		s.g = m.Graph()
 		s.ispIdx = make(map[string]int, len(s.mx.ISPs))
 		s.ispW = make([][]float64, len(s.mx.ISPs))
-		s.ispNodes = make([][]fiber.NodeID, len(s.mx.ISPs))
+		s.ispVerts = make([][]int, len(s.mx.ISPs))
 		inf := math.Inf(1)
 		for i, isp := range s.mx.ISPs {
 			s.ispIdx[isp] = i
@@ -134,7 +134,9 @@ func (s *snapshot) baseline() *baseline {
 				}
 			}
 			s.ispW[i] = w
-			s.ispNodes[i] = m.NodesOf(isp)
+			for _, n := range m.NodesOf(isp) {
+				s.ispVerts[i] = append(s.ispVerts[i], int(n))
+			}
 		}
 	})
 	return &s.base

@@ -101,8 +101,9 @@ func TestRecordedEvaluationAttribution(t *testing.T) {
 func TestRecordedEvaluationReusedOutcome(t *testing.T) {
 	st := freshTraces(t)
 	eng := newEngine(t, 0)
-	// Removing no ISPs and cutting nothing touches no provider: every
-	// stage serves baseline rows and reports a reused outcome.
+	// Removing no ISPs and cutting nothing touches no provider and
+	// changes no capacity: every stage serves baseline rows and reports
+	// a reused outcome.
 	ctx, root := obs.StartTrace(context.Background(), "test.noop")
 	if _, err := eng.Evaluate(ctx, Scenario{}); err != nil {
 		t.Fatal(err)
@@ -110,7 +111,9 @@ func TestRecordedEvaluationReusedOutcome(t *testing.T) {
 	root.End()
 	tr, _ := st.Get(root.TraceID())
 	for _, s := range tr.Spans {
-		if s.Name != "scenario.stage.disconnection" && s.Name != "scenario.stage.partition" {
+		switch s.Name {
+		case "scenario.stage.disconnection", "scenario.stage.partition", "scenario.stage.capacity":
+		default:
 			continue
 		}
 		a := attrMap(s)

@@ -88,8 +88,12 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, stErr := s.jobs.Get(id)
 	h, err := s.jobs.Heatmap(id)
-	if err != nil {
+	if errors.Is(err, jobs.ErrNotFound) {
 		s.writeError(w, http.StatusNotFound, "no such job")
+		return
+	}
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if stErr == nil && !st.State.Terminal() {
