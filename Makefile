@@ -14,8 +14,8 @@ race:
 vet:
 	$(GO) vet ./...
 
-# verify is the full pre-merge gate: vet, build, tests, race detector,
-# fuzz smoke (skip the last with SKIP_FUZZ=1).
+# verify is the full pre-merge gate: gofmt, vet, build, tests, race
+# detector, fuzz smoke (skip the last with SKIP_FUZZ=1).
 verify:
 	sh scripts/verify.sh
 
@@ -27,10 +27,12 @@ fuzz:
 bench:
 	sh scripts/bench.sh
 
-# bench-smoke runs the graph-kernel micro-benchmarks and the
-# clone-vs-overlay scenario pairs for one iteration each — a fast CI
-# check that the benchmarks themselves still build and
-# run (it does not overwrite BENCH_obs.json).
+# bench-smoke runs the graph-kernel micro-benchmarks, the
+# clone-vs-overlay scenario pairs (internal/scenario, against the
+# clone reference kept in its tests) and the per-pair-vs-batched
+# latency atlas pair (internal/latency) for one iteration each — a
+# fast CI check that the benchmarks themselves still build and run
+# (it does not overwrite BENCH_obs.json).
 bench-smoke:
 	BENCH='DijkstraSweep|KShortestPaths$$|EdgeBetweenness|MaxFlow|ScenarioEvaluate|ScenarioEvaluateCapacity|ScenarioSweep|GridSweep|TracingOverhead|LatencyAtlas' BENCHTIME=1x OUT=BENCH_smoke.json sh scripts/bench.sh
 	rm -f BENCH_smoke.json

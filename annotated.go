@@ -7,6 +7,7 @@ import (
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
+	"intertubes/internal/graph"
 )
 
 // annotated.go implements the paper's §8 future work: "annotated
@@ -43,7 +44,7 @@ type ConduitAnnotation struct {
 func (s *Study) AnnotatedMap() []ConduitAnnotation {
 	m := s.res.Map
 	camp := s.Campaign()
-	bc := s.res.Map.Graph().EdgeBetweenness(m.LitWeight())
+	bc := s.res.Map.Graph().EdgeBetweenness(graph.NewWorkspace(), m.LitWeight(), nil)
 
 	var out []ConduitAnnotation
 	for i := range m.Conduits {

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -23,7 +22,6 @@ import (
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
-	"intertubes/internal/latency"
 	"intertubes/internal/mapbuilder"
 	"intertubes/internal/mitigate"
 	"intertubes/internal/obs"
@@ -306,10 +304,10 @@ func BenchmarkDijkstraSweep(b *testing.B) {
 	wf := benchRes.Map.LitWeight()
 	ws := graph.NewWorkspace()
 	dst := make([]float64, g.NumVertices())
-	dst = g.ShortestDistancesWS(ws, 0, wf, dst) // warm: CSR build + workspace growth
+	dst = g.ShortestDistances(ws, 0, wf, dst) // warm: CSR build + workspace growth
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = g.ShortestDistancesWS(ws, i%g.NumVertices(), wf, dst)
+		dst = g.ShortestDistances(ws, i%g.NumVertices(), wf, dst)
 	}
 	b.ReportMetric(float64(g.NumVertices()), "vertices")
 }
@@ -322,7 +320,7 @@ func BenchmarkKShortestPaths(b *testing.B) {
 	wf := benchRes.Map.LitWeight()
 	ws := graph.NewWorkspace()
 	n := g.NumVertices()
-	g.KShortestPathsWS(ws, 0, n/2, 4, wf) // warm: CSR build + workspace growth
+	g.KShortestPaths(ws, 0, n/2, 4, wf) // warm: CSR build + workspace growth
 	var paths int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -331,7 +329,7 @@ func BenchmarkKShortestPaths(b *testing.B) {
 		if src == dst {
 			dst = (dst + 1) % n
 		}
-		paths += len(g.KShortestPathsWS(ws, src, dst, 4, wf))
+		paths += len(g.KShortestPaths(ws, src, dst, 4, wf))
 	}
 	b.ReportMetric(float64(paths)/float64(b.N), "paths/op")
 }
@@ -344,10 +342,10 @@ func BenchmarkEdgeBetweenness(b *testing.B) {
 	wf := benchRes.Map.LitWeight()
 	ws := graph.NewWorkspace()
 	dst := make([]float64, g.NumEdges())
-	dst = g.EdgeBetweennessWS(ws, wf, dst) // warm: CSR build + workspace growth
+	dst = g.EdgeBetweenness(ws, wf, dst) // warm: CSR build + workspace growth
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = g.EdgeBetweennessWS(ws, wf, dst)
+		dst = g.EdgeBetweenness(ws, wf, dst)
 	}
 	b.ReportMetric(float64(g.NumEdges()), "edges")
 }
@@ -367,7 +365,7 @@ func BenchmarkMaxFlow(b *testing.B) {
 	}
 	ws := graph.NewWorkspace()
 	n := g.NumVertices()
-	g.MaxFlowWS(ws, 0, n/2, caps, nil, math.Inf(1)) // warm: CSR build + workspace growth
+	g.MaxFlow(ws, 0, n/2, caps, nil, math.Inf(1)) // warm: CSR build + workspace growth
 	var total float64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -377,7 +375,7 @@ func BenchmarkMaxFlow(b *testing.B) {
 		if src == dst {
 			dst = (dst + 1) % n
 		}
-		total += g.MaxFlowWS(ws, src, dst, caps, nil, math.Inf(1))
+		total += g.MaxFlow(ws, src, dst, caps, nil, math.Inf(1))
 	}
 	b.ReportMetric(total/float64(b.N), "gbps/op")
 }
@@ -641,110 +639,10 @@ func BenchmarkWorkersAddConduits(b *testing.B) {
 	}
 }
 
-// ---- Scenario engine: clone vs overlay evaluation paths. ----
+// ---- Scenario engine. ----
 //
-// Each pair below runs the same workload through the retained
-// clone-per-scenario reference path and the copy-on-write overlay
-// path (see DESIGN.md "Snapshot overlays"). The two paths produce
-// byte-identical Result JSON — the differential suite in
-// internal/scenario pins that — so the pair measures pure evaluation
-// cost: the overlay/clone ns/op ratio in BENCH_obs.json is the
-// tentpole's throughput claim.
-
-// scenarioModes names the two evaluation paths for sub-benchmarks.
-func scenarioModes() []struct {
-	name  string
-	clone bool
-} {
-	return []struct {
-		name  string
-		clone bool
-	}{{"clone", true}, {"overlay", false}}
-}
-
-// scenarioSweepBatch is a representative disaster grid: a sweep of
-// localized circular disaster footprints centered on map nodes
-// spread across the atlas (the ROADMAP's disaster-grid scale item),
-// plus the global what-ifs a campaign mixes in — escalating
-// shared-conduit cuts, a provider removal, and a new build.
-func scenarioSweepBatch() []scenario.Scenario {
-	isps := benchMx.ISPs
-	m := benchRes.Map
-	batch := make([]scenario.Scenario, 0, 16)
-	n := m.NumNodes()
-	for i := 0; i < 10; i++ {
-		loc := m.Node(fiber.NodeID(i * n / 10)).Loc
-		batch = append(batch, scenario.Scenario{
-			Regions: []scenario.Region{{Lat: loc.Lat, Lon: loc.Lon, RadiusKm: 120}},
-		})
-	}
-	batch = append(batch,
-		scenario.Scenario{CutMostShared: 2},
-		scenario.Scenario{CutMostShared: 5},
-		scenario.Scenario{CutMostBetween: 3},
-		scenario.Scenario{RemoveISPs: isps[:1]},
-		scenario.Scenario{Additions: []scenario.Addition{{
-			A: m.Node(0).Key(), B: m.Node(fiber.NodeID(n - 1)).Key(),
-		}}},
-		scenario.Scenario{},
-	)
-	return batch
-}
-
-// BenchmarkScenarioEvaluate times one what-if evaluation per
-// iteration on a warmed engine, per path.
-func BenchmarkScenarioEvaluate(b *testing.B) {
-	sharedStudy()
-	sc := scenario.Scenario{CutMostShared: 5}
-	ctx := context.Background()
-	for _, mode := range scenarioModes() {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := scenario.New(benchRes, benchMx, scenario.Options{Seed: 42, CloneEval: mode.clone})
-			if _, err := eng.Evaluate(ctx, sc); err != nil { // warm: baseline memo, scratch pools
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Evaluate(ctx, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkScenarioEvaluateCapacity times a circular-disaster
-// evaluation — the workload whose cost the capacity stage (gravity
-// demands + max-flow per touched pair) rides on — per path, on a
-// warmed engine. The lost-gbps metric is the severity the heatmap
-// plots; it is byte-identical across modes by the differential suite.
-func BenchmarkScenarioEvaluateCapacity(b *testing.B) {
-	sharedStudy()
-	loc := benchRes.Map.Node(0).Loc
-	sc := scenario.Scenario{
-		Regions: []scenario.Region{{Lat: loc.Lat, Lon: loc.Lon, RadiusKm: 150}},
-	}
-	ctx := context.Background()
-	for _, mode := range scenarioModes() {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := scenario.New(benchRes, benchMx, scenario.Options{Seed: 42, CloneEval: mode.clone})
-			r, err := eng.Evaluate(ctx, sc) // warm: baseline + capacity memo
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r.LostTraffic == nil {
-				b.Fatal("no lost-traffic delta")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if r, err = eng.Evaluate(ctx, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(r.LostTraffic.LostGbps, "lost-gbps")
-		})
-	}
-}
+// The clone-vs-overlay evaluation pairs live with the clone reference
+// in internal/scenario (bench_test.go there).
 
 // BenchmarkTracingOverhead pins the flight recorder's evaluation-path
 // cost: the same warmed overlay evaluation with the recorder off
@@ -824,87 +722,4 @@ func BenchmarkGridSweep(b *testing.B) {
 		b.Fatal("empty artifact")
 	}
 	b.ReportMetric(float64(len(plan.Cells)), "cells")
-}
-
-// BenchmarkScenarioSweep times the full disaster-grid batch through
-// Sweep at all CPUs, per path; scenarios/op normalizes the grid size.
-func BenchmarkScenarioSweep(b *testing.B) {
-	sharedStudy()
-	batch := scenarioSweepBatch()
-	ctx := context.Background()
-	for _, mode := range scenarioModes() {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := scenario.New(benchRes, benchMx, scenario.Options{Seed: 42, CloneEval: mode.clone})
-			warm := scenario.Sweep(ctx, eng, batch[:1], 1)
-			if warm[0].Err != "" {
-				b.Fatal(warm[0].Err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := scenario.Sweep(ctx, eng, batch, 0)
-				for j := range out {
-					if out[j].Err != "" {
-						b.Fatal(out[j].Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(len(batch)), "scenarios/op")
-		})
-	}
-}
-
-// BenchmarkLatencyAtlas pins the atlas speedup claim: the all-pairs
-// city latency table computed per-pair (one early-stopped Dijkstra
-// per pair — the asymptotics the §5.3 study grew up on) against the
-// source-batched build (one full Dijkstra per city). Both halves
-// produce byte-identical pair tables, verified before timing. The
-// "row" sub-benchmark times one warm per-source row fill; its
-// allocs/op must read 0 in BENCH_obs.json — the steady state of the
-// batched kernel.
-func BenchmarkLatencyAtlas(b *testing.B) {
-	sharedStudy()
-	ctx := context.Background()
-	ref, err := latency.PairsPerPair(ctx, benchRes.Map, latency.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	warm, err := latency.Build(ctx, benchRes.Map, latency.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !reflect.DeepEqual(warm.Pairs(), ref) {
-		b.Fatal("batched atlas diverges from the per-pair reference")
-	}
-
-	b.Run("per-pair", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := latency.PairsPerPair(ctx, benchRes.Map, latency.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			at, err := latency.Build(ctx, benchRes.Map, latency.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(at.Pairs()) != len(ref) {
-				b.Fatal("pair count changed")
-			}
-		}
-	})
-	b.Run("row", func(b *testing.B) {
-		g := benchRes.Map.Graph()
-		wf := benchRes.Map.LitWeight()
-		ws := graph.NewWorkspace()
-		row := make([]float64, g.NumVertices())
-		src := int(warm.Source(0))
-		g.ShortestDistancesWS(ws, src, wf, row)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.ShortestDistancesWS(ws, src, wf, row)
-		}
-	})
 }

@@ -15,6 +15,7 @@ import (
 
 	"intertubes"
 	"intertubes/internal/geo"
+	"intertubes/internal/graph"
 	"intertubes/internal/mitigate"
 )
 
@@ -37,7 +38,7 @@ func main() {
 
 	// One pair, computed directly with the §5.3 machinery.
 	g := m.Graph()
-	paths := g.KShortestPaths(int(a), int(b), 5, m.LitWeight())
+	paths := g.KShortestPaths(graph.NewWorkspace(), int(a), int(b), 5, m.LitWeight())
 	if len(paths) == 0 {
 		log.Fatalf("no lit fiber path between %s and %s", *from, *to)
 	}

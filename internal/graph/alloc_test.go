@@ -25,7 +25,7 @@ func allocFixture() (*Graph, *Workspace, WeightFunc) {
 	}
 	wf := func(eid int) float64 { return g.Edge(eid).Weight }
 	ws := NewWorkspace()
-	g.ShortestDistancesWS(ws, 0, wf, nil) // warm: CSR build + workspace growth
+	g.ShortestDistances(ws, 0, wf, nil) // warm: CSR build + workspace growth
 	return g, ws, wf
 }
 
@@ -44,9 +44,9 @@ func TestShortestDistancesWSZeroAllocs(t *testing.T) {
 	g, ws, wf := allocFixture()
 	dst := make([]float64, g.NumVertices())
 	if avg := testing.AllocsPerRun(50, func() {
-		dst = g.ShortestDistancesWS(ws, 7, wf, dst)
+		dst = g.ShortestDistances(ws, 7, wf, dst)
 	}); avg != 0 {
-		t.Fatalf("ShortestDistancesWS allocates %.1f per run, want 0", avg)
+		t.Fatalf("ShortestDistances allocates %.1f per run, want 0", avg)
 	}
 }
 
@@ -54,9 +54,9 @@ func TestShortestDistanceWSZeroAllocs(t *testing.T) {
 	skipIfAllocsUnmeasurable(t)
 	g, ws, wf := allocFixture()
 	if avg := testing.AllocsPerRun(50, func() {
-		g.ShortestDistanceWS(ws, 3, g.NumVertices()-1, wf)
+		g.ShortestDistance(ws, 3, g.NumVertices()-1, wf)
 	}); avg != 0 {
-		t.Fatalf("ShortestDistanceWS allocates %.1f per run, want 0", avg)
+		t.Fatalf("ShortestDistance allocates %.1f per run, want 0", avg)
 	}
 }
 
@@ -65,9 +65,9 @@ func TestMinimaxDistancesWSZeroAllocs(t *testing.T) {
 	g, ws, wf := allocFixture()
 	dst := make([]float64, g.NumVertices())
 	if avg := testing.AllocsPerRun(50, func() {
-		dst = g.MinimaxDistancesWS(ws, 5, wf, dst)
+		dst = g.MinimaxDistances(ws, 5, wf, dst)
 	}); avg != 0 {
-		t.Fatalf("MinimaxDistancesWS allocates %.1f per run, want 0", avg)
+		t.Fatalf("MinimaxDistances allocates %.1f per run, want 0", avg)
 	}
 }
 
@@ -77,9 +77,9 @@ func TestShortestPathWSOnlyPathAllocs(t *testing.T) {
 	skipIfAllocsUnmeasurable(t)
 	g, ws, wf := allocFixture()
 	if avg := testing.AllocsPerRun(50, func() {
-		g.ShortestPathWS(ws, 3, g.NumVertices()-1, wf)
+		g.ShortestPath(ws, 3, g.NumVertices()-1, wf)
 	}); avg > 2 {
-		t.Fatalf("ShortestPathWS allocates %.1f per run, want <= 2 (the Path slices)", avg)
+		t.Fatalf("ShortestPath allocates %.1f per run, want <= 2 (the Path slices)", avg)
 	}
 }
 
@@ -99,10 +99,10 @@ func TestGlobalMinCutWSZeroAllocs(t *testing.T) {
 		verts = append(verts, v)
 	}
 	extra := []Edge{{U: 0, V: 59, Weight: 2}}
-	g.GlobalMinCutWS(ws, verts, w, extra) // warm: scratch growth
+	g.GlobalMinCut(ws, verts, w, extra) // warm: scratch growth
 	if avg := testing.AllocsPerRun(20, func() {
-		g.GlobalMinCutWS(ws, verts, w, extra)
+		g.GlobalMinCut(ws, verts, w, extra)
 	}); avg != 0 {
-		t.Fatalf("GlobalMinCutWS allocates %.1f per run, want 0", avg)
+		t.Fatalf("GlobalMinCut allocates %.1f per run, want 0", avg)
 	}
 }

@@ -11,22 +11,14 @@ import (
 
 // EdgeBetweenness returns, for every edge, the number of shortest
 // paths between vertex pairs that traverse it (summed over ordered
-// pairs and split evenly among equal-cost shortest paths). Edges
-// excluded by wf (+Inf) get zero. Runs Brandes with Dijkstra in
-// O(V * E log V).
-func (g *Graph) EdgeBetweenness(wf WeightFunc) []float64 {
-	ws := getWS()
-	defer putWS(ws)
-	return g.EdgeBetweennessWS(ws, wf, nil)
-}
-
-// EdgeBetweennessWS is EdgeBetweenness using the caller's workspace,
-// writing scores into dst (resized as needed; nil allocates). The
-// weight table is materialized once for all sources, and the per-
+// pairs and split evenly among equal-cost shortest paths), writing
+// scores into dst (resized as needed; nil allocates). Edges excluded
+// by wf (+Inf) get zero. Runs Brandes with Dijkstra in O(V * E log V).
+// The weight table is materialized once for all sources, and the per-
 // source scratch (settle order, path counts, dependency accumulators,
 // predecessor lists) is epoch-stamped workspace state — re-arming it
 // between sources costs O(touched), not O(V).
-func (g *Graph) EdgeBetweennessWS(ws *Workspace, wf WeightFunc, dst []float64) []float64 {
+func (g *Graph) EdgeBetweenness(ws *Workspace, wf WeightFunc, dst []float64) []float64 {
 	n := g.n
 	t := g.topoView()
 	weights := ws.materialize(g, t, wf)

@@ -12,7 +12,7 @@ func TestEdgeBetweennessPath(t *testing.T) {
 	e01 := g.AddEdge(0, 1, 1)
 	e12 := g.AddEdge(1, 2, 1)
 	e23 := g.AddEdge(2, 3, 1)
-	bc := g.EdgeBetweenness(nil)
+	bc := g.EdgeBetweenness(NewWorkspace(), nil, nil)
 	// Ordered pairs crossing e12: (0,2),(0,3),(1,2),(1,3) and reverses = 8.
 	if bc[e12] != 8 {
 		t.Errorf("middle edge = %v, want 8", bc[e12])
@@ -31,7 +31,7 @@ func TestEdgeBetweennessSplitsEqualPaths(t *testing.T) {
 	e13 := g.AddEdge(1, 3, 1)
 	e02 := g.AddEdge(0, 2, 1)
 	e23 := g.AddEdge(2, 3, 1)
-	bc := g.EdgeBetweenness(nil)
+	bc := g.EdgeBetweenness(NewWorkspace(), nil, nil)
 	// Each side edge: pairs (0,1)x2 full + (0,3)x2 half + (1,3)x2... let's
 	// check symmetry instead of exact values.
 	if math.Abs(bc[e01]-bc[e02]) > 1e-9 || math.Abs(bc[e13]-bc[e23]) > 1e-9 {
@@ -65,7 +65,7 @@ func TestEdgeBetweennessRespectsWeightFunc(t *testing.T) {
 		}
 		return 1
 	}
-	bc := g.EdgeBetweenness(banned)
+	bc := g.EdgeBetweenness(NewWorkspace(), banned, nil)
 	if bc[direct] != 0 {
 		t.Errorf("banned edge has betweenness %v", bc[direct])
 	}
@@ -85,7 +85,7 @@ func TestGlobalMinCutBridge(t *testing.T) {
 	g.AddEdge(5, 3, 1)
 	g.AddEdge(2, 3, 1) // bridge
 	unit := func(int) float64 { return 1 }
-	cut, ok := g.GlobalMinCut([]int{0, 1, 2, 3, 4, 5}, unit)
+	cut, ok := g.GlobalMinCut(NewWorkspace(), []int{0, 1, 2, 3, 4, 5}, g.Weights(unit, nil), nil)
 	if !ok || cut != 1 {
 		t.Errorf("cut = %v,%v want 1", cut, ok)
 	}
@@ -98,7 +98,7 @@ func TestGlobalMinCutCycle(t *testing.T) {
 		g.AddEdge(i, (i+1)%5, 1)
 	}
 	unit := func(int) float64 { return 1 }
-	cut, ok := g.GlobalMinCut([]int{0, 1, 2, 3, 4}, unit)
+	cut, ok := g.GlobalMinCut(NewWorkspace(), []int{0, 1, 2, 3, 4}, g.Weights(unit, nil), nil)
 	if !ok || cut != 2 {
 		t.Errorf("cut = %v,%v want 2", cut, ok)
 	}
@@ -113,7 +113,7 @@ func TestGlobalMinCutComplete(t *testing.T) {
 		}
 	}
 	unit := func(int) float64 { return 1 }
-	cut, ok := g.GlobalMinCut([]int{0, 1, 2, 3}, unit)
+	cut, ok := g.GlobalMinCut(NewWorkspace(), []int{0, 1, 2, 3}, g.Weights(unit, nil), nil)
 	if !ok || cut != 3 {
 		t.Errorf("cut = %v,%v want 3", cut, ok)
 	}
@@ -124,7 +124,7 @@ func TestGlobalMinCutDisconnected(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 1)
 	unit := func(int) float64 { return 1 }
-	cut, ok := g.GlobalMinCut([]int{0, 1, 2, 3}, unit)
+	cut, ok := g.GlobalMinCut(NewWorkspace(), []int{0, 1, 2, 3}, g.Weights(unit, nil), nil)
 	if !ok || cut != 0 {
 		t.Errorf("disconnected cut = %v,%v want 0,true", cut, ok)
 	}
@@ -133,10 +133,10 @@ func TestGlobalMinCutDisconnected(t *testing.T) {
 func TestGlobalMinCutDegenerate(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1, 1)
-	if _, ok := g.GlobalMinCut([]int{0}, nil); ok {
+	if _, ok := g.GlobalMinCut(NewWorkspace(), []int{0}, g.Weights(nil, nil), nil); ok {
 		t.Error("single vertex should not have a cut")
 	}
-	if _, ok := g.GlobalMinCut(nil, nil); ok {
+	if _, ok := g.GlobalMinCut(NewWorkspace(), nil, g.Weights(nil, nil), nil); ok {
 		t.Error("empty vertex set should not have a cut")
 	}
 }
@@ -150,7 +150,7 @@ func TestGlobalMinCutSubset(t *testing.T) {
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(3, 4, 1)
 	unit := func(int) float64 { return 1 }
-	cut, ok := g.GlobalMinCut([]int{0, 1, 2}, unit)
+	cut, ok := g.GlobalMinCut(NewWorkspace(), []int{0, 1, 2}, g.Weights(unit, nil), nil)
 	if !ok || cut != 2 {
 		t.Errorf("triangle cut = %v,%v want 2", cut, ok)
 	}
@@ -177,7 +177,7 @@ func TestGlobalMinCutMatchesBruteForce(t *testing.T) {
 		for i := range verts {
 			verts[i] = i
 		}
-		got, ok := g.GlobalMinCut(verts, unit)
+		got, ok := g.GlobalMinCut(NewWorkspace(), verts, g.Weights(unit, nil), nil)
 		if !ok {
 			t.Fatal("no cut")
 		}

@@ -277,6 +277,7 @@ func equalPaths(a, b Path) bool {
 
 func TestDijkstraMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	ws := NewWorkspace() // reused across trials and graph sizes
 	for trial := 0; trial < 300; trial++ {
 		g := randomMultigraph(rng)
 		adj := refAdjacency(g)
@@ -287,7 +288,7 @@ func TestDijkstraMatchesReference(t *testing.T) {
 		src := rng.Intn(g.NumVertices())
 		wantDist, wantParent := refDijkstra(g, adj, src, wf)
 
-		got := g.ShortestDistances(src, wf)
+		got := g.ShortestDistances(ws, src, wf, nil)
 		for v := range wantDist {
 			if got[v] != wantDist[v] {
 				t.Fatalf("trial %d: dist[%d] = %v, want %v", trial, v, got[v], wantDist[v])
@@ -295,7 +296,7 @@ func TestDijkstraMatchesReference(t *testing.T) {
 		}
 		for dst := 0; dst < g.NumVertices(); dst++ {
 			wantPath, wantOK := refTracePath(g, wantDist, wantParent, src, dst)
-			gotPath, gotOK := g.ShortestPath(src, dst, wf)
+			gotPath, gotOK := g.ShortestPath(ws, src, dst, wf)
 			if gotOK != wantOK {
 				t.Fatalf("trial %d: ShortestPath(%d,%d) ok=%v, want %v", trial, src, dst, gotOK, wantOK)
 			}
@@ -308,6 +309,7 @@ func TestDijkstraMatchesReference(t *testing.T) {
 
 func TestKShortestPathsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	ws := NewWorkspace() // reused across trials and graph sizes
 	for trial := 0; trial < 120; trial++ {
 		g := randomMultigraph(rng)
 		adj := refAdjacency(g)
@@ -318,7 +320,7 @@ func TestKShortestPathsMatchesReference(t *testing.T) {
 		src, dst := rng.Intn(g.NumVertices()), rng.Intn(g.NumVertices())
 		k := 1 + rng.Intn(5)
 		want := refKShortest(g, adj, src, dst, k, wf)
-		got := g.KShortestPaths(src, dst, k, wf)
+		got := g.KShortestPaths(ws, src, dst, k, wf)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d paths, want %d", trial, len(got), len(want))
 		}
@@ -332,6 +334,7 @@ func TestKShortestPathsMatchesReference(t *testing.T) {
 
 func TestEdgeBetweennessMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	ws := NewWorkspace() // reused across trials and graph sizes
 	for trial := 0; trial < 60; trial++ {
 		g := randomMultigraph(rng)
 		adj := refAdjacency(g)
@@ -340,7 +343,7 @@ func TestEdgeBetweennessMatchesReference(t *testing.T) {
 			wf = maskWF(g)
 		}
 		want := refEdgeBetweenness(g, adj, wf)
-		got := g.EdgeBetweenness(wf)
+		got := g.EdgeBetweenness(ws, wf, nil)
 		for e := range want {
 			// Same settle order, same accumulation order — bit identical.
 			if got[e] != want[e] {
@@ -359,8 +362,8 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		g := randomMultigraph(rng)
 		src := rng.Intn(g.NumVertices())
-		want := g.ShortestDistancesWS(NewWorkspace(), src, nil, nil)
-		got := g.ShortestDistancesWS(ws, src, nil, nil)
+		want := g.ShortestDistances(NewWorkspace(), src, nil, nil)
+		got := g.ShortestDistances(ws, src, nil, nil)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("trial %d: reused ws dist[%d] = %v, want %v", trial, v, got[v], want[v])
@@ -378,7 +381,7 @@ func TestWorkspaceEpochWrap(t *testing.T) {
 	ws := NewWorkspace()
 	check := func() {
 		t.Helper()
-		d := g.ShortestDistancesWS(ws, 0, nil, nil)
+		d := g.ShortestDistances(ws, 0, nil, nil)
 		if d[0] != 0 || d[1] != 1 || d[2] != 2 {
 			t.Fatalf("dist after epoch %d = %v", ws.epoch, d)
 		}
@@ -397,6 +400,7 @@ func TestWorkspaceEpochWrap(t *testing.T) {
 // Bellman-Ford-style relaxation of the bottleneck objective.
 func TestMinimaxMatchesBruteforce(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	ws := NewWorkspace() // reused across trials and graph sizes
 	for trial := 0; trial < 80; trial++ {
 		g := randomMultigraph(rng)
 		n := g.NumVertices()
@@ -423,7 +427,7 @@ func TestMinimaxMatchesBruteforce(t *testing.T) {
 				break
 			}
 		}
-		got := g.MinimaxDistances(src, nil)
+		got := g.MinimaxDistances(ws, src, nil, nil)
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("trial %d: minimax[%d] = %v, want %v", trial, v, got[v], want[v])

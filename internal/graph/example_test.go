@@ -13,7 +13,7 @@ func ExampleGraph_ShortestPath() {
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 1)
 	g.AddEdge(2, 3, 3)
-	p, _ := g.ShortestPath(0, 3, nil)
+	p, _ := g.ShortestPath(graph.NewWorkspace(), 0, 3, nil)
 	fmt.Println(p.Nodes, p.Weight)
 	// Output: [0 1 3] 2
 }
@@ -24,7 +24,7 @@ func ExampleGraph_KShortestPaths() {
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 1)
 	g.AddEdge(2, 3, 3)
-	for _, p := range g.KShortestPaths(0, 3, 2, nil) {
+	for _, p := range g.KShortestPaths(graph.NewWorkspace(), 0, 3, 2, nil) {
 		fmt.Println(p.Nodes, p.Weight)
 	}
 	// Output:

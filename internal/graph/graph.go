@@ -190,13 +190,6 @@ func (p Path) Clone() Path {
 // must be a pure function of the edge id for the query's duration.
 type WeightFunc func(edgeID int) float64
 
-func (g *Graph) weightOf(wf WeightFunc, id int) float64 {
-	if wf == nil {
-		return g.edges[id].Weight
-	}
-	return wf(id)
-}
-
 // Weights materializes wf into dst (resized as needed): dst[e] = wf(e)
 // for every edge id, with nil wf meaning default weights. Hot loops
 // index the table instead of calling a closure per edge relaxation.
@@ -217,16 +210,9 @@ func (g *Graph) Weights(wf WeightFunc, dst []float64) []float64 {
 }
 
 // ShortestPath returns the minimum-weight path from src to dst under
-// wf, or ok=false if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst int, wf WeightFunc) (Path, bool) {
-	ws := getWS()
-	defer putWS(ws)
-	return g.ShortestPathWS(ws, src, dst, wf)
-}
-
-// ShortestPathWS is ShortestPath using the caller's workspace. Only
-// the returned Path is allocated.
-func (g *Graph) ShortestPathWS(ws *Workspace, src, dst int, wf WeightFunc) (Path, bool) {
+// wf, or ok=false if dst is unreachable. Only the returned Path is
+// allocated.
+func (g *Graph) ShortestPath(ws *Workspace, src, dst int, wf WeightFunc) (Path, bool) {
 	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
 		return Path{}, false
 	}
@@ -240,16 +226,9 @@ func (g *Graph) ShortestPathWS(ws *Workspace, src, dst int, wf WeightFunc) (Path
 }
 
 // ShortestDistance returns the minimum path weight from src to dst
-// under wf (ok=false if unreachable) without materializing the path.
-func (g *Graph) ShortestDistance(src, dst int, wf WeightFunc) (float64, bool) {
-	ws := getWS()
-	defer putWS(ws)
-	return g.ShortestDistanceWS(ws, src, dst, wf)
-}
-
-// ShortestDistanceWS is ShortestDistance using the caller's workspace:
+// under wf (ok=false if unreachable) without materializing the path:
 // zero allocations in the steady state.
-func (g *Graph) ShortestDistanceWS(ws *Workspace, src, dst int, wf WeightFunc) (float64, bool) {
+func (g *Graph) ShortestDistance(ws *Workspace, src, dst int, wf WeightFunc) (float64, bool) {
 	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
 		return math.Inf(1), false
 	}
@@ -262,18 +241,11 @@ func (g *Graph) ShortestDistanceWS(ws *Workspace, src, dst int, wf WeightFunc) (
 	return ws.dist[dst], true
 }
 
-// ShortestDistances runs Dijkstra from src and returns the full
-// distance array (unreachable vertices get +Inf).
-func (g *Graph) ShortestDistances(src int, wf WeightFunc) []float64 {
-	ws := getWS()
-	defer putWS(ws)
-	return g.ShortestDistancesWS(ws, src, wf, nil)
-}
-
-// ShortestDistancesWS is ShortestDistances using the caller's
-// workspace, writing into dst (resized as needed; nil allocates). With
-// a reused workspace and a caller-owned dst it is allocation-free.
-func (g *Graph) ShortestDistancesWS(ws *Workspace, src int, wf WeightFunc, dst []float64) []float64 {
+// ShortestDistances runs Dijkstra from src and writes the full
+// distance array into dst (resized as needed; nil allocates);
+// unreachable vertices get +Inf. With a reused workspace and a
+// caller-owned dst it is allocation-free.
+func (g *Graph) ShortestDistances(ws *Workspace, src int, wf WeightFunc, dst []float64) []float64 {
 	t := g.topoView()
 	weights := ws.materialize(g, t, wf)
 	g.dijkstra(ws, t, weights, int32(src), -1)
@@ -411,7 +383,7 @@ func (g *Graph) Connected(u, v int) bool {
 	if u == v {
 		return true
 	}
-	p, ok := g.ShortestPath(u, v, func(int) float64 { return 1 })
+	p, ok := g.ShortestPath(NewWorkspace(), u, v, func(int) float64 { return 1 })
 	return ok && len(p.Edges) > 0
 }
 
@@ -420,16 +392,9 @@ func (g *Graph) Connected(u, v int) bool {
 // bottleneck shortest path). Unreachable vertices get +Inf. The §5
 // shared-risk analyses use it with per-conduit sharing degrees as
 // weights: the result is the best achievable worst-case sharing when
-// routing from src.
-func (g *Graph) MinimaxDistances(src int, wf WeightFunc) []float64 {
-	ws := getWS()
-	defer putWS(ws)
-	return g.MinimaxDistancesWS(ws, src, wf, nil)
-}
-
-// MinimaxDistancesWS is MinimaxDistances using the caller's workspace,
-// writing into dst (resized as needed; nil allocates).
-func (g *Graph) MinimaxDistancesWS(ws *Workspace, src int, wf WeightFunc, dst []float64) []float64 {
+// routing from src. It writes into dst (resized as needed; nil
+// allocates).
+func (g *Graph) MinimaxDistances(ws *Workspace, src int, wf WeightFunc, dst []float64) []float64 {
 	t := g.topoView()
 	weights := ws.materialize(g, t, wf)
 	ws.begin(g.n)

@@ -24,7 +24,7 @@ func buildDiamond() *Graph {
 
 func TestShortestPathBasic(t *testing.T) {
 	g := buildDiamond()
-	p, ok := g.ShortestPath(0, 3, nil)
+	p, ok := g.ShortestPath(NewWorkspace(), 0, 3, nil)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -39,17 +39,17 @@ func TestShortestPathBasic(t *testing.T) {
 
 func TestShortestPathUnreachable(t *testing.T) {
 	g := buildDiamond()
-	if _, ok := g.ShortestPath(0, 4, nil); ok {
+	if _, ok := g.ShortestPath(NewWorkspace(), 0, 4, nil); ok {
 		t.Error("vertex 4 must be unreachable")
 	}
-	if _, ok := g.ShortestPath(-1, 2, nil); ok {
+	if _, ok := g.ShortestPath(NewWorkspace(), -1, 2, nil); ok {
 		t.Error("out-of-range src must fail")
 	}
 }
 
 func TestShortestPathSelf(t *testing.T) {
 	g := buildDiamond()
-	p, ok := g.ShortestPath(2, 2, nil)
+	p, ok := g.ShortestPath(NewWorkspace(), 2, 2, nil)
 	if !ok || p.Hops() != 0 || p.Weight != 0 {
 		t.Errorf("self path = %+v, %v", p, ok)
 	}
@@ -58,7 +58,7 @@ func TestShortestPathSelf(t *testing.T) {
 func TestWeightFuncOverridesAndBans(t *testing.T) {
 	g := buildDiamond()
 	// Ban edge 0 (0-1); path must go through 2.
-	p, ok := g.ShortestPath(0, 3, func(eid int) float64 {
+	p, ok := g.ShortestPath(NewWorkspace(), 0, 3, func(eid int) float64 {
 		if eid == 0 {
 			return math.Inf(1)
 		}
@@ -79,12 +79,12 @@ func TestParallelEdges(t *testing.T) {
 	g := New(2)
 	slow := g.AddEdge(0, 1, 10)
 	fast := g.AddEdge(0, 1, 2)
-	p, ok := g.ShortestPath(0, 1, nil)
+	p, ok := g.ShortestPath(NewWorkspace(), 0, 1, nil)
 	if !ok || p.Edges[0] != fast {
 		t.Errorf("should pick the fast parallel edge, got %+v", p)
 	}
 	// Yen should return both parallel edges as distinct paths.
-	ps := g.KShortestPaths(0, 1, 3, nil)
+	ps := g.KShortestPaths(NewWorkspace(), 0, 1, 3, nil)
 	if len(ps) != 2 {
 		t.Fatalf("k-shortest over parallel edges = %d paths, want 2", len(ps))
 	}
@@ -95,7 +95,7 @@ func TestParallelEdges(t *testing.T) {
 
 func TestShortestDistances(t *testing.T) {
 	g := buildDiamond()
-	dist := g.ShortestDistances(0, nil)
+	dist := g.ShortestDistances(NewWorkspace(), 0, nil, nil)
 	want := []float64{0, 1, 1, 2, math.Inf(1)}
 	for i, w := range want {
 		if dist[i] != w {
@@ -156,7 +156,7 @@ func TestNeighbors(t *testing.T) {
 
 func TestKShortestPathsDiamond(t *testing.T) {
 	g := buildDiamond()
-	ps := g.KShortestPaths(0, 3, 5, nil)
+	ps := g.KShortestPaths(NewWorkspace(), 0, 3, 5, nil)
 	if len(ps) != 2 {
 		t.Fatalf("got %d paths, want 2", len(ps))
 	}
@@ -189,7 +189,7 @@ func TestKShortestPathsGrid(t *testing.T) {
 			}
 		}
 	}
-	ps := g.KShortestPaths(at(0, 0), at(2, 2), 6, nil)
+	ps := g.KShortestPaths(NewWorkspace(), at(0, 0), at(2, 2), 6, nil)
 	if len(ps) != 6 {
 		t.Fatalf("got %d paths, want 6 (all monotone grid paths)", len(ps))
 	}
@@ -210,10 +210,10 @@ func TestKShortestPathsGrid(t *testing.T) {
 
 func TestKShortestNoPath(t *testing.T) {
 	g := buildDiamond()
-	if ps := g.KShortestPaths(0, 4, 3, nil); ps != nil {
+	if ps := g.KShortestPaths(NewWorkspace(), 0, 4, 3, nil); ps != nil {
 		t.Errorf("expected nil, got %v", ps)
 	}
-	if ps := g.KShortestPaths(0, 3, 0, nil); ps != nil {
+	if ps := g.KShortestPaths(NewWorkspace(), 0, 3, 0, nil); ps != nil {
 		t.Errorf("k<=0 should yield nil, got %v", ps)
 	}
 }
@@ -234,7 +234,7 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), rng.Float64()*10)
 		}
 		src := rng.Intn(n)
-		got := g.ShortestDistances(src, nil)
+		got := g.ShortestDistances(NewWorkspace(), src, nil, nil)
 		want := bellmanFord(g, src)
 		for v := range want {
 			if math.Abs(got[v]-want[v]) > 1e-9 {
@@ -284,7 +284,7 @@ func TestKShortestProperties(t *testing.T) {
 		for i := 0; i < n; i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), 1+rng.Float64()*5)
 		}
-		ps := g.KShortestPaths(0, n-1, 5, nil)
+		ps := g.KShortestPaths(NewWorkspace(), 0, n-1, 5, nil)
 		for i := 1; i < len(ps); i++ {
 			if ps[i].Weight < ps[i-1].Weight-1e-9 {
 				t.Fatalf("trial %d: weights decrease: %v then %v", trial, ps[i-1].Weight, ps[i].Weight)
@@ -323,7 +323,7 @@ func TestWeightFuncNilUsesDefault(t *testing.T) {
 	if err := quick.Check(func(w uint8) bool {
 		g := New(2)
 		g.AddEdge(0, 1, float64(w))
-		p, ok := g.ShortestPath(0, 1, nil)
+		p, ok := g.ShortestPath(NewWorkspace(), 0, 1, nil)
 		return ok && p.Weight == float64(w)
 	}, nil); err != nil {
 		t.Error(err)
@@ -337,7 +337,7 @@ func TestMinimaxDistances(t *testing.T) {
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 4)
 	g.AddEdge(2, 3, 3)
-	d := g.MinimaxDistances(0, nil)
+	d := g.MinimaxDistances(NewWorkspace(), 0, nil, nil)
 	if d[3] != 4 {
 		t.Errorf("minimax to 3 = %v, want 4 (via vertex 2)", d[3])
 	}
@@ -351,7 +351,7 @@ func TestMinimaxDistances(t *testing.T) {
 		}
 		return g.Edge(eid).Weight
 	}
-	d = g.MinimaxDistances(0, banned)
+	d = g.MinimaxDistances(NewWorkspace(), 0, banned, nil)
 	if d[3] != 9 {
 		t.Errorf("minimax with ban = %v, want 9", d[3])
 	}
@@ -371,7 +371,7 @@ func TestMinimaxMatchesBruteForce(t *testing.T) {
 				g.AddEdge(u, v, float64(1+rng.Intn(9)))
 			}
 		}
-		got := g.MinimaxDistances(0, nil)
+		got := g.MinimaxDistances(NewWorkspace(), 0, nil, nil)
 		// Brute force via repeated relaxation.
 		want := make([]float64, n)
 		for i := range want {

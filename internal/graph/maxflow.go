@@ -5,7 +5,7 @@ import "math"
 // maxflow.go grows the kernel from global min-cut to s-t maximum
 // flow. The capacity layer asks "how many Gbps of this demand survive"
 // for every scenario evaluation in a sweep, so the kernel follows the
-// same discipline as GlobalMinCutWS: the base CSR stays shared and
+// same discipline as GlobalMinCut: the base CSR stays shared and
 // immutable, the query's per-edge capacities arrive as a flat table,
 // overlay-only conduits ride along as extra edges, and every byte of
 // scratch lives in the Workspace — zero allocations once warm.
@@ -37,7 +37,7 @@ type flowArc struct {
 	cap  float64
 }
 
-// maxflowScratch is the reusable state of MaxFlowWS, owned by a
+// maxflowScratch is the reusable state of MaxFlow, owned by a
 // Workspace and grown lazily.
 type maxflowScratch struct {
 	off   []int32   // CSR offsets per tail vertex into arcs
@@ -57,19 +57,12 @@ func (w *Workspace) maxflow() *maxflowScratch {
 	return w.mf
 }
 
-// MaxFlow is the pooled-workspace convenience entry for MaxFlowWS.
-func (g *Graph) MaxFlow(src, dst int, caps []float64, extra []Edge, limit float64) float64 {
-	ws := getWS()
-	defer putWS(ws)
-	return g.MaxFlowWS(ws, src, dst, caps, extra, limit)
-}
-
-// MaxFlowWS returns min(max s-t flow, limit) of the graph under the
+// MaxFlow returns min(max s-t flow, limit) of the graph under the
 // given edge capacities, with all scratch in ws:
 //
 //   - caps[eid] is the capacity of base edge eid; a zero, negative,
 //     +Inf, or NaN capacity excludes the edge, matching
-//     GlobalMinCutWS's usable-edge rule (nil caps uses the graph's
+//     GlobalMinCut's usable-edge rule (nil caps uses the graph's
 //     default weight table);
 //   - extra lists overlay edges absent from the base graph (new
 //     conduit builds); their Weight fields are their capacities, under
@@ -84,7 +77,7 @@ func (g *Graph) MaxFlow(src, dst int, caps []float64, extra []Edge, limit float6
 //
 // With integral capacities below 2^53 the result is exact and
 // independent of arc order.
-func (g *Graph) MaxFlowWS(ws *Workspace, src, dst int, caps []float64, extra []Edge, limit float64) float64 {
+func (g *Graph) MaxFlow(ws *Workspace, src, dst int, caps []float64, extra []Edge, limit float64) float64 {
 	n := g.n
 	if src == dst || src < 0 || src >= n || dst < 0 || dst >= n || !(limit > 0) {
 		return 0

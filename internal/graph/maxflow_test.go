@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// maxflow_test.go pins MaxFlowWS to a naive Edmonds-Karp reference
+// maxflow_test.go pins MaxFlow to a naive Edmonds-Karp reference
 // over a dense residual matrix, and checks a certificate for every
 // answer: the residual network the kernel leaves behind must hold a
 // feasible flow of the returned value and, when the limit did not
@@ -84,7 +84,7 @@ func combined(g *Graph, caps []float64, extra []Edge) ([]Edge, func(i int) float
 }
 
 // checkMaxFlowCertificate verifies the residual network ws holds
-// after got = MaxFlowWS(ws, src, dst, caps, extra, limit), without
+// after got = MaxFlow(ws, src, dst, caps, extra, limit), without
 // trusting the kernel's layout:
 //
 //   - each vertex's arcs are exactly its usable incident edges (head
@@ -239,12 +239,12 @@ func TestMaxFlowMatchesReference(t *testing.T) {
 			ref = refMaxFlow(n, all, capOf, src, dst)
 		}
 		limit := randomLimit(rng, ref)
-		got := g.MaxFlowWS(ws, src, dst, caps, extra, limit)
+		got := g.MaxFlow(ws, src, dst, caps, extra, limit)
 		if want := math.Min(ref, limit); got != want && !(limit <= 0 && got == 0) {
-			t.Fatalf("trial %d: MaxFlowWS(%d,%d, limit %v) = %v, reference %v", trial, src, dst, limit, got, want)
+			t.Fatalf("trial %d: MaxFlow(%d,%d, limit %v) = %v, reference %v", trial, src, dst, limit, got, want)
 		}
 		if err := checkMaxFlowCertificate(g, ws, src, dst, caps, extra, limit, got); err != nil {
-			t.Fatalf("trial %d: MaxFlowWS(%d,%d, limit %v) = %v: %v", trial, src, dst, limit, got, err)
+			t.Fatalf("trial %d: MaxFlow(%d,%d, limit %v) = %v: %v", trial, src, dst, limit, got, err)
 		}
 	}
 }
@@ -265,13 +265,13 @@ func TestMaxFlowReuseMatchesFresh(t *testing.T) {
 		src, dst := rng.Intn(n), rng.Intn(n)
 		// Interleave a Dijkstra query so dist/heap scratch churns
 		// between flow queries.
-		g.ShortestDistancesWS(reused, src, nil, nil)
-		got := g.MaxFlowWS(reused, src, dst, caps, nil, inf)
+		g.ShortestDistances(reused, src, nil, nil)
+		got := g.MaxFlow(reused, src, dst, caps, nil, inf)
 		if err := checkMaxFlowCertificate(g, reused, src, dst, caps, nil, inf, got); err != nil {
 			t.Fatalf("trial %d: reused ws: %v", trial, err)
 		}
 		want := NewWorkspace()
-		if fresh := g.MaxFlowWS(want, src, dst, caps, nil, inf); got != fresh {
+		if fresh := g.MaxFlow(want, src, dst, caps, nil, inf); got != fresh {
 			t.Fatalf("trial %d: reused ws = %v, fresh ws = %v", trial, got, fresh)
 		}
 		if err := checkMaxFlowCertificate(g, want, src, dst, caps, nil, inf, got); err != nil {
@@ -281,7 +281,7 @@ func TestMaxFlowReuseMatchesFresh(t *testing.T) {
 }
 
 // TestMaxFlowEpochWrap runs flow queries across the workspace epoch
-// wrap-around: MaxFlowWS does not stamp epochs itself, but it shares
+// wrap-around: MaxFlow does not stamp epochs itself, but it shares
 // the workspace with kernels that do, and must stay correct when the
 // wrap clears their stamps between its calls.
 func TestMaxFlowEpochWrap(t *testing.T) {
@@ -294,10 +294,10 @@ func TestMaxFlowEpochWrap(t *testing.T) {
 	ws := NewWorkspace()
 	check := func() {
 		t.Helper()
-		if f := g.MaxFlowWS(ws, 0, 3, caps, nil, inf); f != 5 {
+		if f := g.MaxFlow(ws, 0, 3, caps, nil, inf); f != 5 {
 			t.Fatalf("flow after epoch %d = %v, want 5", ws.epoch, f)
 		}
-		if d := g.ShortestDistancesWS(ws, 0, nil, nil); d[3] != 2 {
+		if d := g.ShortestDistances(ws, 0, nil, nil); d[3] != 2 {
 			t.Fatalf("dist after epoch %d = %v", ws.epoch, d)
 		}
 	}
@@ -313,18 +313,18 @@ func TestMaxFlowDegenerate(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	ws := NewWorkspace()
 	caps := []float64{7}
-	if f := g.MaxFlowWS(ws, 0, 0, caps, nil, inf); f != 0 {
+	if f := g.MaxFlow(ws, 0, 0, caps, nil, inf); f != 0 {
 		t.Fatalf("src==dst flow = %v, want 0", f)
 	}
-	if f := g.MaxFlowWS(ws, 0, 2, caps, nil, inf); f != 0 {
+	if f := g.MaxFlow(ws, 0, 2, caps, nil, inf); f != 0 {
 		t.Fatalf("disconnected flow = %v, want 0", f)
 	}
-	if f := g.MaxFlowWS(ws, -1, 1, caps, nil, inf); f != 0 {
+	if f := g.MaxFlow(ws, -1, 1, caps, nil, inf); f != 0 {
 		t.Fatalf("out-of-range src flow = %v, want 0", f)
 	}
 	// A pure-extra path: flow exists even when every base edge is
 	// excluded.
-	if f := g.MaxFlowWS(ws, 0, 2, []float64{0}, []Edge{{U: 0, V: 2, Weight: 3}}, inf); f != 3 {
+	if f := g.MaxFlow(ws, 0, 2, []float64{0}, []Edge{{U: 0, V: 2, Weight: 3}}, inf); f != 3 {
 		t.Fatalf("extra-edge flow = %v, want 3", f)
 	}
 }
@@ -337,18 +337,18 @@ func TestMaxFlowWSZeroAllocs(t *testing.T) {
 		caps[i] = float64(1 + i%5)
 	}
 	extra := []Edge{{U: 1, V: 7, Weight: 2}}
-	g.MaxFlowWS(ws, 0, 399, caps, extra, inf) // warm: scratch growth
+	g.MaxFlow(ws, 0, 399, caps, extra, inf) // warm: scratch growth
 	if avg := testing.AllocsPerRun(50, func() {
-		g.MaxFlowWS(ws, 0, 399, caps, extra, inf)
+		g.MaxFlow(ws, 0, 399, caps, extra, inf)
 	}); avg != 0 {
-		t.Fatalf("MaxFlowWS allocates %.1f per run, want 0", avg)
+		t.Fatalf("MaxFlow allocates %.1f per run, want 0", avg)
 	}
 }
 
 // FuzzMaxFlow decodes a small multigraph from the fuzz bytes — a
 // vertex count, then (u, v, capacity) triples whose capacity byte also
 // yields the excluded values 0 and +Inf, a split between base and
-// extra edges, endpoints and a limit — and holds MaxFlowWS to
+// extra edges, endpoints and a limit — and holds MaxFlow to
 // min(reference, limit) plus the certificate.
 func FuzzMaxFlow(f *testing.F) {
 	f.Add([]byte{4, 0, 3, 1, 2, 0, 1, 5, 1, 2, 3, 2, 3, 4, 0, 2, 9, 0})
@@ -393,7 +393,7 @@ func FuzzMaxFlow(f *testing.F) {
 			}
 		}
 		ws := NewWorkspace()
-		got := g.MaxFlowWS(ws, src, dst, caps, extra, limit)
+		got := g.MaxFlow(ws, src, dst, caps, extra, limit)
 		all, capAt := combined(g, caps, extra)
 		ref := 0.0
 		if src != dst {
@@ -404,10 +404,10 @@ func FuzzMaxFlow(f *testing.F) {
 			want = 0
 		}
 		if got != want {
-			t.Fatalf("MaxFlowWS(%d,%d, limit %v) = %v, want min(%v, limit)", src, dst, limit, got, ref)
+			t.Fatalf("MaxFlow(%d,%d, limit %v) = %v, want min(%v, limit)", src, dst, limit, got, ref)
 		}
 		if err := checkMaxFlowCertificate(g, ws, src, dst, caps, extra, limit, got); err != nil {
-			t.Fatalf("MaxFlowWS(%d,%d, limit %v) = %v: %v", src, dst, limit, got, err)
+			t.Fatalf("MaxFlow(%d,%d, limit %v) = %v: %v", src, dst, limit, got, err)
 		}
 	})
 }

@@ -10,7 +10,7 @@ import (
 // number of destinations off its parent edges. This is the
 // source-batched complement to the per-pair entry points — one SSSP
 // amortized over every destination sharing the source — and the
-// results are bit-identical to per-pair ShortestPathWS queries:
+// results are bit-identical to per-pair ShortestPath queries:
 // parents only change on strictly-shorter relaxations, so a settled
 // vertex's parent chain is final whether or not the run stopped
 // early at that vertex.

@@ -46,7 +46,7 @@ func TestTreeQueriesMatchPerPair(t *testing.T) {
 			tree := g.ShortestTree(tws, src, weights)
 			for dst := 0; dst < g.NumVertices(); dst++ {
 				tp, tok := tree.Path(dst)
-				pp, pok := g.ShortestPathWS(pws, src, dst, wf)
+				pp, pok := g.ShortestPath(pws, src, dst, wf)
 				if tok != pok || tree.reachable(dst) != pok {
 					t.Fatalf("trial %d %d->%d: tree ok=%v reachable=%v, per-pair ok=%v", trial, src, dst, tok, tree.reachable(dst), pok)
 				}
@@ -60,7 +60,7 @@ func TestTreeQueriesMatchPerPair(t *testing.T) {
 				}
 				if tok {
 					paths++
-					if pd, _ := g.ShortestDistanceWS(pws, src, dst, wf); math.Float64bits(tp.Weight) != math.Float64bits(pd) {
+					if pd, _ := g.ShortestDistance(pws, src, dst, wf); math.Float64bits(tp.Weight) != math.Float64bits(pd) {
 						t.Fatalf("trial %d %d->%d: tree weight %v, per-pair distance %v", trial, src, dst, tp.Weight, pd)
 					}
 				}

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // workspace.go holds the reusable per-query scratch state of the
 // compute kernel. Every Dijkstra-family query needs a distance array,
@@ -11,8 +8,8 @@ import (
 // more scratch slices; allocating them per call dominated the alloc
 // profile of the analysis sweeps. A Workspace owns all of it and is
 // reused across queries: the parallel sweeps keep one workspace per
-// worker per run, and the legacy non-workspace entry points borrow one
-// from a package pool.
+// worker per run, and every kernel takes the caller's workspace as its
+// first argument.
 //
 // Re-initialization between runs is O(touched), not O(n): instead of
 // clearing the distance array, every write stamps the vertex with the
@@ -51,11 +48,11 @@ type Workspace struct {
 	order []int32
 	preds [][]halfEdge
 
-	// Stoer-Wagner (GlobalMinCutWS) scratch, grown lazily on first
+	// Stoer-Wagner (GlobalMinCut) scratch, grown lazily on first
 	// min-cut query.
 	mc *mincutScratch
 
-	// Dinic (MaxFlowWS) scratch, grown lazily on first max-flow
+	// Dinic (MaxFlow) scratch, grown lazily on first max-flow
 	// query.
 	mf *maxflowScratch
 
@@ -67,7 +64,7 @@ type Workspace struct {
 	mcFull uint64
 }
 
-// MinCutStats reports how many GlobalMinCutWS queries on this
+// MinCutStats reports how many GlobalMinCut queries on this
 // workspace were resolved by the unit-weight fast path and how many
 // fell through to the full Stoer-Wagner phase loop.
 func (w *Workspace) MinCutStats() (fastPath, stoerWagner uint64) {
@@ -152,11 +149,3 @@ func (w *Workspace) spurTable(ne int) []float64 {
 	w.spurWeights = w.spurWeights[:ne]
 	return w.spurWeights
 }
-
-// wsPool backs the legacy non-workspace entry points, so callers that
-// have not adopted explicit workspaces still amortize scratch state
-// across calls.
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
-
-func getWS() *Workspace  { return wsPool.Get().(*Workspace) }
-func putWS(w *Workspace) { wsPool.Put(w) }

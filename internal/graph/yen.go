@@ -9,13 +9,6 @@ import (
 // src to dst under wf, in non-decreasing weight order, using Yen's
 // algorithm. Fewer than k paths are returned if the graph does not
 // contain that many distinct loopless paths.
-func (g *Graph) KShortestPaths(src, dst, k int, wf WeightFunc) []Path {
-	ws := getWS()
-	defer putWS(ws)
-	return g.KShortestPathsWS(ws, src, dst, k, wf)
-}
-
-// KShortestPathsWS is KShortestPaths using the caller's workspace.
 //
 // Spur exclusions (the edges and root nodes Yen bans per deviation)
 // are expressed as +Inf masks written in place onto a scratch copy of
@@ -24,7 +17,7 @@ func (g *Graph) KShortestPaths(src, dst, k int, wf WeightFunc) []Path {
 // Dijkstra. Banning a node masks every incident edge via the CSR
 // adjacency, which excludes exactly the edges the reference
 // formulation rejects by endpoint test.
-func (g *Graph) KShortestPathsWS(ws *Workspace, src, dst, k int, wf WeightFunc) []Path {
+func (g *Graph) KShortestPaths(ws *Workspace, src, dst, k int, wf WeightFunc) []Path {
 	if k <= 0 {
 		return nil
 	}

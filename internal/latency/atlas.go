@@ -9,7 +9,6 @@ import (
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
-	"intertubes/internal/par"
 )
 
 // Atlas is the all-pairs latency atlas over a fiber map's major
@@ -207,8 +206,9 @@ func (a *Atlas) computePairs() []PairLatency {
 }
 
 // pairFor derives one pair row from a fiber distance and a geodesic
-// distance; shared by the batched and per-pair builders so the
-// differential suite compares exactly the kernel outputs.
+// distance; shared by the batched builder and the per-pair reference
+// in the tests, so the differential suite compares exactly the kernel
+// outputs.
 func pairFor(na, nb fiber.NodeID, fiberKm, geoKm float64) PairLatency {
 	pl := PairLatency{
 		A: na, B: nb,
@@ -223,46 +223,4 @@ func pairFor(na, nb fiber.NodeID, fiberKm, geoKm float64) PairLatency {
 		pl.Inflation = 1
 	}
 	return pl
-}
-
-// PairsPerPair computes the identical pair table with one
-// early-stopped Dijkstra per pair — the pre-atlas asymptotics,
-// retained as the executable specification for Build and as the
-// baseline half of BenchmarkLatencyAtlas. The differential suite pins
-// byte-identical output against Build(...).Pairs().
-func PairsPerPair(ctx context.Context, m *fiber.Map, opts Options) ([]PairLatency, error) {
-	opts = opts.withDefaults()
-	g := m.Graph()
-	wf := m.LitWeight()
-	srcs := sourceNodes(m, opts.MinPopulation)
-	type pair struct{ a, b int32 }
-	var pairs []pair
-	for i := range srcs {
-		for j := i + 1; j < len(srcs); j++ {
-			pairs = append(pairs, pair{a: srcs[i], b: srcs[j]})
-		}
-	}
-	type pairResult struct {
-		pl PairLatency
-		ok bool
-	}
-	computed, err := par.MapCtxWith(ctx, len(pairs), opts.Workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) pairResult {
-		p := pairs[i]
-		d, ok := g.ShortestDistanceWS(ws, int(p.a), int(p.b), wf)
-		if !ok {
-			return pairResult{}
-		}
-		geoKm := m.Node(fiber.NodeID(p.a)).Loc.DistanceKm(m.Node(fiber.NodeID(p.b)).Loc)
-		return pairResult{pl: pairFor(fiber.NodeID(p.a), fiber.NodeID(p.b), d, geoKm), ok: true}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PairLatency, 0, len(pairs))
-	for _, r := range computed {
-		if r.ok {
-			out = append(out, r.pl)
-		}
-	}
-	return out, nil
 }

@@ -80,7 +80,7 @@ func TestPairsMatchPerPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := PairsPerPair(ctx, res.Map, Options{})
+	ref, err := pairsPerPair(ctx, res.Map, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +242,9 @@ func TestRowKernelZeroAlloc(t *testing.T) {
 	}
 	ws := graph.NewWorkspace()
 	row := make([]float64, g.NumVertices())
-	g.ShortestDistancesWS(ws, int(srcs[0]), wf, row) // warm workspace + weight table
+	g.ShortestDistances(ws, int(srcs[0]), wf, row) // warm workspace + weight table
 	if avg := testing.AllocsPerRun(100, func() {
-		g.ShortestDistancesWS(ws, int(srcs[0]), wf, row)
+		g.ShortestDistances(ws, int(srcs[0]), wf, row)
 	}); avg != 0 {
 		t.Fatalf("warm row kernel allocates %.1f per run, want 0", avg)
 	}

@@ -52,7 +52,7 @@ func BuildMatrix(ctx context.Context, g *graph.Graph, wf graph.WeightFunc, sourc
 		if reuse != nil && reuse(i, row) {
 			return
 		}
-		g.ShortestDistancesWS(ws, int(sources[i]), wf, row)
+		g.ShortestDistances(ws, int(sources[i]), wf, row)
 	})
 	if err != nil {
 		return nil, err

@@ -232,7 +232,7 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 		fp := res.Truth[p.Name]
 		chosen := make(map[int]bool)
 		for _, route := range fp.Routes {
-			cands := g.KShortestPathsWS(alignWS, route[0], route[1], opts.AlignCandidates, plain)
+			cands := g.KShortestPaths(alignWS, route[0], route[1], opts.AlignCandidates, plain)
 			if len(cands) == 0 {
 				continue
 			}

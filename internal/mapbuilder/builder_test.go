@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"intertubes/internal/atlas"
+	"intertubes/internal/graph"
 )
 
 // buildOnce caches one default build across tests in this package —
@@ -267,7 +268,7 @@ func TestFootprintGeneration(t *testing.T) {
 		}
 		return 1
 	}
-	dist := g.ShortestDistances(fp.POPs[0], wf)
+	dist := g.ShortestDistances(graph.NewWorkspace(), fp.POPs[0], wf, nil)
 	for eid := range fp.Edges {
 		e := g.Edge(eid)
 		if dist[e.U] >= 1e17 && dist[e.V] >= 1e17 {

@@ -159,7 +159,7 @@ func GenerateFootprint(a *atlas.Atlas, g *graph.Graph, prof Profile, seed int64,
 		if connected[pop] {
 			continue
 		}
-		dist = g.ShortestDistancesWS(ws, pop, wf, dist)
+		dist = g.ShortestDistances(ws, pop, wf, dist)
 		// Scan vertices in ascending order so distance ties break
 		// deterministically (map iteration order would not).
 		best, bestD := -1, math.Inf(1)
@@ -171,7 +171,7 @@ func GenerateFootprint(a *atlas.Atlas, g *graph.Graph, prof Profile, seed int64,
 		if best < 0 {
 			continue // isolated; cannot attach (should not happen on a connected atlas)
 		}
-		path, ok := g.ShortestPathWS(ws, pop, best, wf)
+		path, ok := g.ShortestPath(ws, pop, best, wf)
 		if !ok {
 			continue
 		}
@@ -200,7 +200,7 @@ func GenerateFootprint(a *atlas.Atlas, g *graph.Graph, prof Profile, seed int64,
 		if p == q {
 			continue
 		}
-		path, ok := g.ShortestPathWS(ws, p, q, divWF)
+		path, ok := g.ShortestPath(ws, p, q, divWF)
 		if !ok {
 			continue
 		}

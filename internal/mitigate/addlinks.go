@@ -218,7 +218,7 @@ func AddConduitsCtx(ctx context.Context, m *fiber.Map, mx *risk.Matrix, opts Add
 			}
 			return sharing(eid)
 		}
-		path, ok = g.ShortestPathWS(ws, int(c.A), int(c.B), wf)
+		path, ok = g.ShortestPath(ws, int(c.A), int(c.B), wf)
 		if !ok {
 			return 0, path, false
 		}
@@ -301,16 +301,16 @@ func AddConduitsCtx(ctx context.Context, m *fiber.Map, mx *risk.Matrix, opts Add
 			// scoring reads them), so they are fresh allocations — the
 			// workspace only absorbs the heap/stamp/weight-table churn.
 			if opts.Exact {
-				f.distA = g.MinimaxDistancesWS(ws, int(c.A), wf, nil)
-				f.distB = g.MinimaxDistancesWS(ws, int(c.B), wf, nil)
+				f.distA = g.MinimaxDistances(ws, int(c.A), wf, nil)
+				f.distB = g.MinimaxDistances(ws, int(c.B), wf, nil)
 				f.current = f.distA[int(c.B)]
 			} else {
 				cur, _, ok := bestReroute(ws, tgt)
 				if !ok {
 					cur = math.Inf(1)
 				}
-				f.distA = g.ShortestDistancesWS(ws, int(c.A), wf, nil)
-				f.distB = g.ShortestDistancesWS(ws, int(c.B), wf, nil)
+				f.distA = g.ShortestDistances(ws, int(c.A), wf, nil)
+				f.distB = g.ShortestDistances(ws, int(c.B), wf, nil)
 				f.current = cur
 			}
 		})

@@ -216,7 +216,7 @@ func LatencyStudyCtx(ctx context.Context, m *fiber.Map, a *atlas.Atlas, opts Lat
 		if math.IsInf(best, 0) {
 			return pairResult{} // no lit path
 		}
-		paths := g.KShortestPathsWS(ws, int(p.a), int(p.b), opts.KPaths, litWF)
+		paths := g.KShortestPaths(ws, int(p.a), int(p.b), opts.KPaths, litWF)
 		if len(paths) == 0 {
 			return pairResult{}
 		}

@@ -64,7 +64,7 @@ func LatencyImprovementsCtx(ctx context.Context, m *fiber.Map, a *atlas.Atlas, s
 	// tree per distinct A (graph.Tree), then every B of the group
 	// traces its path off the tree instead of running its own
 	// Dijkstra. A traced path is bit-identical to the per-pair
-	// ShortestPathWS it replaces — parents only change on
+	// ShortestPath it replaces — parents only change on
 	// strictly-shorter relaxations, so early-stop and full-settle runs
 	// agree — and groups are independent, keeping the output identical
 	// for any worker count.

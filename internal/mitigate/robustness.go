@@ -110,7 +110,7 @@ func RobustnessSuggestion(m *fiber.Map, mx *risk.Matrix, targets []fiber.Conduit
 				}
 				return float64(s) + hopPenalty
 			}
-			path, ok := g.ShortestPathWS(ws, int(c.A), int(c.B), srWeight)
+			path, ok := g.ShortestPath(ws, int(c.A), int(c.B), srWeight)
 			if !ok {
 				continue
 			}

@@ -30,7 +30,7 @@ var tracesRecorded = GetCounter("traces_recorded_total",
 	"Completed traces folded into the flight-recorder store.")
 
 // Attr is one structured key/value attribute attached to a span
-// ("path"="overlay", "outcome"="reused", "touched"="3").
+// ("outcome"="reused", "touched"="3").
 type Attr struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`

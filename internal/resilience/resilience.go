@@ -36,90 +36,39 @@ type Impact struct {
 	LargestComponent float64
 }
 
-// cutWeight builds a WeightFunc over m's conduit graph restricted to
-// the ISP's published conduits, excluding the cut set.
-func cutWeight(m *fiber.Map, isp string, cut map[fiber.ConduitID]bool) graph.WeightFunc {
-	return func(eid int) float64 {
-		cid := fiber.ConduitID(eid)
-		if cut[cid] {
-			return math.Inf(1)
-		}
-		c := m.Conduit(cid)
-		if !c.HasTenant(isp) {
-			return math.Inf(1)
-		}
-		return 1
+// ProviderRow returns the provider's dense row over m's conduit graph
+// (edge id = conduit id): 1 on its conduits and +Inf elsewhere, and
+// its footprint, the nodes those conduits touch, as ascending vertex
+// ids. It is the row shape ImpactOn and PartitionCostWS read.
+func ProviderRow(m *fiber.Map, isp string) (row []float64, verts []int) {
+	row = make([]float64, m.NumConduits())
+	for eid := range row {
+		row[eid] = math.Inf(1)
 	}
-}
-
-// connectivity computes the pair-connectivity statistics of the ISP's
-// subgraph under a cut.
-func connectivity(m *fiber.Map, g *graph.Graph, isp string, cut map[fiber.ConduitID]bool) (pairsConnected float64, largest float64, nodes int) {
-	nodeSet := m.NodesOf(isp)
-	nodes = len(nodeSet)
-	if nodes < 2 {
-		return 1, 1, nodes
+	for _, cid := range m.ConduitsOf(isp) {
+		row[cid] = 1
 	}
-	wf := cutWeight(m, isp, cut)
-	// Union-find over the ISP's surviving conduits.
-	parent := make(map[fiber.NodeID]fiber.NodeID, nodes)
-	var find func(fiber.NodeID) fiber.NodeID
-	find = func(x fiber.NodeID) fiber.NodeID {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
+	nodes := m.NodesOf(isp)
+	verts = make([]int, len(nodes))
+	for i, n := range nodes {
+		verts[i] = int(n)
 	}
-	for _, n := range nodeSet {
-		parent[n] = n
-	}
-	for eid := 0; eid < g.NumEdges(); eid++ {
-		if math.IsInf(wf(eid), 1) {
-			continue
-		}
-		c := m.Conduit(fiber.ConduitID(eid))
-		ra, rb := find(c.A), find(c.B)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	sizes := make(map[fiber.NodeID]int)
-	for _, n := range nodeSet {
-		sizes[find(n)]++
-	}
-	var sumSq, max int
-	for _, s := range sizes {
-		sumSq += s * s
-		if s > max {
-			max = s
-		}
-	}
-	// Connected ordered pairs / all ordered pairs (excluding self).
-	total := nodes * (nodes - 1)
-	connected := sumSq - nodes
-	return float64(connected) / float64(total), float64(max) / float64(nodes), nodes
+	return row, verts
 }
 
 // CutImpact evaluates a cut set against every ISP in the matrix.
 // Results are sorted by decreasing DisconnectedPairs.
 func CutImpact(m *fiber.Map, mx *risk.Matrix, cuts []fiber.ConduitID) []Impact {
 	g := m.Graph()
-	cut := make(map[fiber.ConduitID]bool, len(cuts))
+	cut := make([]bool, m.NumConduits())
 	for _, cid := range cuts {
 		cut[cid] = true
 	}
+	var s ImpactScratch
 	out := make([]Impact, 0, len(mx.ISPs))
 	for _, isp := range mx.ISPs {
-		im := Impact{ISP: isp}
-		for _, cid := range cuts {
-			if m.Conduit(cid).HasTenant(isp) {
-				im.CutsHit++
-			}
-		}
-		conn, largest, _ := connectivity(m, g, isp, cut)
-		im.DisconnectedPairs = 1 - conn
-		im.LargestComponent = largest
-		out = append(out, im)
+		row, verts := ProviderRow(m, isp)
+		out = append(out, s.ImpactOn(g, isp, verts, row, nil, cuts, cut))
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		return out[i].DisconnectedPairs > out[j].DisconnectedPairs
@@ -150,7 +99,7 @@ func TargetedBySharing(mx *risk.Matrix, k int) []fiber.ConduitID {
 // shortest-path betweenness over the lit conduit graph.
 func TargetedByBetweenness(m *fiber.Map, k int) []fiber.ConduitID {
 	g := m.Graph()
-	bc := g.EdgeBetweenness(m.LitWeight())
+	bc := g.EdgeBetweenness(graph.NewWorkspace(), m.LitWeight(), nil)
 	type scored struct {
 		cid fiber.ConduitID
 		v   float64
@@ -223,24 +172,15 @@ type PartitionCost struct {
 // providers first.
 func PartitionCosts(m *fiber.Map, isps []string) []PartitionCost {
 	g := m.Graph()
+	ws := graph.NewWorkspace()
 	out := make([]PartitionCost, 0, len(isps))
 	for _, isp := range isps {
-		nodes := m.NodesOf(isp)
-		verts := make([]int, len(nodes))
-		for i, n := range nodes {
-			verts[i] = int(n)
-		}
-		pc := PartitionCost{ISP: isp, Nodes: len(nodes)}
-		unit := func(eid int) float64 {
-			if m.Conduit(fiber.ConduitID(eid)).HasTenant(isp) {
-				return 1
-			}
-			return math.Inf(1)
-		}
-		if cut, ok := g.GlobalMinCut(verts, unit); ok {
-			pc.MinCuts = int(math.Round(cut))
-		}
-		out = append(out, pc)
+		row, verts := ProviderRow(m, isp)
+		out = append(out, PartitionCost{
+			ISP:     isp,
+			MinCuts: PartitionCostWS(g, ws, verts, row, nil),
+			Nodes:   len(verts),
+		})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].MinCuts < out[j].MinCuts })
 	return out
@@ -260,7 +200,7 @@ type CriticalConduit struct {
 // table.
 func Criticality(m *fiber.Map, mx *risk.Matrix, k int) []CriticalConduit {
 	g := m.Graph()
-	bc := g.EdgeBetweenness(m.LitWeight())
+	bc := g.EdgeBetweenness(graph.NewWorkspace(), m.LitWeight(), nil)
 	ids := TargetedByBetweenness(m, k)
 	out := make([]CriticalConduit, 0, len(ids))
 	for _, cid := range ids {

@@ -7,15 +7,15 @@ import (
 	"intertubes/internal/graph"
 )
 
-// view.go holds the overlay-aware entry points the scenario engine's
-// copy-on-write path uses: the same per-provider metrics as CutImpact
-// and PartitionCosts, computed from one provider's dense row over the
-// shared conduit graph (no cloned map, no tenant-string searches),
-// with reusable scratch, and — for partition costs — through the
-// sparse Stoer-Wagner kernel. Both replicate the reference arithmetic
-// exactly: the component statistics are integers before the final
-// divisions, and the unique min-cut value is integral, so results are
-// bit-identical to the clone path.
+// view.go holds the row kernels behind every per-provider metric in
+// the package: CutImpact and PartitionCosts run them on rows built
+// from a map (ProviderRow), and the scenario engine runs them on rows
+// masked under a copy-on-write overlay. A row is one provider's dense
+// per-edge table over the shared conduit graph, so neither kernel
+// searches tenant strings, and both reuse caller-owned scratch. The
+// component statistics are integers before the final divisions, and
+// the unique min-cut value is integral, so results do not depend on
+// which view the row was built from.
 
 // ImpactScratch carries the union-find state ImpactOn reuses across
 // calls. The zero value is ready; not safe for concurrent use.
@@ -32,8 +32,7 @@ type ImpactScratch struct {
 // takes; extra lists its overlay-only conduits. verts is its footprint
 // on that view (the endpoints of row and extra, ascending); cuts is
 // the resolved cut list and cut its indicator indexed by base conduit
-// id (extras are never cut). The result matches the provider's row of
-// CutImpact over the materialized equivalent.
+// id (extras are never cut).
 func (s *ImpactScratch) ImpactOn(g *graph.Graph, isp string, verts []int, row []float64, extra []graph.Edge, cuts []fiber.ConduitID, cut []bool) Impact {
 	im := Impact{ISP: isp}
 	for _, cid := range cuts {
@@ -100,14 +99,13 @@ func (s *ImpactScratch) ImpactOn(g *graph.Graph, isp string, verts []int, row []
 }
 
 // PartitionCostWS computes one provider's minimum conduit cuts to
-// partition — the PartitionCosts per-ISP value — through the sparse
-// workspace Stoer-Wagner kernel. verts is the provider's footprint,
-// weights the materialized per-edge table (1 on the provider's
-// conduits, +Inf elsewhere), extra any overlay-added edges. Returns 0
-// when the footprint is trivial or already disconnected, matching the
-// dense reference.
+// partition — the PartitionCosts per-ISP value — through the
+// Stoer-Wagner kernel with scratch in ws. verts is the provider's
+// footprint, weights the materialized per-edge table (1 on the
+// provider's conduits, +Inf elsewhere), extra any overlay-added edges.
+// Returns 0 when the footprint is trivial or already disconnected.
 func PartitionCostWS(g *graph.Graph, ws *graph.Workspace, verts []int, weights []float64, extra []graph.Edge) int {
-	if cut, ok := g.GlobalMinCutWS(ws, verts, weights, extra); ok {
+	if cut, ok := g.GlobalMinCut(ws, verts, weights, extra); ok {
 		return int(math.Round(cut))
 	}
 	return 0

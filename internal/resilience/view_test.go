@@ -10,10 +10,101 @@ import (
 	"intertubes/internal/risk"
 )
 
-// view_test.go pins the overlay-aware entry points to their clone-path
-// references: ImpactOn must reproduce CutImpact's rows exactly, and
-// PartitionCostWS must agree with PartitionCosts through the dense
-// kernel, on both the raw baseline map and a perturbed overlay view.
+// view_test.go pins the row kernels to their references: ImpactOn
+// must reproduce, row for row, the map-walking union-find below
+// (cutWeight + connectivity, the CutImpact implementation the row
+// kernel replaced) on the raw baseline map and on a perturbed overlay
+// view, and PartitionCostWS on a hand-built row must agree with
+// PartitionCosts. The sparse min-cut kernel itself is pinned to the
+// dense Stoer-Wagner in the graph package's tests.
+
+// cutWeight builds a WeightFunc over m's conduit graph restricted to
+// the ISP's published conduits, excluding the cut set.
+func cutWeight(m *fiber.Map, isp string, cut map[fiber.ConduitID]bool) graph.WeightFunc {
+	return func(eid int) float64 {
+		cid := fiber.ConduitID(eid)
+		if cut[cid] {
+			return math.Inf(1)
+		}
+		c := m.Conduit(cid)
+		if !c.HasTenant(isp) {
+			return math.Inf(1)
+		}
+		return 1
+	}
+}
+
+// connectivity computes the pair-connectivity statistics of the ISP's
+// subgraph under a cut.
+func connectivity(m *fiber.Map, g *graph.Graph, isp string, cut map[fiber.ConduitID]bool) (pairsConnected float64, largest float64, nodes int) {
+	nodeSet := m.NodesOf(isp)
+	nodes = len(nodeSet)
+	if nodes < 2 {
+		return 1, 1, nodes
+	}
+	wf := cutWeight(m, isp, cut)
+	// Union-find over the ISP's surviving conduits.
+	parent := make(map[fiber.NodeID]fiber.NodeID, nodes)
+	var find func(fiber.NodeID) fiber.NodeID
+	find = func(x fiber.NodeID) fiber.NodeID {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	for _, n := range nodeSet {
+		parent[n] = n
+	}
+	for eid := 0; eid < g.NumEdges(); eid++ {
+		if math.IsInf(wf(eid), 1) {
+			continue
+		}
+		c := m.Conduit(fiber.ConduitID(eid))
+		ra, rb := find(c.A), find(c.B)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+	sizes := make(map[fiber.NodeID]int)
+	for _, n := range nodeSet {
+		sizes[find(n)]++
+	}
+	var sumSq, max int
+	for _, s := range sizes {
+		sumSq += s * s
+		if s > max {
+			max = s
+		}
+	}
+	// Connected ordered pairs / all ordered pairs (excluding self).
+	total := nodes * (nodes - 1)
+	connected := sumSq - nodes
+	return float64(connected) / float64(total), float64(max) / float64(nodes), nodes
+}
+
+// referenceCutImpact is CutImpact over the map-walking union-find,
+// indexed by provider.
+func referenceCutImpact(m *fiber.Map, mx *risk.Matrix, cuts []fiber.ConduitID) map[string]Impact {
+	g := m.Graph()
+	cut := make(map[fiber.ConduitID]bool, len(cuts))
+	for _, cid := range cuts {
+		cut[cid] = true
+	}
+	out := make(map[string]Impact, len(mx.ISPs))
+	for _, isp := range mx.ISPs {
+		im := Impact{ISP: isp}
+		for _, cid := range cuts {
+			if m.Conduit(cid).HasTenant(isp) {
+				im.CutsHit++
+			}
+		}
+		conn, largest, _ := connectivity(m, g, isp, cut)
+		im.DisconnectedPairs = 1 - conn
+		im.LargestComponent = largest
+		out[isp] = im
+	}
+	return out
+}
 
 // impactByISP indexes CutImpact's sorted output by provider.
 func impactByISP(impacts []Impact) map[string]Impact {
@@ -75,12 +166,13 @@ func TestImpactOnMatchesCutImpactRing(t *testing.T) {
 		{cids[0], cids[1], cids[2], cids[3], cids[4]},
 	}
 	for _, cuts := range cutSets {
-		want := impactByISP(CutImpact(m, mx, cuts))
+		want := referenceCutImpact(m, mx, cuts)
+		rows := impactByISP(CutImpact(m, mx, cuts))
 		cut := cutIndicator(m.NumConduits(), cuts)
 		for _, isp := range mx.ISPs {
 			got := impactOnView(&s, g, m, m.NumConduits(), isp, cuts, cut)
-			if got != want[isp] {
-				t.Errorf("cuts %v isp %s: ImpactOn %+v != CutImpact %+v", cuts, isp, got, want[isp])
+			if got != want[isp] || rows[isp] != want[isp] {
+				t.Errorf("cuts %v isp %s: ImpactOn %+v, CutImpact %+v != reference %+v", cuts, isp, got, rows[isp], want[isp])
 			}
 		}
 	}
@@ -90,14 +182,15 @@ func TestImpactOnMatchesCutImpactAtlas(t *testing.T) {
 	res, mx := build(t)
 	m := res.Map
 	cuts := mx.TopShared(5)
-	want := impactByISP(CutImpact(m, mx, cuts))
+	want := referenceCutImpact(m, mx, cuts)
+	rows := impactByISP(CutImpact(m, mx, cuts))
 	cut := cutIndicator(m.NumConduits(), cuts)
 	g := m.Graph()
 	var s ImpactScratch
 	for _, isp := range mx.ISPs {
 		got := impactOnView(&s, g, m, m.NumConduits(), isp, cuts, cut)
-		if got != want[isp] {
-			t.Errorf("isp %s: ImpactOn %+v != CutImpact %+v", isp, got, want[isp])
+		if got != want[isp] || rows[isp] != want[isp] {
+			t.Errorf("isp %s: ImpactOn %+v, CutImpact %+v != reference %+v", isp, got, rows[isp], want[isp])
 		}
 	}
 }
@@ -136,7 +229,7 @@ func TestImpactOnOverlayMatchesMutatedClone(t *testing.T) {
 
 	kept := isps[1:]
 	mx2 := risk.BuildFrom(ov.Final(), kept)
-	want := impactByISP(CutImpact(pmPlus, mx2, pert.Cuts))
+	want := referenceCutImpact(pmPlus, mx2, pert.Cuts)
 	cut := cutIndicator(ov.NumBaseConduits(), pert.Cuts)
 	plus := ov.Plus()
 	g := m.Graph()
@@ -144,11 +237,13 @@ func TestImpactOnOverlayMatchesMutatedClone(t *testing.T) {
 	for _, isp := range mx2.ISPs {
 		got := impactOnView(&s, g, plus, ov.NumBaseConduits(), isp, pert.Cuts, cut)
 		if got != want[isp] {
-			t.Errorf("isp %s: overlay ImpactOn %+v != clone CutImpact %+v", isp, got, want[isp])
+			t.Errorf("isp %s: overlay ImpactOn %+v != reference on the mutated clone %+v", isp, got, want[isp])
 		}
 	}
 }
 
+// TestPartitionCostWSMatchesDense pins PartitionCosts, which reads
+// ProviderRow, to the kernel on a row built from HasTenant directly.
 func TestPartitionCostWSMatchesDense(t *testing.T) {
 	res, mx := build(t)
 	m := res.Map

@@ -7,10 +7,10 @@ import (
 	"intertubes/internal/fiber"
 )
 
-// alloc_test.go guards the overlay path's allocation story: applying
-// a weight mask to a warmed scratch row allocates nothing, and an
-// overlay evaluation never pays for a per-scenario map clone — its
-// allocation count sits far below the clone path's. The guards skip
+// alloc_test.go guards the evaluator's allocation story: applying a
+// weight mask to a warmed scratch row allocates nothing, and an
+// evaluation never pays for a per-scenario map clone — its allocation
+// count sits far below a single clone's. The guards skip
 // under -short (perf gates, not correctness) and under the race
 // detector (instrumentation allocates), matching the graph package's
 // convention.
@@ -43,42 +43,35 @@ func TestMaskWeightsZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestOverlayEvaluateNoMapClone pins the tentpole claim: the overlay
-// path never deep-copies the map. A clone of the full atlas costs
-// thousands of allocations (conduit slices, tenant lists, indexes —
-// twice, for the plus and final maps); the overlay evaluation of the
-// same scenario must come in far below one clone, let alone two.
+// TestOverlayEvaluateNoMapClone pins the overlay's central claim: an
+// evaluation never deep-copies the map. One clone of the full atlas
+// costs about a thousand allocations (conduit slices, tenant lists,
+// indexes); a warmed evaluation of a five-conduit cut must come in
+// under half of one.
 func TestOverlayEvaluateNoMapClone(t *testing.T) {
 	skipIfAllocsUnmeasurable(t)
 	res, mx := build(t)
-	ovEng := New(res, mx, Options{Seed: 42})
-	clEng := New(res, mx, Options{Seed: 42, CloneEval: true})
+	eng := New(res, mx, Options{Seed: 42})
 	ctx := context.Background()
 	sc := Scenario{CutMostShared: 5}
 
-	// Warm both engines (baseline memos, pooled scratch).
-	if _, err := ovEng.Evaluate(ctx, sc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := clEng.Evaluate(ctx, sc); err != nil {
+	// Warm the engine (baseline memos, pooled scratch).
+	if _, err := eng.Evaluate(ctx, sc); err != nil {
 		t.Fatal(err)
 	}
 
 	ovAllocs := testing.AllocsPerRun(10, func() {
-		if _, err := ovEng.Evaluate(ctx, sc); err != nil {
+		if _, err := eng.Evaluate(ctx, sc); err != nil {
 			t.Fatal(err)
 		}
 	})
-	clAllocs := testing.AllocsPerRun(10, func() {
-		if _, err := clEng.Evaluate(ctx, sc); err != nil {
-			t.Fatal(err)
-		}
+	cloneAllocs := testing.AllocsPerRun(10, func() {
+		_ = res.Map.Clone()
 	})
 
-	// One map clone alone allocates per conduit; the overlay path must
-	// be an order of magnitude below the two-clone reference.
-	if ovAllocs*10 > clAllocs {
-		t.Fatalf("overlay Evaluate allocates %.0f per run vs clone path %.0f — overlay path is paying for map copies",
-			ovAllocs, clAllocs)
+	t.Logf("Evaluate: %.0f allocs/run; one map clone: %.0f", ovAllocs, cloneAllocs)
+	if ovAllocs*2 > cloneAllocs {
+		t.Fatalf("Evaluate allocates %.0f per run vs %.0f for one map clone — the evaluator is paying for map copies",
+			ovAllocs, cloneAllocs)
 	}
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"fmt"
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/latency"
@@ -100,28 +99,7 @@ func (e *Engine) LatencyAtlasFor(ctx context.Context, sc Scenario) (*latency.Atl
 		return nil, err
 	}
 	m := snap.res.Map
-	cuts, err := resolveCutsOn(snap, sc)
-	if err != nil {
-		return nil, err
-	}
-	kept := keptISPs(snap, sc)
-	pert := fiber.Perturbation{Cuts: cuts, RemoveISPs: sc.RemoveISPs}
-	for _, ad := range sc.Additions {
-		a, ok := m.NodeByKey(ad.A)
-		if !ok {
-			return nil, fmt.Errorf("scenario: unknown node %q in addition", ad.A)
-		}
-		b, ok := m.NodeByKey(ad.B)
-		if !ok {
-			return nil, fmt.Errorf("scenario: unknown node %q in addition", ad.B)
-		}
-		tenants := ad.Tenants
-		if len(tenants) == 0 {
-			tenants = kept
-		}
-		pert.Additions = append(pert.Additions, fiber.OverlayAddition{A: a, B: b, Tenants: tenants})
-	}
-	ov, err := fiber.NewOverlay(m, pert)
+	ov, pert, err := buildOverlay(snap, sc, keptISPs(snap, sc))
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +107,7 @@ func (e *Engine) LatencyAtlasFor(ctx context.Context, sc Scenario) (*latency.Atl
 	comp := snap.litComponents()
 	touched := make(map[int32]bool)
 	mark := func(n fiber.NodeID) { touched[comp[n]] = true }
-	for _, cid := range cuts {
+	for _, cid := range pert.Cuts {
 		a, b := m.ConduitEnds(cid)
 		mark(a)
 		mark(b)

@@ -17,16 +17,15 @@ import (
 // per snapshot; each evaluation then reports how many Gbps of
 // baseline-served demand the perturbation strands.
 //
-// Both evaluation paths produce bit-identical LostTraffic values.
 // Every capacity is a whole number of 40-Gbps wavelengths, so each
 // residual and flow total is an exact integer in float64 and the
 // kernel's answer — min(max flow, demand), asked for directly through
 // its flow limit — does not depend on arc order or on the graph that
-// hosts the edges. The clone path recomputes every pair on the
-// materialized map's own graph; the overlay path runs on the shared
-// snapshot graph with the overlay's capacity table and virtual
-// conduits as extra edges, and reuses every memoized baseline flow
-// when the perturbation changed no capacity at all.
+// hosts the edges. An evaluation runs on the shared snapshot graph
+// with the overlay's capacity table and virtual conduits as extra
+// edges, and reuses every memoized baseline flow when the
+// perturbation changed no capacity at all; the result equals a
+// recomputation of every pair on the materialized map's own graph.
 
 // demandPairs is how many top gravity pairs form the demand matrix.
 // Small enough that a capacity stage costs a bounded number of flow
@@ -166,7 +165,7 @@ func buildDemands(m *fiber.Map, caps []float64) []trafficDemand {
 func (cb *capacityBaseline) servedOn(g *graph.Graph, ws *graph.Workspace, caps []float64, extra []graph.Edge) float64 {
 	served := 0.0
 	for _, d := range cb.demands {
-		served += g.MaxFlowWS(ws, int(d.s), int(d.t), caps, extra, d.gbps)
+		served += g.MaxFlow(ws, int(d.s), int(d.t), caps, extra, d.gbps)
 	}
 	return served
 }
@@ -195,11 +194,4 @@ func (cb *capacityBaseline) unchanged(caps []float64, extra []graph.Edge) bool {
 		}
 	}
 	return slices.Equal(caps, cb.caps)
-}
-
-// lostTrafficClone is the clone path's capacity stage: recompute
-// every pair on the perturbed map's own graph.
-func lostTrafficClone(snap *snapshot, pm *fiber.Map) *LostTraffic {
-	cb := snap.capacity()
-	return cb.lostTraffic(cb.servedOn(pm.Graph(), graph.NewWorkspace(), capacityTable(pm, nil), nil))
 }

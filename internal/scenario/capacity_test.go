@@ -18,10 +18,10 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // capacity_test.go covers the capacity layer end to end: the gravity
-// demand matrix, the lost-traffic stage on both evaluation paths, and
-// the acceptance scenario — a circular disaster over the busiest city
-// strands a nonzero number of Gbps, bit-identically on the clone and
-// overlay paths and at any sweep worker count.
+// demand matrix, the lost-traffic stage against the clone reference,
+// and the acceptance scenario — a circular disaster over the busiest
+// city strands a nonzero number of Gbps, bit-identically to the clone
+// reference and at any sweep worker count.
 
 // biggestCityRegion centers a disaster circle on the map's most
 // populous node — guaranteed to hit the top gravity demand pair.
@@ -64,8 +64,8 @@ func TestLostTrafficCircularDisaster(t *testing.T) {
 		t.Fatalf("LostGbps inconsistent with served columns: %+v", lt)
 	}
 
-	// Bit-identical between the overlay path and the clone reference.
-	diffJSON(t, "circular disaster", evalJSON(t, overlay, sc), evalJSON(t, clone, sc))
+	// Bit-identical between the engine and the clone reference.
+	diffJSON(t, "circular disaster", evalJSON(t, overlay, sc), cloneJSON(t, clone, sc))
 }
 
 func TestLostTrafficZeroScenario(t *testing.T) {
@@ -103,7 +103,7 @@ func TestLostTrafficAdditionCanGain(t *testing.T) {
 	if r.LostTraffic.LostGbps > 0 {
 		t.Fatalf("addition-only scenario lost %v Gbps, want <= 0", r.LostTraffic.LostGbps)
 	}
-	diffJSON(t, "addition gain", evalJSON(t, overlay, sc), evalJSON(t, clone, sc))
+	diffJSON(t, "addition gain", evalJSON(t, overlay, sc), cloneJSON(t, clone, sc))
 }
 
 // TestLostTrafficSweepWorkerInvariance: the capacity stage must not
@@ -115,13 +115,13 @@ func TestLostTrafficSweepWorkerInvariance(t *testing.T) {
 		{CutMostShared: 5},
 		{},
 	}
-	one := Sweep(context.Background(), overlay, scs, 1)
-	many := Sweep(context.Background(), overlay, scs, 8)
-	ref := Sweep(context.Background(), clone, scs, 4)
+	ctx := context.Background()
+	one := Sweep(ctx, overlay, scs, 1)
+	many := Sweep(ctx, overlay, scs, 8)
 	for i := range scs {
 		j1 := mustJSON(t, one[i].Result)
 		j8 := mustJSON(t, many[i].Result)
-		jc := mustJSON(t, ref[i].Result)
+		jc := mustJSON(t, referenceOutcome(ctx, clone, scs[i]).Result)
 		diffJSON(t, "workers 1 vs 8", j8, j1)
 		diffJSON(t, "overlay vs clone", j1, jc)
 		if one[i].Result.LostTraffic == nil {

@@ -152,7 +152,10 @@ func TestCapacityTablesIntegral(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ov, _ := testOverlay(t, snap, sc)
+			ov, _, err := buildOverlay(snap, sc, keptISPs(snap, sc))
+			if err != nil {
+				t.Fatal(err)
+			}
 			final := ov.Final()
 			for cid, c := range capacityTable(final, nil) {
 				if !integral(c) {

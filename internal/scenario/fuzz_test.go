@@ -14,8 +14,9 @@ import (
 
 // fuzz_test.go drives the clone-vs-overlay differential harness from
 // fuzzed perturbations over a small atlas: whatever the fuzzer
-// composes, the two evaluation paths must agree byte for byte (or
-// fail with the same error), and neither may panic.
+// composes, the engine and the clone reference (clone_ref_test.go)
+// must agree byte for byte (or fail with the same error), and neither
+// may panic.
 
 var (
 	fuzzOnce  sync.Once
@@ -26,9 +27,10 @@ var (
 	fuzzNodes int
 )
 
-// fuzzEngines builds one tiny three-provider atlas and the engine
-// pair over it. Small on purpose: the clone reference runs on every
-// fuzz input.
+// fuzzEngines builds one tiny three-provider atlas and two engines
+// over it: the one under test and the one whose snapshot the clone
+// reference runs on. Small on purpose: the clone reference runs on
+// every fuzz input.
 func fuzzEngines() (*Engine, *Engine) {
 	fuzzOnce.Do(func() {
 		profiles := []mapbuilder.Profile{
@@ -41,14 +43,14 @@ func fuzzEngines() (*Engine, *Engine) {
 		fuzzIsps = mx.ISPs
 		fuzzNodes = fuzzRes.Map.NumNodes()
 		fuzzOv = New(fuzzRes, mx, Options{Seed: 3})
-		fuzzCl = New(fuzzRes, mx, Options{Seed: 3, CloneEval: true})
+		fuzzCl = New(fuzzRes, mx, Options{Seed: 3})
 	})
 	return fuzzOv, fuzzCl
 }
 
 // fuzzScenario shapes arbitrary fuzz bytes into a scenario. Values
 // are folded into valid ranges except the cut ids, which may go out
-// of range on purpose — both paths must then fail identically.
+// of range on purpose — both evaluators must then fail identically.
 func fuzzScenario(cutA, cutB uint16, shared, between, rmMask, addA, addB, tenantMask uint8) Scenario {
 	var sc Scenario
 	nc := fuzzRes.Map.NumConduits()
@@ -93,7 +95,7 @@ func FuzzOverlayEvaluate(f *testing.F) {
 		ctx := context.Background()
 
 		rOv, errOv := ov.Evaluate(ctx, sc)
-		rCl, errCl := cl.Evaluate(ctx, sc)
+		rCl, errCl := referenceEvaluate(ctx, cl, sc)
 		if (errOv == nil) != (errCl == nil) {
 			t.Fatalf("error disagreement: overlay=%v clone=%v (scenario %+v)", errOv, errCl, sc)
 		}

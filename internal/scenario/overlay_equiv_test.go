@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -13,18 +12,19 @@ import (
 )
 
 // overlay_equiv_test.go is the clone-vs-overlay differential harness:
-// the copy-on-write evaluation path must produce byte-identical
-// Result JSON to the clone-per-scenario reference path for every
-// preset, for randomized composite scenarios, across engine reuse
-// (pooled scratch), and at any sweep worker count.
+// the engine's copy-on-write evaluation must produce byte-identical
+// Result JSON to the clone-per-scenario reference (clone_ref_test.go)
+// for every preset, for randomized composite scenarios, across engine
+// reuse (pooled scratch), and at any sweep worker count.
 
-// enginePair returns an overlay-path engine and a clone-path engine
-// over the same baseline.
+// enginePair returns the engine under test and a second engine over
+// the same baseline whose snapshot the clone reference runs on, so
+// the two never share memoized state.
 func enginePair(t *testing.T) (overlay, clone *Engine) {
 	t.Helper()
 	res, mx := build(t)
 	overlay = New(res, mx, Options{Seed: 42})
-	clone = New(res, mx, Options{Seed: 42, CloneEval: true})
+	clone = New(res, mx, Options{Seed: 42})
 	return overlay, clone
 }
 
@@ -34,11 +34,17 @@ func evalJSON(t *testing.T, eng *Engine, sc Scenario) []byte {
 	if err != nil {
 		t.Fatalf("evaluate %+v: %v", sc, err)
 	}
-	b, err := json.Marshal(r)
+	return mustJSON(t, r)
+}
+
+// cloneJSON is evalJSON through the clone reference on eng's snapshot.
+func cloneJSON(t *testing.T, eng *Engine, sc Scenario) []byte {
+	t.Helper()
+	r, err := referenceEvaluate(context.Background(), eng, sc)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reference evaluate %+v: %v", sc, err)
 	}
-	return b
+	return mustJSON(t, r)
 }
 
 // diffJSON pinpoints the first divergence so a failure is debuggable.
@@ -117,34 +123,6 @@ func equivScenarios(t *testing.T) []Scenario {
 	return scs
 }
 
-// testOverlay builds the overlay the engine evaluates sc against,
-// resolving cuts and additions the way evaluateOverlay does, and
-// returns it with its perturbation.
-func testOverlay(t *testing.T, snap *snapshot, sc Scenario) (*fiber.Overlay, fiber.Perturbation) {
-	t.Helper()
-	m := snap.res.Map
-	cuts, err := resolveCutsOn(snap, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := keptISPs(snap, sc)
-	pert := fiber.Perturbation{Cuts: cuts, RemoveISPs: sc.RemoveISPs}
-	for _, ad := range sc.Additions {
-		a, _ := m.NodeByKey(ad.A)
-		b, _ := m.NodeByKey(ad.B)
-		tenants := ad.Tenants
-		if len(tenants) == 0 {
-			tenants = kept
-		}
-		pert.Additions = append(pert.Additions, fiber.OverlayAddition{A: a, B: b, Tenants: tenants})
-	}
-	ov, err := fiber.NewOverlay(m, pert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ov, pert
-}
-
 // TestProviderRowMatchesViews pins the dense-row helper the
 // disconnection and partition stages read to the overlay views it
 // replaces: the row marks exactly the base conduits the provider holds
@@ -161,7 +139,10 @@ func TestProviderRowMatchesViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ov, pert := testOverlay(t, snap, sc)
+		ov, pert, err := buildOverlay(snap, sc, keptISPs(snap, sc))
+		if err != nil {
+			t.Fatal(err)
+		}
 		final := ov.Final()
 		nb := ov.NumBaseConduits()
 		for _, isp := range keptISPs(snap, sc) {
@@ -204,7 +185,7 @@ func TestOverlayMatchesClonePresets(t *testing.T) {
 		if label == "" {
 			label = fmt.Sprintf("composite-%d", i)
 		}
-		diffJSON(t, label, evalJSON(t, ovEng, sc), evalJSON(t, clEng, sc))
+		diffJSON(t, label, evalJSON(t, ovEng, sc), cloneJSON(t, clEng, sc))
 	}
 }
 
@@ -216,7 +197,7 @@ func TestOverlayMatchesCloneLatencyTraffic(t *testing.T) {
 		IncludeTraffic: true,
 		Overrides:      Overrides{LatencyMaxPairs: 60, Probes: 2000},
 	}
-	diffJSON(t, "latency+traffic", evalJSON(t, ovEng, sc), evalJSON(t, clEng, sc))
+	diffJSON(t, "latency+traffic", evalJSON(t, ovEng, sc), cloneJSON(t, clEng, sc))
 }
 
 // randomScenario draws a composite scenario over valid map entities.
@@ -269,7 +250,7 @@ func TestOverlayMatchesCloneRandomized(t *testing.T) {
 	}
 	for trial := 0; trial < n; trial++ {
 		sc := randomScenario(rng, ovEng)
-		diffJSON(t, fmt.Sprintf("trial-%d", trial), evalJSON(t, ovEng, sc), evalJSON(t, clEng, sc))
+		diffJSON(t, fmt.Sprintf("trial-%d", trial), evalJSON(t, ovEng, sc), cloneJSON(t, clEng, sc))
 	}
 }
 
@@ -290,22 +271,18 @@ func TestOverlayEngineReuse(t *testing.T) {
 
 // TestSweepOverlayWorkerInvariance: a sweep's outcome bytes are
 // identical at one worker and many, and identical to the clone
-// engine's sweep.
+// reference's outcomes, computed one scenario at a time.
 func TestSweepOverlayWorkerInvariance(t *testing.T) {
 	ovEng, clEng := enginePair(t)
 	scs := equivScenarios(t)
 
-	marshal := func(out []Outcome) []byte {
-		b, err := json.Marshal(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	ctx := context.Background()
-	serial := marshal(Sweep(ctx, ovEng, scs, 1))
-	parallel := marshal(Sweep(ctx, ovEng, scs, 8))
+	serial := mustJSON(t, Sweep(ctx, ovEng, scs, 1))
+	parallel := mustJSON(t, Sweep(ctx, ovEng, scs, 8))
 	diffJSON(t, "overlay 1-vs-8 workers", parallel, serial)
-	cloneOut := marshal(Sweep(ctx, clEng, scs, 4))
-	diffJSON(t, "overlay-vs-clone sweep", serial, cloneOut)
+	ref := make([]Outcome, len(scs))
+	for i, sc := range scs {
+		ref[i] = referenceOutcome(ctx, clEng, sc)
+	}
+	diffJSON(t, "overlay-vs-clone sweep", serial, mustJSON(t, ref))
 }

@@ -14,10 +14,9 @@ import (
 	"intertubes/internal/risk"
 )
 
-// overlay_eval.go is the copy-on-write evaluation path. Instead of
-// deep-cloning the map per scenario, it records the perturbation as a
-// fiber.Overlay over the shared snapshot and recomputes only what the
-// delta touches:
+// overlay_eval.go is the evaluator. Instead of deep-cloning the map
+// per scenario, it records the perturbation as a fiber.Overlay over
+// the shared snapshot and recomputes only what the delta touches:
 //
 //   - stats, sharing, and ranking read straight through the overlay
 //     views (no map copy);
@@ -25,7 +24,7 @@ import (
 //     providers the delta can affect — a provider is "touched" when a
 //     cut conduit carries its (surviving) tenancy or an addition
 //     lights it; every other provider reuses its baseline row, which
-//     is exactly what the clone path would recompute for it;
+//     is exactly what a full recomputation would produce for it;
 //   - touched providers read their dense rows: the snapshot's
 //     per-provider unit weight table, masked in place in a pooled
 //     scratch buffer (additions lower masks to 1, cuts raise them to
@@ -35,9 +34,9 @@ import (
 //   - the heavyweight optional stages (latency, traffic) materialize
 //     a concrete map only when the scenario requests them.
 //
-// The output contract is strict: bit-identical Results to the clone
-// path (Options.CloneEval), enforced by the differential suite in
-// overlay_equiv_test.go.
+// The output contract is strict: bit-identical Results to the
+// clone-per-scenario reference in clone_ref_test.go, enforced by the
+// differential suite in overlay_equiv_test.go and FuzzOverlayEvaluate.
 
 // touchedCut/touchedAdd classify why a provider needs recomputation.
 const (
@@ -134,6 +133,35 @@ func maskWeights(dst, baseRow []float64, gains []fiber.ConduitID, cuts []fiber.C
 	}
 }
 
+// buildOverlay resolves the scenario's cut clauses and additions
+// against the snapshot and records them as a copy-on-write overlay.
+// An addition with no tenant list is open access: every kept provider
+// lights the build.
+func buildOverlay(snap *snapshot, sc Scenario, kept []string) (ov *fiber.Overlay, pert fiber.Perturbation, err error) {
+	m := snap.res.Map
+	if pert.Cuts, err = resolveCutsOn(snap, sc); err != nil {
+		return nil, pert, err
+	}
+	pert.RemoveISPs = sc.RemoveISPs
+	for _, ad := range sc.Additions {
+		a, ok := m.NodeByKey(ad.A)
+		if !ok {
+			return nil, pert, fmt.Errorf("scenario: unknown node %q in addition", ad.A)
+		}
+		b, ok := m.NodeByKey(ad.B)
+		if !ok {
+			return nil, pert, fmt.Errorf("scenario: unknown node %q in addition", ad.B)
+		}
+		tenants := ad.Tenants
+		if len(tenants) == 0 {
+			tenants = kept
+		}
+		pert.Additions = append(pert.Additions, fiber.OverlayAddition{A: a, B: b, Tenants: tenants})
+	}
+	ov, err = fiber.NewOverlay(m, pert)
+	return ov, pert, err
+}
+
 func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenario) (*Result, error) {
 	checkpoint := func() error { return ctx.Err() }
 	if err := checkpoint(); err != nil {
@@ -161,50 +189,27 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	)
 	removed := make(map[string]bool, len(sc.RemoveISPs))
 	err := stage("scenario.stage.apply", func(sp *obs.Span) error {
-		cuts, err := resolveCutsOn(snap, sc)
-		if err != nil {
+		kept = keptISPs(snap, sc)
+		var err error
+		if ov, pert, err = buildOverlay(snap, sc, kept); err != nil {
 			return err
 		}
 		res = &Result{
-			Hash:        sc.Hash(),
-			Scenario:    sc,
-			Cut:         cuts,
-			ConduitsCut: len(cuts),
-			ISPsRemoved: sc.RemoveISPs,
+			Hash:          sc.Hash(),
+			Scenario:      sc,
+			Cut:           pert.Cuts,
+			ConduitsCut:   len(pert.Cuts),
+			ISPsRemoved:   sc.RemoveISPs,
+			LinksRemoved:  ov.LinksRemoved(),
+			ConduitsAdded: len(pert.Additions),
 		}
-		for _, cid := range cuts {
+		for _, cid := range pert.Cuts {
 			res.TenanciesCut += len(m.Conduit(cid).Tenants)
 		}
-
-		kept = keptISPs(snap, sc)
 		for _, isp := range sc.RemoveISPs {
 			removed[isp] = true
 		}
-
-		// Resolve additions to node ids; an empty tenant list means open
-		// access — every kept provider lights the build.
-		pert = fiber.Perturbation{Cuts: cuts, RemoveISPs: sc.RemoveISPs}
-		for _, ad := range sc.Additions {
-			a, ok := m.NodeByKey(ad.A)
-			if !ok {
-				return fmt.Errorf("scenario: unknown node %q in addition", ad.A)
-			}
-			b, ok := m.NodeByKey(ad.B)
-			if !ok {
-				return fmt.Errorf("scenario: unknown node %q in addition", ad.B)
-			}
-			tenants := ad.Tenants
-			if len(tenants) == 0 {
-				tenants = kept
-			}
-			pert.Additions = append(pert.Additions, fiber.OverlayAddition{A: a, B: b, Tenants: tenants})
-		}
-		if ov, err = fiber.NewOverlay(m, pert); err != nil {
-			return err
-		}
-		res.LinksRemoved = ov.LinksRemoved()
-		res.ConduitsAdded = len(pert.Additions)
-		sp.SetAttrInt("cuts", int64(len(cuts)))
+		sp.SetAttrInt("cuts", int64(len(pert.Cuts)))
 		sp.SetAttrInt("additions", int64(len(pert.Additions)))
 		return nil
 	})
@@ -235,7 +240,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	// Touched set: a surviving provider's connectivity or partition
 	// answer can only change if a cut conduit carries its tenancy or an
 	// addition lights it. Everything else reuses its baseline row —
-	// the clone path would recompute the identical value.
+	// recomputing it would give the identical value.
 	touched := make(map[string]uint8)
 	for _, cid := range cuts {
 		for _, isp := range m.Tenants(cid) {

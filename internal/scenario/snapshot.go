@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -18,7 +17,7 @@ import (
 // snapshot.go holds the engine's immutable baseline state. Everything
 // an evaluation reads — the map, the risk matrix, the memoized
 // baseline study stages, and the shared tables the copy-on-write
-// overlay path consults — lives in one snapshot value behind an
+// overlay evaluation consults — lives in one snapshot value behind an
 // atomic pointer, so a baseline swap is a single pointer store and an
 // in-flight evaluation keeps the snapshot it started with. Snapshots
 // are versioned; the serving cache folds the version into its keys so
@@ -37,7 +36,7 @@ type snapshot struct {
 	baseOnce sync.Once
 	base     baseline
 
-	// Overlay-path tables, built with the baseline: the conduit graph,
+	// Overlay tables, built with the baseline: the conduit graph,
 	// and per matrix-ISP the dense unit weight row (1 on the provider's
 	// conduits, +Inf elsewhere), baseline footprint (ascending vertex
 	// ids), and index.
@@ -116,27 +115,15 @@ func (s *snapshot) baseline() *baseline {
 			b.part[pc.ISP] = pc.MinCuts
 		}
 
-		// Overlay tables ride along: the overlay path needs them on its
-		// first evaluation, which also needs the baseline itself.
+		// Overlay tables ride along: every evaluation reads them, and
+		// the first one also needs the baseline itself.
 		s.g = m.Graph()
 		s.ispIdx = make(map[string]int, len(s.mx.ISPs))
 		s.ispW = make([][]float64, len(s.mx.ISPs))
 		s.ispVerts = make([][]int, len(s.mx.ISPs))
-		inf := math.Inf(1)
 		for i, isp := range s.mx.ISPs {
 			s.ispIdx[isp] = i
-			w := make([]float64, s.g.NumEdges())
-			for eid := range w {
-				if m.Conduit(fiber.ConduitID(eid)).HasTenant(isp) {
-					w[eid] = 1
-				} else {
-					w[eid] = inf
-				}
-			}
-			s.ispW[i] = w
-			for _, n := range m.NodesOf(isp) {
-				s.ispVerts[i] = append(s.ispVerts[i], int(n))
-			}
+			s.ispW[i], s.ispVerts[i] = resilience.ProviderRow(m, isp)
 		}
 	})
 	return &s.base

@@ -8,7 +8,7 @@ import (
 )
 
 // trace_test.go pins the flight-recorder integration: a recorded
-// evaluation's span tree carries the overlay path's attribution
+// evaluation's span tree carries the evaluator's attribution
 // (per-stage reused/recomputed outcome, touched-ISP counts, min-cut
 // path split, scenario hash, baseline version) and the cache stamps
 // its outcome on the caller's span.
@@ -53,9 +53,6 @@ func TestRecordedEvaluationAttribution(t *testing.T) {
 		t.Fatalf("no scenario.evaluate span; got %v", names(tr.Spans))
 	}
 	ea := attrMap(eval)
-	if ea["path"] != "overlay" {
-		t.Errorf("path attr = %q, want overlay", ea["path"])
-	}
 	if ea["scenario_hash"] == "" {
 		t.Error("scenario_hash attr missing")
 	}

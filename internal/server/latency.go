@@ -63,13 +63,12 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 	}
 	pairs := at.Pairs()
 	total := len(pairs)
-	lo := (page - 1) * per
-	hi := lo + per
-	if lo > total {
-		lo = total
-	}
-	if hi > total {
-		hi = total
+	// Clamp before multiplying: (page-1)*per overflows for huge pages,
+	// and any page past the last one is simply empty.
+	lo, hi := total, total
+	if page-1 <= total/per {
+		lo = (page - 1) * per
+		hi = min(lo+per, total)
 	}
 	m := s.study.Map()
 	out := latencyPageJSON{

@@ -61,6 +61,29 @@ func TestLatencyLastAndBeyondLastPage(t *testing.T) {
 	}
 }
 
+// TestLatencyHugePageIsEmpty: page numbers whose offset would
+// overflow an int are past the last page like any other — 200 with no
+// pairs, never a recovered panic.
+func TestLatencyHugePageIsEmpty(t *testing.T) {
+	for _, path := range []string{
+		"/api/latency?page=9223372036854775807",
+		"/api/latency?page=4611686018427387904&per=4",
+	} {
+		panicsBefore := httpPanics.Value()
+		var out latencyPageJSON
+		resp := getJSON(t, path, &out)
+		if resp.StatusCode != http.StatusOK || len(out.Pairs) != 0 {
+			t.Errorf("%s: status %d, %d pairs; want 200 and none", path, resp.StatusCode, len(out.Pairs))
+		}
+		if out.TotalPairs == 0 {
+			t.Errorf("%s: totalPairs = 0, want the atlas size", path)
+		}
+		if got := httpPanics.Value(); got != panicsBefore {
+			t.Errorf("%s: http_panics_total moved %d -> %d", path, panicsBefore, got)
+		}
+	}
+}
+
 // TestLatencyPagesTile: two small pages concatenated must equal one
 // double-size page — the ordering is stable and pages never overlap.
 func TestLatencyPagesTile(t *testing.T) {

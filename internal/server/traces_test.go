@@ -15,7 +15,7 @@ import (
 // traces_test.go drives the flight-recorder surface end to end: a
 // scenario request carries X-Trace-Id, the ID resolves at /api/traces
 // (index) and /api/traces/{id} (JSON and Chrome trace-event formats),
-// and the Chrome export shows the overlay path's stage attribution.
+// and the Chrome export shows the evaluator's stage attribution.
 
 // traceNonce numbers uncachedScenario bodies.
 var traceNonce atomic.Int64
@@ -87,8 +87,8 @@ func TestScenarioTraceEndToEnd(t *testing.T) {
 		}
 		attrs[s.Name] = m
 	}
-	if attrs["scenario.evaluate"]["path"] != "overlay" {
-		t.Errorf("evaluate path attr = %q", attrs["scenario.evaluate"]["path"])
+	if attrs["scenario.evaluate"]["scenario_hash"] == "" {
+		t.Errorf("evaluate span missing scenario_hash; attrs = %v", attrs["scenario.evaluate"])
 	}
 	if attrs["http.scenario"]["cache"] == "" {
 		t.Errorf("root span missing cache outcome; attrs = %v", attrs["http.scenario"])

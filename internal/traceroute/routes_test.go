@@ -28,7 +28,7 @@ func sortedTruthNames(res *mapbuilder.Result) []string {
 // truthPathOracle is the per-pair ground-truth route.
 func truthPathOracle(res *mapbuilder.Result, isp string, from, to int) (graph.Path, bool) {
 	edges := res.Truth[isp].Edges
-	p, _ := res.Graph.ShortestPath(from, to, func(eid int) float64 {
+	p, _ := res.Graph.ShortestPath(graph.NewWorkspace(), from, to, func(eid int) float64 {
 		if !edges[eid] {
 			return inf
 		}
@@ -45,9 +45,9 @@ func segmentOracle(res *mapbuilder.Result, cityNode []int, cityA, cityB int, isp
 		return nil, false
 	}
 	mg := res.Map.Graph()
-	path, ok := mg.ShortestPath(na, nb, res.Map.TenantWeight(isp))
+	path, ok := mg.ShortestPath(graph.NewWorkspace(), na, nb, res.Map.TenantWeight(isp))
 	if !ok {
-		path, ok = mg.ShortestPath(na, nb, res.Map.LitWeight())
+		path, ok = mg.ShortestPath(graph.NewWorkspace(), na, nb, res.Map.LitWeight())
 	}
 	return path.Edges, ok
 }

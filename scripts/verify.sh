@@ -1,10 +1,18 @@
 #!/usr/bin/env sh
-# verify.sh — the tier-1 gate, the nested perfbench module's tests, and
-# the race detector, in the order a reviewer would run them. Fails fast
-# on the first broken step.
+# verify.sh — formatting, the tier-1 gate, the nested perfbench
+# module's tests, and the race detector, in the order a reviewer would
+# run them. Fails fast on the first broken step.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files are not formatted (run gofmt -w):"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
