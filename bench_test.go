@@ -152,7 +152,7 @@ func BenchmarkFigure9_TrafficCDF(b *testing.B) {
 	var shift float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		camp := traceroute.Run(benchRes, traceroute.Options{N: 20000, Seed: 7})
+		camp, _ := traceroute.Run(context.Background(), benchRes, traceroute.Options{N: 20000, Seed: 7})
 		pub, over := camp.SharingWithTraffic()
 		var sp, so int
 		for j := range pub {
@@ -169,7 +169,7 @@ func BenchmarkTable2_WestEast(b *testing.B) {
 	sharedStudy()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		camp := traceroute.Run(benchRes, traceroute.Options{N: 20000, Seed: 7})
+		camp, _ := traceroute.Run(context.Background(), benchRes, traceroute.Options{N: 20000, Seed: 7})
 		if len(camp.TopConduits(20, true)) == 0 {
 			b.Fatal("no rows")
 		}
@@ -252,7 +252,7 @@ func BenchmarkFigure11_AddLinks(b *testing.B) {
 	var added int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := mitigate.AddConduits(benchRes.Map, benchMx, mitigate.AddOptions{K: 3})
+		res, _ := mitigate.AddConduits(context.Background(), benchRes.Map, benchMx, mitigate.AddOptions{K: 3})
 		added = len(res.Additions)
 	}
 	b.ReportMetric(float64(added), "conduits-added")
@@ -264,7 +264,7 @@ func BenchmarkFigure12_Latency(b *testing.B) {
 	var bestEqROW float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		study := mitigate.LatencyStudy(benchRes.Map, benchRes.Atlas, mitigate.LatencyOptions{MaxPairs: 800})
+		study, _ := mitigate.LatencyStudy(context.Background(), benchRes.Map, benchRes.Atlas, mitigate.LatencyOptions{MaxPairs: 800})
 		bestEqROW = mitigate.Summarize(study).BestEqualsROW
 	}
 	b.ReportMetric(bestEqROW, "best-eq-row-frac")
@@ -418,14 +418,14 @@ func formatKm(v float64) string {
 // ranking stabilizes with campaign size.
 func BenchmarkAblationCampaignSize(b *testing.B) {
 	sharedStudy()
-	reference := traceroute.Run(benchRes, traceroute.Options{N: 100000, Seed: 7})
+	reference, _ := traceroute.Run(context.Background(), benchRes, traceroute.Options{N: 100000, Seed: 7})
 	refTop := topSet(reference, 20)
 	for _, n := range []int{5000, 20000, 50000} {
 		name := map[int]string{5000: "n-5k", 20000: "n-20k", 50000: "n-50k"}[n]
 		b.Run(name, func(b *testing.B) {
 			var overlap float64
 			for i := 0; i < b.N; i++ {
-				camp := traceroute.Run(benchRes, traceroute.Options{N: n, Seed: 7})
+				camp, _ := traceroute.Run(context.Background(), benchRes, traceroute.Options{N: n, Seed: 7})
 				got := topSet(camp, 20)
 				match := 0
 				for k := range got {
@@ -518,7 +518,7 @@ func BenchmarkAblationGreedyVsExact(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var meanImpr float64
 			for i := 0; i < b.N; i++ {
-				res := mitigate.AddConduits(benchRes.Map, benchMx, mitigate.AddOptions{K: 3, Exact: exact})
+				res, _ := mitigate.AddConduits(context.Background(), benchRes.Map, benchMx, mitigate.AddOptions{K: 3, Exact: exact})
 				var sum float64
 				n := 0
 				for _, series := range res.Improvement {
@@ -536,11 +536,11 @@ func BenchmarkAblationGreedyVsExact(b *testing.B) {
 // analysis: proposing ROW-following builds.
 func BenchmarkLatencyImprovements(b *testing.B) {
 	sharedStudy()
-	study := mitigate.LatencyStudy(benchRes.Map, benchRes.Atlas, mitigate.LatencyOptions{MaxPairs: 800})
+	study, _ := mitigate.LatencyStudy(context.Background(), benchRes.Map, benchRes.Atlas, mitigate.LatencyOptions{MaxPairs: 800})
 	b.ResetTimer()
 	var saved float64
 	for i := 0; i < b.N; i++ {
-		imps := mitigate.LatencyImprovements(benchRes.Map, benchRes.Atlas, study, 10, mitigate.LatencyOptions{})
+		imps, _ := mitigate.LatencyImprovements(context.Background(), benchRes.Map, benchRes.Atlas, study, 10, mitigate.LatencyOptions{})
 		saved = 0
 		for _, imp := range imps {
 			saved += imp.SavedMs
@@ -599,7 +599,7 @@ func BenchmarkWorkersCampaign(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var total int
 			for i := 0; i < b.N; i++ {
-				camp := traceroute.Run(benchRes, traceroute.Options{N: 20000, Seed: 7, Workers: w})
+				camp, _ := traceroute.Run(context.Background(), benchRes, traceroute.Options{N: 20000, Seed: 7, Workers: w})
 				total = camp.Total
 			}
 			b.ReportMetric(float64(total), "probes-kept")
@@ -614,7 +614,7 @@ func BenchmarkWorkersLatencyStudy(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var pairs int
 			for i := 0; i < b.N; i++ {
-				study := mitigate.LatencyStudy(benchRes.Map, benchRes.Atlas,
+				study, _ := mitigate.LatencyStudy(context.Background(), benchRes.Map, benchRes.Atlas,
 					mitigate.LatencyOptions{MaxPairs: 800, Workers: w})
 				pairs = len(study)
 			}
@@ -631,7 +631,7 @@ func BenchmarkWorkersAddConduits(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var added int
 			for i := 0; i < b.N; i++ {
-				res := mitigate.AddConduits(benchRes.Map, benchMx, mitigate.AddOptions{K: 3, Workers: w})
+				res, _ := mitigate.AddConduits(context.Background(), benchRes.Map, benchMx, mitigate.AddOptions{K: 3, Workers: w})
 				added = len(res.Additions)
 			}
 			b.ReportMetric(float64(added), "conduits-added")

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"sort"
@@ -25,7 +26,7 @@ func main() {
 	study := intertubes.NewStudy(intertubes.Options{Seed: 42})
 	m := study.Map()
 
-	res := mitigate.AddConduits(m, study.RiskMatrix(), mitigate.AddOptions{K: *k})
+	res, _ := mitigate.AddConduits(context.Background(), m, study.RiskMatrix(), mitigate.AddOptions{K: *k}) // background ctx: cannot fail
 
 	fmt.Printf("link-exchange plan (up to %d conduits, %.0f km budget):\n\n", *k, *budgetKm)
 	var spent float64

@@ -10,10 +10,11 @@
 package graph
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
+
+	"intertubes/internal/memo"
 )
 
 // Edge is an undirected edge between vertices U and V with a default
@@ -47,10 +48,9 @@ type topology struct {
 // invalidate it. Concurrent queries are safe; mutating concurrently
 // with queries is not (and never was).
 type Graph struct {
-	n      int
-	edges  []Edge
-	topo   atomic.Pointer[topology]
-	topoMu sync.Mutex
+	n     int
+	edges []Edge
+	topo  memo.Value[*topology]
 }
 
 // New returns a graph with n vertices (0..n-1) and no edges.
@@ -70,7 +70,7 @@ func (g *Graph) Edge(id int) Edge { return g.edges[id] }
 // AddVertex appends a vertex and returns its index.
 func (g *Graph) AddVertex() int {
 	g.n++
-	g.topo.Store(nil)
+	g.topo = memo.Value[*topology]{}
 	return g.n - 1
 }
 
@@ -86,23 +86,16 @@ func (g *Graph) AddEdge(u, v int, weight float64) int {
 	}
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{U: u, V: v, Weight: weight})
-	g.topo.Store(nil)
+	g.topo = memo.Value[*topology]{}
 	return id
 }
 
 // topoView returns the compiled CSR topology, building it if a
 // mutation invalidated the previous one. Safe for concurrent use.
 func (g *Graph) topoView() *topology {
-	if t := g.topo.Load(); t != nil {
-		return t
-	}
-	g.topoMu.Lock()
-	defer g.topoMu.Unlock()
-	if t := g.topo.Load(); t != nil {
-		return t
-	}
-	t := buildTopology(g.n, g.edges)
-	g.topo.Store(t)
+	t, _ := g.topo.Get(context.TODO(), func(context.Context) (*topology, error) {
+		return buildTopology(g.n, g.edges), nil
+	}) // the build reads no context and cannot fail
 	return t
 }
 

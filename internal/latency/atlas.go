@@ -3,12 +3,12 @@ package latency
 import (
 	"context"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
+	"intertubes/internal/memo"
 )
 
 // Atlas is the all-pairs latency atlas over a fiber map's major
@@ -19,7 +19,7 @@ import (
 // substrate for overlay relay placement (mitigate.PlaceRelays).
 //
 // An Atlas is immutable once built and safe for concurrent readers;
-// the derived pair table is memoized behind a sync.Once.
+// the derived pair table is built on first use and kept.
 type Atlas struct {
 	m      *fiber.Map
 	mx     *Matrix
@@ -30,8 +30,7 @@ type Atlas struct {
 	// observability hook (0 for a from-scratch build).
 	ReusedRows int
 
-	pairsOnce sync.Once
-	pairs     []PairLatency
+	pairs memo.Value[[]PairLatency]
 }
 
 // PairLatency is one connected city pair of the atlas: the one-way
@@ -185,11 +184,11 @@ func (a *Atlas) DistKm(i int, v fiber.NodeID) float64 { return a.mx.Dist[i*a.mx.
 // of a returned pair is finite. The table is computed once and
 // memoized.
 func (a *Atlas) Pairs() []PairLatency {
-	a.pairsOnce.Do(func() { a.pairs = a.computePairs() })
-	return a.pairs
+	pairs, _ := a.pairs.Get(context.TODO(), a.computePairs) // cannot fail
+	return pairs
 }
 
-func (a *Atlas) computePairs() []PairLatency {
+func (a *Atlas) computePairs(context.Context) ([]PairLatency, error) {
 	out := make([]PairLatency, 0, a.NumSources()*(a.NumSources()-1)/2)
 	for i := 0; i < a.NumSources(); i++ {
 		row := a.mx.Row(i)
@@ -202,7 +201,7 @@ func (a *Atlas) computePairs() []PairLatency {
 			out = append(out, pairFor(a.Source(i), a.Source(j), d, la.DistanceKm(a.m.Node(a.Source(j)).Loc)))
 		}
 	}
-	return out
+	return out, nil
 }
 
 // pairFor derives one pair row from a fiber distance and a geodesic

@@ -115,18 +115,12 @@ func ispTargets(m *fiber.Map, mx *risk.Matrix, isp string, n int) []fiber.Condui
 
 // AddConduits runs the greedy sweep. The returned improvements are
 // computed against the original matrix, so Improvement[isp] is a
-// non-decreasing series in k.
-func AddConduits(m *fiber.Map, mx *risk.Matrix, opts AddOptions) *AddResult {
-	res, _ := AddConduitsCtx(context.Background(), m, mx, opts) // background ctx: cannot fail
-	return res
-}
-
-// AddConduitsCtx is AddConduits with cooperative cancellation: ctx is
+// non-decreasing series in k. Cancellation is cooperative: ctx is
 // checked between greedy steps and at every chunk grant of the
 // distance-field and candidate-scoring scans, so a canceled sweep
 // stops within one scan and returns (nil, ctx.Err()). A completed
 // sweep chooses identical additions at any worker count.
-func AddConduitsCtx(ctx context.Context, m *fiber.Map, mx *risk.Matrix, opts AddOptions) (*AddResult, error) {
+func AddConduits(ctx context.Context, m *fiber.Map, mx *risk.Matrix, opts AddOptions) (*AddResult, error) {
 	opts = opts.withDefaults()
 	g := m.Graph() // mutated as conduits are added
 

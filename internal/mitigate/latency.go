@@ -110,17 +110,11 @@ func rowGraph(a *atlas.Atlas, opts LatencyOptions) *graph.Graph {
 
 // LatencyStudy computes PairLatency for every pair of map nodes whose
 // cities meet the population threshold and that are connected through
-// lit conduits. Pairs appear once (A < B).
-func LatencyStudy(m *fiber.Map, a *atlas.Atlas, opts LatencyOptions) []PairLatency {
-	study, _ := LatencyStudyCtx(context.Background(), m, a, opts) // background ctx: cannot fail
-	return study
-}
-
-// LatencyStudyCtx is LatencyStudy with cooperative cancellation: the
-// all-pairs sweep stops granting chunks once ctx is canceled and the
-// call returns (nil, ctx.Err()). A completed study is bit-identical
-// to LatencyStudy at any worker count.
-func LatencyStudyCtx(ctx context.Context, m *fiber.Map, a *atlas.Atlas, opts LatencyOptions) ([]PairLatency, error) {
+// lit conduits. Pairs appear once (A < B). Cancellation is
+// cooperative: the all-pairs sweep stops granting chunks once ctx is
+// canceled and the call returns (nil, ctx.Err()). A completed study is
+// bit-identical at any worker count.
+func LatencyStudy(ctx context.Context, m *fiber.Map, a *atlas.Atlas, opts LatencyOptions) ([]PairLatency, error) {
 	opts = opts.withDefaults()
 	g := m.Graph()
 	rg := rowGraph(a, opts)

@@ -36,16 +36,9 @@ type LatencyImprovement struct {
 // LatencyImprovements ranks the top-k proposed builds by delay saved
 // per new fiber kilometre, considering the pairs of an existing
 // latency study. Pairs whose best path already matches the ROW bound
-// are skipped.
-func LatencyImprovements(m *fiber.Map, a *atlas.Atlas, study []PairLatency, k int, opts LatencyOptions) []LatencyImprovement {
-	out, _ := LatencyImprovementsCtx(context.Background(), m, a, study, k, opts) // background ctx: cannot fail
-	return out
-}
-
-// LatencyImprovementsCtx is LatencyImprovements with cooperative
-// cancellation of the per-pair ROW-graph scan; a completed call is
-// bit-identical to LatencyImprovements at any worker count.
-func LatencyImprovementsCtx(ctx context.Context, m *fiber.Map, a *atlas.Atlas, study []PairLatency, k int, opts LatencyOptions) ([]LatencyImprovement, error) {
+// are skipped. Cancellation of the per-pair ROW-graph scan is
+// cooperative; a completed call is bit-identical at any worker count.
+func LatencyImprovements(ctx context.Context, m *fiber.Map, a *atlas.Atlas, study []PairLatency, k int, opts LatencyOptions) ([]LatencyImprovement, error) {
 	opts = opts.withDefaults()
 	rg := rowGraph(a, opts)
 	nCorridors := len(a.Corridors)

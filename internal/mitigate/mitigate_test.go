@@ -1,6 +1,7 @@
 package mitigate
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestStatAccumulator(t *testing.T) {
 
 func TestAddConduitsSmall(t *testing.T) {
 	m, mx, _ := smallMap(t)
-	res := AddConduits(m, mx, AddOptions{K: 2, MinKm: 50, MaxKm: 500})
+	res, _ := AddConduits(context.Background(), m, mx, AddOptions{K: 2, MinKm: 50, MaxKm: 500})
 	// The only candidate pairs already have conduits (A-B, A-C, C-B),
 	// so nothing useful can be added on this tiny map.
 	if len(res.Additions) != 0 {
@@ -150,7 +151,7 @@ func TestAddConduitsSmall(t *testing.T) {
 
 func TestAddConduitsFullMap(t *testing.T) {
 	res, mx := build(t)
-	out := AddConduits(res.Map, mx, AddOptions{K: 6})
+	out, _ := AddConduits(context.Background(), res.Map, mx, AddOptions{K: 6})
 	if len(out.Additions) == 0 {
 		t.Fatal("no additions chosen")
 	}
@@ -204,7 +205,7 @@ func TestLatencyStudySmall(t *testing.T) {
 	m, _, _ := smallMap(t)
 	// The small map's nodes have no atlas cities, so ROW falls back to
 	// the best existing path.
-	study := LatencyStudy(m, res.Atlas, LatencyOptions{MinPopulation: 1})
+	study, _ := LatencyStudy(context.Background(), m, res.Atlas, LatencyOptions{MinPopulation: 1})
 	if len(study) == 0 {
 		t.Fatal("no pairs studied")
 	}
@@ -223,7 +224,7 @@ func TestLatencyStudySmall(t *testing.T) {
 
 func TestLatencyStudyFullMap(t *testing.T) {
 	res, _ := build(t)
-	study := LatencyStudy(res.Map, res.Atlas, LatencyOptions{MaxPairs: 800})
+	study, _ := LatencyStudy(context.Background(), res.Map, res.Atlas, LatencyOptions{MaxPairs: 800})
 	if len(study) < 400 {
 		t.Fatalf("pairs = %d", len(study))
 	}
@@ -311,12 +312,12 @@ func TestTopKeys(t *testing.T) {
 // targeted bonus redirects the first pick.
 func TestAddConduitsCapacityObjective(t *testing.T) {
 	res, mx := build(t)
-	base := AddConduits(res.Map, mx, AddOptions{K: 2})
+	base, _ := AddConduits(context.Background(), res.Map, mx, AddOptions{K: 2})
 	if len(base.Additions) == 0 {
 		t.Fatal("baseline sweep chose nothing")
 	}
 
-	zero := AddConduits(res.Map, mx, AddOptions{K: 2,
+	zero, _ := AddConduits(context.Background(), res.Map, mx, AddOptions{K: 2,
 		CapacityObjective: func(a, b fiber.NodeID, km float64) float64 { return 0 },
 	})
 	if len(zero.Additions) != len(base.Additions) {
@@ -333,7 +334,7 @@ func TestAddConduitsCapacityObjective(t *testing.T) {
 	// Reward every candidate except the baseline winner; the first
 	// pick must move and carry the bonus in its benefit.
 	first := base.Additions[0]
-	biased := AddConduits(res.Map, mx, AddOptions{K: 1,
+	biased, _ := AddConduits(context.Background(), res.Map, mx, AddOptions{K: 1,
 		CapacityObjective: func(a, b fiber.NodeID, km float64) float64 {
 			if a == first.A && b == first.B {
 				return 0
@@ -354,7 +355,7 @@ func TestAddConduitsCapacityObjective(t *testing.T) {
 
 	// A capacity-proportional objective (the intended use) still
 	// yields valid additions within the length window.
-	capObj := AddConduits(res.Map, mx, AddOptions{K: 2,
+	capObj, _ := AddConduits(context.Background(), res.Map, mx, AddOptions{K: 2,
 		CapacityObjective: func(a, b fiber.NodeID, km float64) float64 {
 			return fiber.CapacityGbps(a, b, km, 1) / 1000
 		},
@@ -368,8 +369,8 @@ func TestAddConduitsCapacityObjective(t *testing.T) {
 
 func TestAddConduitsExactMode(t *testing.T) {
 	res, mx := build(t)
-	exact := AddConduits(res.Map, mx, AddOptions{K: 3, Exact: true})
-	approx := AddConduits(res.Map, mx, AddOptions{K: 3})
+	exact, _ := AddConduits(context.Background(), res.Map, mx, AddOptions{K: 3, Exact: true})
+	approx, _ := AddConduits(context.Background(), res.Map, mx, AddOptions{K: 3})
 	if len(exact.Additions) == 0 {
 		t.Fatal("exact mode chose nothing")
 	}
@@ -397,8 +398,8 @@ func TestAddConduitsExactMode(t *testing.T) {
 
 func TestLatencyImprovements(t *testing.T) {
 	res, _ := build(t)
-	study := LatencyStudy(res.Map, res.Atlas, LatencyOptions{MaxPairs: 800})
-	imps := LatencyImprovements(res.Map, res.Atlas, study, 10, LatencyOptions{})
+	study, _ := LatencyStudy(context.Background(), res.Map, res.Atlas, LatencyOptions{MaxPairs: 800})
+	imps, _ := LatencyImprovements(context.Background(), res.Map, res.Atlas, study, 10, LatencyOptions{})
 	if len(imps) == 0 {
 		t.Fatal("no latency improvements proposed; ~40% of pairs are off the ROW bound")
 	}

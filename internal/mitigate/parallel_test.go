@@ -1,6 +1,7 @@
 package mitigate
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -9,12 +10,12 @@ import (
 // to the serial result for several worker counts.
 func TestLatencyStudyWorkerInvariance(t *testing.T) {
 	res, _ := build(t)
-	base := LatencyStudy(res.Map, res.Atlas, LatencyOptions{MaxPairs: 250, Workers: 1})
+	base, _ := LatencyStudy(context.Background(), res.Map, res.Atlas, LatencyOptions{MaxPairs: 250, Workers: 1})
 	if len(base) == 0 {
 		t.Fatal("empty latency study")
 	}
 	for _, workers := range []int{2, 6} {
-		got := LatencyStudy(res.Map, res.Atlas, LatencyOptions{MaxPairs: 250, Workers: workers})
+		got, _ := LatencyStudy(context.Background(), res.Map, res.Atlas, LatencyOptions{MaxPairs: 250, Workers: workers})
 		if !reflect.DeepEqual(got, base) {
 			t.Errorf("workers=%d: latency pairs diverge from serial", workers)
 		}
@@ -26,13 +27,13 @@ func TestLatencyStudyWorkerInvariance(t *testing.T) {
 // be identical for any worker count.
 func TestLatencyImprovementsWorkerInvariance(t *testing.T) {
 	res, _ := build(t)
-	study := LatencyStudy(res.Map, res.Atlas, LatencyOptions{MaxPairs: 250, Workers: 1})
-	base := LatencyImprovements(res.Map, res.Atlas, study, 10, LatencyOptions{Workers: 1})
+	study, _ := LatencyStudy(context.Background(), res.Map, res.Atlas, LatencyOptions{MaxPairs: 250, Workers: 1})
+	base, _ := LatencyImprovements(context.Background(), res.Map, res.Atlas, study, 10, LatencyOptions{Workers: 1})
 	if len(base) == 0 {
 		t.Fatal("no proposed builds")
 	}
 	for _, workers := range []int{2, 6} {
-		got := LatencyImprovements(res.Map, res.Atlas, study, 10, LatencyOptions{Workers: workers})
+		got, _ := LatencyImprovements(context.Background(), res.Map, res.Atlas, study, 10, LatencyOptions{Workers: workers})
 		if !reflect.DeepEqual(got, base) {
 			t.Errorf("workers=%d: proposed builds diverge from serial", workers)
 		}
@@ -50,7 +51,8 @@ func TestAddConduitsDeterministicFullMap(t *testing.T) {
 	}
 	res, mx := build(t)
 	run := func(workers int) *AddResult {
-		return AddConduits(res.Map, mx, AddOptions{K: 3, Workers: workers})
+		out, _ := AddConduits(context.Background(), res.Map, mx, AddOptions{K: 3, Workers: workers})
+		return out
 	}
 	base := run(1)
 	if len(base.Additions) != 3 {

@@ -29,11 +29,10 @@ func TestMaskWeightsZeroAllocs(t *testing.T) {
 	skipIfAllocsUnmeasurable(t)
 	res, mx := build(t)
 	eng := New(res, mx, Options{Seed: 42})
-	snap := eng.snapshot()
-	snap.baseline()
+	base := eng.snapshot().baseline()
 
-	dst := make([]float64, snap.g.NumEdges())
-	baseRow := snap.ispW[0]
+	dst := make([]float64, base.g.NumEdges())
+	baseRow := base.ispW[0]
 	gains := []fiber.ConduitID{3, 7}
 	cuts := mx.TopShared(5)
 	if avg := testing.AllocsPerRun(100, func() {

@@ -8,10 +8,10 @@ import (
 )
 
 // atlas.go wires the all-pairs latency atlas (internal/latency) into
-// the engine: the baseline atlas is memoized on the snapshot behind
-// an atomic pointer, and a scenario's atlas is built over the
-// copy-on-write overlay view, reusing every baseline matrix row whose
-// source the perturbation provably cannot affect.
+// the engine: the baseline atlas is memoized on the snapshot, and a
+// scenario's atlas is built over the copy-on-write overlay view,
+// reusing every baseline matrix row whose source the perturbation
+// provably cannot affect.
 //
 // The reuse rule works on connected components of the lit-conduit
 // graph: a source's reachable region is exactly its lit component, so
@@ -26,7 +26,7 @@ import (
 // litComponents returns the union-find component id of every node
 // over conduits with lit fiber (>= 1 tenant), memoized per snapshot.
 func (s *snapshot) litComponents() []int32 {
-	s.litOnce.Do(func() {
+	return kept(&s.lit, func() []int32 {
 		m := s.res.Map
 		parent := make([]int32, m.NumNodes())
 		for i := range parent {
@@ -50,12 +50,12 @@ func (s *snapshot) litComponents() []int32 {
 				parent[ra] = rb
 			}
 		}
-		s.litComp = make([]int32, len(parent))
+		comp := make([]int32, len(parent))
 		for i := range parent {
-			s.litComp[i] = find(int32(i))
+			comp[i] = find(int32(i))
 		}
+		return comp
 	})
-	return s.litComp
 }
 
 // LatencyAtlas returns the baseline snapshot's all-pairs latency
@@ -70,20 +70,9 @@ func (e *Engine) LatencyAtlas(ctx context.Context) (*latency.Atlas, uint64, erro
 }
 
 func (e *Engine) latencyAtlasOn(ctx context.Context, snap *snapshot) (*latency.Atlas, error) {
-	if at := snap.atlasPtr.Load(); at != nil {
-		return at, nil
-	}
-	snap.atlasMu.Lock()
-	defer snap.atlasMu.Unlock()
-	if at := snap.atlasPtr.Load(); at != nil {
-		return at, nil
-	}
-	at, err := latency.Build(ctx, snap.res.Map, latency.Options{Workers: e.opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	snap.atlasPtr.Store(at)
-	return at, nil
+	return snap.atlas.Get(ctx, func(ctx context.Context) (*latency.Atlas, error) {
+		return latency.Build(ctx, snap.res.Map, latency.Options{Workers: e.opts.Workers})
+	})
 }
 
 // LatencyAtlasFor evaluates a scenario's perturbation as a latency

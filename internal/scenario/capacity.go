@@ -89,19 +89,16 @@ func capacityTable(v fiber.View, dst []float64) []float64 {
 // capacity memoizes the snapshot's capacity baseline: gravity
 // demands, the capacity table, and per-pair baseline flows.
 func (s *snapshot) capacity() *capacityBaseline {
-	s.capOnce.Do(func() {
-		s.baseline() // the conduit graph s.g rides with the baseline
+	return kept(&s.capBase, func() *capacityBaseline {
 		m := s.res.Map
-		cb := &s.capBase
-		cb.caps = capacityTable(m, nil)
+		cb := &capacityBaseline{caps: capacityTable(m, nil)}
 		cb.demands = buildDemands(m, cb.caps)
 		for _, d := range cb.demands {
 			cb.offered += d.gbps
 		}
-
-		cb.servedTotal = cb.servedOn(s.g, graph.NewWorkspace(), cb.caps, nil)
+		cb.servedTotal = cb.servedOn(s.baseline().g, graph.NewWorkspace(), cb.caps, nil)
+		return cb
 	})
-	return &s.capBase
 }
 
 // buildDemands selects the top gravity pairs by population product

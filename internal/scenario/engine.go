@@ -43,11 +43,11 @@ type Options struct {
 	// Seed is the study seed; the traffic overlay derives its campaign
 	// stream from it exactly as the baseline campaign does.
 	Seed int64
-	// Probes is the default campaign size for IncludeTraffic scenarios
-	// (overridable per scenario).
+	// Probes is the size of Engine.Campaign, the default for
+	// IncludeTraffic scenarios (overridable per scenario).
 	Probes int
-	// LatencyMaxPairs is the default pair cap for IncludeLatency
-	// scenarios (overridable per scenario).
+	// LatencyMaxPairs is the pair cap of Engine.LatencyStudy, the
+	// default for IncludeLatency scenarios (overridable per scenario).
 	LatencyMaxPairs int
 	// Workers bounds the worker pool used by the heavy sub-analyses.
 	// Results are bit-identical for any value.
@@ -84,7 +84,7 @@ type Engine struct {
 // matrix.
 func New(res *mapbuilder.Result, mx *risk.Matrix, opts Options) *Engine {
 	e := &Engine{opts: opts.withDefaults()}
-	e.snap.Store(newSnapshot(1, res, mx))
+	e.snap.Store(&snapshot{version: 1, res: res, mx: mx})
 	return e
 }
 
@@ -107,7 +107,7 @@ func (e *Engine) BaselineVersion() uint64 { return e.snapshot().version }
 func (e *Engine) SwapBaseline(res *mapbuilder.Result, mx *risk.Matrix) {
 	for {
 		old := e.snap.Load()
-		next := newSnapshot(old.version+1, res, mx)
+		next := &snapshot{version: old.version + 1, res: res, mx: mx}
 		if e.snap.CompareAndSwap(old, next) {
 			return
 		}
@@ -134,21 +134,30 @@ func (e *Engine) runEvalHook(ctx context.Context) {
 	}
 }
 
-func (e *Engine) trafficOn(ctx context.Context, res *mapbuilder.Result, probes int) (TrafficSummary, error) {
-	camp, err := traceroute.RunCtx(ctx, res, traceroute.Options{
+// runCampaign runs a campaign of probes probes over res on the study's stream.
+func (e *Engine) runCampaign(ctx context.Context, res *mapbuilder.Result, probes int) (*traceroute.Campaign, error) {
+	return traceroute.Run(ctx, res, traceroute.Options{
 		N:       probes,
 		Seed:    e.opts.Seed + 2,
 		Workers: e.opts.Workers,
 	})
-	if err != nil {
-		return TrafficSummary{}, err
-	}
+}
+
+// runLatencyStudy runs the §5.3 study over m, capped at maxPairs pairs.
+func (e *Engine) runLatencyStudy(ctx context.Context, snap *snapshot, m *fiber.Map, maxPairs int) ([]mitigate.PairLatency, error) {
+	return mitigate.LatencyStudy(ctx, m, snap.res.Atlas, mitigate.LatencyOptions{
+		MaxPairs: maxPairs,
+		Workers:  e.opts.Workers,
+	})
+}
+
+func summarizeTraffic(camp *traceroute.Campaign) TrafficSummary {
 	pub, over := camp.SharingWithTraffic()
 	return TrafficSummary{
 		Conduits:      len(pub),
 		MeanPublished: mean(pub),
 		MeanOverlaid:  mean(over),
-	}, nil
+	}
 }
 
 func mean(xs []int) float64 {
@@ -417,10 +426,7 @@ func (e *Engine) latencyStage(ctx context.Context, snap *snapshot, sc Scenario, 
 	if sc.Overrides.LatencyMaxPairs > 0 {
 		maxPairs = sc.Overrides.LatencyMaxPairs
 	}
-	afterStudy, err := mitigate.LatencyStudyCtx(ctx, pm, snap.res.Atlas, mitigate.LatencyOptions{
-		MaxPairs: maxPairs,
-		Workers:  e.opts.Workers,
-	})
+	afterStudy, err := e.runLatencyStudy(ctx, snap, pm, maxPairs)
 	if err != nil {
 		return err
 	}
@@ -457,14 +463,14 @@ func (e *Engine) trafficStage(ctx context.Context, snap *snapshot, sc Scenario, 
 	if err != nil {
 		return err
 	}
-	after, err := e.trafficOn(ctx, &res2, probes)
+	after, err := e.runCampaign(ctx, &res2, probes)
 	if err != nil {
 		return err
 	}
 	res.Traffic = &TrafficDelta{
 		Probes: probes,
 		Before: before,
-		After:  after,
+		After:  summarizeTraffic(after),
 	}
 	return nil
 }

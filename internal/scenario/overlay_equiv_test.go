@@ -131,8 +131,8 @@ func equivScenarios(t *testing.T) []Scenario {
 func TestProviderRowMatchesViews(t *testing.T) {
 	eng := newEngine(t, 0)
 	snap := eng.snapshot()
-	snap.baseline()
-	scr := getScratch(snap.g.NumEdges())
+	base := snap.baseline()
+	scr := getScratch(base.g.NumEdges())
 	defer putScratch(scr)
 	for i, sc := range equivScenarios(t) {
 		sc, err := Resolve(sc)
@@ -150,7 +150,7 @@ func TestProviderRowMatchesViews(t *testing.T) {
 				view fiber.View
 				cuts []fiber.ConduitID
 			}{{ov.Plus(), nil}, {final, pert.Cuts}} {
-				scr.providerRow(snap, ov, final, pert.Additions, isp, tc.cuts)
+				scr.providerRow(base, ov, final, pert.Additions, isp, tc.cuts)
 				for cid := 0; cid < nb; cid++ {
 					if on := scr.w[cid] == 1; on != tc.view.HasTenant(fiber.ConduitID(cid), isp) {
 						t.Fatalf("scenario %d %s (cuts %v): row marks conduit %d %v", i, isp, tc.cuts != nil, cid, on)

@@ -75,18 +75,18 @@ func getScratch(nEdges int) *evalScratch {
 func putScratch(s *evalScratch) { scratchPool.Put(s) }
 
 // providerRow fills the scratch with one provider's dense row under
-// the perturbation: w is its snapshot unit-weight row with the tenancy
+// the perturbation: w is its baseline unit-weight row with the tenancy
 // it gained on merged additions and, unless cuts is nil, the cut
 // conduits masked out (maskWeights); extra holds its overlay-new
 // conduits; verts its footprint — the endpoints of both, in ascending
 // node id. That footprint is exactly NodesOf on the matching overlay
 // view (Plus without cuts, Final with them), found without a search
 // over tenant strings, a map or a sort.
-func (s *evalScratch) providerRow(snap *snapshot, ov *fiber.Overlay, final fiber.View, adds []fiber.OverlayAddition, isp string, cuts []fiber.ConduitID) {
-	g := snap.g
+func (s *evalScratch) providerRow(base *baseline, ov *fiber.Overlay, final fiber.View, adds []fiber.OverlayAddition, isp string, cuts []fiber.ConduitID) {
+	g := base.g
 	nb := ov.NumBaseConduits()
 	w := s.w[:g.NumEdges()]
-	maskWeights(w, snap.ispW[snap.ispIdx[isp]], gainsFor(adds, ov.AdditionTargets(), nb, isp), cuts)
+	maskWeights(w, base.ispW[base.ispIdx[isp]], gainsFor(adds, ov.AdditionTargets(), nb, isp), cuts)
 	s.extra = s.extra[:0]
 	for cid := fiber.ConduitID(nb); int(cid) < final.NumConduits(); cid++ {
 		if final.HasTenant(cid, isp) {
@@ -257,7 +257,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 		}
 	}
 
-	scr := getScratch(snap.g.NumEdges())
+	scr := getScratch(base.g.NumEdges())
 	defer putScratch(scr)
 	cutMask := ov.CutMask()
 
@@ -276,13 +276,13 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 				continue
 			}
 			recomputed++
-			i := snap.ispIdx[isp]
-			verts, row, extra := snap.ispVerts[i], snap.ispW[i], []graph.Edge(nil)
+			i := base.ispIdx[isp]
+			verts, row, extra := base.ispVerts[i], base.ispW[i], []graph.Edge(nil)
 			if bits&touchedAdd != 0 {
-				scr.providerRow(snap, ov, final, pert.Additions, isp, nil)
+				scr.providerRow(base, ov, final, pert.Additions, isp, nil)
 				verts, row, extra = scr.verts, scr.w, scr.extra
 			}
-			impacts = append(impacts, scr.imp.ImpactOn(snap.g, isp, verts, row, extra, cuts, cutMask))
+			impacts = append(impacts, scr.imp.ImpactOn(base.g, isp, verts, row, extra, cuts, cutMask))
 		}
 		sort.SliceStable(impacts, func(i, j int) bool {
 			return impacts[i].DisconnectedPairs > impacts[j].DisconnectedPairs
@@ -313,8 +313,8 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 				continue
 			}
 			recomputed++
-			scr.providerRow(snap, ov, final, pert.Additions, isp, cuts)
-			min := resilience.PartitionCostWS(snap.g, scr.ws, scr.verts, scr.w, scr.extra)
+			scr.providerRow(base, ov, final, pert.Additions, isp, cuts)
+			min := resilience.PartitionCostWS(base.g, scr.ws, scr.verts, scr.w, scr.extra)
 			pcs = append(pcs, pcost{isp: isp, min: min})
 		}
 		sort.SliceStable(pcs, func(i, j int) bool { return pcs[i].min < pcs[j].min })
@@ -356,7 +356,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 			setReuseAttrs(sp, 0, len(cb.demands))
 			return nil
 		}
-		res.LostTraffic = cb.lostTraffic(cb.servedOn(snap.g, scr.ws, scr.capW[:nb], scr.extra))
+		res.LostTraffic = cb.lostTraffic(cb.servedOn(base.g, scr.ws, scr.capW[:nb], scr.extra))
 		setReuseAttrs(sp, len(cb.demands), 0)
 		return nil
 	})

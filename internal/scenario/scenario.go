@@ -53,7 +53,7 @@ type Addition struct {
 // change what is computed, so they are part of the scenario hash.
 type Overrides struct {
 	// Probes overrides the traceroute campaign size used when
-	// IncludeTraffic is set.
+	// IncludeTraffic is set; at most MaxProbes.
 	Probes int `json:"probes,omitempty"`
 	// LatencyMaxPairs overrides the latency-study pair cap used when
 	// IncludeLatency is set.
@@ -135,12 +135,19 @@ func merge(base, req Scenario) Scenario {
 	return out
 }
 
+// MaxProbes bounds Overrides.Probes at five times the study's default
+// campaign: a campaign allocates every probe's decision up front.
+const MaxProbes = 1_000_000
+
 func validate(sc Scenario) error {
 	if sc.CutMostShared < 0 || sc.CutMostBetween < 0 {
 		return fmt.Errorf("scenario: negative cut count")
 	}
 	if sc.Overrides.Probes < 0 || sc.Overrides.LatencyMaxPairs < 0 {
 		return fmt.Errorf("scenario: negative override")
+	}
+	if sc.Overrides.Probes > MaxProbes {
+		return fmt.Errorf("scenario: probes override %d above the maximum %d", sc.Overrides.Probes, MaxProbes)
 	}
 	for _, cid := range sc.CutConduits {
 		if cid < 0 {

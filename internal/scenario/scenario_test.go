@@ -115,6 +115,7 @@ func TestResolveErrors(t *testing.T) {
 		{"self addition", Scenario{Additions: []Addition{{A: "X,XX", B: "X,XX"}}}},
 		{"empty addition", Scenario{Additions: []Addition{{A: "X,XX"}}}},
 		{"negative probes", Scenario{Overrides: Overrides{Probes: -1}}},
+		{"probes above MaxProbes", Scenario{Overrides: Overrides{Probes: MaxProbes + 1}}},
 	}
 	for _, tc := range cases {
 		if _, err := Resolve(tc.sc); err == nil {

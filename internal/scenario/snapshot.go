@@ -2,16 +2,18 @@ package scenario
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/graph"
 	"intertubes/internal/latency"
 	"intertubes/internal/mapbuilder"
+	"intertubes/internal/memo"
 	"intertubes/internal/mitigate"
+	"intertubes/internal/obs"
+	"intertubes/internal/par"
 	"intertubes/internal/resilience"
 	"intertubes/internal/risk"
+	"intertubes/internal/traceroute"
 )
 
 // snapshot.go holds the engine's immutable baseline state. Everything
@@ -24,57 +26,30 @@ import (
 // a swapped baseline can never serve results computed against the old
 // one.
 
-// snapshot is one immutable baseline: inputs, memoized baseline
-// analyses, and the overlay evaluation tables. All lazily-built state
-// is guarded (sync.Once or a mutex) and append-only, so concurrent
-// evaluations share one snapshot freely.
+// snapshot is one immutable baseline: its inputs and memoized
+// products. Each product is a memo field, built by its first caller
+// and shared after that, so evaluations share a snapshot freely.
 type snapshot struct {
 	version uint64
 	res     *mapbuilder.Result
 	mx      *risk.Matrix
 
-	baseOnce sync.Once
-	base     baseline
-
-	// Overlay tables, built with the baseline: the conduit graph,
-	// and per matrix-ISP the dense unit weight row (1 on the provider's
-	// conduits, +Inf elsewhere), baseline footprint (ascending vertex
-	// ids), and index.
-	g        *graph.Graph
-	ispIdx   map[string]int
-	ispW     [][]float64
-	ispVerts [][]int
-
-	// Betweenness cut ranking, memoized for ResolveCuts: the full
-	// positive-betweenness ordering, of which every CutMostBetween
-	// request is a prefix.
-	btwOnce sync.Once
-	btwRank []fiber.ConduitID
-
-	// Capacity-layer baseline (capacity.go): gravity demands, the
-	// conduit capacity table, and memoized per-pair baseline flows.
-	capOnce sync.Once
-	capBase capacityBaseline
-
-	// All-pairs latency atlas (atlas.go), built lazily behind an
-	// atomic pointer — the CSR-topology idiom: a hit is one load, a
-	// miss takes the mutex, double-checks, builds once. litComp holds
-	// the union-find components of the lit-conduit graph that the
-	// overlay row-reuse rule consults.
-	atlasMu  sync.Mutex
-	atlasPtr atomic.Pointer[latency.Atlas]
-	litOnce  sync.Once
-	litComp  []int32
-
-	latMu   sync.Mutex
-	latBase map[int]mitigate.LatencySummary // by MaxPairs
-
-	trafMu   sync.Mutex
-	trafBase map[int]TrafficSummary // by Probes
+	base     memo.Value[*baseline]
+	btw      memo.Value[[]fiber.ConduitID]
+	capBase  memo.Value[*capacityBaseline]          // capacity.go
+	lit      memo.Value[[]int32]                    // atlas.go
+	atlas    memo.Value[*latency.Atlas]             // atlas.go
+	campaign memo.Value[*traceroute.Campaign]       // at Options.Probes
+	latStudy memo.Value[[]mitigate.PairLatency]     // at Options.LatencyMaxPairs
+	latSum   memo.Map[int, mitigate.LatencySummary] // by pair cap
+	trafSum  memo.Map[int, TrafficSummary]          // by campaign size
 }
 
 // baseline is everything Evaluate diffs against, computed once per
-// snapshot.
+// snapshot, plus the overlay tables every evaluation reads: the
+// conduit graph, and per matrix-ISP the dense unit weight row (1 on
+// the provider's conduits, +Inf elsewhere), baseline footprint
+// (ascending vertex ids), and index.
 type baseline struct {
 	stats   fiber.Stats
 	sharing []int
@@ -82,103 +57,132 @@ type baseline struct {
 	meanOf  map[string]float64
 	disc    map[string]resilience.Impact
 	part    map[string]int
+
+	g        *graph.Graph
+	ispIdx   map[string]int
+	ispW     [][]float64
+	ispVerts [][]int
 }
 
-func newSnapshot(version uint64, res *mapbuilder.Result, mx *risk.Matrix) *snapshot {
-	return &snapshot{
-		version:  version,
-		res:      res,
-		mx:       mx,
-		latBase:  make(map[int]mitigate.LatencySummary),
-		trafBase: make(map[int]TrafficSummary),
-	}
+// kept returns a product whose build reads no context and cannot fail.
+func kept[V any](v *memo.Value[V], build func() V) V {
+	x, _ := v.Get(context.TODO(), func(context.Context) (V, error) { return build(), nil })
+	return x
 }
 
 func (s *snapshot) baseline() *baseline {
-	s.baseOnce.Do(func() {
+	return kept(&s.base, func() *baseline {
 		m := s.res.Map
-		b := &s.base
-		b.stats = m.Stats()
-		b.sharing = s.mx.SharingCounts()
-		b.rankOf = make(map[string]int)
-		b.meanOf = make(map[string]float64)
+		b := &baseline{
+			stats:    m.Stats(),
+			sharing:  s.mx.SharingCounts(),
+			rankOf:   make(map[string]int),
+			meanOf:   make(map[string]float64),
+			disc:     make(map[string]resilience.Impact),
+			part:     make(map[string]int),
+			g:        m.Graph(),
+			ispIdx:   make(map[string]int, len(s.mx.ISPs)),
+			ispW:     make([][]float64, len(s.mx.ISPs)),
+			ispVerts: make([][]int, len(s.mx.ISPs)),
+		}
 		for pos, r := range s.mx.Ranking() {
 			b.rankOf[r.ISP] = pos + 1
 			b.meanOf[r.ISP] = r.Mean
 		}
-		b.disc = make(map[string]resilience.Impact)
 		for _, im := range resilience.CutImpact(m, s.mx, nil) {
 			b.disc[im.ISP] = im
 		}
-		b.part = make(map[string]int)
 		for _, pc := range resilience.PartitionCosts(m, s.mx.ISPs) {
 			b.part[pc.ISP] = pc.MinCuts
 		}
-
-		// Overlay tables ride along: every evaluation reads them, and
-		// the first one also needs the baseline itself.
-		s.g = m.Graph()
-		s.ispIdx = make(map[string]int, len(s.mx.ISPs))
-		s.ispW = make([][]float64, len(s.mx.ISPs))
-		s.ispVerts = make([][]int, len(s.mx.ISPs))
 		for i, isp := range s.mx.ISPs {
-			s.ispIdx[isp] = i
-			s.ispW[i], s.ispVerts[i] = resilience.ProviderRow(m, isp)
+			b.ispIdx[isp] = i
+			b.ispW[i], b.ispVerts[i] = resilience.ProviderRow(m, isp)
 		}
+		return b
 	})
-	return &s.base
 }
 
 // betweennessRank memoizes the full betweenness cut ordering; a
 // CutMostBetween=k clause resolves to its first k entries, exactly
 // what resilience.TargetedByBetweenness(m, k) returns.
 func (s *snapshot) betweennessRank() []fiber.ConduitID {
-	s.btwOnce.Do(func() {
-		s.btwRank = resilience.TargetedByBetweenness(s.res.Map, s.res.Map.NumConduits())
+	return kept(&s.btw, func() []fiber.ConduitID {
+		return resilience.TargetedByBetweenness(s.res.Map, s.res.Map.NumConduits())
 	})
-	return s.btwRank
 }
 
-// baselineLatency memoizes the snapshot's baseline latency summary per
-// pair cap. A canceled computation is not cached; the next caller
-// recomputes.
+// Campaign returns the current baseline's traceroute campaign at
+// Options.Probes, run once under the span study.campaign. It is shared
+// and read-only.
+func (e *Engine) Campaign(ctx context.Context) (*traceroute.Campaign, error) {
+	return e.campaignOn(ctx, e.snapshot(), e.opts.Probes)
+}
+
+// campaignOn returns the snapshot's campaign of probes probes: the
+// shared campaign at Options.Probes, a fresh one otherwise.
+func (e *Engine) campaignOn(ctx context.Context, snap *snapshot, probes int) (*traceroute.Campaign, error) {
+	if probes != e.opts.Probes {
+		return e.runCampaign(ctx, snap.res, probes)
+	}
+	return snap.campaign.Get(ctx, func(ctx context.Context) (*traceroute.Campaign, error) {
+		ctx, sp := obs.Trace(ctx, "study.campaign")
+		defer sp.End()
+		sp.SetWorkers(par.Workers(e.opts.Workers))
+		camp, err := e.runCampaign(ctx, snap.res, probes)
+		if err != nil {
+			return nil, err
+		}
+		sp.SetItems(int64(camp.Total))
+		return camp, nil
+	})
+}
+
+// LatencyStudy returns the current baseline's §5.3 latency study at
+// Options.LatencyMaxPairs, run once under the span study.latency. It
+// is shared and read-only.
+func (e *Engine) LatencyStudy(ctx context.Context) ([]mitigate.PairLatency, error) {
+	return e.latencyStudyOn(ctx, e.snapshot(), e.opts.LatencyMaxPairs)
+}
+
+// latencyStudyOn returns the snapshot's study of maxPairs pairs: the
+// shared study at Options.LatencyMaxPairs, a fresh one otherwise.
+func (e *Engine) latencyStudyOn(ctx context.Context, snap *snapshot, maxPairs int) ([]mitigate.PairLatency, error) {
+	if maxPairs != e.opts.LatencyMaxPairs {
+		return e.runLatencyStudy(ctx, snap, snap.res.Map, maxPairs)
+	}
+	return snap.latStudy.Get(ctx, func(ctx context.Context) ([]mitigate.PairLatency, error) {
+		ctx, sp := obs.Trace(ctx, "study.latency")
+		defer sp.End()
+		sp.SetWorkers(par.Workers(e.opts.Workers))
+		study, err := e.runLatencyStudy(ctx, snap, snap.res.Map, maxPairs)
+		if err != nil {
+			return nil, err
+		}
+		sp.SetItems(int64(len(study)))
+		return study, nil
+	})
+}
+
+// baselineLatency keeps one baseline latency summary per pair cap.
 func (e *Engine) baselineLatency(ctx context.Context, snap *snapshot, maxPairs int) (mitigate.LatencySummary, error) {
-	snap.latMu.Lock()
-	if s, ok := snap.latBase[maxPairs]; ok {
-		snap.latMu.Unlock()
-		return s, nil
-	}
-	snap.latMu.Unlock()
-	study, err := mitigate.LatencyStudyCtx(ctx, snap.res.Map, snap.res.Atlas, mitigate.LatencyOptions{
-		MaxPairs: maxPairs,
-		Workers:  e.opts.Workers,
+	return snap.latSum.Get(ctx, maxPairs, func(ctx context.Context) (mitigate.LatencySummary, error) {
+		study, err := e.latencyStudyOn(ctx, snap, maxPairs)
+		if err != nil {
+			return mitigate.LatencySummary{}, err
+		}
+		return mitigate.Summarize(study), nil
 	})
-	if err != nil {
-		return mitigate.LatencySummary{}, err
-	}
-	s := mitigate.Summarize(study)
-	snap.latMu.Lock()
-	snap.latBase[maxPairs] = s
-	snap.latMu.Unlock()
-	return s, nil
 }
 
-// baselineTraffic memoizes the snapshot's baseline traffic overlay per
-// campaign size. A canceled campaign is not cached; the next caller
-// recomputes.
+// baselineTraffic keeps one baseline traffic summary per campaign
+// size; a size a client picks never pins a campaign in memory.
 func (e *Engine) baselineTraffic(ctx context.Context, snap *snapshot, probes int) (TrafficSummary, error) {
-	snap.trafMu.Lock()
-	if s, ok := snap.trafBase[probes]; ok {
-		snap.trafMu.Unlock()
-		return s, nil
-	}
-	snap.trafMu.Unlock()
-	s, err := e.trafficOn(ctx, snap.res, probes)
-	if err != nil {
-		return TrafficSummary{}, err
-	}
-	snap.trafMu.Lock()
-	snap.trafBase[probes] = s
-	snap.trafMu.Unlock()
-	return s, nil
+	return snap.trafSum.Get(ctx, probes, func(ctx context.Context) (TrafficSummary, error) {
+		camp, err := e.campaignOn(ctx, snap, probes)
+		if err != nil {
+			return TrafficSummary{}, err
+		}
+		return summarizeTraffic(camp), nil
+	})
 }

@@ -62,11 +62,7 @@ func Sweep(ctx context.Context, eng *Engine, scs []Scenario, workers int) []Outc
 	defer sp.End()
 	// Pin one snapshot for the whole batch: every slot evaluates
 	// against the same baseline even if SwapBaseline lands mid-sweep.
-	// Forcing its baseline here keeps each parallel evaluation
-	// read-only (the memo is guarded by sync.Once).
 	snap := eng.snapshot()
-	snap.baseline()
-	snap.capacity()
 
 	total := len(scs)
 	var done atomic.Int64

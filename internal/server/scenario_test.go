@@ -87,11 +87,19 @@ func TestScenarioBadRequests(t *testing.T) {
 		{"unknown preset", `{"preset": "nope"}`},
 		{"out-of-range conduit", `{"cutConduits": [1073741824]}`},
 		{"unknown node", `{"add": [{"a": "Nowhere,ZZ", "b": "Seattle,WA"}]}`},
+		// A campaign allocates its probe decisions up front: these
+		// would ask for 8 GB and for more than an int can count.
+		{"huge probes", `{"includeTraffic": true, "overrides": {"probes": 200000000}}`},
+		{"max-int probes", `{"includeTraffic": true, "overrides": {"probes": 9223372036854775807}}`},
 	}
 	for _, tc := range cases {
+		panicsBefore := httpPanics.Value()
 		resp, body := post(t, "/api/scenario", tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, body)
+		}
+		if got := httpPanics.Value(); got != panicsBefore {
+			t.Errorf("%s: http_panics_total moved %d -> %d", tc.name, panicsBefore, got)
 		}
 	}
 }

@@ -125,8 +125,7 @@ func (rm *routeMetrics) observe(code int, bytes int64, d time.Duration) {
 	rm.bytes.Observe(float64(bytes))
 }
 
-// Server serves a Study. It is safe for concurrent use: the study is
-// fully materialized at construction and never mutated afterwards.
+// Server serves a Study; it is safe for concurrent use, as the Study is.
 type Server struct {
 	study           *intertubes.Study
 	mux             *http.ServeMux
@@ -138,14 +137,10 @@ type Server struct {
 	ownJobs         bool // store was defaulted here, Close tears it down
 }
 
-// New builds a Server with default middleware Config, eagerly
-// materializing every lazy analysis the endpoints need so request
-// latency is flat. A nil logger falls back to the shared obs handler.
-func New(study *intertubes.Study, logger *slog.Logger) *Server {
-	return NewWithConfig(study, logger, Config{})
-}
-
-// NewWithConfig is New with explicit request-lifecycle tuning.
+// NewWithConfig builds a Server with the given request-lifecycle
+// tuning. It builds the study's Robustness; every other lazy product
+// builds once, on the first request that needs it. A nil logger falls
+// back to the shared obs handler.
 func NewWithConfig(study *intertubes.Study, logger *slog.Logger, cfg Config) *Server {
 	if logger == nil {
 		logger = obs.Logger("server")
@@ -173,7 +168,6 @@ func NewWithConfig(study *intertubes.Study, logger *slog.Logger, cfg Config) *Se
 			s.ownJobs = true
 		}
 	}
-	// Materialize lazy stages up front.
 	study.Robustness()
 	s.registerRoutes()
 	return s

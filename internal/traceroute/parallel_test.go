@@ -1,6 +1,7 @@
 package traceroute
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -10,9 +11,9 @@ import (
 // be identical for any worker count at a fixed seed.
 func TestRunWorkerInvariance(t *testing.T) {
 	res, _ := campaign(t)
-	base := Run(res, Options{N: 6000, Seed: 11, Workers: 1})
+	base, _ := Run(context.Background(), res, Options{N: 6000, Seed: 11, Workers: 1})
 	for _, workers := range []int{2, 5} {
-		got := Run(res, Options{N: 6000, Seed: 11, Workers: workers})
+		got, _ := Run(context.Background(), res, Options{N: 6000, Seed: 11, Workers: workers})
 		if got.Total != base.Total {
 			t.Errorf("workers=%d: Total = %d, want %d", workers, got.Total, base.Total)
 		}

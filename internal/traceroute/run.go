@@ -60,20 +60,14 @@ type decodedHop struct {
 func newProbeScratch() *probeScratch { return &probeScratch{ws: graph.NewWorkspace()} }
 
 // Run synthesizes a campaign over the built map and overlays it onto
-// the published conduits.
-func Run(res *mapbuilder.Result, opts Options) *Campaign {
-	c, _ := RunCtx(context.Background(), res, opts) // background ctx: cannot fail
-	return c
-}
-
-// RunCtx is Run with a caller context that both parents the campaign's
-// stage spans and carries real cancellation: the phase-1 decision loop
-// and every phase-2 window check ctx at chunk-grant boundaries, so a
-// canceled campaign stops synthesizing within one window and returns
+// the published conduits. ctx both parents the campaign's stage spans
+// and carries real cancellation: the phase-1 decision loop and every
+// phase-2 window check ctx at chunk-grant boundaries, so a canceled
+// campaign stops synthesizing within one window and returns
 // (nil, ctx.Err()). A campaign that completes is bit-identical to the
 // serial order at any worker count — cancellation can only abort a
 // run, never reorder it.
-func RunCtx(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, error) {
+func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, error) {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	a := res.Atlas

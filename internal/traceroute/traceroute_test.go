@@ -1,6 +1,7 @@
 package traceroute
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func campaign(t *testing.T) (*mapbuilder.Result, *Campaign) {
 	t.Helper()
 	if cachedCamp == nil {
 		cachedRes = mapbuilder.Build(mapbuilder.Options{Seed: 42})
-		cachedCamp = Run(cachedRes, Options{N: 20000, Seed: 99})
+		cachedCamp, _ = Run(context.Background(), cachedRes, Options{N: 20000, Seed: 99})
 	}
 	return cachedRes, cachedCamp
 }
@@ -105,8 +106,8 @@ func TestCampaignBasics(t *testing.T) {
 
 func TestCampaignDeterministic(t *testing.T) {
 	res, _ := campaign(t)
-	a := Run(res, Options{N: 3000, Seed: 5})
-	b := Run(res, Options{N: 3000, Seed: 5})
+	a, _ := Run(context.Background(), res, Options{N: 3000, Seed: 5})
+	b, _ := Run(context.Background(), res, Options{N: 3000, Seed: 5})
 	if a.Total != b.Total || a.Unattributed != b.Unattributed {
 		t.Fatalf("campaigns differ: %d/%d vs %d/%d", a.Total, a.Unattributed, b.Total, b.Unattributed)
 	}

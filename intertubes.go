@@ -9,9 +9,9 @@
 //	fmt.Println(study.RenderFigure6())       // conduit sharing
 //	fmt.Println(study.RenderTable5())        // peering suggestions
 //
-// The heavy stages — the §2 map construction, the §4.3 traceroute
-// campaign, the §5 mitigation analyses — run lazily on first use and
-// are cached. Everything is deterministic in Options.Seed.
+// The §2 map construction runs in NewStudy; the heavy stages — the
+// §4.3 traceroute campaign, the §5 mitigation analyses — run lazily on
+// first use and are kept. Everything is deterministic in Options.Seed.
 //
 // Each experiment is also accessible as data (Result, RiskMatrix,
 // Campaign, ...) so downstream code can run its own analyses; the
@@ -31,6 +31,7 @@ import (
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/mapbuilder"
+	"intertubes/internal/memo"
 	"intertubes/internal/mitigate"
 	"intertubes/internal/obs"
 	"intertubes/internal/par"
@@ -98,21 +99,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Study is a complete, lazily evaluated reproduction of the paper.
+// Study is a complete, lazily evaluated reproduction of the paper,
+// safe for concurrent use: each lazy product is built once. The
+// campaign, latency study and latency atlas are the what-if engine's
+// baseline products (Scenarios().Engine()); after a SwapBaseline,
+// which only tests call, they follow its new snapshot.
 type Study struct {
 	opts Options
 
 	res  *mapbuilder.Result
 	mx   *risk.Matrix
-	camp *traceroute.Campaign
-	lat  []mitigate.PairLatency
-	rob  []mitigate.ISPRobustness
-	add  *mitigate.AddResult
-	colo []geo.Colocation
 	scen *scenario.Cache
+
+	rob  memo.Value[[]mitigate.ISPRobustness]
+	add  memo.Value[*mitigate.AddResult]
+	colo memo.Value[[]geo.Colocation]
 }
 
-// NewStudy builds the long-haul map (§2) and the risk matrix (§4.1).
+// NewStudy builds the long-haul map (§2), the risk matrix (§4.1) and
+// the what-if engine over them.
 func NewStudy(opts Options) *Study {
 	opts = opts.withDefaults()
 	_, buildSpan := obs.Trace(context.Background(), "study.mapbuild")
@@ -131,10 +136,17 @@ func NewStudy(opts Options) *Study {
 	mx := risk.Build(res.Map, nil)
 	riskSpan.SetItems(int64(len(res.Map.Conduits)))
 	riskSpan.End()
+	eng := scenario.New(res, mx, scenario.Options{
+		Seed:            opts.Seed,
+		Probes:          opts.Probes,
+		LatencyMaxPairs: opts.LatencyMaxPairs,
+		Workers:         opts.Workers,
+	})
 	return &Study{
 		opts: opts,
 		res:  res,
 		mx:   mx,
+		scen: scenario.NewCache(eng, 0),
 	}
 }
 
@@ -149,33 +161,14 @@ func (s *Study) RiskMatrix() *risk.Matrix { return s.mx }
 
 // Campaign runs (once) and returns the §4.3 traceroute campaign.
 func (s *Study) Campaign() *traceroute.Campaign {
-	if s.camp == nil {
-		ctx, sp := obs.Trace(context.Background(), "study.campaign")
-		sp.SetWorkers(par.Workers(s.opts.Workers))
-		s.camp, _ = traceroute.RunCtx(ctx, s.res, traceroute.Options{
-			N:       s.opts.Probes,
-			Seed:    s.opts.Seed + 2,
-			Workers: s.opts.Workers,
-		}) // background-derived ctx: cannot fail
-		sp.SetItems(int64(s.camp.Total))
-		sp.End()
-	}
-	return s.camp
+	camp, _ := s.scen.Engine().Campaign(context.Background()) // background ctx: cannot fail
+	return camp
 }
 
 // Latency runs (once) and returns the §5.3 study.
 func (s *Study) Latency() []mitigate.PairLatency {
-	if s.lat == nil {
-		_, sp := obs.Trace(context.Background(), "study.latency")
-		sp.SetWorkers(par.Workers(s.opts.Workers))
-		s.lat = mitigate.LatencyStudy(s.res.Map, s.res.Atlas, mitigate.LatencyOptions{
-			MaxPairs: s.opts.LatencyMaxPairs,
-			Workers:  s.opts.Workers,
-		})
-		sp.SetItems(int64(len(s.lat)))
-		sp.End()
-	}
-	return s.lat
+	study, _ := s.scen.Engine().LatencyStudy(context.Background()) // background ctx: cannot fail
+	return study
 }
 
 // TargetConduits returns the most heavily shared conduits — the §5
@@ -186,35 +179,38 @@ func (s *Study) TargetConduits() []fiber.ConduitID { return s.mx.TopShared(12) }
 // Robustness runs (once) the §5.1 robustness-suggestion framework
 // over the target conduits.
 func (s *Study) Robustness() []mitigate.ISPRobustness {
-	if s.rob == nil {
-		_, sp := obs.Trace(context.Background(), "study.robustness")
-		s.rob = mitigate.RobustnessSuggestion(s.res.Map, s.mx, s.TargetConduits(), 3)
-		sp.SetItems(int64(len(s.rob)))
-		sp.End()
-	}
-	return s.rob
+	rob, _ := s.rob.Get(context.Background(), func(ctx context.Context) ([]mitigate.ISPRobustness, error) {
+		_, sp := obs.Trace(ctx, "study.robustness")
+		defer sp.End()
+		rob := mitigate.RobustnessSuggestion(s.res.Map, s.mx, s.TargetConduits(), 3)
+		sp.SetItems(int64(len(rob)))
+		return rob, nil
+	})
+	return rob
 }
 
 // Additions runs (once) the §5.2 k-new-conduits sweep.
 func (s *Study) Additions() *mitigate.AddResult {
-	if s.add == nil {
-		_, sp := obs.Trace(context.Background(), "study.additions")
+	add, _ := s.add.Get(context.Background(), func(ctx context.Context) (*mitigate.AddResult, error) {
+		ctx, sp := obs.Trace(ctx, "study.additions")
+		defer sp.End()
 		sp.SetWorkers(par.Workers(s.opts.Workers))
-		s.add = mitigate.AddConduits(s.res.Map, s.mx, mitigate.AddOptions{
+		add, _ := mitigate.AddConduits(ctx, s.res.Map, s.mx, mitigate.AddOptions{
 			K:       s.opts.AddConduits,
 			Workers: s.opts.Workers,
-		})
-		sp.SetItems(int64(len(s.add.Additions)))
-		sp.End()
-	}
-	return s.add
+		}) // background ctx: cannot fail
+		sp.SetItems(int64(len(add.Additions)))
+		return add, nil
+	})
+	return add
 }
 
 // Colocation computes (once) the §3 co-location analysis of every
 // tenanted conduit against the road, rail, and pipeline layers.
 func (s *Study) Colocation() []geo.Colocation {
-	if s.colo == nil {
-		_, sp := obs.Trace(context.Background(), "study.colocation")
+	colo, _ := s.colo.Get(context.Background(), func(ctx context.Context) ([]geo.Colocation, error) {
+		_, sp := obs.Trace(ctx, "study.colocation")
+		defer sp.End()
 		sp.SetWorkers(par.Workers(s.opts.Workers))
 		an := geo.NewOverlapAnalyzer(map[string][]geo.Polyline{
 			"road": s.res.Atlas.RoadPolylines(),
@@ -228,11 +224,11 @@ func (s *Study) Colocation() []geo.Colocation {
 			}
 			paths = append(paths, c.Path)
 		}
-		s.colo = an.AnalyzeAll(paths, s.opts.Workers)
-		sp.SetItems(int64(len(s.colo)))
-		sp.End()
-	}
-	return s.colo
+		colo := an.AnalyzeAll(paths, s.opts.Workers)
+		sp.SetItems(int64(len(colo)))
+		return colo, nil
+	})
+	return colo
 }
 
 // BuildReport renders the per-stage build report: wall time, share of
@@ -536,8 +532,9 @@ func (s *Study) RenderFigure12() string {
 // close the gap between deployed fiber delay and the right-of-way
 // bound (§5.3's constructive conclusion).
 func (s *Study) LatencyImprovements(k int) []mitigate.LatencyImprovement {
-	return mitigate.LatencyImprovements(s.res.Map, s.res.Atlas, s.Latency(), k,
-		mitigate.LatencyOptions{Workers: s.opts.Workers})
+	imps, _ := mitigate.LatencyImprovements(context.Background(), s.res.Map, s.res.Atlas, s.Latency(), k,
+		mitigate.LatencyOptions{Workers: s.opts.Workers}) // background ctx: cannot fail
+	return imps
 }
 
 // ExportGeoJSON writes the map and the road/rail/pipeline layers as

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # verify.sh — formatting, the tier-1 gate, the nested perfbench
-# module's tests, and the race detector, in the order a reviewer would
-# run them. Fails fast on the first broken step.
+# module's tests, the race detector and a repeated race pass over the
+# memo primitive, in the order a reviewer would run them. Fails fast on
+# the first broken step.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,6 +35,11 @@ go -C perfbench test ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# Every lazily built product shares internal/memo; stress its
+# concurrency tests beyond the single race pass above.
+echo "==> go test -race -count=20 ./internal/memo"
+go test -race -count=20 ./internal/memo
 
 # Fuzz smoke is part of the gate unless explicitly skipped
 # (SKIP_FUZZ=1 sh scripts/verify.sh) — e.g. on machines where the

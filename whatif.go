@@ -13,21 +13,10 @@ import (
 // cuts, regional disasters, provider removal, new builds — and get the
 // deltas against every §4/§5 analysis, cached by content hash.
 
-// Scenarios returns (once) the what-if query service: a content-hash
-// keyed LRU cache with singleflight deduplication over the scenario
-// engine. Results are shared and must be treated as immutable.
-func (s *Study) Scenarios() *scenario.Cache {
-	if s.scen == nil {
-		eng := scenario.New(s.res, s.mx, scenario.Options{
-			Seed:            s.opts.Seed,
-			Probes:          s.opts.Probes,
-			LatencyMaxPairs: s.opts.LatencyMaxPairs,
-			Workers:         s.opts.Workers,
-		})
-		s.scen = scenario.NewCache(eng, 0)
-	}
-	return s.scen
-}
+// Scenarios returns the what-if query service: a content-hash keyed
+// LRU cache with singleflight deduplication over the scenario engine.
+// Results are shared and must be treated as immutable.
+func (s *Study) Scenarios() *scenario.Cache { return s.scen }
 
 // WhatIf evaluates one scenario (through the cache) against the
 // baseline study.
