@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -80,8 +81,9 @@ func run(args []string, in io.Reader, errOut io.Writer) error {
 // compareBaseline checks every benchmark present in both the new
 // summary and the baseline file: a ns/op more than tolerance above
 // the baseline's is a regression, and one or more regressions fail
-// the run. Benchmarks present on only one side are ignored — the
-// gate compares named pairs, it does not require identical suites.
+// the run. A benchmark present on only one side — renamed, moved to
+// another package, added or deleted — is listed as not compared, and
+// a run that compares nothing fails.
 func compareBaseline(sum *Summary, path string, tolerance float64, errOut io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -97,20 +99,39 @@ func compareBaseline(sum *Summary, path string, tolerance float64, errOut io.Wri
 			old[r.Package+" "+r.Name] = ns
 		}
 	}
+	matched := make(map[string]bool)
 	regressions := 0
-	compared := 0
 	for _, r := range sum.Benchmarks {
 		ns := r.Metrics["ns/op"]
-		oldNs, ok := old[r.Package+" "+r.Name]
-		if !ok || ns <= 0 {
+		if ns <= 0 {
 			continue
 		}
-		compared++
+		key := r.Package + " " + r.Name
+		oldNs, ok := old[key]
+		if !ok {
+			fmt.Fprintf(errOut, "benchjson: not compared, not in %s: %s\n", path, key)
+			continue
+		}
+		matched[key] = true
 		if ns > oldNs*(1+tolerance) {
 			regressions++
 			fmt.Fprintf(errOut, "benchjson: REGRESSION %s %s: %.0f ns/op vs baseline %.0f (+%.0f%%, tolerance %.0f%%)\n",
 				r.Package, r.Name, ns, oldNs, (ns/oldNs-1)*100, tolerance*100)
 		}
+	}
+	var missing []string
+	for key := range old {
+		if !matched[key] {
+			missing = append(missing, key)
+		}
+	}
+	sort.Strings(missing)
+	for _, key := range missing {
+		fmt.Fprintf(errOut, "benchjson: not compared, only in %s: %s\n", path, key)
+	}
+	compared := len(matched)
+	if compared == 0 {
+		return fmt.Errorf("no benchmark of this run is in %s: nothing compared", path)
 	}
 	if regressions > 0 {
 		return fmt.Errorf("%d of %d compared benchmarks regressed >%.0f%% vs %s", regressions, compared, tolerance*100, path)

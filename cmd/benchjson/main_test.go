@@ -260,6 +260,22 @@ func TestCompareBaseline(t *testing.T) {
 	if !strings.Contains(errBuf.String(), "1 benchmarks within") {
 		t.Errorf("stderr = %q, want exactly one compared benchmark", errBuf.String())
 	}
+	// A benchmark on one side only is named, never silently skipped.
+	for _, name := range []string{"p BenchmarkOnlyInBaseline", "p BenchmarkNew"} {
+		if !strings.Contains(errBuf.String(), "not compared") || !strings.Contains(errBuf.String(), name) {
+			t.Errorf("stderr = %q, want %q listed as not compared", errBuf.String(), name)
+		}
+	}
+
+	// A run that shares no benchmark with the baseline compares
+	// nothing, and that fails.
+	moved := &Summary{Benchmarks: []Result{
+		{Package: "q", Name: "BenchmarkFast", Metrics: map[string]float64{"ns/op": 100}},
+	}}
+	errBuf.Reset()
+	if err := compareBaseline(moved, base, 0.25, &errBuf); err == nil {
+		t.Fatal("a run with nothing to compare passed")
+	}
 
 	regressed := &Summary{Benchmarks: []Result{
 		{Package: "p", Name: "BenchmarkFast", Metrics: map[string]float64{"ns/op": 130}},

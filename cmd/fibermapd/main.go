@@ -147,6 +147,9 @@ func setup(args []string, logger *slog.Logger) (*http.Server, *http.Server, func
 	if err := fs.Parse(args); err != nil {
 		return nil, nil, nil, err
 	}
+	if *probes < 1 {
+		return nil, nil, nil, fmt.Errorf("-probes must be >= 1 (got %d)", *probes)
+	}
 	if err := obs.ConfigureLogging(*verbose, *logLevel); err != nil {
 		return nil, nil, nil, err
 	}

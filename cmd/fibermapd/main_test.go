@@ -50,8 +50,10 @@ func TestSetup(t *testing.T) {
 
 func TestSetupBadFlags(t *testing.T) {
 	quietLogger(t)
-	if _, _, _, err := setup([]string{"-bogus"}, obs.Logger("test")); err == nil {
-		t.Error("expected flag error")
+	for _, args := range [][]string{{"-bogus"}, {"-probes", "-1"}, {"-probes", "0"}} {
+		if _, _, _, err := setup(args, obs.Logger("test")); err == nil {
+			t.Errorf("%v: expected flag error", args)
+		}
 	}
 }
 

@@ -1,11 +1,42 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestRunPins pins the sha256 of each command's stdout at the default
+// seed: any change to an artifact's bytes must be deliberate and
+// update its pin.
+func TestRunPins(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		sum  string
+	}{
+		{[]string{"-table1", "-step3", "-fig4"}, "b3f891adf4613e16e099b7e6bfec4a1cc4da6fdb91a1edb2c5ed636c58f98068"},
+		{[]string{"riskreport", "-probes", "3000"}, "68c4d37badba22bf13c073776a4456ea9145f4322e32340e8a26ee7cabeee62f"},
+		{[]string{"mitigate", "-k", "2"}, "411be67fd0d0029e415463defe92fe2df2ef6169614973358d56ec34d9263826"},
+		{[]string{"resilience", "-k", "2", "-disaster", "29.95,-90.07,350"}, "0ecfdef324023f16cf6179fb01c8d01628985fe6e0aca6b20666ac224b076997"},
+		{[]string{"tracegen", "-n", "3000", "-samples", "3", "-text"}, "c9c6169ff6877633ffa9a122d21708d79832744124a9fc21f59bae2554f967ad"},
+		{[]string{"whatif", "-preset", "top12-cut", "-json"}, "f4835653ad58367f97ab8116ce3eea5221db0b9e4cf855faa854f49295509aaf"},
+		{[]string{"whatif", "-grid", "400", "-grid-format", "geojson"}, "69f6952ffbb41c004bbdc05e996ac2de91aede3f4f8ed1b561f988608ebe9d46"},
+	} {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			var out strings.Builder
+			if err := run(c.args, &out); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(out.String()))
+			if got := hex.EncodeToString(sum[:]); got != c.sum {
+				t.Errorf("stdout sha256 = %s, want %s", got, c.sum)
+			}
+		})
+	}
+}
 
 func TestRunDefault(t *testing.T) {
 	var out strings.Builder
@@ -46,8 +77,27 @@ func TestRunExports(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: an unknown flag or an out-of-range count is a usage
+// error naming the flag, caught before any study is built.
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-no-such-flag"}, &strings.Builder{}); err == nil {
-		t.Error("expected flag error")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-no-such-flag"}, "-no-such-flag"},
+		{[]string{"riskreport", "-probes", "-1"}, "-probes must be"},
+		{[]string{"riskreport", "-probes", "0"}, "-probes must be"},
+		{[]string{"tracegen", "-n", "-5"}, "-n must be"},
+		{[]string{"tracegen", "-n", "0"}, "-n must be"},
+		{[]string{"tracegen", "-samples", "-1"}, "-samples must be"},
+		{[]string{"mitigate", "-k", "-1"}, "-k must be"},
+		{[]string{"mitigate", "-k", "0"}, "-k must be"},
+		{[]string{"resilience", "-k", "0"}, "-k must be"},
+		{[]string{"resilience", "-k", "-3"}, "-k must be"},
+	} {
+		err := run(c.args, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want a usage error containing %q", c.args, err, c.want)
+		}
 	}
 }

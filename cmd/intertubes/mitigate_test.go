@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-func TestRunFig10AndTable5(t *testing.T) {
+func TestMitigateFig10AndTable5(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-fig10", "-table5"}, &out); err != nil {
+	if err := run([]string{"mitigate", "-fig10", "-table5"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Figure 10") || !strings.Contains(out.String(), "Table 5") {
@@ -18,9 +18,9 @@ func TestRunFig10AndTable5(t *testing.T) {
 	}
 }
 
-func TestRunFig11SmallK(t *testing.T) {
+func TestMitigateFig11SmallK(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-fig11", "-k", "2"}, &out); err != nil {
+	if err := run([]string{"mitigate", "-fig11", "-k", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "k=2") {

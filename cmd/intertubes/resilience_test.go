@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-func TestRun(t *testing.T) {
+func TestResilience(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-k", "4"}, &out); err != nil {
+	if err := run([]string{"resilience", "-k", "4"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, marker := range []string{"criticality", "cutting 4 conduits", "Minimum conduit cuts"} {
@@ -17,9 +17,9 @@ func TestRun(t *testing.T) {
 	}
 }
 
-func TestRunTimings(t *testing.T) {
+func TestResilienceTimings(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-k", "2", "-timings"}, &out); err != nil {
+	if err := run([]string{"resilience", "-k", "2", "-timings"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, marker := range []string{"stage", "wall", "study.resilience"} {
@@ -29,9 +29,9 @@ func TestRunTimings(t *testing.T) {
 	}
 }
 
-func TestRunDisaster(t *testing.T) {
+func TestResilienceDisaster(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-k", "2", "-disaster", "29.95,-90.07,350"}, &out); err != nil {
+	if err := run([]string{"resilience", "-k", "2", "-disaster", "29.95,-90.07,350"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, marker := range []string{"regional-disaster", "conduits cut", "Per-provider disconnection"} {
@@ -41,14 +41,14 @@ func TestRunDisaster(t *testing.T) {
 	}
 }
 
-func TestRunBadDisaster(t *testing.T) {
-	if err := run([]string{"-disaster", "not-a-region"}, &strings.Builder{}); err == nil {
+func TestResilienceBadDisaster(t *testing.T) {
+	if err := run([]string{"resilience", "-disaster", "not-a-region"}, &strings.Builder{}); err == nil {
 		t.Error("expected error for malformed -disaster")
 	}
 }
 
-func TestRunBadLogLevel(t *testing.T) {
-	if err := run([]string{"-log-level", "shouting"}, &strings.Builder{}); err == nil {
+func TestResilienceBadLogLevel(t *testing.T) {
+	if err := run([]string{"resilience", "-log-level", "shouting"}, &strings.Builder{}); err == nil {
 		t.Error("expected error for unknown log level")
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-func TestRunAll(t *testing.T) {
+func TestRiskreportAll(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-probes", "3000"}, &out); err != nil {
+	if err := run([]string{"riskreport", "-probes", "3000"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, marker := range []string{"Figure 6", "Figure 7", "Figure 8", "Figure 9", "Table 2", "Table 3", "Table 4"} {
@@ -17,9 +17,9 @@ func TestRunAll(t *testing.T) {
 	}
 }
 
-func TestRunSelection(t *testing.T) {
+func TestRiskreportSelection(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-probes", "3000", "-fig6"}, &out); err != nil {
+	if err := run([]string{"riskreport", "-probes", "3000", "-fig6"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Figure 6") {

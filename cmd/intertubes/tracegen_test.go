@@ -7,9 +7,9 @@ import (
 	"intertubes/internal/traceroute"
 )
 
-func TestRunSummaryAndSamples(t *testing.T) {
+func TestTracegenSummaryAndSamples(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-n", "3000", "-samples", "2"}, &out); err != nil {
+	if err := run([]string{"tracegen", "-n", "3000", "-samples", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -21,9 +21,9 @@ func TestRunSummaryAndSamples(t *testing.T) {
 	}
 }
 
-func TestRunTextModeParsesBack(t *testing.T) {
+func TestTracegenTextModeParsesBack(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-n", "3000", "-samples", "3", "-text"}, &out); err != nil {
+	if err := run([]string{"tracegen", "-n", "3000", "-samples", "3", "-text"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	// The -text output must round-trip through the parser.

@@ -1,28 +1,3 @@
-// Command whatif evaluates declarative what-if scenarios against the
-// constructed long-haul map: conduit cuts (explicit, most-shared,
-// most-between, regional disasters), provider removal, and new conduit
-// builds, reported as deltas against the baseline study.
-//
-// Usage:
-//
-//	whatif -preset gulf-hurricane
-//	whatif -file scenario.json [-json]
-//	whatif -list-presets
-//	whatif -grid 400 -grid-radii 100,250 [-grid-format geojson] [-grid-out heat.json]
-//
-// A scenario file is the JSON form of scenario.Scenario, e.g.:
-//
-//	{"name": "gulf plus level3 exit",
-//	 "preset": "gulf-hurricane",
-//	 "removeISPs": ["Level 3"]}
-//
-// -grid switches to the exhaustive disaster-grid sweep: every cell of a
-// CellKm-spaced lattice over the mapped conduits, crossed with the
-// -grid-radii ladder, evaluated through an in-memory job store — the
-// same machinery fibermapd serves at POST /api/jobs/sweep, minus the
-// checkpoint directory. The artifact is the ASCII severity raster
-// (-grid-format grid, the default) or the GeoJSON FeatureCollection
-// (-grid-format geojson), written to -grid-out or stdout.
 package main
 
 import (
@@ -41,95 +16,88 @@ import (
 	"intertubes/internal/scenario"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "whatif:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("whatif", flag.ContinueOnError)
+// whatifCmd evaluates declarative what-if scenarios against the
+// constructed long-haul map: conduit cuts (explicit, most-shared,
+// most-between, regional disasters), provider removal, and new conduit
+// builds, reported as deltas against the baseline study. A scenario
+// file is the JSON form of scenario.Scenario, e.g.:
+//
+//	{"name": "gulf plus level3 exit",
+//	 "preset": "gulf-hurricane",
+//	 "removeISPs": ["Level 3"]}
+//
+// -grid switches to the exhaustive disaster-grid sweep: every cell of a
+// CellKm-spaced lattice over the mapped conduits, crossed with the
+// -grid-radii ladder, evaluated through an in-memory job store — the
+// same machinery fibermapd serves at POST /api/jobs/sweep, minus the
+// checkpoint directory. The artifact is the ASCII severity raster
+// (-grid-format grid, the default) or the GeoJSON FeatureCollection
+// (-grid-format geojson), written to -grid-out or stdout.
+func whatifCmd(fs *flag.FlagSet) func(intertubes.Options, io.Writer) error {
 	var (
-		seed        = fs.Int64("seed", 42, "study seed (deterministic)")
-		workers     = fs.Int("workers", 0, "worker pool for the analysis stages (0 = all CPUs; results identical)")
 		preset      = fs.String("preset", "", "evaluate a named preset scenario")
 		file        = fs.String("file", "", "evaluate a scenario spec from a JSON file (- for stdin)")
 		listPresets = fs.Bool("list-presets", false, "list the preset scenarios and exit")
 		asJSON      = fs.Bool("json", false, "emit the full Result as JSON instead of the text report")
-		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
-		verbose     = fs.Bool("v", false, "shorthand for -log-level debug")
-		timings     = fs.Bool("timings", false, "print the per-stage build report after the artifacts")
 		traceOut    = fs.String("trace", "", "write the evaluation's Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
 		gridCell    = fs.Float64("grid", 0, "run an exhaustive disaster-grid sweep with this lattice spacing in km (0 = off)")
 		gridRadii   = fs.String("grid-radii", "100,250", "comma-separated disaster-radius ladder in km for -grid")
 		gridFormat  = fs.String("grid-format", "grid", "grid artifact format: grid (ASCII raster) or geojson")
 		gridOut     = fs.String("grid-out", "", "write the grid artifact to this file instead of stdout")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := obs.ConfigureLogging(*verbose, *logLevel); err != nil {
-		return err
-	}
-
-	if *listPresets {
-		for _, sc := range scenario.Presets() {
-			fmt.Fprintf(out, "%-16s %s\n", sc.Name, describe(sc))
+	return func(opts intertubes.Options, out io.Writer) error {
+		if *listPresets {
+			for _, sc := range scenario.Presets() {
+				fmt.Fprintf(out, "%-16s %s\n", sc.Name, describe(sc))
+			}
+			return nil
 		}
-		return nil
-	}
 
-	if *gridCell != 0 {
-		if *preset != "" || *file != "" {
-			return fmt.Errorf("-grid is a whole-map sweep; it cannot be combined with -preset or -file")
+		if *gridCell != 0 {
+			if *preset != "" || *file != "" || *asJSON || *traceOut != "" {
+				return fmt.Errorf("-grid is a whole-map sweep; it cannot be combined with -preset, -file, -json or -trace")
+			}
+			radii, err := parseRadii(*gridRadii)
+			if err != nil {
+				return err
+			}
+			if *gridFormat != "grid" && *gridFormat != "geojson" {
+				return fmt.Errorf("-grid-format must be grid or geojson (got %q)", *gridFormat)
+			}
+			study := intertubes.NewStudy(opts)
+			spec := scenario.GridSpec{CellKm: *gridCell, RadiiKm: radii}
+			return runGrid(study, spec, opts.Workers, *gridFormat, *gridOut, out)
 		}
-		radii, err := parseRadii(*gridRadii)
+
+		sc, err := loadScenario(*preset, *file)
 		if err != nil {
 			return err
 		}
-		if *gridFormat != "grid" && *gridFormat != "geojson" {
-			return fmt.Errorf("-grid-format must be grid or geojson (got %q)", *gridFormat)
-		}
-		study := intertubes.NewStudy(intertubes.Options{Seed: *seed, Workers: *workers})
-		spec := scenario.GridSpec{CellKm: *gridCell, RadiiKm: radii}
-		return runGrid(study, spec, *workers, *gridFormat, *gridOut, out)
-	}
 
-	sc, err := loadScenario(*preset, *file)
-	if err != nil {
-		return err
-	}
-
-	study := intertubes.NewStudy(intertubes.Options{Seed: *seed, Workers: *workers})
-	ctx := context.Background()
-	var sp *obs.Span
-	if *traceOut != "" {
-		ctx, sp = obs.StartTrace(ctx, "whatif.evaluate")
-	}
-	res, err := study.WhatIf(ctx, sc)
-	if *traceOut != "" {
-		sp.End()
-		if werr := writeTrace(*traceOut, sp.TraceID()); werr != nil && err == nil {
-			err = werr
+		study := intertubes.NewStudy(opts)
+		ctx := context.Background()
+		var sp *obs.Span
+		if *traceOut != "" {
+			ctx, sp = obs.StartTrace(ctx, "whatif.evaluate")
 		}
-	}
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(res); err != nil {
+		res, err := study.WhatIf(ctx, sc)
+		if *traceOut != "" {
+			sp.End()
+			if werr := writeTrace(*traceOut, sp.TraceID()); werr != nil && err == nil {
+				err = werr
+			}
+		}
+		if err != nil {
 			return err
 		}
-	} else {
-		fmt.Fprintln(out, scenario.Render(res))
+		if !*asJSON {
+			fmt.Fprintln(out, scenario.Render(res))
+			return nil
+		}
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", " ")
+		return enc.Encode(res)
 	}
-	if *timings {
-		fmt.Fprint(out, study.BuildReport())
-	}
-	return nil
 }
 
 // parseRadii parses the -grid-radii comma list; validation beyond
@@ -180,15 +148,12 @@ func runGrid(study *intertubes.Study, spec scenario.GridSpec, workers int, forma
 	}
 
 	var raw []byte
-	switch format {
-	case "grid":
-		raw = []byte(h.RenderGrid())
-	case "geojson":
+	if format == "geojson" {
 		if raw, err = h.GeoJSON(); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("-grid-format must be grid or geojson (got %q)", format)
+	} else {
+		raw = []byte(h.RenderGrid())
 	}
 	if outPath != "" {
 		return os.WriteFile(outPath, raw, 0o644)

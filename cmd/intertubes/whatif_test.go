@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-func TestRunListPresets(t *testing.T) {
+func TestWhatifListPresets(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-list-presets"}, &out); err != nil {
+	if err := run([]string{"whatif", "-list-presets"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"top12-cut", "gulf-hurricane", "level3-exit"} {
@@ -20,9 +20,9 @@ func TestRunListPresets(t *testing.T) {
 	}
 }
 
-func TestRunPreset(t *testing.T) {
+func TestWhatifPreset(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-preset", "top12-cut"}, &out); err != nil {
+	if err := run([]string{"whatif", "-preset", "top12-cut"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, marker := range []string{"top12-cut", "conduits cut:    12", "Sharing distribution"} {
@@ -32,14 +32,14 @@ func TestRunPreset(t *testing.T) {
 	}
 }
 
-func TestRunFileJSON(t *testing.T) {
+func TestWhatifFileJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sc.json")
 	spec := `{"name": "two cuts", "cutConduits": [0, 1]}`
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run([]string{"-file", path, "-json"}, &out); err != nil {
+	if err := run([]string{"whatif", "-file", path, "-json"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var res struct {
@@ -54,14 +54,14 @@ func TestRunFileJSON(t *testing.T) {
 	}
 }
 
-// TestRunTraceRoundTrip pins the -trace flag: the written file must be
+// TestWhatifTraceRoundTrip pins the -trace flag: the written file must be
 // valid Chrome trace-event JSON (an object with a traceEvents array of
 // ph/ts events) containing the evaluation's stage spans, so it loads
 // in Perfetto or chrome://tracing as-is.
-func TestRunTraceRoundTrip(t *testing.T) {
+func TestWhatifTraceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out strings.Builder
-	if err := run([]string{"-preset", "top12-cut", "-trace", path}, &out); err != nil {
+	if err := run([]string{"whatif", "-preset", "top12-cut", "-trace", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -105,15 +105,15 @@ func TestRunTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunGridGeoJSON pins the -grid local mode end to end: a small
+// TestWhatifGridGeoJSON pins the -grid local mode end to end: a small
 // sweep runs through the in-memory job store and lands a complete
 // GeoJSON FeatureCollection in -grid-out. The duplicate radius
 // exercises spec canonicalization on the CLI path.
-func TestRunGridGeoJSON(t *testing.T) {
+func TestWhatifGridGeoJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "heat.json")
 	var out strings.Builder
 	err := run([]string{
-		"-grid", "500", "-grid-radii", "80, 80",
+		"whatif", "-grid", "500", "-grid-radii", "80, 80",
 		"-grid-format", "geojson", "-grid-out", path,
 	}, &out)
 	if err != nil {
@@ -142,29 +142,44 @@ func TestRunGridGeoJSON(t *testing.T) {
 	}
 }
 
-// TestRunGridFlagErrors covers the fail-fast rejections — none of
+// TestWhatifGridFlagErrors covers the fail-fast rejections — none of
 // these should get as far as building a study.
-func TestRunGridFlagErrors(t *testing.T) {
+func TestWhatifGridFlagErrors(t *testing.T) {
 	for name, args := range map[string][]string{
 		"with-preset": {"-grid", "500", "-preset", "top12-cut"},
+		"with-json":   {"-grid", "500", "-json"},
+		"with-trace":  {"-grid", "500", "-trace", filepath.Join(t.TempDir(), "trace.json")},
 		"bad-radii":   {"-grid", "500", "-grid-radii", "80,oops"},
 		"no-radii":    {"-grid", "500", "-grid-radii", " , "},
 		"bad-format":  {"-grid", "500", "-grid-format", "png"},
 	} {
-		if err := run(args, &strings.Builder{}); err == nil {
+		if err := run(append([]string{"whatif"}, args...), &strings.Builder{}); err == nil {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
 }
 
-func TestRunNoScenario(t *testing.T) {
-	if err := run(nil, &strings.Builder{}); err == nil {
+// TestWhatifGridTimings: -timings prints the build report after a
+// grid sweep as it does after every other command.
+func TestWhatifGridTimings(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "heat.txt")
+	var out strings.Builder
+	if err := run([]string{"whatif", "-grid", "500", "-grid-radii", "80", "-grid-out", path, "-timings"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "build report") {
+		t.Errorf("-timings printed no build report:\n%s", out.String())
+	}
+}
+
+func TestWhatifNoScenario(t *testing.T) {
+	if err := run([]string{"whatif"}, &strings.Builder{}); err == nil {
 		t.Error("expected an error when nothing is selected")
 	}
 }
 
-func TestRunUnknownPreset(t *testing.T) {
-	if err := run([]string{"-preset", "nope"}, &strings.Builder{}); err == nil {
+func TestWhatifUnknownPreset(t *testing.T) {
+	if err := run([]string{"whatif", "-preset", "nope"}, &strings.Builder{}); err == nil {
 		t.Error("expected an error for an unknown preset")
 	}
 }

@@ -1,6 +1,10 @@
 package geo
 
-import "intertubes/internal/par"
+import (
+	"context"
+
+	"intertubes/internal/par"
+)
 
 // overlap.go implements the co-location (buffered overlap) analysis
 // the paper performed with ArcGIS: for each fiber conduit polyline,
@@ -84,9 +88,10 @@ type Colocation struct {
 // analysis reads only the immutable layer indexes, so the output is
 // identical to calling Analyze in a loop for any worker count.
 func (a *OverlapAnalyzer) AnalyzeAll(pls []Polyline, workers int) []Colocation {
-	return par.Map(len(pls), workers, func(i int) Colocation {
+	out, _ := par.Map(context.Background(), len(pls), workers, func(i int) Colocation {
 		return a.Analyze(pls[i])
-	})
+	}) // background ctx: cannot fail
+	return out
 }
 
 // Analyze samples the polyline and measures per-layer co-location.

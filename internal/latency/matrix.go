@@ -47,7 +47,7 @@ func (m *Matrix) Row(i int) []float64 { return m.Dist[i*m.Cols : (i+1)*m.Cols] }
 func BuildMatrix(ctx context.Context, g *graph.Graph, wf graph.WeightFunc, sources []int32, workers int, reuse func(i int, dst []float64) bool) (*Matrix, error) {
 	n := g.NumVertices()
 	mx := &Matrix{Sources: sources, Cols: n, Dist: make([]float64, len(sources)*n)}
-	err := par.RunCtxWith(ctx, len(sources), workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) {
+	err := par.RunWith(ctx, len(sources), workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) {
 		row := mx.Row(i)
 		if reuse != nil && reuse(i, row) {
 			return

@@ -35,7 +35,7 @@ func pairsPerPair(ctx context.Context, m *fiber.Map, opts Options) ([]PairLatenc
 		pl PairLatency
 		ok bool
 	}
-	computed, err := par.MapCtxWith(ctx, len(pairs), opts.Workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) pairResult {
+	computed, err := par.MapWith(ctx, len(pairs), opts.Workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) pairResult {
 		p := pairs[i]
 		d, ok := g.ShortestDistance(ws, int(p.a), int(p.b), wf)
 		if !ok {

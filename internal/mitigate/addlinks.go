@@ -281,7 +281,7 @@ func AddConduits(ctx context.Context, m *fiber.Map, mx *risk.Matrix, opts AddOpt
 				fieldOrder = append(fieldOrder, tgt)
 			}
 		}
-		err := par.RunCtxWith(ctx, len(fieldOrder), opts.Workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) {
+		err := par.RunWith(ctx, len(fieldOrder), opts.Workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) {
 			tgt := fieldOrder[i]
 			f := fields[tgt]
 			c := m.Conduit(tgt)
@@ -320,7 +320,7 @@ func AddConduits(ctx context.Context, m *fiber.Map, mx *risk.Matrix, opts AddOpt
 		// independent, and the per-candidate float accumulation always
 		// walks fieldOrder — never map order — so the scan is both
 		// parallelizable and run-to-run deterministic.
-		scores, err := par.MapCtx(ctx, len(cands), opts.Workers, func(ci int) float64 {
+		scores, err := par.Map(ctx, len(cands), opts.Workers, func(ci int) float64 {
 			cand := cands[ci]
 			var gain float64
 			for _, tgt := range fieldOrder {

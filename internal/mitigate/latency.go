@@ -198,7 +198,7 @@ func LatencyStudy(ctx context.Context, m *fiber.Map, a *atlas.Atlas, opts Latenc
 		pl PairLatency
 		ok bool
 	}
-	computed, err := par.MapCtxWith(ctx, len(pairs), opts.Workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) pairResult {
+	computed, err := par.MapWith(ctx, len(pairs), opts.Workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) pairResult {
 		p := pairs[i]
 		na, nb := m.Node(p.a), m.Node(p.b)
 		pl := PairLatency{A: p.a, B: p.b}

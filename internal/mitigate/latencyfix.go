@@ -71,7 +71,7 @@ func LatencyImprovements(ctx context.Context, m *fiber.Map, a *atlas.Atlas, stud
 		groups = append(groups, group{lo: lo, hi: hi})
 		lo = hi
 	}
-	computed, err := par.MapCtxWith(ctx, len(groups), opts.Workers, graph.NewWorkspace, func(gi int, ws *graph.Workspace) []*LatencyImprovement {
+	computed, err := par.MapWith(ctx, len(groups), opts.Workers, graph.NewWorkspace, func(gi int, ws *graph.Workspace) []*LatencyImprovement {
 		gr := groups[gi]
 		imps := make([]*LatencyImprovement, gr.hi-gr.lo)
 		na := m.Node(study[gr.lo].A)

@@ -10,14 +10,14 @@ import (
 	"time"
 )
 
-// ctx_test.go pins the cancellation contract of the ctx-aware pool
-// entry points: prompt ctx.Err() on cancel, no goroutine leaks, and —
-// the load-bearing half — completed runs bit-identical to their
-// non-ctx counterparts at every worker count.
+// ctx_test.go pins the cancellation contract of the pool entry points:
+// prompt ctx.Err() on cancel, no goroutine leaks, and — the
+// load-bearing half — completed runs bit-identical to a serial loop at
+// every worker count.
 
 func TestRunCtxNilContextCompletes(t *testing.T) {
 	var visits atomic.Int64
-	if err := RunCtx(nil, 1000, 4, func(int) { visits.Add(1) }); err != nil {
+	if err := RunWith(nil, 1000, 4, noState, func(int, struct{}) { visits.Add(1) }); err != nil {
 		t.Fatalf("err = %v", err)
 	}
 	if visits.Load() != 1000 {
@@ -25,16 +25,23 @@ func TestRunCtxNilContextCompletes(t *testing.T) {
 	}
 }
 
+// TestRunCtxPreCanceled: every map entry point returns the context's
+// error without running an index when ctx is already canceled.
 func TestRunCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var visits atomic.Int64
-	err := RunCtx(ctx, 10000, 4, func(int) { visits.Add(1) })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	count := func() int { visits.Add(1); return 0 }
+	_, errMap := Map(ctx, 10000, 4, func(int) int { return count() })
+	_, errWith := MapWith(ctx, 10000, 4, noState, func(int, struct{}) int { return count() })
+	_, errSeeded := MapSeeded(ctx, 0, 10000, 4, 7, noState, func(int, *rand.Rand, struct{}) int { return count() })
+	for name, err := range map[string]error{"Map": errMap, "MapWith": errWith, "MapSeeded": errSeeded} {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
 	}
 	if visits.Load() != 0 {
-		t.Errorf("pre-canceled run visited %d indices, want 0", visits.Load())
+		t.Errorf("pre-canceled runs visited %d indices, want 0", visits.Load())
 	}
 }
 
@@ -46,7 +53,7 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var visits atomic.Int64
 		const n = 1 << 20
-		err := RunCtx(ctx, n, workers, func(int) {
+		err := RunWith(ctx, n, workers, noState, func(int, struct{}) {
 			if visits.Add(1) == 10 {
 				cancel()
 			}
@@ -71,7 +78,7 @@ func TestRunCtxNoGoroutineLeak(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var visits atomic.Int64
-		_ = RunCtx(ctx, 1<<18, 8, func(int) {
+		_ = RunWith(ctx, 1<<18, 8, noState, func(int, struct{}) {
 			if visits.Add(1) == 5 {
 				cancel()
 			}
@@ -93,14 +100,14 @@ func TestRunCtxNoGoroutineLeak(t *testing.T) {
 }
 
 // TestMapCtxMatchesMapEveryWorkerCount is the determinism half of the
-// contract: a completed MapCtx run is byte-identical to Map at every
-// worker count.
+// contract: a completed Map run is identical to a plain serial loop
+// at every worker count.
 func TestMapCtxMatchesMapEveryWorkerCount(t *testing.T) {
 	const n = 5000
 	fn := func(i int) int { return i*i - 7*i }
-	want := Map(n, 1, fn)
+	want := serialMap(n, fn)
 	for _, workers := range []int{1, 2, 3, 5, 8, 16} {
-		got, err := MapCtx(context.Background(), n, workers, fn)
+		got, err := Map(context.Background(), n, workers, fn)
 		if err != nil {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
@@ -112,14 +119,22 @@ func TestMapCtxMatchesMapEveryWorkerCount(t *testing.T) {
 	}
 }
 
-// TestMapSeededCtxMatchesMapSeeded pins the seeded variant: chunk rand
-// streams must be untouched by the ctx plumbing.
+// TestMapSeededCtxMatchesMapSeeded pins the seeded variant against its
+// serial definition: chunk c of the absolute grid draws from
+// rand.NewSource(chunkSeed(seed, c)), its indices in order, at every
+// worker count.
 func TestMapSeededCtxMatchesMapSeeded(t *testing.T) {
 	const n, seed = 3000, 99
-	fn := func(i int, rng *rand.Rand) float64 { return float64(i) + rng.Float64() }
-	want := MapSeeded(n, 1, seed, fn)
+	fn := func(i int, rng *rand.Rand, _ struct{}) float64 { return float64(i) + rng.Float64() }
+	want := make([]float64, n)
+	for lo := 0; lo < n; lo += ChunkSize {
+		rng := rand.New(rand.NewSource(chunkSeed(seed, lo/ChunkSize)))
+		for i := lo; i < n && i < lo+ChunkSize; i++ {
+			want[i] = fn(i, rng, struct{}{})
+		}
+	}
 	for _, workers := range []int{1, 3, 7, 12} {
-		got, err := MapSeededCtx(context.Background(), n, workers, seed, fn)
+		got, err := MapSeeded(context.Background(), 0, n, workers, seed, noState, fn)
 		if err != nil {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
@@ -137,7 +152,7 @@ func TestMapCtxCanceledKeepsLength(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var visits atomic.Int64
 	const n = 1 << 19
-	out, err := MapCtx(ctx, n, 4, func(i int) int {
+	out, err := Map(ctx, n, 4, func(i int) int {
 		if visits.Add(1) == 3 {
 			cancel()
 		}
@@ -163,7 +178,7 @@ func TestRunCtxCanceledCounter(t *testing.T) {
 	before := poolCanceled.Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_ = RunCtx(ctx, 100, 2, func(int) {})
+	_ = RunWith(ctx, 100, 2, noState, func(int, struct{}) {})
 	if got := poolCanceled.Value(); got != before+1 {
 		t.Errorf("par_runs_canceled_total = %d, want %d", got, before+1)
 	}
@@ -174,7 +189,7 @@ func TestRunCtxCanceledCounter(t *testing.T) {
 func TestMapSeededRangeCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err := MapSeededRangeCtx(ctx, 0, 1<<19, 4, 7, func(i int, _ *rand.Rand) int {
+	_, err := MapSeeded(ctx, 0, 1<<19, 4, 7, noState, func(i int, _ *rand.Rand, _ struct{}) int {
 		time.Sleep(10 * time.Microsecond)
 		return i
 	})

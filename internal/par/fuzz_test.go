@@ -1,9 +1,23 @@
 package par
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
+
+// chunks returns the half-open index ranges [lo, hi) into which
+// [0, n) is split on the fixed grid, in order.
+func chunks(n int) [][2]int {
+	if n <= 0 {
+		return nil
+	}
+	out := make([][2]int, 0, (n+ChunkSize-1)/ChunkSize)
+	for lo := 0; lo < n; lo += ChunkSize {
+		out = append(out, [2]int{lo, min(lo+ChunkSize, n)})
+	}
+	return out
+}
 
 // FuzzChunks asserts the chunk-boundary arithmetic: every index range
 // is covered exactly once, in order, by chunks that never exceed
@@ -21,9 +35,9 @@ func FuzzChunks(f *testing.F) {
 			n = -n
 		}
 		n %= 1 << 14
-		chunks := Chunks(n)
+		grid := chunks(n)
 		next := 0
-		for _, c := range chunks {
+		for _, c := range grid {
 			lo, hi := c[0], c[1]
 			if lo != next {
 				t.Fatalf("chunk starts at %d, want %d (gap or overlap)", lo, next)
@@ -39,17 +53,17 @@ func FuzzChunks(f *testing.F) {
 			}
 			next = hi
 		}
-		if next != n && !(n == 0 && len(chunks) == 0) {
+		if next != n && !(n == 0 && len(grid) == 0) {
 			t.Fatalf("chunks cover [0,%d), want [0,%d)", next, n)
 		}
 
 		w := workers%16 - 2 // include <=0 (NumCPU)
-		got := MapSeeded(n, w, int64(n)*7919, func(i int, rng *rand.Rand) int64 {
-			return int64(i) ^ rng.Int63()
-		})
-		want := MapSeeded(n, 1, int64(n)*7919, func(i int, rng *rand.Rand) int64 {
-			return int64(i) ^ rng.Int63()
-		})
+		fn := func(i int, rng *rand.Rand, _ struct{}) int64 { return int64(i) ^ rng.Int63() }
+		got, err := MapSeeded(context.Background(), 0, n, w, int64(n)*7919, noState, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := MapSeeded(context.Background(), 0, n, 1, int64(n)*7919, noState, fn)
 		if len(got) != len(want) {
 			t.Fatalf("len %d vs %d", len(got), len(want))
 		}

@@ -12,7 +12,7 @@
 //     nothing but the index range, so the set of chunks is identical
 //     no matter how many workers claim them.
 //  2. Each chunk's rand stream is derived from (seed, absolute chunk
-//     index) alone — see ChunkSeed — and indices within a chunk run in
+//     index) alone — see chunkSeed — and indices within a chunk run in
 //     order, so hop-level randomness never depends on scheduling.
 //  3. Results land at out[i]; reduction happens in index order in the
 //     caller, never in completion order.
@@ -68,53 +68,19 @@ func Workers(n int) int {
 	return runtime.NumCPU()
 }
 
-// Chunks returns the half-open index ranges [lo, hi) into which
-// [0, n) is split, in order. Exported so tests and fuzzers can check
-// the boundary arithmetic directly.
-func Chunks(n int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	out := make([][2]int, 0, (n+ChunkSize-1)/ChunkSize)
-	for lo := 0; lo < n; lo += ChunkSize {
-		hi := lo + ChunkSize
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
-// ChunkSeed derives the rand stream for one chunk from the campaign
+// chunkSeed derives the rand stream for one chunk from the campaign
 // seed and the absolute chunk index, with a splitmix64 finalizer so
 // that neighboring chunks get well-separated streams even for small
 // seeds.
-func ChunkSeed(seed int64, chunk int) int64 {
+func chunkSeed(seed int64, chunk int) int64 {
 	z := uint64(seed) + uint64(chunk+1)*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return int64(z ^ (z >> 31))
 }
 
-// forChunks runs fn over every chunk without a cancellation context;
-// it can never fail.
-func forChunks(lo, hi, workers int, fn func(chunk, clo, chi int)) {
-	_ = forChunksWorkerCtx(nil, lo, hi, workers, func(_, chunk, clo, chi int) {
-		fn(chunk, clo, chi)
-	})
-}
-
-// forChunksCtx is forChunksWorkerCtx for callers that do not need the
-// worker id.
-func forChunksCtx(ctx context.Context, lo, hi, workers int, fn func(chunk, clo, chi int)) error {
-	return forChunksWorkerCtx(ctx, lo, hi, workers, func(_, chunk, clo, chi int) {
-		fn(chunk, clo, chi)
-	})
-}
-
-// forChunksWorkerCtx runs fn over every chunk of the absolute index
-// range [lo, hi), claiming chunks from a shared atomic counter. The
+// forChunks runs fn over every chunk of the absolute index range
+// [lo, hi), claiming chunks from a shared atomic counter. The
 // grid is absolute: a chunk's index is its position in [0, ...), so a
 // caller processing a window [lo, hi) of a larger range sees the same
 // chunk seeds the whole-range call would. fn receives the claiming
@@ -130,15 +96,9 @@ func forChunksCtx(ctx context.Context, lo, hi, workers int, fn func(chunk, clo, 
 // executed — never reorder them or move the grid — a run that returns
 // nil is bit-identical to the serial order. A nil ctx means the run
 // cannot be canceled.
-func forChunksWorkerCtx(ctx context.Context, lo, hi, workers int, fn func(worker, chunk, clo, chi int)) error {
-	ctxErr := func() error {
-		if ctx == nil {
-			return nil
-		}
-		return ctx.Err()
-	}
+func forChunks(ctx context.Context, lo, hi, workers int, fn func(worker, chunk, clo, chi int)) error {
 	if hi <= lo {
-		return ctxErr()
+		return ctxErr(ctx)
 	}
 	firstChunk := lo / ChunkSize
 	lastChunk := (hi - 1) / ChunkSize
@@ -182,7 +142,7 @@ func forChunksWorkerCtx(ctx context.Context, lo, hi, workers int, fn func(worker
 	}
 	if workers <= 1 {
 		for c := firstChunk; c <= lastChunk; c++ {
-			if err := ctxErr(); err != nil {
+			if err := ctxErr(ctx); err != nil {
 				poolCanceled.Inc()
 				finish()
 				return err
@@ -224,7 +184,7 @@ func forChunksWorkerCtx(ctx context.Context, lo, hi, workers int, fn func(worker
 				if canceled.Load() {
 					return
 				}
-				if err := ctxErr(); err != nil {
+				if err := ctxErr(ctx); err != nil {
 					canceled.Store(true)
 					return
 				}
@@ -243,110 +203,18 @@ func forChunksWorkerCtx(ctx context.Context, lo, hi, workers int, fn func(worker
 	}
 	if canceled.Load() {
 		poolCanceled.Inc()
-		return ctxErr()
+		return ctxErr(ctx)
 	}
 	return nil
 }
 
-// For calls fn(i) for every i in [0, n) from up to `workers`
-// goroutines (<= 0 means NumCPU) and returns once all calls finish.
-// fn must not depend on cross-index ordering.
-func For(n, workers int, fn func(i int)) {
-	forChunks(0, n, workers, func(_, clo, chi int) {
-		for i := clo; i < chi; i++ {
-			fn(i)
-		}
-	})
-}
-
-// RunCtx is For with cooperative cancellation: fn is called for every
-// i in [0, n) unless ctx is canceled first. Cancellation is observed
-// only at chunk-grant boundaries, so a run that returns nil executed
-// every index exactly once in the same chunk order as For — the
-// worker-invariance contract is untouched. A canceled run returns
-// ctx.Err() after its in-flight chunks drain; no goroutines outlive
-// the call.
-func RunCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	return forChunksCtx(ctx, 0, n, workers, func(_, clo, chi int) {
-		for i := clo; i < chi; i++ {
-			fn(i)
-		}
-	})
-}
-
-// Map computes out[i] = fn(i) for i in [0, n) in parallel. The result
-// is identical to a plain serial loop for any worker count, provided
-// fn is pure per index.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	if n <= 0 {
+// ctxErr is ctx.Err() for a context that may be nil; a nil ctx means
+// the run cannot be canceled.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
 		return nil
 	}
-	out := make([]T, n)
-	For(n, workers, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapCtx is Map with cooperative cancellation. On a nil error the
-// result is bit-identical to Map; on cancellation it returns the
-// partially filled slice (slots whose chunks never ran keep their
-// zero value) together with ctx.Err().
-func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
-	if n <= 0 {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, nil
-	}
-	out := make([]T, n)
-	err := RunCtx(ctx, n, workers, func(i int) { out[i] = fn(i) })
-	return out, err
-}
-
-// MapSeeded is Map with a per-chunk *rand.Rand derived from seed:
-// chunk c gets rand.New(rand.NewSource(ChunkSeed(seed, c))), and the
-// indices of a chunk run in order sharing that stream. Because the
-// chunk grid is fixed, the output is bit-identical for any worker
-// count — the property the serial-equivalence suite pins.
-func MapSeeded[T any](n, workers int, seed int64, fn func(i int, rng *rand.Rand) T) []T {
-	return MapSeededRange(0, n, workers, seed, fn)
-}
-
-// MapSeededRange is MapSeeded over the absolute index window
-// [lo, hi): out[i-lo] = fn(i, rng). Chunk indices (and so the rand
-// streams) are positions on the absolute grid, which lets a caller
-// stream a long range through a bounded buffer window by window and
-// still produce exactly what one whole-range call would.
-func MapSeededRange[T any](lo, hi, workers int, seed int64, fn func(i int, rng *rand.Rand) T) []T {
-	out, _ := MapSeededRangeCtx[T](nil, lo, hi, workers, seed, fn)
-	return out
-}
-
-// MapSeededCtx is MapSeeded with cooperative cancellation (see
-// MapSeededRangeCtx).
-func MapSeededCtx[T any](ctx context.Context, n, workers int, seed int64, fn func(i int, rng *rand.Rand) T) ([]T, error) {
-	return MapSeededRangeCtx(ctx, 0, n, workers, seed, fn)
-}
-
-// MapSeededRangeCtx is MapSeededRange with cooperative cancellation.
-// The chunk grid and per-chunk rand streams are exactly those of the
-// uncancelled call, so a nil error guarantees a bit-identical result;
-// cancellation only truncates which chunks ran (partial slots keep
-// their zero value) and returns ctx.Err(). A nil ctx cannot cancel.
-func MapSeededRangeCtx[T any](ctx context.Context, lo, hi, workers int, seed int64, fn func(i int, rng *rand.Rand) T) ([]T, error) {
-	if hi <= lo {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, nil
-	}
-	out := make([]T, hi-lo)
-	err := forChunksCtx(ctx, lo, hi, workers, func(chunk, clo, chi int) {
-		rng := rand.New(rand.NewSource(ChunkSeed(seed, chunk)))
-		for i := clo; i < chi; i++ {
-			out[i-lo] = fn(i, rng)
-		}
-	})
-	return out, err
+	return ctx.Err()
 }
 
 // workerStates lazily constructs one S per worker id. Each worker
@@ -378,15 +246,37 @@ func (ws *workerStates[S]) get(worker int) S {
 	return ws.states[worker]
 }
 
-// RunCtxWith is RunCtx with per-worker state: newState is called at
-// most once per worker (lazily, on its first chunk), and fn receives
-// the claiming worker's state alongside the index. The state must be
-// pure scratch — reusable buffers, workspaces — that can change how
-// fast fn runs but never what it returns; the worker-invariance
-// contract of the pool is otherwise broken.
-func RunCtxWith[S any](ctx context.Context, n, workers int, newState func() S, fn func(i int, state S)) error {
+// Map computes out[i] = fn(i) for i in [0, n) from up to `workers`
+// goroutines (<= 0 means NumCPU). On a nil error the result is
+// identical to a plain serial loop for any worker count, provided fn
+// is pure per index. Cancellation is observed only at chunk-grant
+// boundaries: a canceled run returns the partially filled slice
+// (slots whose chunks never ran keep their zero value) together with
+// ctx.Err(), after its in-flight chunks drain; no goroutines outlive
+// the call.
+func Map[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
+	if n <= 0 {
+		return nil, ctxErr(ctx)
+	}
+	out := make([]T, n)
+	err := forChunks(ctx, 0, n, workers, func(_, _, clo, chi int) {
+		for i := clo; i < chi; i++ {
+			out[i] = fn(i)
+		}
+	})
+	return out, err
+}
+
+// RunWith calls fn(i, state) for every i in [0, n) unless ctx is
+// canceled first, with per-worker state: newState is called at most
+// once per worker (lazily, on its first chunk), and fn receives the
+// claiming worker's state alongside the index. The state must be pure
+// scratch — reusable buffers, workspaces — that can change how fast fn
+// runs but never what it returns; the worker-invariance contract of
+// the pool is otherwise broken.
+func RunWith[S any](ctx context.Context, n, workers int, newState func() S, fn func(i int, state S)) error {
 	states := newWorkerStates(workers, newState)
-	return forChunksWorkerCtx(ctx, 0, n, workers, func(worker, _, clo, chi int) {
+	return forChunks(ctx, 0, n, workers, func(worker, _, clo, chi int) {
 		s := states.get(worker)
 		for i := clo; i < chi; i++ {
 			fn(i, s)
@@ -394,35 +284,34 @@ func RunCtxWith[S any](ctx context.Context, n, workers int, newState func() S, f
 	})
 }
 
-// MapCtxWith is MapCtx with per-worker state (see RunCtxWith).
-func MapCtxWith[S, T any](ctx context.Context, n, workers int, newState func() S, fn func(i int, state S) T) ([]T, error) {
+// MapWith is Map with per-worker state (see RunWith).
+func MapWith[S, T any](ctx context.Context, n, workers int, newState func() S, fn func(i int, state S) T) ([]T, error) {
 	if n <= 0 {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, nil
+		return nil, ctxErr(ctx)
 	}
 	out := make([]T, n)
-	err := RunCtxWith(ctx, n, workers, newState, func(i int, s S) { out[i] = fn(i, s) })
+	err := RunWith(ctx, n, workers, newState, func(i int, s S) { out[i] = fn(i, s) })
 	return out, err
 }
 
-// MapSeededRangeCtxWith is MapSeededRangeCtx with per-worker state
-// (see RunCtxWith): the chunk grid and per-chunk rand streams are
-// exactly those of the stateless call, so a nil error still guarantees
-// a bit-identical result at any worker count.
-func MapSeededRangeCtxWith[S, T any](ctx context.Context, lo, hi, workers int, seed int64, newState func() S, fn func(i int, rng *rand.Rand, state S) T) ([]T, error) {
+// MapSeeded is MapWith over the absolute index window [lo, hi) with a
+// per-chunk *rand.Rand: out[i-lo] = fn(i, rng, state), where chunk c
+// gets rand.New(rand.NewSource(chunkSeed(seed, c))) and the indices of
+// a chunk run in order sharing that stream. Chunk indices are
+// positions on the absolute grid, so the output is bit-identical for
+// any worker count, and a caller can stream a long range through a
+// bounded buffer window by window and still produce exactly what one
+// whole-range call would. Cancellation only truncates which chunks
+// ran, as in Map.
+func MapSeeded[S, T any](ctx context.Context, lo, hi, workers int, seed int64, newState func() S, fn func(i int, rng *rand.Rand, state S) T) ([]T, error) {
 	if hi <= lo {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, nil
+		return nil, ctxErr(ctx)
 	}
 	states := newWorkerStates(workers, newState)
 	out := make([]T, hi-lo)
-	err := forChunksWorkerCtx(ctx, lo, hi, workers, func(worker, chunk, clo, chi int) {
+	err := forChunks(ctx, lo, hi, workers, func(worker, chunk, clo, chi int) {
 		s := states.get(worker)
-		rng := rand.New(rand.NewSource(ChunkSeed(seed, chunk)))
+		rng := rand.New(rand.NewSource(chunkSeed(seed, chunk)))
 		for i := clo; i < chi; i++ {
 			out[i-lo] = fn(i, rng, s)
 		}

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -8,6 +9,9 @@ import (
 	"testing"
 	"testing/quick"
 )
+
+// noState is the per-worker state of calls that need none.
+func noState() struct{} { return struct{}{} }
 
 // serialMap is the reference implementation every parallel variant
 // must match: a plain loop.
@@ -41,9 +45,9 @@ func TestMapMatchesSerialQuick(t *testing.T) {
 		length := int(n % 3000)
 		w := int(workers%12) - 2 // exercise <=0 (NumCPU) too
 		fn := func(i int) int64 { return salt + int64(i)*31 }
-		got := Map(length, w, fn)
+		got, err := Map(context.Background(), length, w, fn)
 		want := serialMap(length, fn)
-		if len(got) != len(want) {
+		if err != nil || len(got) != len(want) {
 			return false
 		}
 		for i := range want {
@@ -63,7 +67,7 @@ func TestMapMatchesSerialQuick(t *testing.T) {
 // worker count, even though each item consumes a data-dependent
 // number of rand calls.
 func TestMapSeededWorkerInvarianceQuick(t *testing.T) {
-	fn := func(i int, rng *rand.Rand) float64 {
+	fn := func(i int, rng *rand.Rand, _ struct{}) float64 {
 		v := rng.Float64()
 		// Data-dependent consumption: some items draw again.
 		if i%3 == 0 {
@@ -74,9 +78,9 @@ func TestMapSeededWorkerInvarianceQuick(t *testing.T) {
 	prop := func(n uint16, workers uint8, seed int64) bool {
 		length := int(n % 2048)
 		w := 1 + int(workers%9)
-		got := MapSeeded(length, w, seed, fn)
-		want := MapSeeded(length, 1, seed, fn)
-		if len(got) != len(want) {
+		got, err := MapSeeded(context.Background(), 0, length, w, seed, noState, fn)
+		want, _ := MapSeeded(context.Background(), 0, length, 1, seed, noState, fn)
+		if err != nil || len(got) != len(want) {
 			return false
 		}
 		for i := range want {
@@ -105,7 +109,10 @@ func TestMapEdgeCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("n=%d_w=%d", c.n, c.workers), func(t *testing.T) {
-			got := Map(c.n, c.workers, double)
+			got, err := Map(context.Background(), c.n, c.workers, double)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := serialMap(c.n, double)
 			if len(got) != len(want) {
 				t.Fatalf("len = %d, want %d", len(got), len(want))
@@ -123,7 +130,9 @@ func TestForVisitsEachIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		n := 10*ChunkSize + 17
 		visits := make([]atomic.Int32, n)
-		For(n, workers, func(i int) { visits[i].Add(1) })
+		if err := RunWith(context.Background(), n, workers, noState, func(i int, _ struct{}) { visits[i].Add(1) }); err != nil {
+			t.Fatal(err)
+		}
 		for i := range visits {
 			if v := visits[i].Load(); v != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, v)
@@ -136,8 +145,9 @@ func TestMapSeededRangeWindowing(t *testing.T) {
 	// Streaming a range through windows must reproduce the one-shot
 	// call exactly, as long as windows lie on the chunk grid.
 	const n = 7*ChunkSize + 13
-	fn := func(i int, rng *rand.Rand) float64 { return float64(i) + rng.Float64() }
-	whole := MapSeeded(n, 4, 99, fn)
+	ctx := context.Background()
+	fn := func(i int, rng *rand.Rand, _ struct{}) float64 { return float64(i) + rng.Float64() }
+	whole, _ := MapSeeded(ctx, 0, n, 4, 99, noState, fn)
 	var streamed []float64
 	window := 2 * ChunkSize
 	for lo := 0; lo < n; lo += window {
@@ -145,7 +155,11 @@ func TestMapSeededRangeWindowing(t *testing.T) {
 		if hi > n {
 			hi = n
 		}
-		streamed = append(streamed, MapSeededRange(lo, hi, 3, 99, fn)...)
+		part, err := MapSeeded(ctx, lo, hi, 3, 99, noState, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, part...)
 	}
 	if len(streamed) != len(whole) {
 		t.Fatalf("len = %d, want %d", len(streamed), len(whole))
@@ -161,24 +175,31 @@ func TestChunkSeedSpread(t *testing.T) {
 	seen := make(map[int64]int)
 	for seed := int64(0); seed < 4; seed++ {
 		for c := 0; c < 256; c++ {
-			s := ChunkSeed(seed, c)
+			s := chunkSeed(seed, c)
 			if prev, dup := seen[s]; dup {
-				t.Fatalf("ChunkSeed collision: %d (chunk %d)", s, prev)
+				t.Fatalf("chunkSeed collision: %d (chunk %d)", s, prev)
 			}
 			seen[s] = c
 		}
 	}
 }
 
+// TestForPropagatesPanic: a panic in any worker — or on the serial
+// path — is re-raised in the caller.
 func TestForPropagatesPanic(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("expected panic to propagate")
-		}
-	}()
-	For(1000, 4, func(i int) {
-		if i == 777 {
-			panic("boom")
-		}
-	})
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("workers=%d: recovered %v, want the worker's panic", workers, r)
+				}
+			}()
+			_, _ = Map(context.Background(), 1000, workers, func(i int) int {
+				if i == 777 {
+					panic("boom")
+				}
+				return i
+			})
+		}()
+	}
 }

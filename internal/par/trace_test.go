@@ -9,7 +9,7 @@ import (
 )
 
 // trace_test.go pins the flight-recorder propagation contract across
-// chunk boundaries: a span opened inside a RunCtxWith/MapCtxWith body
+// chunk boundaries: a span opened inside a RunWith/MapWith body
 // (the evaluation context is captured by the closure) must join the
 // caller's recorded trace regardless of which worker goroutine claims
 // the chunk. Run under -race this also exercises concurrent span
@@ -34,7 +34,7 @@ func TestRunCtxWithPropagatesTrace(t *testing.T) {
 
 	const n = 200
 	var mismatches atomic.Int64
-	err := RunCtxWith(ctx, n, 8, func() int { return 0 }, func(i int, _ int) {
+	err := RunWith(ctx, n, 8, func() int { return 0 }, func(i int, _ int) {
 		sctx, sp := obs.Trace(ctx, "sweep.item")
 		if sp.TraceID() != id {
 			mismatches.Add(1)
@@ -86,7 +86,7 @@ func TestMapCtxWithPropagatesTrace(t *testing.T) {
 	ctx, root := obs.StartTrace(context.Background(), "map")
 	id := root.TraceID()
 
-	out, err := MapCtxWith(ctx, 100, 8, func() int { return 0 }, func(i int, _ int) string {
+	out, err := MapWith(ctx, 100, 8, func() int { return 0 }, func(i int, _ int) string {
 		_, sp := obs.Trace(ctx, "map.item")
 		defer sp.End()
 		return sp.TraceID()

@@ -5,7 +5,6 @@ import (
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
-	"intertubes/internal/risk"
 )
 
 // disaster.go models geographically correlated failures: a hurricane,
@@ -39,25 +38,5 @@ func ConduitsInRegion(m *fiber.Map, r Region) []fiber.ConduitID {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// DisasterImpact is the outcome of a regional failure.
-type DisasterImpact struct {
-	Region       Region
-	ConduitsCut  int
-	TenanciesCut int // (ISP, conduit) links severed
-	Impacts      []Impact
-}
-
-// Disaster cuts every conduit in the region and evaluates the impact
-// on every matrix ISP.
-func Disaster(m *fiber.Map, mx *risk.Matrix, r Region) DisasterImpact {
-	cuts := ConduitsInRegion(m, r)
-	out := DisasterImpact{Region: r, ConduitsCut: len(cuts)}
-	for _, cid := range cuts {
-		out.TenanciesCut += len(m.Conduit(cid).Tenants)
-	}
-	out.Impacts = CutImpact(m, mx, cuts)
 	return out
 }

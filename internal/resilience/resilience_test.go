@@ -230,27 +230,3 @@ func TestConduitsInRegion(t *testing.T) {
 		t.Errorf("empty Wyoming contains conduits: %v", got)
 	}
 }
-
-func TestDisaster(t *testing.T) {
-	res, mx := build(t)
-	// A hurricane over the Gulf coast near New Orleans.
-	d := Disaster(res.Map, mx, Region{Center: geo.Point{Lat: 29.95, Lon: -90.07}, RadiusKm: 200})
-	if d.ConduitsCut == 0 {
-		t.Fatal("a Gulf hurricane should cut conduits")
-	}
-	if d.TenanciesCut < d.ConduitsCut {
-		t.Error("tenancies cut must be >= conduits cut")
-	}
-	if len(d.Impacts) != 20 {
-		t.Fatalf("impacts = %d", len(d.Impacts))
-	}
-	// The regional disaster disconnects someone but not everyone.
-	worst := d.Impacts[0].DisconnectedPairs
-	if worst <= 0 {
-		t.Error("nobody affected by a 200 km Gulf hurricane")
-	}
-	best := d.Impacts[len(d.Impacts)-1].DisconnectedPairs
-	if best >= worst {
-		t.Error("impact should vary across providers")
-	}
-}

@@ -59,9 +59,10 @@ var benchModes = []benchMode{
 		// Sweep takes an *Engine, so the reference runs its batch over
 		// the same par pool directly.
 		sweep: func(ctx context.Context, eng *Engine, scs []Scenario, workers int) []Outcome {
-			return par.Map(len(scs), workers, func(i int) Outcome {
+			out, _ := par.Map(ctx, len(scs), workers, func(i int) Outcome {
 				return referenceOutcome(ctx, eng, scs[i])
 			})
+			return out
 		},
 	},
 	{

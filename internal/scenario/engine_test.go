@@ -203,6 +203,37 @@ func TestRegionCutsMatchResilience(t *testing.T) {
 	}
 }
 
+// TestRegionalDisaster evaluates a 200 km hurricane over the Gulf
+// coast near New Orleans through the engine's Regions clause: it cuts
+// conduits, severs at least one tenancy per conduit, and disconnects
+// some providers but not all of them equally.
+func TestRegionalDisaster(t *testing.T) {
+	eng := newEngine(t, 0)
+	r, err := eng.Evaluate(context.Background(), Scenario{
+		Regions: []Region{{Lat: 29.95, Lon: -90.07, RadiusKm: 200}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ConduitsCut == 0 {
+		t.Fatal("a Gulf hurricane should cut conduits")
+	}
+	if r.TenanciesCut < r.ConduitsCut {
+		t.Error("tenancies cut must be >= conduits cut")
+	}
+	if len(r.Disconnection) != 20 {
+		t.Fatalf("disconnection rows = %d", len(r.Disconnection))
+	}
+	// Rows are sorted by damage, worst first.
+	worst := r.Disconnection[0].After
+	if worst <= 0 {
+		t.Error("nobody affected by a 200 km Gulf hurricane")
+	}
+	if best := r.Disconnection[len(r.Disconnection)-1].After; best >= worst {
+		t.Error("impact should vary across providers")
+	}
+}
+
 func TestFromAdditions(t *testing.T) {
 	res, _ := build(t)
 	m := res.Map

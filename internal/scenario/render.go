@@ -7,7 +7,7 @@ import (
 	"intertubes/internal/report"
 )
 
-// render.go turns a Result into the text delta report the whatif CLI
+// render.go turns a Result into the text delta report intertubes whatif
 // prints and the server's text variant serves — same rendering path
 // as every paper figure (internal/report).
 

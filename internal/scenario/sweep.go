@@ -92,7 +92,7 @@ func Sweep(ctx context.Context, eng *Engine, scs []Scenario, workers int) []Outc
 			"elapsed", time.Since(start).Round(time.Millisecond).String())
 	}
 
-	out, err := par.MapCtx(ctx, total, workers, func(i int) Outcome {
+	out, err := par.Map(ctx, total, workers, func(i int) Outcome {
 		res, err := eng.evaluateOn(ctx, snap, scs[i])
 		progress()
 		if err != nil {

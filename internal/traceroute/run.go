@@ -227,7 +227,7 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 		}
 		_, synthSpan := obs.Trace(ctx, "traceroute.synthesize")
 		synthSpan.SetWorkers(par.Workers(opts.Workers))
-		outs, err := par.MapSeededRangeCtxWith(ctx, lo, hi, opts.Workers, synthSeed, newProbeScratch, probe)
+		outs, err := par.MapSeeded(ctx, lo, hi, opts.Workers, synthSeed, newProbeScratch, probe)
 		synthSpan.SetItems(int64(hi - lo))
 		synthSpan.End()
 		if err != nil {

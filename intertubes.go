@@ -51,15 +51,8 @@ type Options struct {
 	// Probes is the traceroute campaign size (default 200000; the
 	// paper used 4.9M over three months).
 	Probes int
-	// RecordsCoverage, RecordsRecall, RecordsFalseRate tune the
-	// public-records corpus noise (defaults 0.9 / 0.9 / 0.04).
-	RecordsCoverage  float64
-	RecordsRecall    float64
-	RecordsFalseRate float64
 	// AddConduits is the k of the §5.2 sweep (default 10).
 	AddConduits int
-	// ColocationBufferKm is the co-location buffer of §3 (default 15).
-	ColocationBufferKm float64
 	// LatencyMaxPairs caps the §5.3 study size (default 3000).
 	LatencyMaxPairs int
 	// Workers bounds the worker pool shared by the parallel analysis
@@ -78,25 +71,25 @@ func (o Options) withDefaults() Options {
 	if o.Probes == 0 {
 		o.Probes = 200000
 	}
-	if o.RecordsCoverage == 0 {
-		o.RecordsCoverage = 0.9
-	}
-	if o.RecordsRecall == 0 {
-		o.RecordsRecall = 0.9
-	}
-	if o.RecordsFalseRate == 0 {
-		o.RecordsFalseRate = 0.04
-	}
 	if o.AddConduits == 0 {
 		o.AddConduits = 10
-	}
-	if o.ColocationBufferKm == 0 {
-		o.ColocationBufferKm = 15
 	}
 	if o.LatencyMaxPairs == 0 {
 		o.LatencyMaxPairs = 3000
 	}
 	return o
+}
+
+// recordsOptions is the public-records corpus noise every study is
+// built with (coverage 0.9, tenant recall 0.9, false-tenant rate
+// 0.04), so scenario rebuilds stay comparable to the baseline.
+func recordsOptions(seed int64) records.Options {
+	return records.Options{
+		Coverage:        0.9,
+		TenantRecall:    0.9,
+		FalseTenantRate: 0.04,
+		Seed:            seed + 1,
+	}
 }
 
 // Study is a complete, lazily evaluated reproduction of the paper,
@@ -122,13 +115,8 @@ func NewStudy(opts Options) *Study {
 	opts = opts.withDefaults()
 	_, buildSpan := obs.Trace(context.Background(), "study.mapbuild")
 	res := mapbuilder.Build(mapbuilder.Options{
-		Seed: opts.Seed,
-		Records: records.Options{
-			Coverage:        opts.RecordsCoverage,
-			TenantRecall:    opts.RecordsRecall,
-			FalseTenantRate: opts.RecordsFalseRate,
-			Seed:            opts.Seed + 1,
-		},
+		Seed:    opts.Seed,
+		Records: recordsOptions(opts.Seed),
 	})
 	buildSpan.SetItems(int64(len(res.Map.Conduits)))
 	buildSpan.End()
@@ -215,7 +203,7 @@ func (s *Study) Colocation() []geo.Colocation {
 		an := geo.NewOverlapAnalyzer(map[string][]geo.Polyline{
 			"road": s.res.Atlas.RoadPolylines(),
 			"rail": s.res.Atlas.RailPolylines(),
-		}, geo.OverlapOptions{BufferKm: s.opts.ColocationBufferKm})
+		}, geo.OverlapOptions{}) // geo's defaults: the 15 km buffer of §3, 10 km sampling
 		var paths []geo.Polyline
 		for i := range s.res.Map.Conduits {
 			c := &s.res.Map.Conduits[i]

@@ -8,11 +8,13 @@
 #   BENCHTIME=1x scripts/bench.sh    # quick smoke pass
 #   OUT=custom.json scripts/bench.sh
 #
-#   scripts/bench.sh compare 'LatencyAtlas|MaxFlow'
-#       # regression gate: rerun the named benchmarks and fail when
-#       # any regresses more than TOLERANCE (default 0.25, i.e. 25%)
-#       # in ns/op against the checked-in BENCH_obs.json. Writes a
-#       # throwaway summary, never the baseline itself.
+#   scripts/bench.sh compare HEAD~1 'LatencyAtlas|MaxFlow'
+#       # regression gate: run the named benchmarks at the given git
+#       # revision (in a temporary worktree) and then in this working
+#       # tree, on the same machine, and fail when any regresses more
+#       # than TOLERANCE (default 0.25, i.e. 25%) in ns/op. Benchmarks
+#       # found on one side only are listed; comparing none fails.
+#       # Both summaries are throwaway; BENCH_obs.json is untouched.
 #
 # The graph-kernel micro-benchmarks (DijkstraSweep, KShortestPaths,
 # EdgeBetweenness) ride along with the figure benchmarks; `make
@@ -22,14 +24,18 @@ set -eu
 cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "compare" ]; then
-	BENCH="${2:?usage: scripts/bench.sh compare 'BenchName|OtherBench'}"
+	usage="usage: scripts/bench.sh compare <rev> 'BenchName|OtherBench'"
+	REV="${2:?$usage}"
+	BENCH="${3:?$usage}"
 	BENCHTIME="${BENCHTIME:-1s}"
-	BASELINE="${BASELINE:-BENCH_obs.json}"
 	TOLERANCE="${TOLERANCE:-0.25}"
-	OUT="$(mktemp -t bench_compare.XXXXXX.json)"
-	trap 'rm -f "$OUT"' EXIT
+	TMP="$(mktemp -d -t bench_compare.XXXXXX)"
+	trap 'git worktree remove --force "$TMP/base" 2>/dev/null; rm -rf "$TMP"' EXIT
+	git worktree add --quiet --detach "$TMP/base" "$REV"
+	(cd "$TMP/base" && go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem -json ./...) |
+		go run ./cmd/benchjson -o "$TMP/base.json"
 	go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem -json ./... |
-		go run ./cmd/benchjson -o "$OUT" -baseline "$BASELINE" -tolerance "$TOLERANCE"
+		go run ./cmd/benchjson -o "$TMP/head.json" -baseline "$TMP/base.json" -tolerance "$TOLERANCE"
 	exit $?
 fi
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"intertubes/internal/mapbuilder"
-	"intertubes/internal/records"
 	"intertubes/internal/risk"
 )
 
@@ -66,7 +65,7 @@ func (s *Study) TitleIIScenario(n int) TitleIIResult {
 	}
 	scenario := mapbuilder.BuildWithProfiles(mapbuilder.Options{
 		Seed:    s.opts.Seed,
-		Records: s.recordsOptions(),
+		Records: recordsOptions(s.opts.Seed),
 	}, profiles)
 
 	baseMx := s.mx
@@ -114,17 +113,6 @@ func (s *Study) TitleIIScenario(n int) TitleIIResult {
 		}
 	}
 	return out
-}
-
-// recordsOptions reconstructs the records options the study was built
-// with, so scenario rebuilds stay comparable.
-func (s *Study) recordsOptions() records.Options {
-	return records.Options{
-		Coverage:        s.opts.RecordsCoverage,
-		TenantRecall:    s.opts.RecordsRecall,
-		FalseTenantRate: s.opts.RecordsFalseRate,
-		Seed:            s.opts.Seed + 1,
-	}
 }
 
 // RenderTitleII renders the scenario comparison.

@@ -3,8 +3,6 @@ package intertubes
 import (
 	"context"
 
-	"intertubes/internal/geo"
-	"intertubes/internal/resilience"
 	"intertubes/internal/scenario"
 )
 
@@ -38,15 +36,6 @@ func (s *Study) RenderScenario(ctx context.Context, sc scenario.Scenario) (strin
 		return "", err
 	}
 	return scenario.Render(r), nil
-}
-
-// Disaster evaluates a circular regional failure — every tenanted
-// conduit entering the region is cut — against every mapped ISP.
-func (s *Study) Disaster(lat, lon, radiusKm float64) resilience.DisasterImpact {
-	return resilience.Disaster(s.res.Map, s.mx, resilience.Region{
-		Center:   geo.Point{Lat: lat, Lon: lon},
-		RadiusKm: radiusKm,
-	})
 }
 
 // RenderDisaster renders the full what-if report for a regional
