@@ -49,8 +49,7 @@ func main() {
 	logger := obs.Logger("fibermapd")
 	srv, debugSrv, cleanup, err := setup(os.Args[1:], logger)
 	if err != nil {
-		logger.Error("setup failed", "err", err)
-		os.Exit(1)
+		os.Exit(setupExitCode(err, logger))
 	}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -59,6 +58,17 @@ func main() {
 	// checkpoint so the next start resumes it.
 	cleanup()
 	os.Exit(code)
+}
+
+// setupExitCode maps a setup failure to the process exit status: 0
+// for -h (the flag set has already printed the usage), otherwise the
+// error is logged and the status is 1.
+func setupExitCode(err error, logger *slog.Logger) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	logger.Error("setup failed", "err", err)
+	return 1
 }
 
 // listenerErr tags a listener failure with which listener it was, so

@@ -235,3 +235,31 @@ func TestDebugServer(t *testing.T) {
 		}
 	}
 }
+
+// TestSetupExitCode: -h prints the usage and exits 0 without logging a
+// failure; any other parse error is logged and exits 1.
+func TestSetupExitCode(t *testing.T) {
+	var logs strings.Builder
+	obs.SetOutput(&logs)
+	t.Cleanup(func() { obs.SetOutput(nil) })
+	logger := obs.Logger("test")
+
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	_, _, _, err = setup([]string{"-h"}, logger)
+	os.Stderr = saved
+	usage, _ := os.ReadFile(f.Name())
+	if code := setupExitCode(err, logger); code != 0 || logs.Len() != 0 || !strings.Contains(string(usage), "-probes") {
+		t.Errorf("-h: exit %d, logged %q, usage %q; want 0, no log and the usage", code, logs.String(), usage)
+	}
+
+	_, _, _, err = setup([]string{"-bogus"}, logger)
+	if code := setupExitCode(err, logger); code != 1 || !strings.Contains(logs.String(), "setup failed") {
+		t.Errorf("-bogus: exit %d, logged %q; want 1 and a logged failure", code, logs.String())
+	}
+}

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,10 +32,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "intertubes:", err)
-		os.Exit(1)
+	os.Exit(exitCode(run(os.Args[1:], os.Stdout), os.Stderr))
+}
+
+// exitCode maps run's error to the process exit status: 0 on success
+// and on -h (the flag set has already printed the usage), otherwise
+// the error on stderr and 1.
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
+	fmt.Fprintln(stderr, "intertubes:", err)
+	return 1
 }
 
 // A command declares its own flags on fs and returns its body, which

@@ -101,3 +101,54 @@ func TestRunBadFlag(t *testing.T) {
 		}
 	}
 }
+
+// stderrOf runs fn with os.Stderr redirected to a file and returns what
+// fn wrote there.
+func stderrOf(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	fn()
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestExitCode: -h on the bare command or any subcommand prints the
+// usage and exits 0, without the flag package's "help requested"
+// error; every other parse error is reported and exits 1.
+func TestExitCode(t *testing.T) {
+	for _, args := range [][]string{
+		{"-h"}, {"-help"},
+		{"riskreport", "-h"}, {"mitigate", "-h"}, {"resilience", "-h"},
+		{"tracegen", "-h"}, {"whatif", "-h"},
+	} {
+		var code int
+		stderr := stderrOf(t, func() {
+			code = exitCode(run(args, &strings.Builder{}), os.Stderr)
+		})
+		if code != 0 || !strings.Contains(stderr, "usage: intertubes") || strings.Contains(stderr, "help requested") {
+			t.Errorf("%v: exit %d, stderr %q; want 0 and the usage alone", args, code, stderr)
+		}
+	}
+	for _, args := range [][]string{{"-no-such-flag"}, {"tracegen", "-n", "0"}} {
+		var code int
+		stderr := stderrOf(t, func() {
+			code = exitCode(run(args, &strings.Builder{}), os.Stderr)
+		})
+		if code != 1 || !strings.Contains(stderr, "intertubes: ") {
+			t.Errorf("%v: exit %d, stderr %q; want 1 and the error", args, code, stderr)
+		}
+	}
+	if code := exitCode(nil, &strings.Builder{}); code != 0 {
+		t.Errorf("success exits %d", code)
+	}
+}

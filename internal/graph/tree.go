@@ -112,6 +112,24 @@ func (t *Tree) AppendPathEdges(buf []int, dst int) ([]int, bool) {
 	return buf, true
 }
 
+// AppendPathNodes appends the vertices of the path from the source to
+// dst, source first — Path's Nodes — to buf and returns the extended
+// slice (ok=false and buf unchanged when dst is unreachable). Like
+// AppendPathEdges it allocates only to grow buf.
+func (t *Tree) AppendPathNodes(buf []int, dst int) ([]int, bool) {
+	if !t.reachable(dst) {
+		return buf, false
+	}
+	start := len(buf)
+	buf = append(buf, dst)
+	for v := dst; v != int(t.src); {
+		v = t.g.edges[t.parent[v]].other(v)
+		buf = append(buf, v)
+	}
+	slices.Reverse(buf[start:])
+	return buf, true
+}
+
 // other returns the endpoint of e opposite v.
 func (e *Edge) other(v int) int {
 	if e.U == v {

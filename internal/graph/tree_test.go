@@ -58,6 +58,10 @@ func TestTreeQueriesMatchPerPair(t *testing.T) {
 				if eok != pok || edges[0] != -7 || !equalIntSlices(edges[1:], pp.Edges) {
 					t.Fatalf("trial %d %d->%d: appended edges %v (ok=%v), per-pair %v", trial, src, dst, edges, eok, pp.Edges)
 				}
+				nodes, nok := tree.AppendPathNodes(prefix, dst)
+				if nok != pok || nodes[0] != -7 || !equalIntSlices(nodes[1:], pp.Nodes) {
+					t.Fatalf("trial %d %d->%d: appended nodes %v (ok=%v), per-pair %v", trial, src, dst, nodes, nok, pp.Nodes)
+				}
 				if tok {
 					paths++
 					if pd, _ := g.ShortestDistance(pws, src, dst, wf); math.Float64bits(tp.Weight) != math.Float64bits(pd) {

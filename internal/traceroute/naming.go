@@ -50,21 +50,31 @@ var domainForISP = map[string]string{
 	"Windstream":       "windstream.net",
 }
 
-// domainTable resolves hop-name domains to providers.
+// domainTable resolves hop-name domains to providers. A provider is
+// numbered by its position in isps (sorted by name); that decoder
+// index is what the campaign's overlay tables and tally are keyed by.
 type domainTable struct {
-	exact map[string]string // domain -> provider
+	isps  []string       // provider names, sorted
+	exact map[string]int // domain -> provider index
 	// bySuffix lists every domain longest first (then
 	// lexicographically), so the first suffix match is the longest.
 	bySuffix []domainEntry
 }
 
-type domainEntry struct{ domain, isp string }
+type domainEntry struct {
+	domain string
+	isp    int
+}
 
 func newDomainTable(domains map[string]string) *domainTable {
-	t := &domainTable{exact: make(map[string]string, len(domains))}
-	for isp, dom := range domains {
-		t.exact[dom] = isp
-		t.bySuffix = append(t.bySuffix, domainEntry{domain: dom, isp: isp})
+	t := &domainTable{exact: make(map[string]int, len(domains))}
+	for isp := range domains {
+		t.isps = append(t.isps, isp)
+	}
+	sort.Strings(t.isps)
+	for i, isp := range t.isps {
+		t.exact[domains[isp]] = i
+		t.bySuffix = append(t.bySuffix, domainEntry{domain: domains[isp], isp: i})
 	}
 	sort.Slice(t.bySuffix, func(i, j int) bool {
 		di, dj := t.bySuffix[i].domain, t.bySuffix[j].domain
@@ -76,12 +86,12 @@ func newDomainTable(domains map[string]string) *domainTable {
 	return t
 }
 
-// resolve returns the provider of a hop name whose domain — the labels
-// after the interface and city code — is dom: the provider owning
-// exactly dom if there is one, else the one whose domain is the
+// resolve returns the provider index of a hop name whose domain — the
+// labels after the interface and city code — is dom: the provider
+// owning exactly dom if there is one, else the one whose domain is the
 // longest suffix of name. Both rules are independent of map order, so
 // a name resolves the same way on every call.
-func (t *domainTable) resolve(name, dom string) (string, bool) {
+func (t *domainTable) resolve(name, dom string) (int, bool) {
 	if isp, ok := t.exact[dom]; ok {
 		return isp, true
 	}
@@ -90,7 +100,7 @@ func (t *domainTable) resolve(name, dom string) (string, bool) {
 			return e.isp, true
 		}
 	}
-	return "", false
+	return 0, false
 }
 
 var domains = newDomainTable(domainForISP)
@@ -120,7 +130,11 @@ func ISPForDomain(hopName string) (string, bool) {
 	if !ok {
 		dom = hopName
 	}
-	return domains.resolve(hopName, dom)
+	isp, ok := domains.resolve(hopName, dom)
+	if !ok {
+		return "", false
+	}
+	return domains.isps[isp], true
 }
 
 // Namer translates between cities and router-name city codes.
@@ -190,9 +204,18 @@ func (n *Namer) HopName(ifIndex, city int, isp string) string {
 // DecodeHopName extracts the city and provider from a router name.
 // It returns ok=false if either part cannot be resolved.
 func (n *Namer) DecodeHopName(name string) (city int, isp string, ok bool) {
-	code, dom, ok := splitHopName(name)
+	city, i, ok := n.decodeHop(name)
 	if !ok {
 		return 0, "", false
+	}
+	return city, domains.isps[i], true
+}
+
+// decodeHop is DecodeHopName with the provider as its decoder index.
+func (n *Namer) decodeHop(name string) (city, isp int, ok bool) {
+	code, dom, ok := splitHopName(name)
+	if !ok {
+		return 0, 0, false
 	}
 	city, cok := n.byCode[code]
 	isp, iok := domains.resolve(name, dom)

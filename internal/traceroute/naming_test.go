@@ -52,8 +52,8 @@ func TestDomainResolutionOverlappingSuffixes(t *testing.T) {
 		_, dom, _ := splitHopName(tc.name)
 		for call := 0; call < 50; call++ {
 			got, ok := table.resolve(tc.name, dom)
-			if !ok || got != tc.want {
-				t.Fatalf("call %d: resolve(%q) = %q,%v; want %q", call, tc.name, got, ok, tc.want)
+			if !ok || table.isps[got] != tc.want {
+				t.Fatalf("call %d: resolve(%q) = %d,%v; want %q", call, tc.name, got, ok, tc.want)
 			}
 		}
 	}

@@ -128,36 +128,31 @@ func (c *Campaign) FormatText(t Trace) string {
 // resolvable hop cities. It returns the number of traces that
 // contributed at least one attribution.
 func (c *Campaign) OverlayParsed(traces []ParsedTrace) int {
-	routes := newOverlayRoutes(c.res, c.ispIndex)
+	routes := newOverlayRoutes(c.res)
 	sc := newProbeScratch() // serial overlay: one scratch for every query
+	t := newTally(len(c.res.Map.Conduits))
 	contributed := 0
 	for _, pt := range traces {
-		// Rebuild a Trace with ground-truth-free city hops.
-		var hops []Hop
-		firstCity, lastCity := -1, -1
+		sc.decoded = sc.decoded[:0]
 		for _, ph := range pt.Hops {
-			if ph.Name == "" {
-				continue
+			if city, isp, ok := c.namer.decodeHop(ph.Name); ok {
+				sc.decoded = append(sc.decoded, decodedHop{city: city, isp: isp})
 			}
-			city, _, ok := c.namer.DecodeHopName(ph.Name)
-			if !ok {
-				continue
-			}
-			hops = append(hops, Hop{Name: ph.Name, City: city, RTTms: ph.RTTms})
-			if firstCity < 0 {
-				firstCity = city
-			}
-			lastCity = city
 		}
-		if len(hops) < 2 || firstCity == lastCity {
+		if len(sc.decoded) < 2 {
 			continue
 		}
-		tr := Trace{SrcCity: firstCity, DstCity: lastCity, Hops: hops}
-		attrs, misses := c.attribute(sc, tr, routes)
-		c.apply(tr.WestToEast(c), attrs, misses)
-		if len(attrs) > 0 {
+		first, last := sc.decoded[0].city, sc.decoded[len(sc.decoded)-1].city
+		if first == last {
+			continue
+		}
+		sc.attrs = sc.attrs[:0]
+		misses := attribute(sc, routes)
+		t.add(c.atlasLon(first) < c.atlasLon(last), sc.attrs, misses)
+		if len(sc.attrs) > 0 {
 			contributed++
 		}
 	}
+	t.fold(c)
 	return contributed
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"intertubes/internal/atlas"
-	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
 	"intertubes/internal/mapbuilder"
@@ -22,6 +21,8 @@ import (
 //   - one weight row per provider: its ground-truth corridors for
 //     synthesis, its published tenancy for the overlay, plus one row
 //     of every lit conduit;
+//   - one ground-truth occupancy row per provider over the published
+//     conduits, which attributions are scored against;
 //   - one shortest-path tree per (row, source), built on first use.
 //     Every truth-path and segment query walks a tree instead of
 //     running its own Dijkstra.
@@ -83,10 +84,33 @@ func keepTree(slot *atomic.Pointer[graph.Tree], build func() *graph.Tree) *graph
 	return t
 }
 
+// cityDistances holds the great-circle distance of every atlas city
+// pair: km[from*n+to] is Cities[from].Loc.DistanceKm(Cities[to].Loc),
+// in that argument order, so a read returns the float64 the call
+// would.
+type cityDistances struct {
+	n  int
+	km []float64
+}
+
+func newCityDistances(a *atlas.Atlas) *cityDistances {
+	n := len(a.Cities)
+	d := &cityDistances{n: n, km: make([]float64, n*n)}
+	for from := range a.Cities {
+		for to := range a.Cities {
+			d.km[from*n+to] = a.Cities[from].Loc.DistanceKm(a.Cities[to].Loc)
+		}
+	}
+	return d
+}
+
+func (d *cityDistances) at(from, to int) float64 { return d.km[from*d.n+to] }
+
 // truthRoutes resolves the ground-truth transit paths probes follow.
 type truthRoutes struct {
 	a       *atlas.Atlas
 	g       *graph.Graph // corridor graph; vertices are atlas cities
+	dist    *cityDistances
 	isps    []*ispContext
 	nCities int
 	// nearest[isp*nCities+city] holds the backbone city + 1, or 0
@@ -97,10 +121,10 @@ type truthRoutes struct {
 	trees []atomic.Pointer[graph.Tree] // [isp*nCities+source]
 }
 
-func newTruthRoutes(a *atlas.Atlas, g *graph.Graph, isps []*ispContext) *truthRoutes {
+func newTruthRoutes(a *atlas.Atlas, g *graph.Graph, dist *cityDistances, isps []*ispContext) *truthRoutes {
 	n := len(a.Cities)
 	r := &truthRoutes{
-		a: a, g: g, isps: isps, nCities: n,
+		a: a, g: g, dist: dist, isps: isps, nCities: n,
 		nearest: make([]atomic.Int32, len(isps)*n),
 		hubs:    make([][]int, len(isps)*len(isps)),
 		trees:   make([]atomic.Pointer[graph.Tree], len(isps)*n),
@@ -151,10 +175,9 @@ func (r *truthRoutes) nearestBackbone(isp, city int) int {
 	if v := slot.Load(); v != 0 {
 		return int(v) - 1
 	}
-	loc := r.a.Cities[city].Loc
 	best, bestD := -1, 1e18
 	for _, n := range r.isps[isp].nodes {
-		if d := r.a.Cities[n].Loc.DistanceKm(loc); d < bestD {
+		if d := r.dist.at(n, city); d < bestD {
 			best, bestD = n, d
 		}
 	}
@@ -183,41 +206,51 @@ func (r *truthRoutes) peerHub(i1, i2, src, dst int) int {
 	return best
 }
 
-// path returns the provider's shortest ground-truth path between two
-// backbone cities; ok=false when they are not connected by at least
-// one corridor hop.
-func (r *truthRoutes) path(ws *graph.Workspace, isp, from, to int) (graph.Path, bool) {
+// appendPath appends the provider's shortest ground-truth path between
+// two backbone cities, as its city sequence, to buf; ok=false and buf
+// unchanged when they are not connected by at least one corridor hop.
+func (r *truthRoutes) appendPath(ws *graph.Workspace, buf []int, isp, from, to int) ([]int, bool) {
 	tree := keepTree(&r.trees[isp*r.nCities+from], func() *graph.Tree {
 		return r.g.ShortestTree(ws, from, r.isps[isp].row)
 	})
-	p, ok := tree.Path(to)
-	return p, ok && len(p.Edges) > 0
+	if out, ok := tree.AppendPathNodes(buf, to); ok && len(out)-len(buf) > 1 {
+		return out, true
+	}
+	return buf, false
 }
 
-// overlayRoutes maps visible hop pairs onto published conduits, for
-// one campaign or one OverlayParsed call.
+// overlayRoutes maps visible hop pairs onto published conduits and
+// scores them against ground truth, for one campaign or one
+// OverlayParsed call. Providers are decoder indices (domainTable), so
+// every provider a hop name can carry has a row and no query hashes a
+// name.
 type overlayRoutes struct {
-	m        *fiber.Map
 	mg       *graph.Graph // published map graph; vertices are fiber.NodeIDs
 	cityNode []int        // atlas city -> map node, or -1
-	ispIndex map[string]int
 	// tenant[isp] is the provider's published-tenancy row, nil when it
 	// publishes no conduit at all.
-	tenant      [][]float64
-	lit         []float64
+	tenant [][]float64
+	lit    []float64
+	// truth[isp*conduits+cid] reports whether the provider occupies the
+	// conduit's corridor in ground truth.
+	truth       []bool
+	conduits    int
 	tenantTrees []atomic.Pointer[graph.Tree] // [isp*nodes+node]
 	litTrees    []atomic.Pointer[graph.Tree] // [node], shared by every provider
 }
 
-func newOverlayRoutes(res *mapbuilder.Result, ispIndex map[string]int) *overlayRoutes {
+func newOverlayRoutes(res *mapbuilder.Result) *overlayRoutes {
 	m := res.Map
 	mg := m.Graph()
+	nISPs := len(domains.isps)
 	r := &overlayRoutes{
-		m: m, mg: mg, ispIndex: ispIndex,
+		mg:          mg,
 		cityNode:    make([]int, len(res.Atlas.Cities)),
-		tenant:      make([][]float64, len(ispIndex)),
+		tenant:      make([][]float64, nISPs),
 		lit:         mg.Weights(m.LitWeight(), nil),
-		tenantTrees: make([]atomic.Pointer[graph.Tree], len(ispIndex)*mg.NumVertices()),
+		truth:       make([]bool, nISPs*len(m.Conduits)),
+		conduits:    len(m.Conduits),
+		tenantTrees: make([]atomic.Pointer[graph.Tree], nISPs*mg.NumVertices()),
 		litTrees:    make([]atomic.Pointer[graph.Tree], mg.NumVertices()),
 	}
 	for i := range r.cityNode {
@@ -228,16 +261,28 @@ func newOverlayRoutes(res *mapbuilder.Result, ispIndex map[string]int) *overlayR
 			r.cityNode[n.AtlasCity] = int(n.ID)
 		}
 	}
-	for isp, idx := range ispIndex {
-		row := mg.Weights(m.TenantWeight(isp), nil)
+	for isp, name := range domains.isps {
+		row := mg.Weights(m.TenantWeight(name), nil)
 		for _, w := range row {
 			if !math.IsInf(w, 1) {
-				r.tenant[idx] = row
+				r.tenant[isp] = row
 				break
+			}
+		}
+		edges := res.Truth[name].Edges
+		for cid := range m.Conduits {
+			if corridor := m.Conduits[cid].Corridor; corridor >= 0 {
+				r.truth[isp*r.conduits+cid] = edges[corridor]
 			}
 		}
 	}
 	return r
+}
+
+// correct reports whether the provider occupies conduit cid's corridor
+// in ground truth: whether an attribution of its probe there is right.
+func (r *overlayRoutes) correct(isp, cid int) bool {
+	return r.truth[isp*r.conduits+cid]
 }
 
 // segment maps a visible hop pair onto published conduits: first over
@@ -245,38 +290,22 @@ func newOverlayRoutes(res *mapbuilder.Result, ispIndex map[string]int) *overlayR
 // provider may be absent from the published map entirely — that is
 // how "additional ISPs" are discovered). It appends the conduits, in
 // path order, to buf; ok=false means the segment cannot be attributed.
-func (r *overlayRoutes) segment(ws *graph.Workspace, buf []int, cityA, cityB int, isp string) ([]int, bool) {
+func (r *overlayRoutes) segment(ws *graph.Workspace, buf []int, cityA, cityB, isp int) ([]int, bool) {
 	na, nb := r.cityNode[cityA], r.cityNode[cityB]
 	if na < 0 || nb < 0 {
 		return buf, false
 	}
-	if tree := r.tenantTree(ws, na, isp); tree != nil {
+	if row := r.tenant[isp]; row != nil {
+		tree := keepTree(&r.tenantTrees[isp*r.mg.NumVertices()+na], func() *graph.Tree {
+			return r.mg.ShortestTree(ws, na, row)
+		})
 		if out, ok := tree.AppendPathEdges(buf, nb); ok {
 			return out, true
 		}
 	}
+	// A provider that publishes no conduit falls straight through: a
+	// tree over its all-excluded row would reach na alone.
 	return keepTree(&r.litTrees[na], func() *graph.Tree {
 		return r.mg.ShortestTree(ws, na, r.lit)
 	}).AppendPathEdges(buf, nb)
-}
-
-// tenantTree returns the tree from na over the provider's published
-// conduits, or nil when the provider publishes none (a tree over an
-// all-excluded row reaches na alone, which the lit tree resolves
-// identically).
-func (r *overlayRoutes) tenantTree(ws *graph.Workspace, na int, isp string) *graph.Tree {
-	idx, ok := r.ispIndex[isp]
-	if !ok {
-		// A provider outside the campaign's index (only an external
-		// corpus names one): build a one-off row and tree rather than
-		// have racing workers grow the tables.
-		return r.mg.ShortestTree(ws, na, r.mg.Weights(r.m.TenantWeight(isp), nil))
-	}
-	row := r.tenant[idx]
-	if row == nil {
-		return nil
-	}
-	return keepTree(&r.tenantTrees[idx*r.mg.NumVertices()+na], func() *graph.Tree {
-		return r.mg.ShortestTree(ws, na, row)
-	})
 }

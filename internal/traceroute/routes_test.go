@@ -81,7 +81,7 @@ func peerHubsOracle(res *mapbuilder.Result, c1, c2 *ispContext) []int {
 func TestTruthRoutesMatchPerPair(t *testing.T) {
 	res, _ := campaign(t)
 	isps := transitProviders(res, sortedTruthNames(res))
-	r := newTruthRoutes(res.Atlas, res.Graph, isps)
+	r := newTruthRoutes(res.Atlas, res.Graph, newCityDistances(res.Atlas), isps)
 	ws := graph.NewWorkspace()
 	rng := rand.New(rand.NewSource(4))
 	nCities := len(res.Atlas.Cities)
@@ -92,10 +92,10 @@ func TestTruthRoutesMatchPerPair(t *testing.T) {
 		if q%5 == 0 {
 			to = rng.Intn(nCities) // off-backbone destinations are unreachable
 		}
-		got, gok := r.path(ws, i, from, to)
+		got, gok := r.appendPath(ws, []int{-1}, i, from, to)
 		want, wok := truthPathOracle(res, isps[i].name, from, to)
-		if gok != wok || (gok && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("%s %d->%d: tree %+v (ok=%v), per-pair %+v (ok=%v)", isps[i].name, from, to, got, gok, want, wok)
+		if gok != wok || got[0] != -1 || (gok && !reflect.DeepEqual(got[1:], want.Nodes)) || (!gok && len(got) != 1) {
+			t.Fatalf("%s %d->%d: tree %v (ok=%v), per-pair %+v (ok=%v)", isps[i].name, from, to, got, gok, want, wok)
 		}
 		city := rng.Intn(nCities)
 		first := r.nearestBackbone(i, city)
@@ -116,29 +116,29 @@ func TestTruthRoutesMatchPerPair(t *testing.T) {
 	}
 }
 
-// TestOverlayRoutesMatchPerPair covers indexed providers, providers
-// the index leaves out (as an external corpus would name them), and
-// providers that publish no conduit at all.
+// TestOverlayRoutesMatchPerPair covers every provider the hop-name
+// decoder can return, including providers that publish no conduit at
+// all, and the ground-truth scoring row of each.
 func TestOverlayRoutesMatchPerPair(t *testing.T) {
 	res, _ := campaign(t)
-	names := sortedTruthNames(res)
-	index := map[string]int{}
-	for i, name := range names[:len(names)/2] {
-		index[name] = i
-	}
-	r := newOverlayRoutes(res, index)
+	r := newOverlayRoutes(res)
 	sc := newProbeScratch()
 	rng := rand.New(rand.NewSource(8))
 	nCities := len(res.Atlas.Cities)
-	candidates := append(append([]string(nil), names...), "Foreign Carrier")
 	for q := 0; q < 4000; q++ {
 		a, b := rng.Intn(nCities), rng.Intn(nCities)
-		isp := candidates[rng.Intn(len(candidates))]
+		isp := rng.Intn(len(domains.isps))
 		var ok bool
 		sc.edges, ok = r.segment(sc.ws, sc.edges[:0], a, b, isp)
-		want, wok := segmentOracle(res, r.cityNode, a, b, isp)
+		want, wok := segmentOracle(res, r.cityNode, a, b, domains.isps[isp])
 		if ok != wok || (ok && !equalInts(sc.edges, want)) {
-			t.Fatalf("%q %d->%d: tables %v (ok=%v), per-pair %v (ok=%v)", isp, a, b, sc.edges, ok, want, wok)
+			t.Fatalf("%q %d->%d: tables %v (ok=%v), per-pair %v (ok=%v)", domains.isps[isp], a, b, sc.edges, ok, want, wok)
+		}
+		for _, cid := range sc.edges {
+			corridor := res.Map.Conduits[cid].Corridor
+			if got, want := r.correct(isp, cid), res.Truth[domains.isps[isp]].Edges[corridor]; got != want {
+				t.Fatalf("%q conduit %d: scored %v, ground truth %v", domains.isps[isp], cid, got, want)
+			}
 		}
 	}
 }

@@ -2,11 +2,14 @@ package traceroute
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
+	"intertubes/internal/atlas"
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
@@ -29,35 +32,75 @@ import (
 //     hop-level randomness (MPLS tunnels, RTT jitter, rDNS noise)
 //     comes from per-chunk streams on a fixed grid, and the route
 //     tables (routes.go) hold pure shortest-path trees, so any worker
-//     count produces bit-identical traces.
-//  3. Campaign counters are reduced in probe order on one goroutine.
+//     count produces bit-identical traces. Per hop, the kernel reads
+//     tables filled once per campaign — city-pair distances and hop
+//     names for synthesis, provider-indexed rows for attribution — so
+//     it does no trigonometry or string building; every hop is still
+//     decoded from its name.
+//  3. Attributions are reduced in probe order on one goroutine into a
+//     dense tally (tally.go), which fills the Campaign's maps once.
 
 // segAttr is one conduit attribution extracted from a trace: the
-// overlay's output for a single visible hop pair, before it is folded
-// into the campaign counters.
+// overlay's output for a single visible hop pair, before the reduce
+// counts it.
 type segAttr struct {
-	cid     fiber.ConduitID
-	isp     string
-	correct bool // matches the provider's ground-truth footprint
+	cid     int32 // published conduit
+	isp     int32 // decoder provider index (domainTable)
+	correct bool  // matches the provider's ground-truth footprint
 }
 
 // probeScratch is one worker's probe scratch: the workspace tree
-// builds run in, the buffer segment walks append to, and the decoded
-// hops and attributions of the trace being attributed.
+// builds run in, the buffers route walks and hop synthesis append to,
+// and the decoded hops and attributions of the trace being attributed.
 type probeScratch struct {
-	ws    *graph.Workspace
-	edges []int
-	hops  []decodedHop
+	ws      *graph.Workspace
+	edges   []int // conduits of one attributed segment
+	path    []int // cities of the probe's ground-truth path(s)
+	trace   []Hop // the probe's synthesized hops
+	decoded []decodedHop
+	// attrs only grows within a window: each probe's attributions are
+	// the tail it appended, handed to the reduce as a capped slice
+	// that is not written again until the window has been reduced.
 	attrs []segAttr
 }
 
 // decodedHop is what a measurement study reads off one hop name.
 type decodedHop struct {
 	city int
-	isp  string
+	isp  int // decoder provider index
 }
 
 func newProbeScratch() *probeScratch { return &probeScratch{ws: graph.NewWorkspace()} }
+
+// scratchPool keeps the workers' probe scratch for a whole campaign:
+// the pool hands each window's workers a scratch that earlier windows
+// already grew, so buffers and workspaces are reused, not regrown.
+type scratchPool struct {
+	mu   sync.Mutex
+	all  []*probeScratch
+	used int // handed out since the last reset
+}
+
+func (p *scratchPool) get() *probeScratch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.used == len(p.all) {
+		p.all = append(p.all, newProbeScratch())
+	}
+	p.used++
+	return p.all[p.used-1]
+}
+
+// reset takes every scratch back, emptying the attribution buffers;
+// call it only once the previous window is reduced.
+func (p *scratchPool) reset() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, sc := range p.all {
+		sc.attrs = sc.attrs[:0]
+	}
+	p.used = 0
+}
 
 // Run synthesizes a campaign over the built map and overlays it onto
 // the published conduits. ctx both parents the campaign's stage spans
@@ -66,8 +109,11 @@ func newProbeScratch() *probeScratch { return &probeScratch{ws: graph.NewWorkspa
 // campaign stops synthesizing within one window and returns
 // (nil, ctx.Err()). A campaign that completes is bit-identical to the
 // serial order at any worker count — cancellation can only abort a
-// run, never reorder it.
+// run, never reorder it. A negative opts.N is an error.
 func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, error) {
+	if opts.N < 0 {
+		return nil, fmt.Errorf("traceroute: N must be >= 0 (got %d)", opts.N)
+	}
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	a := res.Atlas
@@ -78,25 +124,16 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 		ConduitProbes:   make(map[fiber.ConduitID]*DirCounts),
 		ISPConduits:     make(map[string]map[fiber.ConduitID]int64),
 		InferredTenants: make(map[fiber.ConduitID]map[string]bool),
-		truthByName:     make(map[string]map[int]bool, len(res.Truth)),
-		ispIndex:        make(map[string]int),
 		res:             res,
 		namer:           NewNamer(a),
 	}
-	for name, fp := range res.Truth {
-		c.truthByName[name] = fp.Edges
-	}
 
-	// Transit providers, deterministic order. Provider indices
-	// are assigned up front so workers never mutate the index map.
+	// Transit providers, deterministic order.
 	names := make([]string, 0, len(res.Truth))
 	for name := range res.Truth {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for i, name := range names {
-		c.ispIndex[name] = i
-	}
 	isps := transitProviders(res, names)
 	var totalWeight float64
 	for _, ctx := range isps {
@@ -112,11 +149,13 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	}
 	grav := newGravity(pops, allCities)
 
-	// Route tables shared by the workers (routes.go). Every entry is a
-	// pure function of the immutable map/atlas, so the tables change
-	// speed, never results.
-	truth := newTruthRoutes(a, g, isps)
-	overlay := newOverlayRoutes(res, c.ispIndex)
+	// Tables shared by the workers. Every entry is a pure function of
+	// the immutable map/atlas, so the tables change speed, never
+	// results.
+	dist := newCityDistances(a)
+	truth := newTruthRoutes(a, g, dist, isps)
+	overlay := newOverlayRoutes(res)
+	syn := newSynthesizer(a, c.namer, dist, isps, opts)
 
 	// Phase 1: probe-level decisions from the campaign stream. The
 	// per-probe call pattern is fixed — every probe draws endpoints,
@@ -157,21 +196,22 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 
 	// Phase 2: the pure per-probe kernel — route, synthesize,
 	// attribute. A zero probeOut means the probe saw no long-haul
-	// transit (same rejections as the serial code).
+	// transit (same rejections as the serial code). The trace itself
+	// is kept only while the reduce still retains samples.
 	type probeOut struct {
 		ok       bool
-		trace    Trace
 		westEast bool
-		attrs    []segAttr
 		misses   int
+		attrs    []segAttr
+		sample   *Trace
 	}
+	sampling := false // set serially before each window
 	probe := func(i int, prng *rand.Rand, sc *probeScratch) probeOut {
 		sp := specs[i]
 		if sp.src == sp.dst || sp.src < 0 {
 			return probeOut{}
 		}
-		ctx := isps[sp.ispIdx]
-		var trace Trace
+		trace := Trace{SrcCity: sp.src, DstCity: sp.dst, ISP: isps[sp.ispIdx].name}
 		if sp.peer && len(isps) > 1 {
 			// The trace crosses two providers, handing off at a mutual
 			// peering hub — real paths routinely do, and the overlay
@@ -190,26 +230,39 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 			if entry < 0 || exit < 0 || entry == hub || exit == hub {
 				return probeOut{}
 			}
-			p1, ok1 := truth.path(sc.ws, sp.ispIdx, entry, hub)
-			p2, ok2 := truth.path(sc.ws, isp2Idx, hub, exit)
-			if !ok1 || !ok2 {
+			var ok bool
+			sc.path, ok = truth.appendPath(sc.ws, sc.path[:0], sp.ispIdx, entry, hub)
+			mid := len(sc.path)
+			if ok {
+				sc.path, ok = truth.appendPath(sc.ws, sc.path, isp2Idx, hub, exit)
+			}
+			if !ok {
 				return probeOut{}
 			}
-			trace = c.synthesizeTwo(prng, ctx, isps[isp2Idx], sp.src, sp.dst, p1, p2)
+			trace.PeerISP = isps[isp2Idx].name
+			sc.trace, trace.MPLS = syn.appendPeeredHops(prng, sp.ispIdx, isp2Idx, sp.src, sc.path[:mid], sc.path[mid:], sc.trace[:0])
 		} else {
 			entry := truth.nearestBackbone(sp.ispIdx, sp.src)
 			exit := truth.nearestBackbone(sp.ispIdx, sp.dst)
 			if entry < 0 || exit < 0 || entry == exit {
 				return probeOut{} // no long-haul transit on this trace
 			}
-			path, ok := truth.path(sc.ws, sp.ispIdx, entry, exit)
+			var ok bool
+			sc.path, ok = truth.appendPath(sc.ws, sc.path[:0], sp.ispIdx, entry, exit)
 			if !ok {
 				return probeOut{}
 			}
-			trace = c.synthesize(prng, ctx, sp.src, sp.dst, path)
+			sc.trace, trace.MPLS = syn.appendHops(prng, sp.ispIdx, sp.src, sc.path, sc.trace[:0])
 		}
-		out := probeOut{ok: true, trace: trace, westEast: trace.WestToEast(c)}
-		out.attrs, out.misses = c.attribute(sc, trace, overlay)
+		c.decode(sc, sc.trace)
+		start := len(sc.attrs)
+		out := probeOut{ok: true, westEast: trace.WestToEast(c), misses: attribute(sc, overlay)}
+		out.attrs = sc.attrs[start:len(sc.attrs):len(sc.attrs)]
+		if sampling {
+			sample := trace
+			sample.Hops = slices.Clone(sc.trace)
+			out.sample = &sample
+		}
 		return out
 	}
 
@@ -220,14 +273,18 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	// stream; chunk indices stay absolute across windows.
 	synthSeed := opts.Seed + 0x5eed
 	const window = 64 * par.ChunkSize
+	t := newTally(len(res.Map.Conduits))
+	var scratch scratchPool
 	for lo := 0; lo < opts.N; lo += window {
 		hi := lo + window
 		if hi > opts.N {
 			hi = opts.N
 		}
+		sampling = len(c.Samples) < opts.RetainTraces
+		scratch.reset()
 		_, synthSpan := obs.Trace(ctx, "traceroute.synthesize")
 		synthSpan.SetWorkers(par.Workers(opts.Workers))
-		outs, err := par.MapSeeded(ctx, lo, hi, opts.Workers, synthSeed, newProbeScratch, probe)
+		outs, err := par.MapSeeded(ctx, lo, hi, opts.Workers, synthSeed, scratch.get, probe)
 		synthSpan.SetItems(int64(hi - lo))
 		synthSpan.End()
 		if err != nil {
@@ -242,27 +299,62 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 			kept++
 			c.Total++
 			if len(c.Samples) < opts.RetainTraces {
-				c.Samples = append(c.Samples, o.trace)
+				c.Samples = append(c.Samples, *o.sample)
 			}
-			c.apply(o.westEast, o.attrs, o.misses)
+			t.add(o.westEast, o.attrs, o.misses)
 		}
 		reduceSpan.SetItems(kept)
 		reduceSpan.End()
 	}
+	t.fold(c)
 	return c, nil
 }
 
-// synthesize renders one single-provider trace.
-func (c *Campaign) synthesize(rng *rand.Rand, ctx *ispContext, src, dst int, path graph.Path) Trace {
-	hops, mpls := c.appendHops(rng, ctx, src, path, make([]Hop, 0, len(path.Nodes)))
-	return Trace{SrcCity: src, DstCity: dst, ISP: ctx.name, MPLS: mpls, Hops: hops}
+// synthesizer renders the visible hops of probe paths. The tables it
+// reads per hop are filled once per campaign with the calls hop
+// synthesis would otherwise make per hop, so a trace is bit-identical
+// to one rendered by making them.
+type synthesizer struct {
+	opts    Options
+	dist    *cityDistances
+	nCities int
+	// nameAt[isp*nCities+city] is the position in names of the
+	// provider's hop name for the city's interface 1, or -1 off its
+	// backbone; interfaces 2..9 follow in order.
+	nameAt []int32
+	names  []string // Namer.HopName of each (provider, backbone city, interface)
 }
 
-// synthesizeTwo renders a two-provider trace: the first provider's
-// hops up to the peering hub, then the second provider's hops. Either
-// segment may independently ride an MPLS tunnel.
-func (c *Campaign) synthesizeTwo(rng *rand.Rand, ctx1, ctx2 *ispContext, src, dst int, p1, p2 graph.Path) Trace {
-	hops, mpls1 := c.appendHops(rng, ctx1, src, p1, make([]Hop, 0, len(p1.Nodes)+len(p2.Nodes)))
+// hopInterfaces is the number of router interfaces hop names draw
+// from (ae-1 .. ae-9).
+const hopInterfaces = 9
+
+func newSynthesizer(a *atlas.Atlas, namer *Namer, dist *cityDistances, isps []*ispContext, opts Options) *synthesizer {
+	n := len(a.Cities)
+	s := &synthesizer{
+		opts: opts, dist: dist, nCities: n,
+		nameAt: make([]int32, len(isps)*n),
+	}
+	for i := range s.nameAt {
+		s.nameAt[i] = -1
+	}
+	for i, ctx := range isps {
+		for _, city := range ctx.nodes {
+			s.nameAt[i*n+city] = int32(len(s.names))
+			for ifIndex := 1; ifIndex <= hopInterfaces; ifIndex++ {
+				s.names = append(s.names, namer.HopName(ifIndex, city, ctx.name))
+			}
+		}
+	}
+	return s
+}
+
+// appendPeeredHops renders a two-provider trace's hops onto the empty
+// hops: the first provider's along p1 up to the peering hub, then the
+// second provider's along p2. Either segment may independently ride an
+// MPLS tunnel; it reports whether one does.
+func (s *synthesizer) appendPeeredHops(rng *rand.Rand, isp1, isp2, src int, p1, p2 []int, hops []Hop) ([]Hop, bool) {
+	hops, mpls1 := s.appendHops(rng, isp1, src, p1, hops)
 	// Continue the clock: the second segment's RTTs stack on the
 	// first segment's final RTT.
 	base := 0.0
@@ -272,11 +364,11 @@ func (c *Campaign) synthesizeTwo(rng *rand.Rand, ctx1, ctx2 *ispContext, src, ds
 	first := len(hops)
 	// The second segment begins at the peering hub, so its access
 	// tail is zero-length.
-	hops, mpls2 := c.appendHops(rng, ctx2, p2.Nodes[0], p2, hops)
+	hops, mpls2 := s.appendHops(rng, isp2, p2[0], p2, hops)
 	for i := first; i < len(hops); i++ {
 		hops[i].RTTms += base
 	}
-	return Trace{SrcCity: src, DstCity: dst, ISP: ctx1.name, PeerISP: ctx2.name, MPLS: mpls1 || mpls2, Hops: hops}
+	return hops, mpls1 || mpls2
 }
 
 // appendHops renders the visible hops of one provider segment onto
@@ -284,11 +376,9 @@ func (c *Campaign) synthesizeTwo(rng *rand.Rand, ctx1, ctx2 *ispContext, src, ds
 // MPLS tunnel, in which case only the ingress and egress are visible
 // (paper §4.3's caveat). Each hop name resolves unless rDNS noise
 // hides it. It reports whether the segment tunnels.
-func (c *Campaign) appendHops(rng *rand.Rand, ctx *ispContext, src int, path graph.Path, hops []Hop) ([]Hop, bool) {
-	a := c.res.Atlas
-	mpls := rng.Float64() < c.Opts.MPLSProb
+func (s *synthesizer) appendHops(rng *rand.Rand, isp, src int, cities []int, hops []Hop) ([]Hop, bool) {
+	mpls := rng.Float64() < s.opts.MPLSProb
 
-	cities := path.Nodes
 	visible := cities
 	if mpls && len(cities) > 2 {
 		ends := [2]int{cities[0], cities[len(cities)-1]}
@@ -296,45 +386,41 @@ func (c *Campaign) appendHops(rng *rand.Rand, ctx *ispContext, src int, path gra
 	}
 	// Cumulative RTT: access tail to the first hop plus fiber distance
 	// along the backbone, times two (round trip), with jitter.
-	rtt := 2 * geo.FiberLatencyMs(a.Cities[src].Loc.DistanceKm(a.Cities[cities[0]].Loc)*1.3)
+	rtt := 2 * geo.FiberLatencyMs(s.dist.at(src, cities[0])*1.3)
 	prev := cities[0]
+	nameAt := s.nameAt[isp*s.nCities:]
 	for _, city := range visible {
 		if city != prev {
-			rtt += 2 * geo.FiberLatencyMs(a.Cities[prev].Loc.DistanceKm(a.Cities[city].Loc)*1.2)
+			rtt += 2 * geo.FiberLatencyMs(s.dist.at(prev, city)*1.2)
 			prev = city
 		}
 		h := Hop{City: city, RTTms: rtt + rng.Float64()*0.4}
-		if rng.Float64() >= c.Opts.GeoNoiseProb {
-			h.Name = c.namer.HopName(1+rng.Intn(9), city, ctx.name)
+		if rng.Float64() >= s.opts.GeoNoiseProb {
+			h.Name = s.names[int(nameAt[city])+rng.Intn(hopInterfaces)]
 		}
 		hops = append(hops, h)
 	}
 	return hops, mpls
 }
 
-// attribute maps one trace's visible hop pairs onto published
-// conduits using only hop names and the published map, and scores
-// each attribution against ground truth. It mutates nothing on the
-// campaign: the counter updates happen in apply, on the reducing
-// goroutine.
-func (c *Campaign) attribute(sc *probeScratch, t Trace, routes *overlayRoutes) (attrs []segAttr, misses int) {
-	m := c.res.Map
-
-	// Decode the hops a measurement study could decode.
-	sc.hops = sc.hops[:0]
-	for _, h := range t.Hops {
-		if h.Name == "" {
-			continue
+// decode fills sc.decoded with the hops a measurement study could
+// decode from hops' names.
+func (c *Campaign) decode(sc *probeScratch, hops []Hop) {
+	sc.decoded = sc.decoded[:0]
+	for _, h := range hops {
+		if city, isp, ok := c.namer.decodeHop(h.Name); ok {
+			sc.decoded = append(sc.decoded, decodedHop{city: city, isp: isp})
 		}
-		city, isp, ok := c.namer.DecodeHopName(h.Name)
-		if !ok {
-			continue
-		}
-		sc.hops = append(sc.hops, decodedHop{city: city, isp: isp})
 	}
-	sc.attrs = sc.attrs[:0]
-	for i := 1; i < len(sc.hops); i++ {
-		a, b := sc.hops[i-1], sc.hops[i]
+}
+
+// attribute maps the decoded hop pairs in sc.decoded onto published
+// conduits using only hop names and the published map, appends each
+// attribution, scored against ground truth, to sc.attrs, and returns
+// the number of pairs it could not attribute.
+func attribute(sc *probeScratch, routes *overlayRoutes) (misses int) {
+	for i := 1; i < len(sc.decoded); i++ {
+		a, b := sc.decoded[i-1], sc.decoded[i]
 		if a.city == b.city {
 			continue
 		}
@@ -345,50 +431,16 @@ func (c *Campaign) attribute(sc *probeScratch, t Trace, routes *overlayRoutes) (
 			misses++
 			continue
 		}
-		for _, eid := range sc.edges {
-			cid := fiber.ConduitID(eid)
+		for _, cid := range sc.edges {
 			sc.attrs = append(sc.attrs, segAttr{
-				cid: cid, isp: isp,
+				cid: int32(cid), isp: int32(isp),
 				// Ground-truth scoring: did the overlay put the probe
 				// in a conduit the provider actually occupies?
-				correct: c.truthByName[isp][m.Conduit(cid).Corridor],
+				correct: routes.correct(isp, cid),
 			})
 		}
 	}
-	return slices.Clone(sc.attrs), misses
-}
-
-// apply folds one trace's attributions into the campaign counters.
-func (c *Campaign) apply(westEast bool, attrs []segAttr, misses int) {
-	c.Unattributed += int64(misses)
-	for _, at := range attrs {
-		dc := c.ConduitProbes[at.cid]
-		if dc == nil {
-			dc = &DirCounts{}
-			c.ConduitProbes[at.cid] = dc
-		}
-		if westEast {
-			dc.WestEast++
-		} else {
-			dc.EastWest++
-		}
-		byISP := c.ISPConduits[at.isp]
-		if byISP == nil {
-			byISP = make(map[fiber.ConduitID]int64)
-			c.ISPConduits[at.isp] = byISP
-		}
-		byISP[at.cid]++
-		tenants := c.InferredTenants[at.cid]
-		if tenants == nil {
-			tenants = make(map[string]bool)
-			c.InferredTenants[at.cid] = tenants
-		}
-		tenants[at.isp] = true
-		c.AttributionChecked++
-		if at.correct {
-			c.AttributionCorrect++
-		}
-	}
+	return misses
 }
 
 // inf excludes an edge from Dijkstra (the graph package skips +Inf

@@ -128,12 +128,6 @@ type Campaign struct {
 
 	res   *mapbuilder.Result
 	namer *Namer
-	// truthByName maps provider -> ground-truth corridor edge set, for
-	// attribution scoring.
-	truthByName map[string]map[int]bool
-	// ispIndex assigns stable small integers to provider names for
-	// memoization keys.
-	ispIndex map[string]int
 }
 
 func (c *Campaign) atlasLon(city int) float64 {

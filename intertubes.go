@@ -49,7 +49,8 @@ type Options struct {
 	// EXPERIMENTS.md.
 	Seed int64
 	// Probes is the traceroute campaign size (default 200000; the
-	// paper used 4.9M over three months).
+	// paper used 4.9M over three months). NewStudy panics on a
+	// negative value.
 	Probes int
 	// AddConduits is the k of the §5.2 sweep (default 10).
 	AddConduits int
@@ -110,8 +111,11 @@ type Study struct {
 }
 
 // NewStudy builds the long-haul map (§2), the risk matrix (§4.1) and
-// the what-if engine over them.
+// the what-if engine over them. It panics on a negative opts.Probes.
 func NewStudy(opts Options) *Study {
+	if opts.Probes < 0 {
+		panic(fmt.Sprintf("intertubes: Options.Probes must be >= 0 (got %d)", opts.Probes))
+	}
 	opts = opts.withDefaults()
 	_, buildSpan := obs.Trace(context.Background(), "study.mapbuild")
 	res := mapbuilder.Build(mapbuilder.Options{

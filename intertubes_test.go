@@ -174,3 +174,16 @@ func TestSeedChangesStudy(t *testing.T) {
 		t.Error("different seeds should give different maps")
 	}
 }
+
+// TestNewStudyRejectsNegativeProbes: NewStudy has no error return, so
+// a negative campaign size panics up front, naming the field, instead
+// of deep inside the campaign.
+func TestNewStudyRejectsNegativeProbes(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Options.Probes must be >= 0 (got -1)") {
+			t.Errorf("NewStudy(Probes: -1) panicked with %q, want a message naming Options.Probes", msg)
+		}
+	}()
+	intertubes.NewStudy(intertubes.Options{Probes: -1})
+}
