@@ -30,12 +30,12 @@ bench:
 # bench-smoke runs the graph-kernel micro-benchmarks, the
 # clone-vs-overlay scenario pairs (internal/scenario, against the
 # clone reference kept in its tests), the per-pair-vs-batched
-# latency atlas pair (internal/latency) and the traceroute campaign
-# at each worker count for one iteration each — a fast CI check that
-# the benchmarks themselves still build and run (it does not
-# overwrite BENCH_obs.json).
+# latency atlas pair (internal/latency), the map build and the
+# traceroute campaign at each worker count for one iteration each — a
+# fast CI check that the benchmarks themselves still build and run (it
+# does not overwrite BENCH_obs.json).
 bench-smoke:
-	BENCH='DijkstraSweep|KShortestPaths$$|EdgeBetweenness|MaxFlow|ScenarioEvaluate|ScenarioEvaluateCapacity|ScenarioSweep|GridSweep|TracingOverhead|LatencyAtlas|WorkersCampaign' BENCHTIME=1x OUT=BENCH_smoke.json sh scripts/bench.sh
+	BENCH='DijkstraSweep|KShortestPaths$$|EdgeBetweenness|MaxFlow|ScenarioEvaluate|ScenarioEvaluateCapacity|ScenarioSweep|GridSweep|TracingOverhead|LatencyAtlas|WorkersCampaign|WorkersMapBuild|Figure1_MapConstruction' BENCHTIME=1x OUT=BENCH_smoke.json sh scripts/bench.sh
 	rm -f BENCH_smoke.json
 
 clean:

@@ -70,7 +70,7 @@ func BenchmarkTable1_InitialMap(b *testing.B) {
 func BenchmarkFigure1_MapConstruction(b *testing.B) {
 	var nodes, links, conduits int
 	for i := 0; i < b.N; i++ {
-		res := mapbuilder.Build(mapbuilder.Options{Seed: 42})
+		res := mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42})
 		st := res.Map.Stats()
 		nodes, links, conduits = st.Nodes, st.Links, st.Conduits
 	}
@@ -456,7 +456,7 @@ func BenchmarkAblationAlignCandidates(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				res := mapbuilder.Build(mapbuilder.Options{Seed: 42, AlignCandidates: k})
+				res := mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42, AlignCandidates: k})
 				acc = res.Report.AlignmentAccuracy()
 			}
 			b.ReportMetric(acc, "alignment-accuracy")
@@ -472,7 +472,7 @@ func BenchmarkAblationRecordsNoise(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var rate float64
 			for i := 0; i < b.N; i++ {
-				res := mapbuilder.Build(mapbuilder.Options{
+				res := mapbuilder.Build(context.Background(), mapbuilder.Options{
 					Seed:    42,
 					Records: records.Options{Coverage: cov, TenantRecall: 0.9, Seed: 43},
 				})
@@ -495,7 +495,7 @@ func BenchmarkAblationOccupancyDiscount(b *testing.B) {
 			var tail int
 			var mean float64
 			for i := 0; i < b.N; i++ {
-				res := mapbuilder.Build(mapbuilder.Options{Seed: 42, DisableOccupancyDiscount: disable})
+				res := mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42, DisableOccupancyDiscount: disable})
 				mx := risk.Build(res.Map, nil)
 				tail = len(mx.SharedAtLeast(15))
 				mean = mx.MeanSharing()
@@ -588,6 +588,22 @@ func BenchmarkWorkersColocation(b *testing.B) {
 					b.Fatal("short result")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkWorkersMapBuild times the §2 map build, whose step-3
+// candidate search and step-2/4 records validation run on the pool.
+func BenchmarkWorkersMapBuild(b *testing.B) {
+	for _, w := range workerCounts() {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			var conduits int
+			for i := 0; i < b.N; i++ {
+				res := mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42, Workers: w})
+				conduits = len(res.Map.Conduits)
+			}
+			b.ReportMetric(float64(conduits), "conduits")
 		})
 	}
 }

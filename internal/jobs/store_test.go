@@ -19,7 +19,7 @@ var (
 func newEngine(t *testing.T, workers int) *scenario.Engine {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		fixtureRes = mapbuilder.Build(mapbuilder.Options{Seed: 42})
+		fixtureRes = mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42})
 		fixtureMx = risk.Build(fixtureRes.Map, nil)
 	})
 	return scenario.New(fixtureRes, fixtureMx, scenario.Options{Seed: 42, Workers: workers})

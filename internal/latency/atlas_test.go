@@ -19,7 +19,7 @@ var cachedRes *mapbuilder.Result
 func build(t *testing.T) *mapbuilder.Result {
 	t.Helper()
 	if cachedRes == nil {
-		cachedRes = mapbuilder.Build(mapbuilder.Options{Seed: 42})
+		cachedRes = mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42})
 	}
 	return cachedRes
 }

@@ -65,7 +65,7 @@ var (
 // default seed and records settings.
 func benchBaseline() *fiber.Map {
 	benchOnce.Do(func() {
-		benchMap = mapbuilder.Build(mapbuilder.Options{
+		benchMap = mapbuilder.Build(context.Background(), mapbuilder.Options{
 			Seed: 42,
 			Records: records.Options{
 				Coverage:        0.9,

@@ -17,12 +17,15 @@
 package mapbuilder
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"intertubes/internal/atlas"
 	"intertubes/internal/fiber"
 	"intertubes/internal/graph"
+	"intertubes/internal/obs"
+	"intertubes/internal/par"
 	"intertubes/internal/records"
 )
 
@@ -44,6 +47,10 @@ type Options struct {
 	// ablation benchmarks: without the discount the sharing
 	// distribution of Figure 6 loses its heavy tail.
 	DisableOccupancyDiscount bool
+	// Workers bounds the worker pool that searches step 3's candidate
+	// paths and answers steps 2 and 4's validation queries (0 means
+	// all CPUs). The build is bit-identical for any value.
+	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -106,22 +113,27 @@ type Result struct {
 	Report Report
 }
 
-// edgeRef returns the records reference for a corridor edge.
-func edgeRef(a *atlas.Atlas, eid int) records.ConduitRef {
-	c := &a.Corridors[eid]
-	return records.NewConduitRef(a.Cities[c.A].Key(), a.Cities[c.B].Key())
-}
-
 // Build runs the four-step pipeline over the default provider
 // universe.
-func Build(opts Options) *Result {
-	return BuildWithProfiles(opts, Profiles())
+func Build(ctx context.Context, opts Options) *Result {
+	return BuildWithProfiles(ctx, opts, Profiles())
 }
 
 // BuildWithProfiles runs the pipeline over a caller-supplied provider
 // universe (used by tests and ablations).
-func BuildWithProfiles(opts Options, profiles []Profile) *Result {
+//
+// Only the searches run on the worker pool (opts.Workers). Step 3's
+// candidate rights-of-way never depend on validation, so they are
+// computed first; then every public-records query steps 2 and 4 will
+// make is collected, deduplicated and answered once. Steps 1 to 4
+// then replay serially from those tables in provider order, so the
+// result is bit-identical at any worker count. Each phase is a child
+// span of ctx's span; the build does not observe cancellation.
+func BuildWithProfiles(ctx context.Context, opts Options, profiles []Profile) *Result {
 	opts = opts.withDefaults()
+	ctx = context.WithoutCancel(ctx) // spans and pprof labels only: a build always completes
+
+	_, sp := obs.Trace(ctx, "mapbuilder.footprints")
 	a := atlas.Load()
 	g := a.Graph()
 
@@ -156,8 +168,17 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 			occupancy[eid]++
 		}
 	}
+	sp.SetItems(int64(len(profiles)))
+	sp.End()
 
 	// The public-records corpus describes the true tenancy relation.
+	// refs[eid] is corridor eid's records reference.
+	_, sp = obs.Trace(ctx, "mapbuilder.corpus")
+	refs := make([]records.ConduitRef, len(a.Corridors))
+	for eid := range refs {
+		c := &a.Corridors[eid]
+		refs[eid] = records.NewConduitRef(a.Cities[c.A].Key(), a.Cities[c.B].Key())
+	}
 	truth := records.GroundTruth{Tenants: make(map[records.ConduitRef][]string)}
 	edgeTenants := make(map[int][]string)
 	for _, p := range profiles {
@@ -168,7 +189,7 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 	for eid, tenants := range edgeTenants {
 		// Parallel corridors between the same city pair share one
 		// records reference: merge their tenant sets.
-		ref := edgeRef(a, eid)
+		ref := refs[eid]
 		merged := append(truth.Tenants[ref], tenants...)
 		sort.Strings(merged)
 		merged = dedupSorted(merged)
@@ -180,8 +201,13 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 	}
 	res.Corpus = records.Generate(truth, allNames, opts.Records)
 	res.Index = records.BuildIndex(res.Corpus)
-	inf := records.NewInference(res.Index)
+	sp.SetItems(int64(len(res.Corpus.Docs)))
+	sp.End()
 
+	cands := alignCandidates(ctx, res, profiles, opts)
+	valid := validate(ctx, res, refs, profiles, cands, opts)
+
+	_, sp = obs.Trace(ctx, "mapbuilder.assemble")
 	ensure := func(eid int) fiber.ConduitID {
 		c := &a.Corridors[eid]
 		ca, cb := a.Cities[c.A], a.Cities[c.B]
@@ -212,7 +238,7 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 		}
 		for _, eid := range sortedEdges(res.Truth[p.Name].Edges) {
 			res.Report.Step2Checked++
-			if _, ok := inf.Validate(edgeRef(a, eid), p.Name, opts.ValidateTopK); ok {
+			if valid(eid, p.Name) {
 				res.Report.Step2Validated++
 			}
 		}
@@ -220,28 +246,22 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 
 	// ---- Steps 3 and 4: align POP-only providers along ROWs and
 	// validate the placements.
-	plain := func(eid int) float64 {
-		c := &a.Corridors[eid]
-		return c.LengthKm * rowFactor(c.ROW)
-	}
-	alignWS := graph.NewWorkspace() // serial alignment loop: one workspace
-	for _, p := range profiles {
+	for pi, p := range profiles {
 		if !p.Mapped() || p.Geocoded {
 			continue
 		}
 		fp := res.Truth[p.Name]
 		chosen := make(map[int]bool)
-		for _, route := range fp.Routes {
-			cands := g.KShortestPaths(alignWS, route[0], route[1], opts.AlignCandidates, plain)
-			if len(cands) == 0 {
+		for _, route := range cands[pi] {
+			if len(route) == 0 {
 				continue
 			}
 			res.Report.Step4Routes++
 			best, bestScore := 0, -1.0
-			for i, cand := range cands {
+			for i, cand := range route {
 				validated := 0
 				for _, eid := range cand.Edges {
-					if _, ok := inf.Validate(edgeRef(a, eid), p.Name, opts.ValidateTopK); ok {
+					if valid(eid, p.Name) {
 						validated++
 					}
 				}
@@ -252,7 +272,7 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 					best, bestScore = i, score
 				}
 			}
-			for _, eid := range cands[best].Edges {
+			for _, eid := range route[best].Edges {
 				chosen[eid] = true
 			}
 		}
@@ -262,7 +282,7 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 			if fp.Edges[eid] {
 				res.Report.Step4EdgesCorrect++
 			}
-			if _, ok := inf.Validate(edgeRef(a, eid), p.Name, opts.ValidateTopK); ok {
+			if valid(eid, p.Name) {
 				res.Report.Step4Validated++
 			}
 		}
@@ -301,7 +321,102 @@ func BuildWithProfiles(opts Options, profiles []Profile) *Result {
 			Geocoded: p.Geocoded,
 		})
 	}
+	sp.SetItems(int64(len(res.Map.Conduits)))
+	sp.End()
 	return res
+}
+
+// alignCandidates computes, on the pool, step 3's candidate ROW paths
+// for every logical link of every POP-only provider: cands[p][r] lists
+// those of route r of profiles[p], shortest first.
+func alignCandidates(ctx context.Context, res *Result, profiles []Profile, opts Options) [][][]graph.Path {
+	ctx, sp := obs.Trace(ctx, "mapbuilder.align")
+	defer sp.End()
+	type link struct{ p, r int }
+	var links []link
+	cands := make([][][]graph.Path, len(profiles))
+	for p, prof := range profiles {
+		if !prof.Mapped() || prof.Geocoded {
+			continue
+		}
+		routes := res.Truth[prof.Name].Routes
+		cands[p] = make([][]graph.Path, len(routes))
+		for r := range routes {
+			links = append(links, link{p, r})
+		}
+	}
+	a := res.Atlas
+	plain := func(eid int) float64 {
+		c := &a.Corridors[eid]
+		return c.LengthKm * rowFactor(c.ROW)
+	}
+	paths, _ := par.MapWith(ctx, len(links), opts.Workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) []graph.Path {
+		route := res.Truth[profiles[links[i].p].Name].Routes[links[i].r]
+		return res.Graph.KShortestPaths(ws, route[0], route[1], opts.AlignCandidates, plain)
+	}) // the build's ctx is never canceled
+	for i, l := range links {
+		cands[l.p][l.r] = paths[i]
+	}
+	sp.SetWorkers(par.Workers(opts.Workers))
+	sp.SetItems(int64(len(links)))
+	return cands
+}
+
+// query is one step-2/4 validation: does a public record place isp in
+// the conduit ref? Parallel corridors between one city pair share a
+// reference, and so share an answer.
+type query struct {
+	ref records.ConduitRef
+	isp string
+}
+
+// validate collects the queries steps 2 and 4 make — every geocoded
+// placement and every edge of every step-3 candidate — answers each
+// distinct one once, on the pool, and returns the lookup steps 2 and 4
+// replay from: whether a public record places isp in corridor eid's
+// conduit. refs[eid] is corridor eid's records reference.
+func validate(ctx context.Context, res *Result, refs []records.ConduitRef, profiles []Profile, cands [][][]graph.Path, opts Options) func(eid int, isp string) bool {
+	ctx, sp := obs.Trace(ctx, "mapbuilder.validate")
+	defer sp.End()
+	slot := make(map[query]int)
+	var asked []query
+	ask := func(eid int, isp string) {
+		q := query{refs[eid], isp}
+		if _, ok := slot[q]; !ok {
+			slot[q] = len(asked)
+			asked = append(asked, q)
+		}
+	}
+	for p, prof := range profiles {
+		switch {
+		case prof.Mapped() && prof.Geocoded:
+			for _, eid := range sortedEdges(res.Truth[prof.Name].Edges) {
+				ask(eid, prof.Name)
+			}
+		case prof.Mapped():
+			for _, route := range cands[p] {
+				for _, cand := range route {
+					for _, eid := range cand.Edges {
+						ask(eid, prof.Name)
+					}
+				}
+			}
+		}
+	}
+	inf := records.NewInference(res.Index)
+	answers, _ := par.Map(ctx, len(asked), opts.Workers, func(i int) bool {
+		_, ok := inf.Validate(asked[i].ref, asked[i].isp, opts.ValidateTopK)
+		return ok
+	}) // the build's ctx is never canceled
+	sp.SetWorkers(par.Workers(opts.Workers))
+	sp.SetItems(int64(len(asked)))
+	return func(eid int, isp string) bool {
+		i, ok := slot[query{refs[eid], isp}]
+		if !ok {
+			panic(fmt.Sprintf("mapbuilder: validation of %s for corridor %d was never collected", isp, eid))
+		}
+		return answers[i]
+	}
 }
 
 // sortedEdges returns the keys of an edge set in ascending order.

@@ -1,6 +1,7 @@
 package mapbuilder
 
 import (
+	"context"
 	"testing"
 
 	"intertubes/internal/atlas"
@@ -14,7 +15,7 @@ var cachedResult *Result
 func build(t *testing.T) *Result {
 	t.Helper()
 	if cachedResult == nil {
-		cachedResult = Build(Options{Seed: 42})
+		cachedResult = Build(context.Background(), Options{Seed: 42})
 	}
 	return cachedResult
 }
@@ -61,8 +62,8 @@ func TestBuildHeadlineShape(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a := Build(Options{Seed: 7})
-	b := Build(Options{Seed: 7})
+	a := Build(context.Background(), Options{Seed: 7})
+	b := Build(context.Background(), Options{Seed: 7})
 	sa, sb := a.Map.Stats(), b.Map.Stats()
 	if sa != sb {
 		t.Fatalf("same seed gave different maps: %+v vs %+v", sa, sb)
@@ -76,8 +77,8 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestBuildSeedsDiffer(t *testing.T) {
-	a := Build(Options{Seed: 7})
-	b := Build(Options{Seed: 8})
+	a := Build(context.Background(), Options{Seed: 7})
+	b := Build(context.Background(), Options{Seed: 8})
 	if a.Map.Stats() == b.Map.Stats() {
 		t.Error("different seeds should give different maps (statistically certain)")
 	}
@@ -326,7 +327,7 @@ func TestBuildWithSubsetProfiles(t *testing.T) {
 		{Name: "Beta", Tier: Tier1, Geocoded: false, POPTarget: 8, Redundancy: 0.2, JitterAmp: 0.2},
 		{Name: "Ghost", Tier: Unmapped, POPTarget: 5, JitterAmp: 0.2},
 	}
-	res := BuildWithProfiles(Options{Seed: 3}, subset)
+	res := BuildWithProfiles(context.Background(), Options{Seed: 3}, subset)
 	s := res.Map.Stats()
 	if s.ISPs != 2 {
 		t.Errorf("published ISPs = %d, want 2", s.ISPs)
@@ -338,7 +339,7 @@ func TestBuildWithSubsetProfiles(t *testing.T) {
 
 func TestOccupancyDiscountAblation(t *testing.T) {
 	with := build(t).Map.Stats()
-	without := Build(Options{Seed: 42, DisableOccupancyDiscount: true}).Map.Stats()
+	without := Build(context.Background(), Options{Seed: 42, DisableOccupancyDiscount: true}).Map.Stats()
 	// The discount concentrates tenancy: without it the heavy tail of
 	// mega-shared conduits shrinks.
 	if without.MaxSharing > with.MaxSharing {

@@ -296,22 +296,28 @@ func MapWith[S, T any](ctx context.Context, n, workers int, newState func() S, f
 
 // MapSeeded is MapWith over the absolute index window [lo, hi) with a
 // per-chunk *rand.Rand: out[i-lo] = fn(i, rng, state), where chunk c
-// gets rand.New(rand.NewSource(chunkSeed(seed, c))) and the indices of
-// a chunk run in order sharing that stream. Chunk indices are
-// positions on the absolute grid, so the output is bit-identical for
-// any worker count, and a caller can stream a long range through a
-// bounded buffer window by window and still produce exactly what one
-// whole-range call would. Cancellation only truncates which chunks
-// ran, as in Map.
+// gets the stream of rand.New(rand.NewSource(chunkSeed(seed, c))) and
+// the indices of a chunk run in order sharing that stream. Chunk
+// indices are positions on the absolute grid, so the output is
+// bit-identical for any worker count, and a caller can stream a long
+// range through a bounded buffer window by window and still produce
+// exactly what one whole-range call would. Cancellation only truncates
+// which chunks ran, as in Map.
+//
+// Each worker keeps one *rand.Rand and re-seeds it at every chunk
+// (Rand.Seed resets the source exactly as NewSource builds it), so fn
+// must not keep rng past its call.
 func MapSeeded[S, T any](ctx context.Context, lo, hi, workers int, seed int64, newState func() S, fn func(i int, rng *rand.Rand, state S) T) ([]T, error) {
 	if hi <= lo {
 		return nil, ctxErr(ctx)
 	}
 	states := newWorkerStates(workers, newState)
+	rngs := newWorkerStates(workers, func() *rand.Rand { return rand.New(rand.NewSource(0)) })
 	out := make([]T, hi-lo)
 	err := forChunks(ctx, lo, hi, workers, func(worker, chunk, clo, chi int) {
 		s := states.get(worker)
-		rng := rand.New(rand.NewSource(chunkSeed(seed, chunk)))
+		rng := rngs.get(worker)
+		rng.Seed(chunkSeed(seed, chunk))
 		for i := clo; i < chi; i++ {
 			out[i-lo] = fn(i, rng, s)
 		}

@@ -44,9 +44,16 @@ type posting struct {
 
 // Index is an inverted index over a Corpus.
 type Index struct {
-	corpus   *Corpus
-	postings map[string][]posting
+	corpus *Corpus
+	// terms numbers the vocabulary; postings[id] lists the documents
+	// holding term id, in document order.
+	terms    map[string]int32
+	postings [][]posting
 	docLen   []float64
+	// docTerms is each document's token sequence (title, then body) as
+	// term ids. Documents are tokenized once, here; Inference matches
+	// mentions against these sequences.
+	docTerms [][]int32
 	// scratch pools per-query accumulators, so concurrent searches
 	// neither share nor reallocate them.
 	scratch sync.Pool
@@ -56,21 +63,51 @@ type Index struct {
 func BuildIndex(c *Corpus) *Index {
 	idx := &Index{
 		corpus:   c,
-		postings: make(map[string][]posting),
+		terms:    make(map[string]int32),
 		docLen:   make([]float64, len(c.Docs)),
+		docTerms: make([][]int32, len(c.Docs)),
 	}
+	var tf []int32 // per-term count in the current document
 	for i, doc := range c.Docs {
-		counts := make(map[string]int)
 		toks := Tokenize(doc.Title + " " + doc.Body)
-		for _, t := range toks {
-			counts[t]++
+		ids := make([]int32, len(toks))
+		for j, t := range toks {
+			id, ok := idx.terms[t]
+			if !ok {
+				id = int32(len(idx.postings))
+				idx.terms[t] = id
+				idx.postings = append(idx.postings, nil)
+				tf = append(tf, 0)
+			}
+			ids[j] = id
+			tf[id]++
+		}
+		for _, id := range ids {
+			if tf[id] > 0 {
+				idx.postings[id] = append(idx.postings[id], posting{doc: int32(i), tf: float64(tf[id])})
+				tf[id] = 0
+			}
 		}
 		idx.docLen[i] = float64(len(toks))
-		for t, n := range counts {
-			idx.postings[t] = append(idx.postings[t], posting{doc: int32(i), tf: float64(n)})
-		}
+		idx.docTerms[i] = ids
 	}
 	return idx
+}
+
+// phrase returns s's tokens as term ids, or nil when s holds a term no
+// document has. No document mentions such a phrase, nor an empty one:
+// containsSeq matches no empty needle.
+func (idx *Index) phrase(s string) []int32 {
+	toks := Tokenize(s)
+	ids := make([]int32, len(toks))
+	for i, t := range toks {
+		id, ok := idx.terms[t]
+		if !ok {
+			return nil
+		}
+		ids[i] = id
+	}
+	return ids
 }
 
 // Result is one search hit.
@@ -107,10 +144,11 @@ func (idx *Index) Search(query string, k int) []Result {
 		if containsString(toks[:i], t) {
 			continue // a repeated query term scores once
 		}
-		ps := idx.postings[t]
-		if len(ps) == 0 {
+		id, ok := idx.terms[t]
+		if !ok {
 			continue
 		}
+		ps := idx.postings[id]
 		idf := math.Log(1 + nDocs/float64(len(ps)))
 		for _, p := range ps {
 			if !sc.scored[p.doc] {

@@ -11,26 +11,20 @@ import (
 // which other providers share the conduit.
 
 // Inference runs validation and sharing-inference queries against an
-// index.
+// index. It is safe for concurrent use.
 type Inference struct {
 	idx *Index
-	// docTokens caches each document's token sequence for mention
-	// extraction.
-	docTokens [][]string
 }
 
-// NewInference prepares an inference engine over idx.
+// NewInference prepares an inference engine over idx. Mentions are
+// matched against the token sequences the index already holds.
 func NewInference(idx *Index) *Inference {
-	inf := &Inference{idx: idx, docTokens: make([][]string, len(idx.corpus.Docs))}
-	for i, d := range idx.corpus.Docs {
-		inf.docTokens[i] = Tokenize(d.Title + " " + d.Body)
-	}
-	return inf
+	return &Inference{idx: idx}
 }
 
 // containsSeq reports whether needle occurs as a contiguous
 // subsequence of haystack.
-func containsSeq(haystack, needle []string) bool {
+func containsSeq[T comparable](haystack, needle []T) bool {
 	if len(needle) == 0 {
 		return false
 	}
@@ -46,10 +40,12 @@ outer:
 	return false
 }
 
-// mentions reports whether doc i mentions the phrase (e.g. an ISP or
-// city name) as a contiguous token sequence.
-func (inf *Inference) mentions(doc int, phrase string) bool {
-	return containsSeq(inf.docTokens[doc], Tokenize(phrase))
+// mentions reports whether doc i mentions a phrase (e.g. an ISP or
+// city name), given as term ids (Index.phrase), as a contiguous token
+// sequence. Callers tokenize each phrase once per query, not once per
+// hit.
+func (inf *Inference) mentions(doc int, phrase []int32) bool {
+	return containsSeq(inf.idx.docTerms[doc], phrase)
 }
 
 // Evidence records why a tenancy was inferred.
@@ -66,16 +62,21 @@ type Evidence struct {
 func (inf *Inference) TenantsFor(ref ConduitRef, candidates []string, topK int) []Evidence {
 	a, b := cityName(ref.A), cityName(ref.B)
 	hits := inf.idx.Search(a+" to "+b+" fiber conduit right of way iru", topK)
+	ta, tb := inf.idx.phrase(a), inf.idx.phrase(b)
+	tc := make([][]int32, len(candidates))
+	for i, isp := range candidates {
+		tc[i] = inf.idx.phrase(isp)
+	}
 	found := make(map[string]int) // isp -> first doc id
 	for _, h := range hits {
-		if !inf.mentions(h.DocID, a) || !inf.mentions(h.DocID, b) {
+		if !inf.mentions(h.DocID, ta) || !inf.mentions(h.DocID, tb) {
 			continue // the document is about some other route
 		}
-		for _, isp := range candidates {
+		for i, isp := range candidates {
 			if _, ok := found[isp]; ok {
 				continue
 			}
-			if inf.mentions(h.DocID, isp) {
+			if inf.mentions(h.DocID, tc[i]) {
 				found[isp] = h.DocID
 			}
 		}
@@ -94,8 +95,9 @@ func (inf *Inference) TenantsFor(ref ConduitRef, candidates []string, topK int) 
 func (inf *Inference) Validate(ref ConduitRef, isp string, topK int) (int, bool) {
 	a, b := cityName(ref.A), cityName(ref.B)
 	hits := inf.idx.Search(a+" to "+b+" fiber iru "+strings.ToLower(isp), topK)
+	ta, tb, ti := inf.idx.phrase(a), inf.idx.phrase(b), inf.idx.phrase(isp)
 	for _, h := range hits {
-		if inf.mentions(h.DocID, a) && inf.mentions(h.DocID, b) && inf.mentions(h.DocID, isp) {
+		if inf.mentions(h.DocID, ta) && inf.mentions(h.DocID, tb) && inf.mentions(h.DocID, ti) {
 			return h.DocID, true
 		}
 	}

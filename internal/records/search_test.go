@@ -28,10 +28,11 @@ func searchOracle(idx *Index, query string, k int) []Result {
 			continue
 		}
 		seen[t] = true
-		ps := idx.postings[t]
-		if len(ps) == 0 {
+		id, ok := idx.terms[t]
+		if !ok {
 			continue
 		}
+		ps := idx.postings[id]
 		idf := math.Log(1 + nDocs/float64(len(ps)))
 		for _, p := range ps {
 			scores[p.doc] += idf * p.tf / math.Sqrt(idx.docLen[p.doc])
@@ -116,8 +117,8 @@ func TestSearchMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		c := searchCorpus(seed)
 		idx := BuildIndex(c)
-		vocab := make([]string, 0, len(idx.postings))
-		for tok := range idx.postings {
+		vocab := make([]string, 0, len(idx.terms))
+		for tok := range idx.terms {
 			vocab = append(vocab, tok)
 		}
 		sort.Strings(vocab)

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ var (
 func build(t *testing.T) (*mapbuilder.Result, *risk.Matrix) {
 	t.Helper()
 	if cachedRes == nil {
-		cachedRes = mapbuilder.Build(mapbuilder.Options{Seed: 42})
+		cachedRes = mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42})
 		cachedMx = risk.Build(cachedRes.Map, nil)
 	}
 	return cachedRes, cachedMx

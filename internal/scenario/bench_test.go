@@ -30,7 +30,7 @@ var (
 // default seed and records settings, and its risk matrix.
 func benchBaseline() (*mapbuilder.Result, *risk.Matrix) {
 	benchOnce.Do(func() {
-		benchRes = mapbuilder.Build(mapbuilder.Options{
+		benchRes = mapbuilder.Build(context.Background(), mapbuilder.Options{
 			Seed: 42,
 			Records: records.Options{
 				Coverage:        0.9,

@@ -22,7 +22,7 @@ var (
 func build(t *testing.T) (*mapbuilder.Result, *risk.Matrix) {
 	t.Helper()
 	if cachedRes == nil {
-		cachedRes = mapbuilder.Build(mapbuilder.Options{Seed: 42})
+		cachedRes = mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42})
 		cachedMx = risk.Build(cachedRes.Map, nil)
 	}
 	return cachedRes, cachedMx

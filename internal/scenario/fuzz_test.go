@@ -38,7 +38,7 @@ func fuzzEngines() (*Engine, *Engine) {
 			{Name: "Beta", Tier: mapbuilder.Tier1, Geocoded: false, POPTarget: 8, Redundancy: 0.2, JitterAmp: 0.2},
 			{Name: "Gamma", Tier: mapbuilder.Regional, Geocoded: true, POPTarget: 6, Redundancy: 0.3, JitterAmp: 0.2},
 		}
-		fuzzRes = mapbuilder.BuildWithProfiles(mapbuilder.Options{Seed: 3}, profiles)
+		fuzzRes = mapbuilder.BuildWithProfiles(context.Background(), mapbuilder.Options{Seed: 3}, profiles)
 		mx := risk.Build(fuzzRes.Map, nil)
 		fuzzIsps = mx.ISPs
 		fuzzNodes = fuzzRes.Map.NumNodes()

@@ -394,8 +394,9 @@ func parseFloat(s string) (float64, error) {
 func TestBuildReportEndpoint(t *testing.T) {
 	var out struct {
 		Stages []struct {
-			Name  string `json:"name"`
-			Calls int64  `json:"calls"`
+			Name   string `json:"name"`
+			Parent string `json:"parent"`
+			Calls  int64  `json:"calls"`
 		} `json:"stages"`
 		Report string `json:"report"`
 	}
@@ -409,8 +410,13 @@ func TestBuildReportEndpoint(t *testing.T) {
 		if st.Calls == 0 {
 			t.Errorf("stage %s has zero calls", st.Name)
 		}
+		if strings.HasPrefix(st.Name, "mapbuilder.") && st.Parent != "study.mapbuild" {
+			t.Errorf("stage %s has parent %q, want study.mapbuild", st.Name, st.Parent)
+		}
 	}
-	for _, want := range []string{"study.mapbuild", "study.riskmatrix", "study.campaign", "traceroute.synthesize"} {
+	for _, want := range []string{"study.mapbuild", "mapbuilder.footprints", "mapbuilder.corpus",
+		"mapbuilder.align", "mapbuilder.validate", "mapbuilder.assemble",
+		"study.riskmatrix", "study.campaign", "traceroute.synthesize"} {
 		if !names[want] {
 			t.Errorf("build report missing stage %s (have %v)", want, names)
 		}

@@ -27,7 +27,7 @@ func TestOverlayDecoderOnlyProvider(t *testing.T) {
 			profiles = append(profiles, p)
 		}
 	}
-	res := mapbuilder.BuildWithProfiles(mapbuilder.Options{Seed: 42}, profiles)
+	res := mapbuilder.BuildWithProfiles(context.Background(), mapbuilder.Options{Seed: 42}, profiles)
 	c, err := Run(context.Background(), res, Options{N: 2000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

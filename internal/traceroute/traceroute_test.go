@@ -17,7 +17,7 @@ var (
 func campaign(t *testing.T) (*mapbuilder.Result, *Campaign) {
 	t.Helper()
 	if cachedCamp == nil {
-		cachedRes = mapbuilder.Build(mapbuilder.Options{Seed: 42})
+		cachedRes = mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42})
 		cachedCamp, _ = Run(context.Background(), cachedRes, Options{N: 20000, Seed: 99})
 	}
 	return cachedRes, cachedCamp

@@ -56,12 +56,12 @@ type Options struct {
 	AddConduits int
 	// LatencyMaxPairs caps the §5.3 study size (default 3000).
 	LatencyMaxPairs int
-	// Workers bounds the worker pool shared by the parallel analysis
-	// stages — the §3 co-location overlap, the §4.3 campaign, the
-	// §5.2 conduit sweep, and the §5.3 latency study. 0 means all
-	// CPUs; 1 forces serial execution. Every stage produces
-	// bit-identical results for any value (see DESIGN.md, "Parallel
-	// execution").
+	// Workers bounds the worker pool shared by the parallel stages —
+	// the §2 map build's candidate search and records validation, the
+	// §3 co-location overlap, the §4.3 campaign, the §5.2 conduit
+	// sweep, and the §5.3 latency study. 0 means all CPUs; 1 forces
+	// serial execution. Every stage produces bit-identical results for
+	// any value (see DESIGN.md, "Parallel execution").
 	Workers int
 }
 
@@ -117,10 +117,12 @@ func NewStudy(opts Options) *Study {
 		panic(fmt.Sprintf("intertubes: Options.Probes must be >= 0 (got %d)", opts.Probes))
 	}
 	opts = opts.withDefaults()
-	_, buildSpan := obs.Trace(context.Background(), "study.mapbuild")
-	res := mapbuilder.Build(mapbuilder.Options{
+	buildCtx, buildSpan := obs.Trace(context.Background(), "study.mapbuild")
+	buildSpan.SetWorkers(par.Workers(opts.Workers))
+	res := mapbuilder.Build(buildCtx, mapbuilder.Options{
 		Seed:    opts.Seed,
 		Records: recordsOptions(opts.Seed),
+		Workers: opts.Workers,
 	})
 	buildSpan.SetItems(int64(len(res.Map.Conduits)))
 	buildSpan.End()

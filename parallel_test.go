@@ -3,9 +3,11 @@ package intertubes_test
 // parallel_test.go is the serial-equivalence suite for the par-backed
 // hot paths: every figure whose pipeline runs on the worker pool must
 // render byte-identically for any worker count at the default seed.
-// Figure 4 exercises geo.OverlapAnalyzer.AnalyzeAll, Figure 9 the
-// parallel traceroute campaign, Figure 11 the AddConduits candidate
-// scan, and Figure 12 the all-pairs latency sweep.
+// Table 1, the step-3 table and Figure 1's steps 2-4 report exercise
+// the map build's candidate search and records validation, Figure 4
+// geo.OverlapAnalyzer.AnalyzeAll, Figure 9 the parallel traceroute
+// campaign, Figure 11 the AddConduits candidate scan, and Figure 12
+// the all-pairs latency sweep.
 
 import (
 	"runtime"
@@ -22,6 +24,9 @@ func renderParallelFigures(workers int) map[string]string {
 		Workers:         workers,
 	})
 	return map[string]string{
+		"Table1":   s.RenderTable1(),
+		"Step3":    s.RenderStep3(),
+		"Figure1":  s.RenderFigure1(),
 		"Figure4":  s.RenderFigure4(),
 		"Figure9":  s.RenderFigure9(),
 		"Figure11": s.RenderFigure11(),

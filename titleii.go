@@ -1,6 +1,7 @@
 package intertubes
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -63,9 +64,10 @@ func (s *Study) TitleIIScenario(n int) TitleIIResult {
 			JitterAmp:  0.01,
 		})
 	}
-	scenario := mapbuilder.BuildWithProfiles(mapbuilder.Options{
+	scenario := mapbuilder.BuildWithProfiles(context.Background(), mapbuilder.Options{
 		Seed:    s.opts.Seed,
 		Records: recordsOptions(s.opts.Seed),
+		Workers: s.opts.Workers,
 	}, profiles)
 
 	baseMx := s.mx
