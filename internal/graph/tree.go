@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // tree.go keeps the shortest-path tree a full Dijkstra settles as a
 // value the caller owns: build a Tree once per source, then trace any
@@ -38,25 +35,41 @@ type Tree struct {
 // to weights, which must not change while the tree is in use. Only
 // the tree is allocated.
 func (g *Graph) ShortestTree(ws *Workspace, src int, weights []float64) *Tree {
+	if weights == nil {
+		weights = g.topoView().defWeights
+	}
+	parent := g.ShortestParents(ws, src, weights, nil)
+	return &Tree{g: g, weights: weights, parent: parent, src: int32(src)}
+}
+
+// ShortestParents settles the tree ShortestTree keeps and writes its
+// parent edges into dst (resized as needed; nil allocates): dst[v] is
+// the edge by which v is reached, -1 at the source and at unreached
+// vertices. A caller that lays the parents out its own way reuses dst
+// and allocates nothing per source.
+func (g *Graph) ShortestParents(ws *Workspace, src int, weights []float64, dst []int32) []int32 {
 	if src < 0 || src >= g.n {
-		panic(fmt.Sprintf("graph: ShortestTree source %d out of range [0,%d)", src, g.n))
+		panic(fmt.Sprintf("graph: shortest-path tree source %d out of range [0,%d)", src, g.n))
 	}
 	t := g.topoView()
 	if weights == nil {
 		weights = t.defWeights
 	} else if len(weights) != len(g.edges) {
-		panic(fmt.Sprintf("graph: ShortestTree weight table has %d entries for %d edges", len(weights), len(g.edges)))
+		panic(fmt.Sprintf("graph: shortest-path tree weight table has %d entries for %d edges", len(weights), len(g.edges)))
 	}
 	g.dijkstra(ws, t, weights, int32(src), -1)
-	parent := make([]int32, g.n)
-	for v := range parent {
+	if cap(dst) < g.n {
+		dst = make([]int32, g.n)
+	}
+	dst = dst[:g.n]
+	for v := range dst {
 		if ws.visited(int32(v)) {
-			parent[v] = ws.parent[v]
+			dst[v] = ws.parent[v]
 		} else {
-			parent[v] = -1
+			dst[v] = -1
 		}
 	}
-	return &Tree{g: g, weights: weights, parent: parent, src: int32(src)}
+	return dst
 }
 
 // reachable reports whether dst was settled from the source.
@@ -92,42 +105,6 @@ func (t *Tree) Path(dst int) (Path, bool) {
 		weight += t.weights[eid]
 	}
 	return Path{Nodes: nodes, Edges: edges, Weight: weight}, true
-}
-
-// AppendPathEdges appends the edge ids of the path from the source to
-// dst, in path order, to buf and returns the extended slice (ok=false
-// and buf unchanged when dst is unreachable). It allocates only to
-// grow buf, for hot loops that walk many paths and need only edges.
-func (t *Tree) AppendPathEdges(buf []int, dst int) ([]int, bool) {
-	if !t.reachable(dst) {
-		return buf, false
-	}
-	start := len(buf)
-	for v := dst; v != int(t.src); {
-		eid := t.parent[v]
-		buf = append(buf, int(eid))
-		v = t.g.edges[eid].other(v)
-	}
-	slices.Reverse(buf[start:])
-	return buf, true
-}
-
-// AppendPathNodes appends the vertices of the path from the source to
-// dst, source first — Path's Nodes — to buf and returns the extended
-// slice (ok=false and buf unchanged when dst is unreachable). Like
-// AppendPathEdges it allocates only to grow buf.
-func (t *Tree) AppendPathNodes(buf []int, dst int) ([]int, bool) {
-	if !t.reachable(dst) {
-		return buf, false
-	}
-	start := len(buf)
-	buf = append(buf, dst)
-	for v := dst; v != int(t.src); {
-		v = t.g.edges[t.parent[v]].other(v)
-		buf = append(buf, v)
-	}
-	slices.Reverse(buf[start:])
-	return buf, true
 }
 
 // other returns the endpoint of e opposite v.

@@ -146,7 +146,11 @@ func GenerateFootprint(a *atlas.Atlas, g *graph.Graph, prof Profile, seed int64,
 	if len(fp.POPs) == 0 {
 		return fp
 	}
-	wf := costFunc(a, prof, occupancy)
+	// The provider's costs are fixed for the whole footprint, so they
+	// are materialized once: every attachment and redundancy query
+	// reads the table instead of hashing each corridor again.
+	costs := g.Weights(costFunc(a, prof, occupancy), nil)
+	wf := func(eid int) float64 { return costs[eid] }
 
 	// One workspace (and one reused distance buffer) serves every
 	// attachment and redundancy query of this footprint.
@@ -188,7 +192,7 @@ func GenerateFootprint(a *atlas.Atlas, g *graph.Graph, prof Profile, seed int64,
 	// from edges the provider already owns so they form rings.
 	nExtra := int(math.Round(prof.Redundancy * float64(len(fp.POPs))))
 	divWF := func(eid int) float64 {
-		w := wf(eid)
+		w := costs[eid]
 		if fp.Edges[eid] {
 			w *= 2.5
 		}

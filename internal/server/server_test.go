@@ -413,10 +413,14 @@ func TestBuildReportEndpoint(t *testing.T) {
 		if strings.HasPrefix(st.Name, "mapbuilder.") && st.Parent != "study.mapbuild" {
 			t.Errorf("stage %s has parent %q, want study.mapbuild", st.Name, st.Parent)
 		}
+		if strings.HasPrefix(st.Name, "traceroute.") && st.Parent != "study.campaign" {
+			t.Errorf("stage %s has parent %q, want study.campaign", st.Name, st.Parent)
+		}
 	}
 	for _, want := range []string{"study.mapbuild", "mapbuilder.footprints", "mapbuilder.corpus",
 		"mapbuilder.align", "mapbuilder.validate", "mapbuilder.assemble",
-		"study.riskmatrix", "study.campaign", "traceroute.synthesize"} {
+		"study.riskmatrix", "study.campaign", "traceroute.tables", "traceroute.decide",
+		"traceroute.synthesize", "traceroute.reduce"} {
 		if !names[want] {
 			t.Errorf("build report missing stage %s (have %v)", want, names)
 		}

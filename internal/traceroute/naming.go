@@ -107,17 +107,20 @@ var domains = newDomainTable(domainForISP)
 
 // splitHopName locates the city-code label of a hop name
 // ("ae-3.dllstx.sprintlink.net" -> "dllstx", "sprintlink.net"); ok is
-// false when the name has fewer than two dots.
+// false when the name has fewer than two dots. The labels before the
+// domain are a few bytes long, so it scans them with a plain loop.
 func splitHopName(name string) (code, dom string, ok bool) {
-	i := strings.IndexByte(name, '.')
-	if i < 0 {
+	i := 0
+	for i < len(name) && name[i] != '.' {
+		i++
+	}
+	j := i + 1
+	for j < len(name) && name[j] != '.' {
+		j++
+	}
+	if j >= len(name) {
 		return "", "", false
 	}
-	j := strings.IndexByte(name[i+1:], '.')
-	if j < 0 {
-		return "", "", false
-	}
-	j += i + 1
 	return name[i+1 : j], name[j+1:], true
 }
 
@@ -194,11 +197,22 @@ func (n *Namer) CityForCode(code string) (int, bool) {
 
 // HopName renders a full router interface name.
 func (n *Namer) HopName(ifIndex, city int, isp string) string {
+	var buf [64]byte
+	return string(n.appendHopName(buf[:0], ifIndex, city, isp))
+}
+
+// appendHopName appends HopName's name to buf.
+func (n *Namer) appendHopName(buf []byte, ifIndex, city int, isp string) []byte {
 	dom, ok := domainForISP[isp]
 	if !ok {
 		dom = "unknown.net"
 	}
-	return "ae-" + strconv.Itoa(ifIndex) + "." + n.codes[city] + "." + dom
+	buf = append(buf, "ae-"...)
+	buf = strconv.AppendInt(buf, int64(ifIndex), 10)
+	buf = append(buf, '.')
+	buf = append(buf, n.codes[city]...)
+	buf = append(buf, '.')
+	return append(buf, dom...)
 }
 
 // DecodeHopName extracts the city and provider from a router name.

@@ -2,6 +2,7 @@ package traceroute
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -129,6 +130,9 @@ func (c *Campaign) FormatText(t Trace) string {
 // contributed at least one attribution.
 func (c *Campaign) OverlayParsed(traces []ParsedTrace) int {
 	routes := newOverlayRoutes(c.res)
+	// The build can fail only by cancellation, and this signature
+	// carries no ctx.
+	_, _ = buildRouteTables(context.TODO(), c.Opts.Workers, routes.tables())
 	sc := newProbeScratch() // serial overlay: one scratch for every query
 	t := newTally(len(c.res.Map.Conduits))
 	contributed := 0

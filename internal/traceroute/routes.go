@@ -1,37 +1,47 @@
 package traceroute
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync/atomic"
 
 	"intertubes/internal/atlas"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
 	"intertubes/internal/mapbuilder"
+	"intertubes/internal/par"
 )
 
 // routes.go holds the route tables of one campaign. Every route a
 // probe needs is a pure function of the immutable atlas and published
-// map, so the tables resolve each route once and keep it for the rest
-// of the campaign:
+// map, so the tables resolve each route once, before the first probe,
+// and keep it for the rest of the campaign:
 //
 //   - nearest backbone city per (provider, city), dense;
-//   - peering hubs per provider pair, dense;
+//   - peering hubs per provider pair, dense, and the per-city trig
+//     terms the hub choice reads;
 //   - one weight row per provider: its ground-truth corridors for
 //     synthesis, its published tenancy for the overlay, plus one row
 //     of every lit conduit;
 //   - one ground-truth occupancy row per provider over the published
 //     conduits, which attributions are scored against;
-//   - one shortest-path tree per (row, source), built on first use.
-//     Every truth-path and segment query walks a tree instead of
-//     running its own Dijkstra.
+//   - one dense route table per weight row (routeTable): the parent
+//     edge of every destination in the shortest-path tree of every
+//     source. Every truth-path and segment query walks a table instead
+//     of running its own Dijkstra.
 //
-// Lazy entries are published through atomics without a lock: a hit
-// is one atomic load. Two workers that race on a missing entry may
-// both build it; the builds are equal (each is a pure function of its
-// key), the first one published is kept, and the other is dropped —
-// so a race can change speed, never results.
+// A route table covers only the vertices its row can reach: the
+// endpoints of the row's finite-weight edges. Dijkstra from one of
+// them crosses only finite edges, so it settles nothing outside that
+// set, and Dijkstra from any other vertex settles that vertex alone.
+// So the subset answers every query the whole graph would, and a
+// provider's tables are as small as its footprint.
+//
+// buildRouteTables fills every row on the worker pool before the
+// probes run, each worker writing only the rows it claims; the probe
+// kernel then reads plain slices.
 
 // ispContext is the routing state of one transit provider.
 type ispContext struct {
@@ -71,17 +81,154 @@ func transitProviders(res *mapbuilder.Result, names []string) []*ispContext {
 	return isps
 }
 
-// keepTree returns the tree in slot, building and publishing it on
-// first use.
-func keepTree(slot *atomic.Pointer[graph.Tree], build func() *graph.Tree) *graph.Tree {
-	if t := slot.Load(); t != nil {
-		return t
+// noEdge marks a route-table entry without a parent edge: the source
+// itself, or a destination the source cannot reach. Edge ids must stay
+// below it.
+const noEdge = math.MaxUint16
+
+// routeTable holds the shortest-path trees of one weight row from
+// every vertex the row can reach, as one flat slab of parent edges.
+// A row is the tree graph.ShortestParents settles, so a walk returns
+// per-pair ShortestPath's path node for node and edge for edge.
+type routeTable struct {
+	g   *graph.Graph
+	row []float64 // the weight row; read only while the rows are built
+	// verts are the table's vertices (the endpoints of the row's
+	// finite-weight edges), ascending; index maps a graph vertex to
+	// its position in verts, or -1 off the table.
+	verts []int32
+	index []int32
+	// across[e] is the xor of a finite-weight edge's endpoint
+	// positions, so a walk steps to the far end of e with one xor.
+	across []int32
+	// parent[s*len(verts)+d] is the edge by which verts[d] is reached
+	// in the tree from verts[s], or noEdge.
+	parent []uint16
+}
+
+// newRouteTable sizes the table of one weight row; buildRouteTables
+// fills it.
+func newRouteTable(g *graph.Graph, row []float64) *routeTable {
+	if g.NumEdges() > noEdge {
+		panic(fmt.Sprintf("traceroute: route tables hold edge ids below %d; the graph has %d edges", noEdge, g.NumEdges()))
 	}
-	t := build()
-	if !slot.CompareAndSwap(nil, t) {
-		t = slot.Load() // a racing worker published an equal tree first
+	t := &routeTable{g: g, row: row, index: make([]int32, g.NumVertices()), across: make([]int32, g.NumEdges())}
+	onRow := make([]bool, g.NumVertices())
+	for eid, w := range row {
+		if !math.IsInf(w, 1) {
+			e := g.Edge(eid)
+			onRow[e.U], onRow[e.V] = true, true
+		}
 	}
+	for v, on := range onRow {
+		t.index[v] = -1
+		if on {
+			t.index[v] = int32(len(t.verts))
+			t.verts = append(t.verts, int32(v))
+		}
+	}
+	for eid, w := range row {
+		if !math.IsInf(w, 1) {
+			e := g.Edge(eid)
+			t.across[eid] = t.index[e.U] ^ t.index[e.V]
+		}
+	}
+	t.parent = make([]uint16, len(t.verts)*len(t.verts))
 	return t
+}
+
+// rowScratch is one worker's scratch for building table rows.
+type rowScratch struct {
+	ws     *graph.Workspace
+	parent []int32
+}
+
+func newRowScratch() *rowScratch { return &rowScratch{ws: graph.NewWorkspace()} }
+
+// fillRow settles the tree from verts[s] and stores its parent edges.
+func (t *routeTable) fillRow(sc *rowScratch, s int) {
+	sc.parent = t.g.ShortestParents(sc.ws, int(t.verts[s]), t.row, sc.parent)
+	row := t.parent[s*len(t.verts) : (s+1)*len(t.verts)]
+	for d, v := range t.verts {
+		row[d] = noEdge
+		if e := sc.parent[v]; e >= 0 {
+			row[d] = uint16(e)
+		}
+	}
+}
+
+// buildRouteTables fills every row of the tables on the worker pool
+// (one workspace per worker) and returns the number of rows built.
+// Rows are disjoint and pure functions of their table and source, so
+// the tables are identical at any worker count.
+func buildRouteTables(ctx context.Context, workers int, tables []*routeTable) (int, error) {
+	type rowJob struct {
+		t *routeTable
+		s int
+	}
+	var jobs []rowJob
+	for _, t := range tables {
+		for s := range t.verts {
+			jobs = append(jobs, rowJob{t, s})
+		}
+	}
+	err := par.RunWith(ctx, len(jobs), workers, newRowScratch, func(i int, sc *rowScratch) {
+		jobs[i].t.fillRow(sc, jobs[i].s)
+	})
+	return len(jobs), err
+}
+
+// locate returns src's row and dst's position in it; ok=false when
+// dst is unreachable from src (src != dst).
+func (t *routeTable) locate(src, dst int) (row []uint16, d int, ok bool) {
+	s, di := t.index[src], t.index[dst]
+	if s < 0 || di < 0 {
+		return nil, 0, false
+	}
+	n := len(t.verts)
+	row = t.parent[int(s)*n : int(s+1)*n]
+	return row, int(di), row[di] != noEdge
+}
+
+// appendEdges appends the edge ids of the shortest src-dst path, in
+// path order, to buf (ok=false and buf unchanged when dst is
+// unreachable).
+func (t *routeTable) appendEdges(buf []int, src, dst int) ([]int, bool) {
+	if src == dst {
+		return buf, true
+	}
+	row, d, ok := t.locate(src, dst)
+	if !ok {
+		return buf, false
+	}
+	start := len(buf)
+	for e := row[d]; e != noEdge; e = row[d] {
+		buf = append(buf, int(e))
+		d ^= int(t.across[e])
+	}
+	slices.Reverse(buf[start:])
+	return buf, true
+}
+
+// appendNodes appends the vertices of the shortest src-dst path,
+// source first, to buf (ok=false and buf unchanged when dst is
+// unreachable).
+func (t *routeTable) appendNodes(buf []int, src, dst int) ([]int, bool) {
+	if src == dst {
+		return append(buf, src), true
+	}
+	row, d, ok := t.locate(src, dst)
+	if !ok {
+		return buf, false
+	}
+	start := len(buf)
+	buf = append(buf, dst)
+	for e := row[d]; e != noEdge; e = row[d] {
+		d ^= int(t.across[e])
+		buf = append(buf, int(t.verts[d]))
+	}
+	slices.Reverse(buf[start:])
+	return buf, true
 }
 
 // cityDistances holds the great-circle distance of every atlas city
@@ -106,28 +253,36 @@ func newCityDistances(a *atlas.Atlas) *cityDistances {
 
 func (d *cityDistances) at(from, to int) float64 { return d.km[from*d.n+to] }
 
+// cityTrig holds one city's coordinates in radians and the sines and
+// cosines geo.Midpoint and Point.DistanceKm take of them.
+type cityTrig struct {
+	lat, lon                       float64
+	sinLat, cosLat, sinLon, cosLon float64
+}
+
 // truthRoutes resolves the ground-truth transit paths probes follow.
 type truthRoutes struct {
 	a       *atlas.Atlas
-	g       *graph.Graph // corridor graph; vertices are atlas cities
 	dist    *cityDistances
 	isps    []*ispContext
 	nCities int
-	// nearest[isp*nCities+city] holds the backbone city + 1, or 0
-	// until first use.
-	nearest []atomic.Int32
+	// nearest[isp*nCities+city] is the provider's backbone city
+	// closest to city.
+	nearest []int32
 	// hubs[i1*len(isps)+i2], i1 < i2, are the pair's peering cities.
-	hubs  [][]int
-	trees []atomic.Pointer[graph.Tree] // [isp*nCities+source]
+	hubs   [][]int
+	trig   []cityTrig
+	tables []*routeTable // [isp], over the corridor graph
 }
 
 func newTruthRoutes(a *atlas.Atlas, g *graph.Graph, dist *cityDistances, isps []*ispContext) *truthRoutes {
 	n := len(a.Cities)
 	r := &truthRoutes{
-		a: a, g: g, dist: dist, isps: isps, nCities: n,
-		nearest: make([]atomic.Int32, len(isps)*n),
+		a: a, dist: dist, isps: isps, nCities: n,
+		nearest: make([]int32, len(isps)*n),
 		hubs:    make([][]int, len(isps)*len(isps)),
-		trees:   make([]atomic.Pointer[graph.Tree], len(isps)*n),
+		trig:    make([]cityTrig, n),
+		tables:  make([]*routeTable, len(isps)),
 	}
 	onBackbone := make([]bool, n)
 	for i2, c2 := range isps {
@@ -139,6 +294,31 @@ func newTruthRoutes(a *atlas.Atlas, g *graph.Graph, dist *cityDistances, isps []
 		}
 		for _, city := range c2.nodes {
 			onBackbone[city] = false
+		}
+	}
+	bestD := make([]float64, n)
+	for i, c := range isps {
+		// Scanning the backbone in order and keeping only strictly
+		// closer cities resolves a distance tie to the first one.
+		nearest := r.nearest[i*n : (i+1)*n]
+		for city := range bestD {
+			nearest[city], bestD[city] = -1, 1e18
+		}
+		for _, b := range c.nodes {
+			for city, d := range dist.km[b*n : (b+1)*n] {
+				if d < bestD[city] {
+					nearest[city], bestD[city] = int32(b), d
+				}
+			}
+		}
+		r.tables[i] = newRouteTable(g, c.row)
+	}
+	for i, city := range a.Cities {
+		lat, lon := radians(city.Loc.Lat), radians(city.Loc.Lon)
+		r.trig[i] = cityTrig{
+			lat: lat, lon: lon,
+			sinLat: math.Sin(lat), cosLat: math.Cos(lat),
+			sinLon: math.Sin(lon), cosLon: math.Cos(lon),
 		}
 	}
 	return r
@@ -171,23 +351,17 @@ func peerHubs(a *atlas.Atlas, nodes []int, in2 []bool) []int {
 // nearestBackbone returns the provider's backbone city closest to city
 // (the first in backbone order on a distance tie).
 func (r *truthRoutes) nearestBackbone(isp, city int) int {
-	slot := &r.nearest[isp*r.nCities+city]
-	if v := slot.Load(); v != 0 {
-		return int(v) - 1
-	}
-	best, bestD := -1, 1e18
-	for _, n := range r.isps[isp].nodes {
-		if d := r.dist.at(n, city); d < bestD {
-			best, bestD = n, d
-		}
-	}
-	slot.Store(int32(best + 1))
-	return best
+	return int(r.nearest[isp*r.nCities+city])
 }
 
 // peerHub returns the atlas city where the two providers hand traffic
 // off: among their peering hubs, the one closest to the src-dst
 // great-circle midpoint. Returns -1 if the footprints are disjoint.
+//
+// It evaluates geo.Midpoint and Point.DistanceKm term for term, in
+// their operation order, but reads each city's trig terms and the
+// src-dst distance from the campaign's tables, so every float64 (and
+// with it the choice) is the one those calls produce.
 func (r *truthRoutes) peerHub(i1, i2, src, dst int) int {
 	if i1 > i2 {
 		i1, i2 = i2, i1
@@ -196,24 +370,55 @@ func (r *truthRoutes) peerHub(i1, i2, src, dst int) int {
 	if len(hubs) == 0 {
 		return -1
 	}
-	mid := geo.Midpoint(r.a.Cities[src].Loc, r.a.Cities[dst].Loc)
+	midLat, midLon := r.midpoint(src, dst)
+	lat2, lon2 := radians(midLat), radians(midLon)
+	cosLat2 := math.Cos(lat2)
 	best, bestD := -1, math.Inf(1)
 	for _, h := range hubs {
-		if d := r.a.Cities[h].Loc.DistanceKm(mid); d < bestD {
+		ht := &r.trig[h]
+		s1 := math.Sin((lat2 - ht.lat) / 2)
+		s2 := math.Sin((lon2 - ht.lon) / 2)
+		hv := s1*s1 + ht.cosLat*cosLat2*s2*s2
+		if hv > 1 {
+			hv = 1
+		}
+		if d := 2 * geo.EarthRadiusKm * math.Asin(math.Sqrt(hv)); d < bestD {
 			best, bestD = h, d
 		}
 	}
 	return best
 }
 
+// midpoint is geo.Midpoint(Cities[src].Loc, Cities[dst].Loc), in
+// degrees.
+func (r *truthRoutes) midpoint(src, dst int) (lat, lon float64) {
+	p, q := r.a.Cities[src].Loc, r.a.Cities[dst].Loc
+	if p == q {
+		return p.Lat, p.Lon
+	}
+	d := r.dist.at(src, dst) / geo.EarthRadiusKm
+	if d == 0 {
+		return p.Lat, p.Lon
+	}
+	t1, t2 := &r.trig[src], &r.trig[dst]
+	// Intermediate weighs p by sin((1-f)d)/sin(d) and q by
+	// sin(fd)/sin(d); at f = 0.5 the two are the same float64.
+	w := math.Sin(0.5*d) / math.Sin(d)
+	x := w*t1.cosLat*t1.cosLon + w*t2.cosLat*t2.cosLon
+	y := w*t1.cosLat*t1.sinLon + w*t2.cosLat*t2.sinLon
+	z := w*t1.sinLat + w*t2.sinLat
+	return degrees(math.Atan2(z, math.Sqrt(x*x+y*y))), degrees(math.Atan2(y, x))
+}
+
+// radians and degrees are geo's conversions, in its operation order.
+func radians(deg float64) float64 { return deg * math.Pi / 180 }
+func degrees(rad float64) float64 { return rad * 180 / math.Pi }
+
 // appendPath appends the provider's shortest ground-truth path between
 // two backbone cities, as its city sequence, to buf; ok=false and buf
 // unchanged when they are not connected by at least one corridor hop.
-func (r *truthRoutes) appendPath(ws *graph.Workspace, buf []int, isp, from, to int) ([]int, bool) {
-	tree := keepTree(&r.trees[isp*r.nCities+from], func() *graph.Tree {
-		return r.g.ShortestTree(ws, from, r.isps[isp].row)
-	})
-	if out, ok := tree.AppendPathNodes(buf, to); ok && len(out)-len(buf) > 1 {
+func (r *truthRoutes) appendPath(buf []int, isp, from, to int) ([]int, bool) {
+	if out, ok := r.tables[isp].appendNodes(buf, from, to); ok && len(out)-len(buf) > 1 {
 		return out, true
 	}
 	return buf, false
@@ -225,18 +430,15 @@ func (r *truthRoutes) appendPath(ws *graph.Workspace, buf []int, isp, from, to i
 // every provider a hop name can carry has a row and no query hashes a
 // name.
 type overlayRoutes struct {
-	mg       *graph.Graph // published map graph; vertices are fiber.NodeIDs
-	cityNode []int        // atlas city -> map node, or -1
-	// tenant[isp] is the provider's published-tenancy row, nil when it
-	// publishes no conduit at all.
-	tenant [][]float64
-	lit    []float64
+	cityNode []int // atlas city -> map node, or -1
+	// tenant[isp] is the route table of the provider's published
+	// tenancy, nil when it publishes no conduit at all.
+	tenant []*routeTable
+	lit    *routeTable
 	// truth[isp*conduits+cid] reports whether the provider occupies the
 	// conduit's corridor in ground truth.
-	truth       []bool
-	conduits    int
-	tenantTrees []atomic.Pointer[graph.Tree] // [isp*nodes+node]
-	litTrees    []atomic.Pointer[graph.Tree] // [node], shared by every provider
+	truth    []bool
+	conduits int
 }
 
 func newOverlayRoutes(res *mapbuilder.Result) *overlayRoutes {
@@ -244,14 +446,11 @@ func newOverlayRoutes(res *mapbuilder.Result) *overlayRoutes {
 	mg := m.Graph()
 	nISPs := len(domains.isps)
 	r := &overlayRoutes{
-		mg:          mg,
-		cityNode:    make([]int, len(res.Atlas.Cities)),
-		tenant:      make([][]float64, nISPs),
-		lit:         mg.Weights(m.LitWeight(), nil),
-		truth:       make([]bool, nISPs*len(m.Conduits)),
-		conduits:    len(m.Conduits),
-		tenantTrees: make([]atomic.Pointer[graph.Tree], nISPs*mg.NumVertices()),
-		litTrees:    make([]atomic.Pointer[graph.Tree], mg.NumVertices()),
+		cityNode: make([]int, len(res.Atlas.Cities)),
+		tenant:   make([]*routeTable, nISPs),
+		lit:      newRouteTable(mg, mg.Weights(m.LitWeight(), nil)),
+		truth:    make([]bool, nISPs*len(m.Conduits)),
+		conduits: len(m.Conduits),
 	}
 	for i := range r.cityNode {
 		r.cityNode[i] = -1
@@ -265,7 +464,7 @@ func newOverlayRoutes(res *mapbuilder.Result) *overlayRoutes {
 		row := mg.Weights(m.TenantWeight(name), nil)
 		for _, w := range row {
 			if !math.IsInf(w, 1) {
-				r.tenant[isp] = row
+				r.tenant[isp] = newRouteTable(mg, row)
 				break
 			}
 		}
@@ -279,6 +478,17 @@ func newOverlayRoutes(res *mapbuilder.Result) *overlayRoutes {
 	return r
 }
 
+// tables lists the overlay's route tables.
+func (r *overlayRoutes) tables() []*routeTable {
+	out := []*routeTable{r.lit}
+	for _, t := range r.tenant {
+		if t != nil {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 // correct reports whether the provider occupies conduit cid's corridor
 // in ground truth: whether an attribution of its probe there is right.
 func (r *overlayRoutes) correct(isp, cid int) bool {
@@ -290,22 +500,15 @@ func (r *overlayRoutes) correct(isp, cid int) bool {
 // provider may be absent from the published map entirely — that is
 // how "additional ISPs" are discovered). It appends the conduits, in
 // path order, to buf; ok=false means the segment cannot be attributed.
-func (r *overlayRoutes) segment(ws *graph.Workspace, buf []int, cityA, cityB, isp int) ([]int, bool) {
+func (r *overlayRoutes) segment(buf []int, cityA, cityB, isp int) ([]int, bool) {
 	na, nb := r.cityNode[cityA], r.cityNode[cityB]
 	if na < 0 || nb < 0 {
 		return buf, false
 	}
-	if row := r.tenant[isp]; row != nil {
-		tree := keepTree(&r.tenantTrees[isp*r.mg.NumVertices()+na], func() *graph.Tree {
-			return r.mg.ShortestTree(ws, na, row)
-		})
-		if out, ok := tree.AppendPathEdges(buf, nb); ok {
+	if t := r.tenant[isp]; t != nil {
+		if out, ok := t.appendEdges(buf, na, nb); ok {
 			return out, true
 		}
 	}
-	// A provider that publishes no conduit falls straight through: a
-	// tree over its all-excluded row would reach na alone.
-	return keepTree(&r.litTrees[na], func() *graph.Tree {
-		return r.mg.ShortestTree(ws, na, r.lit)
-	}).AppendPathEdges(buf, nb)
+	return r.lit.appendEdges(buf, na, nb)
 }

@@ -7,12 +7,12 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"intertubes/internal/atlas"
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
-	"intertubes/internal/graph"
 	"intertubes/internal/mapbuilder"
 	"intertubes/internal/obs"
 	"intertubes/internal/par"
@@ -26,16 +26,19 @@ import (
 //  1. Probe decisions (endpoints, transit provider, peering) are drawn
 //     serially from the campaign stream with a fixed number of rand
 //     calls per probe, so the sequence never depends on routing
-//     outcomes.
+//     outcomes. The draws run on their own goroutine, one window of
+//     probes at a time (decisions), so they overlap the route-table
+//     build and the synthesis of earlier windows.
 //  2. Routing, synthesis, and conduit attribution — the expensive
 //     per-probe work — fan out over a worker pool via par.MapSeeded:
 //     hop-level randomness (MPLS tunnels, RTT jitter, rDNS noise)
 //     comes from per-chunk streams on a fixed grid, and the route
-//     tables (routes.go) hold pure shortest-path trees, so any worker
-//     count produces bit-identical traces. Per hop, the kernel reads
-//     tables filled once per campaign — city-pair distances and hop
-//     names for synthesis, provider-indexed rows for attribution — so
-//     it does no trigonometry or string building; every hop is still
+//     tables (routes.go), built on the pool before the first window,
+//     hold pure shortest-path trees, so any worker count produces
+//     bit-identical traces. Per hop, the kernel reads tables filled
+//     once per campaign — city-pair distances and a hop-name arena for
+//     synthesis, provider-indexed rows for attribution — so it does no
+//     trigonometry, string building or Dijkstra; every hop is still
 //     decoded from its name.
 //  3. Attributions are reduced in probe order on one goroutine into a
 //     dense tally (tally.go), which fills the Campaign's maps once.
@@ -49,11 +52,10 @@ type segAttr struct {
 	correct bool  // matches the provider's ground-truth footprint
 }
 
-// probeScratch is one worker's probe scratch: the workspace tree
-// builds run in, the buffers route walks and hop synthesis append to,
-// and the decoded hops and attributions of the trace being attributed.
+// probeScratch is one worker's probe scratch: the buffers route walks
+// and hop synthesis append to, and the decoded hops and attributions
+// of the trace being attributed.
 type probeScratch struct {
-	ws      *graph.Workspace
 	edges   []int // conduits of one attributed segment
 	path    []int // cities of the probe's ground-truth path(s)
 	trace   []Hop // the probe's synthesized hops
@@ -70,7 +72,7 @@ type decodedHop struct {
 	isp  int // decoder provider index
 }
 
-func newProbeScratch() *probeScratch { return &probeScratch{ws: graph.NewWorkspace()} }
+func newProbeScratch() *probeScratch { return &probeScratch{} }
 
 // scratchPool keeps the workers' probe scratch for a whole campaign:
 // the pool hands each window's workers a scratch that earlier windows
@@ -102,22 +104,128 @@ func (p *scratchPool) reset() {
 	p.used = 0
 }
 
+// probeSpec is one probe's phase-1 decisions.
+type probeSpec struct {
+	src, dst int
+	ispIdx   int
+	peer     bool
+	peerPick int
+}
+
+// campaignWindow is the number of probes phase 2 fans out and reduces
+// at a time, bounding the in-flight traces regardless of campaign
+// size; phase 1 draws decisions in windows of the same size.
+const campaignWindow = 64 * par.ChunkSize
+
+// decisionBuffers is the number of window buffers phase 1 and phase 2
+// pass between them: one being synthesized, one drawn and waiting, and
+// one being drawn, so the draws can run ahead whenever a CPU idles.
+const decisionBuffers = 3
+
+// decisions streams phase 1 from its own goroutine. The goroutine
+// draws window after window into buffers the synthesis loop hands
+// back once it has run them; it exits when every probe is decided,
+// when ctx is canceled (polled on the pool's chunk grid), or when
+// close abandons the stream.
+type decisions struct {
+	ready chan []probeSpec // drawn windows, in probe order; closed as the goroutine exits
+	free  chan []probeSpec // windows phase 2 is done with
+	stop  chan struct{}    // closed by close
+	// err is why ready closed before the last window (ctx's error),
+	// nil otherwise; read it only after ready is closed.
+	err error
+}
+
+func startDecisions(ctx context.Context, opts Options, grav *gravity, isps []*ispContext) *decisions {
+	d := &decisions{
+		// Both channels hold every buffer, so no send ever blocks.
+		ready: make(chan []probeSpec, decisionBuffers),
+		free:  make(chan []probeSpec, decisionBuffers),
+		stop:  make(chan struct{}),
+	}
+	for i := 0; i < decisionBuffers; i++ {
+		d.free <- make([]probeSpec, 0, min(campaignWindow, opts.N))
+	}
+	go func() {
+		defer close(d.ready)
+		d.err = d.draw(ctx, opts, grav, isps)
+	}()
+	return d
+}
+
+// draw runs phase 1. The per-probe call pattern is fixed — every
+// probe draws endpoints, a provider, a peering roll, and a peer pick —
+// so the stream cannot drift with routing outcomes.
+func (d *decisions) draw(ctx context.Context, opts Options, grav *gravity, isps []*ispContext) error {
+	_, span := obs.Trace(ctx, "traceroute.decide")
+	defer span.End()
+	rng := rand.New(rand.NewSource(opts.Seed))
+	var totalWeight float64
+	for _, c := range isps {
+		totalWeight += c.weight
+	}
+	for lo := 0; lo < opts.N; lo += campaignWindow {
+		var specs []probeSpec
+		select {
+		case specs = <-d.free:
+		case <-d.stop:
+			return nil
+		}
+		specs = specs[:min(campaignWindow, opts.N-lo)]
+		for i := range specs {
+			// The draws are serial (one shared campaign stream), so
+			// they poll ctx themselves on the grid the pool uses.
+			if (lo+i)%par.ChunkSize == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			sp := &specs[i]
+			*sp = probeSpec{}
+			sp.src = grav.draw(rng)
+			sp.dst = grav.draw(rng)
+			x := rng.Float64() * totalWeight
+			for ; sp.ispIdx < len(isps)-1; sp.ispIdx++ {
+				x -= isps[sp.ispIdx].weight
+				if x < 0 {
+					break
+				}
+			}
+			sp.peer = rng.Float64() < opts.PeerProb
+			if len(isps) > 1 {
+				sp.peerPick = rng.Intn(len(isps))
+			}
+		}
+		d.ready <- specs
+	}
+	span.SetItems(int64(opts.N))
+	return nil
+}
+
+// recycle hands a window's buffer back once phase 2 is done with it.
+func (d *decisions) recycle(specs []probeSpec) { d.free <- specs }
+
+// close stops the goroutine and waits for it to exit: it drains
+// ready, which the goroutine closes last.
+func (d *decisions) close() {
+	close(d.stop)
+	for range d.ready {
+	}
+}
+
 // Run synthesizes a campaign over the built map and overlays it onto
 // the published conduits. ctx both parents the campaign's stage spans
-// and carries real cancellation: the phase-1 decision loop and every
-// phase-2 window check ctx at chunk-grant boundaries, so a canceled
-// campaign stops synthesizing within one window and returns
-// (nil, ctx.Err()). A campaign that completes is bit-identical to the
-// serial order at any worker count — cancellation can only abort a
-// run, never reorder it. A negative opts.N is an error.
+// and carries real cancellation: the phase-1 draws, the route-table
+// build and every phase-2 window check ctx at chunk-grant boundaries,
+// so a canceled campaign stops synthesizing within one window and
+// returns (nil, ctx.Err()). A campaign that completes is bit-identical
+// to the serial order at any worker count — cancellation can only
+// abort a run, never reorder it. Run returns only after every
+// goroutine it started has exited. A negative opts.N is an error.
 func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, error) {
 	if opts.N < 0 {
 		return nil, fmt.Errorf("traceroute: N must be >= 0 (got %d)", opts.N)
 	}
 	opts = opts.withDefaults()
-	rng := rand.New(rand.NewSource(opts.Seed))
 	a := res.Atlas
-	g := res.Graph
 
 	c := &Campaign{
 		Opts:            opts,
@@ -135,10 +243,6 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	}
 	sort.Strings(names)
 	isps := transitProviders(res, names)
-	var totalWeight float64
-	for _, ctx := range isps {
-		totalWeight += ctx.weight
-	}
 
 	// Client/server gravity over all cities.
 	pops := make([]float64, len(a.Cities))
@@ -149,50 +253,25 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	}
 	grav := newGravity(pops, allCities)
 
+	// Phase 1 starts drawing while the tables below are built.
+	decide := startDecisions(ctx, opts, grav, isps)
+	defer decide.close()
+
 	// Tables shared by the workers. Every entry is a pure function of
 	// the immutable map/atlas, so the tables change speed, never
 	// results.
 	dist := newCityDistances(a)
-	truth := newTruthRoutes(a, g, dist, isps)
+	truth := newTruthRoutes(a, res.Graph, dist, isps)
 	overlay := newOverlayRoutes(res)
+	_, tablesSpan := obs.Trace(ctx, "traceroute.tables")
+	tablesSpan.SetWorkers(par.Workers(opts.Workers))
+	rows, err := buildRouteTables(ctx, opts.Workers, slices.Concat(truth.tables, overlay.tables()))
+	tablesSpan.SetItems(int64(rows))
+	tablesSpan.End()
+	if err != nil {
+		return nil, err
+	}
 	syn := newSynthesizer(a, c.namer, dist, isps, opts)
-
-	// Phase 1: probe-level decisions from the campaign stream. The
-	// per-probe call pattern is fixed — every probe draws endpoints,
-	// a provider, a peering roll, and a peer pick — so the stream
-	// cannot drift with routing outcomes.
-	type probeSpec struct {
-		src, dst int
-		ispIdx   int
-		peer     bool
-		peerPick int
-	}
-	_, decideSpan := obs.Trace(ctx, "traceroute.decide")
-	specs := make([]probeSpec, opts.N)
-	for i := range specs {
-		// The decision loop is serial (one shared campaign stream), so
-		// it polls ctx itself on the same grid the pool uses.
-		if i%par.ChunkSize == 0 && ctx.Err() != nil {
-			decideSpan.End()
-			return nil, ctx.Err()
-		}
-		sp := &specs[i]
-		sp.src = grav.draw(rng)
-		sp.dst = grav.draw(rng)
-		x := rng.Float64() * totalWeight
-		for ; sp.ispIdx < len(isps)-1; sp.ispIdx++ {
-			x -= isps[sp.ispIdx].weight
-			if x < 0 {
-				break
-			}
-		}
-		sp.peer = rng.Float64() < opts.PeerProb
-		if len(isps) > 1 {
-			sp.peerPick = rng.Intn(len(isps))
-		}
-	}
-	decideSpan.SetItems(int64(opts.N))
-	decideSpan.End()
 
 	// Phase 2: the pure per-probe kernel — route, synthesize,
 	// attribute. A zero probeOut means the probe saw no long-haul
@@ -205,9 +284,11 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 		attrs    []segAttr
 		sample   *Trace
 	}
+	var window []probeSpec // the decisions of probes [lo, lo+len(window)), set serially
+	lo := 0
 	sampling := false // set serially before each window
 	probe := func(i int, prng *rand.Rand, sc *probeScratch) probeOut {
-		sp := specs[i]
+		sp := window[i-lo]
 		if sp.src == sp.dst || sp.src < 0 {
 			return probeOut{}
 		}
@@ -231,10 +312,10 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 				return probeOut{}
 			}
 			var ok bool
-			sc.path, ok = truth.appendPath(sc.ws, sc.path[:0], sp.ispIdx, entry, hub)
+			sc.path, ok = truth.appendPath(sc.path[:0], sp.ispIdx, entry, hub)
 			mid := len(sc.path)
 			if ok {
-				sc.path, ok = truth.appendPath(sc.ws, sc.path, isp2Idx, hub, exit)
+				sc.path, ok = truth.appendPath(sc.path, isp2Idx, hub, exit)
 			}
 			if !ok {
 				return probeOut{}
@@ -248,7 +329,7 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 				return probeOut{} // no long-haul transit on this trace
 			}
 			var ok bool
-			sc.path, ok = truth.appendPath(sc.ws, sc.path[:0], sp.ispIdx, entry, exit)
+			sc.path, ok = truth.appendPath(sc.path[:0], sp.ispIdx, entry, exit)
 			if !ok {
 				return probeOut{}
 			}
@@ -267,25 +348,20 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	}
 
 	// Phases 2+3, windowed: each window fans the kernel out over the
-	// worker pool and reduces in probe order, bounding the in-flight
-	// traces regardless of campaign size. The synthesis seed is offset
-	// from the campaign seed because phase 1 already consumed that
+	// worker pool and reduces in probe order. The synthesis seed is
+	// offset from the campaign seed because phase 1 draws from that
 	// stream; chunk indices stay absolute across windows.
 	synthSeed := opts.Seed + 0x5eed
-	const window = 64 * par.ChunkSize
 	t := newTally(len(res.Map.Conduits))
 	var scratch scratchPool
-	for lo := 0; lo < opts.N; lo += window {
-		hi := lo + window
-		if hi > opts.N {
-			hi = opts.N
-		}
+	for w := range decide.ready {
+		window = w
 		sampling = len(c.Samples) < opts.RetainTraces
 		scratch.reset()
 		_, synthSpan := obs.Trace(ctx, "traceroute.synthesize")
 		synthSpan.SetWorkers(par.Workers(opts.Workers))
-		outs, err := par.MapSeeded(ctx, lo, hi, opts.Workers, synthSeed, scratch.get, probe)
-		synthSpan.SetItems(int64(hi - lo))
+		outs, err := par.MapSeeded(ctx, lo, lo+len(window), opts.Workers, synthSeed, scratch.get, probe)
+		synthSpan.SetItems(int64(len(window)))
 		synthSpan.End()
 		if err != nil {
 			return nil, err
@@ -299,12 +375,23 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 			kept++
 			c.Total++
 			if len(c.Samples) < opts.RetainTraces {
+				// A sample outlives the campaign, so its names are
+				// copied out of the arena rather than keeping all of
+				// it alive.
+				for h := range o.sample.Hops {
+					o.sample.Hops[h].Name = strings.Clone(o.sample.Hops[h].Name)
+				}
 				c.Samples = append(c.Samples, *o.sample)
 			}
 			t.add(o.westEast, o.attrs, o.misses)
 		}
 		reduceSpan.SetItems(kept)
 		reduceSpan.End()
+		decide.recycle(window)
+		lo += len(window)
+	}
+	if decide.err != nil {
+		return nil, decide.err
 	}
 	t.fold(c)
 	return c, nil
@@ -318,11 +405,19 @@ type synthesizer struct {
 	opts    Options
 	dist    *cityDistances
 	nCities int
-	// nameAt[isp*nCities+city] is the position in names of the
-	// provider's hop name for the city's interface 1, or -1 off its
-	// backbone; interfaces 2..9 follow in order.
-	nameAt []int32
-	names  []string // Namer.HopName of each (provider, backbone city, interface)
+	// names holds Namer.HopName of every (provider, backbone city,
+	// interface) back to back. A city's interface names differ only
+	// in their one-digit interface number, so they share a length:
+	// nameAt[isp*nCities+city] locates interface 1, and interface k
+	// starts (k-1) lengths later.
+	names  string
+	nameAt []nameSpan
+}
+
+// nameSpan locates a (provider, city)'s first interface name in the
+// arena.
+type nameSpan struct {
+	off, n int32
 }
 
 // hopInterfaces is the number of router interfaces hop names draw
@@ -333,19 +428,20 @@ func newSynthesizer(a *atlas.Atlas, namer *Namer, dist *cityDistances, isps []*i
 	n := len(a.Cities)
 	s := &synthesizer{
 		opts: opts, dist: dist, nCities: n,
-		nameAt: make([]int32, len(isps)*n),
+		nameAt: make([]nameSpan, len(isps)*n),
 	}
-	for i := range s.nameAt {
-		s.nameAt[i] = -1
-	}
+	var arena []byte
 	for i, ctx := range isps {
 		for _, city := range ctx.nodes {
-			s.nameAt[i*n+city] = int32(len(s.names))
-			for ifIndex := 1; ifIndex <= hopInterfaces; ifIndex++ {
-				s.names = append(s.names, namer.HopName(ifIndex, city, ctx.name))
+			off := len(arena)
+			arena = namer.appendHopName(arena, 1, city, ctx.name)
+			s.nameAt[i*n+city] = nameSpan{off: int32(off), n: int32(len(arena) - off)}
+			for ifIndex := 2; ifIndex <= hopInterfaces; ifIndex++ {
+				arena = namer.appendHopName(arena, ifIndex, city, ctx.name)
 			}
 		}
 	}
+	s.names = string(arena)
 	return s
 }
 
@@ -396,7 +492,9 @@ func (s *synthesizer) appendHops(rng *rand.Rand, isp, src int, cities []int, hop
 		}
 		h := Hop{City: city, RTTms: rtt + rng.Float64()*0.4}
 		if rng.Float64() >= s.opts.GeoNoiseProb {
-			h.Name = s.names[int(nameAt[city])+rng.Intn(hopInterfaces)]
+			at := nameAt[city]
+			off := int(at.off) + rng.Intn(hopInterfaces)*int(at.n)
+			h.Name = s.names[off : off+int(at.n)]
 		}
 		hops = append(hops, h)
 	}
@@ -426,7 +524,7 @@ func attribute(sc *probeScratch, routes *overlayRoutes) (misses int) {
 		}
 		isp := b.isp // the far end's provider owns the segment
 		var ok bool
-		sc.edges, ok = routes.segment(sc.ws, sc.edges[:0], a.city, b.city, isp)
+		sc.edges, ok = routes.segment(sc.edges[:0], a.city, b.city, isp)
 		if !ok {
 			misses++
 			continue

@@ -96,9 +96,9 @@ func TestOverlayDecoderOnlyProvider(t *testing.T) {
 // TestCampaignAllocsPerProbe bounds the allocations of a 20k-probe
 // campaign per requested probe. Building hop names per hop, paths and
 // attribution lists per probe and map entries per attribution cost
-// about 15 per probe; with the tables and reused scratch about 2 are
-// left, nearly all of them fixed per campaign (the hop-name table, the
-// kept route trees, the retained samples' hops).
+// about 15 per probe; with the tables and reused scratch well under
+// one is left, nearly all of it fixed per campaign (the route and
+// name tables, the retained samples' hops and names).
 func TestCampaignAllocsPerProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard skipped in -short mode")

@@ -17,10 +17,17 @@ var (
 func campaign(t *testing.T) (*mapbuilder.Result, *Campaign) {
 	t.Helper()
 	if cachedCamp == nil {
-		cachedRes = mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42})
-		cachedCamp, _ = Run(context.Background(), cachedRes, Options{N: 20000, Seed: 99})
+		cachedCamp, _ = Run(context.Background(), campaignMap(), Options{N: 20000, Seed: 99})
 	}
 	return cachedRes, cachedCamp
+}
+
+// campaignMap is the seed-42 map the campaign tests run on.
+func campaignMap() *mapbuilder.Result {
+	if cachedRes == nil {
+		cachedRes = mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 42})
+	}
+	return cachedRes
 }
 
 func TestNamerRoundTrip(t *testing.T) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # verify.sh — formatting, the tier-1 gate, the nested perfbench
-# module's tests, the race detector and a repeated race pass over the
-# memo primitive, in the order a reviewer would run them. Fails fast on
-# the first broken step.
+# module's tests, the race detector and repeated race passes over the
+# memo primitive and the campaign's cancellation. Fails fast on the
+# first broken step.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,6 +40,12 @@ go test -race ./...
 # concurrency tests beyond the single race pass above.
 echo "==> go test -race -count=20 ./internal/memo"
 go test -race -count=20 ./internal/memo
+
+# traceroute.Run starts a decision goroutine and pool workers; stress
+# that a canceled campaign returns context.Canceled and leaves none of
+# them running.
+echo "==> go test -race -count=20 -run TestRunCanceled ./internal/traceroute"
+go test -race -count=20 -run 'TestRunCanceled$' ./internal/traceroute
 
 # Fuzz smoke is part of the gate unless explicitly skipped
 # (SKIP_FUZZ=1 sh scripts/verify.sh) — e.g. on machines where the
