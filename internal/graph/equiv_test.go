@@ -307,6 +307,60 @@ func TestDijkstraMatchesReference(t *testing.T) {
 	}
 }
 
+// TestNearestPathMatchesScan pins NearestPath to the three calls it
+// replaces: ShortestDistances, an ascending scan over the targets that
+// keeps only strict improvements, and ShortestPath to the target the
+// scan found. The small integer weights make equally near targets
+// common, so the scan's tie-break is exercised, not just assumed.
+func TestNearestPathMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	ws := NewWorkspace() // reused across trials and graph sizes
+	ties, misses := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		g := randomMultigraph(rng)
+		var wf WeightFunc
+		if trial%2 == 1 {
+			wf = maskWF(g)
+		}
+		n := g.NumVertices()
+		target := make([]bool, n)
+		for v := range target {
+			target[v] = rng.Intn(3) == 0
+		}
+		src := rng.Intn(n)
+		dist := g.ShortestDistances(ws, src, wf, nil)
+		best, bestD, nearest := -1, math.Inf(1), 0
+		for v := 0; v < n; v++ {
+			if !target[v] {
+				continue
+			}
+			if dist[v] < bestD {
+				best, bestD, nearest = v, dist[v], 1
+			} else if dist[v] == bestD && best >= 0 {
+				nearest++
+			}
+		}
+		got, ok := g.NearestPath(ws, src, g.Weights(wf, nil), target)
+		if ok != (best >= 0) {
+			t.Fatalf("trial %d: NearestPath(%d) ok=%v, scan found %d", trial, src, ok, best)
+		}
+		if !ok {
+			misses++
+			continue
+		}
+		if nearest > 1 {
+			ties++
+		}
+		want, _ := g.ShortestPath(ws, src, best, wf)
+		if !equalPaths(got, want) {
+			t.Fatalf("trial %d: NearestPath(%d)\n got %+v\nwant %+v (target %d)", trial, src, got, want, best)
+		}
+	}
+	if ties == 0 || misses == 0 {
+		t.Fatalf("trials had %d ties between nearest targets and %d unreachable target sets; want both", ties, misses)
+	}
+}
+
 func TestKShortestPathsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ws := NewWorkspace() // reused across trials and graph sizes

@@ -218,6 +218,54 @@ func (g *Graph) ShortestPath(ws *Workspace, src, dst int, wf WeightFunc) (Path, 
 	return g.tracePath(ws, src, dst), true
 }
 
+// NearestPath returns a minimum-weight path from src to the nearest
+// vertex v with target[v] set (len(target) is the vertex count) over
+// the weight table (weights[e] is edge e's cost, +Inf excludes it; see
+// Weights to materialize a WeightFunc), or ok=false if no target is
+// reachable. It runs one Dijkstra that stops at the first target it
+// settles. With every finite weight positive, vertices settle in
+// (distance, id) order, so the target is the one a scan of
+// ShortestDistances in ascending vertex order, keeping only strict
+// improvements, would pick, and the path is the one ShortestPath
+// returns to it. Only the returned Path is allocated.
+func (g *Graph) NearestPath(ws *Workspace, src int, weights []float64, target []bool) (Path, bool) {
+	if src < 0 || src >= g.n {
+		return Path{}, false
+	}
+	t := g.topoView()
+	ws.begin(g.n)
+	ws.stamp[src] = ws.epoch
+	ws.dist[src] = 0
+	ws.parent[src] = -1
+	h := &ws.heap
+	h.push(pqItem{v: int32(src), dist: 0})
+	for h.len() > 0 {
+		it := h.pop()
+		v := it.v
+		if it.dist > ws.dist[v] {
+			continue // stale entry
+		}
+		if target[v] {
+			return g.tracePath(ws, src, int(v)), true
+		}
+		for _, he := range t.half[t.off[v]:t.off[v+1]] {
+			w := weights[he.edge]
+			if math.IsInf(w, 1) {
+				continue
+			}
+			nd := it.dist + w
+			if ws.stamp[he.to] == ws.epoch && nd >= ws.dist[he.to] {
+				continue
+			}
+			ws.stamp[he.to] = ws.epoch
+			ws.dist[he.to] = nd
+			ws.parent[he.to] = he.edge
+			h.push(pqItem{v: he.to, dist: nd})
+		}
+	}
+	return Path{}, false
+}
+
 // ShortestDistance returns the minimum path weight from src to dst
 // under wf (ok=false if unreachable) without materializing the path:
 // zero allocations in the steady state.

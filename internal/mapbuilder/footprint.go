@@ -150,34 +150,23 @@ func GenerateFootprint(a *atlas.Atlas, g *graph.Graph, prof Profile, seed int64,
 	// are materialized once: every attachment and redundancy query
 	// reads the table instead of hashing each corridor again.
 	costs := g.Weights(costFunc(a, prof, occupancy), nil)
-	wf := func(eid int) float64 { return costs[eid] }
 
-	// One workspace (and one reused distance buffer) serves every
-	// attachment and redundancy query of this footprint.
+	// One workspace serves every attachment and redundancy query of
+	// this footprint.
 	ws := graph.NewWorkspace()
-	var dist []float64
 
-	connected := make(map[int]bool)
+	// Each POP attaches to the backbone by the cheapest path to its
+	// nearest connected vertex; equally near vertices break to the
+	// lowest id, so the choice is deterministic.
+	connected := make([]bool, g.NumVertices())
 	connected[fp.POPs[0]] = true
 	for _, pop := range fp.POPs[1:] {
 		if connected[pop] {
 			continue
 		}
-		dist = g.ShortestDistances(ws, pop, wf, dist)
-		// Scan vertices in ascending order so distance ties break
-		// deterministically (map iteration order would not).
-		best, bestD := -1, math.Inf(1)
-		for v := 0; v < g.NumVertices(); v++ {
-			if connected[v] && dist[v] < bestD {
-				best, bestD = v, dist[v]
-			}
-		}
-		if best < 0 {
-			continue // isolated; cannot attach (should not happen on a connected atlas)
-		}
-		path, ok := g.ShortestPath(ws, pop, best, wf)
+		path, ok := g.NearestPath(ws, pop, costs, connected)
 		if !ok {
-			continue
+			continue // isolated; cannot attach (should not happen on a connected atlas)
 		}
 		for _, eid := range path.Edges {
 			fp.Edges[eid] = true
@@ -185,7 +174,7 @@ func GenerateFootprint(a *atlas.Atlas, g *graph.Graph, prof Profile, seed int64,
 		for _, v := range path.Nodes {
 			connected[v] = true
 		}
-		fp.Routes = append(fp.Routes, [2]int{pop, best})
+		fp.Routes = append(fp.Routes, [2]int{pop, path.Nodes[len(path.Nodes)-1]})
 	}
 
 	// Redundancy: extra routes between random POP pairs, biased away

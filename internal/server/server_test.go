@@ -342,8 +342,13 @@ func TestAnnotatedBadLimit(t *testing.T) {
 // Prometheus text exposition covering the HTTP layer, the study
 // stages, and the worker pool.
 func TestMetricsEndpoint(t *testing.T) {
-	// Generate at least one measured request first.
+	// Generate at least one measured request first, and build the
+	// campaign (Figure 9 renders it) so its stage is recorded whether
+	// or not another test built it before.
 	get(t, "/api/stats")
+	if resp, _ := get(t, "/api/figures/figure9"); resp.StatusCode != 200 {
+		t.Fatalf("figure9 status %d", resp.StatusCode)
+	}
 	resp, body := get(t, "/metrics")
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -399,6 +404,11 @@ func TestBuildReportEndpoint(t *testing.T) {
 			Calls  int64  `json:"calls"`
 		} `json:"stages"`
 		Report string `json:"report"`
+	}
+	// Figure 9 builds the campaign, so its stages are in the report
+	// whether or not another test built it before.
+	if resp, _ := get(t, "/api/figures/figure9"); resp.StatusCode != 200 {
+		t.Fatalf("figure9 status %d", resp.StatusCode)
 	}
 	resp := getJSON(t, "/api/buildreport", &out)
 	if resp.StatusCode != 200 {

@@ -114,3 +114,31 @@ func TestOverlayParsedDigestPinned(t *testing.T) {
 		t.Errorf("overlay digest %s, want %s", got, want)
 	}
 }
+
+// TestCampaignSamplesDigestPinned pins the retained samples' hops and
+// RTTs alongside the aggregates. 5000 samples of a 20k-probe campaign
+// span two decision windows, so sampling stops partway through the
+// second; a single sample stops in the first window's first chunk.
+func TestCampaignSamplesDigestPinned(t *testing.T) {
+	res := campaignMap()
+	for _, tc := range []struct {
+		retain int
+		want   string
+	}{
+		{5000, "604b9875a67a8c4f80d3f419c50c52461bbe372b3024bbe4116dbe9106d6a641"},
+		{1, "d3253ea1eb0f9491ad7f8b6d413c8233bd07e769b6bdcc93d3f6edb732800272"},
+	} {
+		for _, workers := range []int{1, 3} {
+			c, err := Run(context.Background(), res, Options{N: 20000, Seed: 99, RetainTraces: tc.retain, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(c.Samples) != tc.retain {
+				t.Errorf("retain=%d workers=%d: %d samples", tc.retain, workers, len(c.Samples))
+			}
+			if got := campaignDigest(c); got != tc.want {
+				t.Errorf("retain=%d workers=%d: campaign digest %s, want %s", tc.retain, workers, got, tc.want)
+			}
+		}
+	}
+}

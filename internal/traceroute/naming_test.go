@@ -1,6 +1,7 @@
 package traceroute
 
 import (
+	"sort"
 	"testing"
 
 	"intertubes/internal/atlas"
@@ -86,5 +87,55 @@ func TestDecodeHopNameAcceptance(t *testing.T) {
 		if _, _, ok := n.DecodeHopName(tc.name); ok != tc.ok {
 			t.Errorf("DecodeHopName(%q) ok=%v, want %v", tc.name, ok, tc.ok)
 		}
+	}
+}
+
+// TestHopSlotsDecodeLikeTheirNames checks the synthesizer's per-slot
+// decoding against the decoder: each (provider, backbone city) slot
+// holds the provider's nine interface names for the city, and its
+// decoded hop equals decodeHop of every one of them. A provider
+// outside the domain table gets names no study can decode.
+func TestHopSlotsDecodeLikeTheirNames(t *testing.T) {
+	res := campaignMap()
+	a := res.Atlas
+	names := make([]string, 0, len(res.Truth))
+	for name := range res.Truth {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	isps := transitProviders(res, names)
+	const foreign = "Nowhere Fiber"
+	if _, ok := domainForISP[foreign]; ok {
+		t.Fatalf("%s is in the domain table", foreign)
+	}
+	isps = append(isps, &ispContext{name: foreign, nodes: isps[0].nodes})
+	namer := NewNamer(a)
+	syn := newSynthesizer(a, namer, newCityDistances(a), isps, Options{}.withDefaults())
+	n := len(a.Cities)
+	slots := 0
+	for i, ctx := range isps {
+		for _, city := range ctx.nodes {
+			sl := syn.slots[i*n+city]
+			slots++
+			for k := 0; k < hopInterfaces; k++ {
+				off := int(sl.off) + k*int(sl.n)
+				name := syn.names[off : off+int(sl.n)]
+				if want := namer.HopName(k+1, city, ctx.name); name != want {
+					t.Fatalf("%s at city %d, interface %d: arena name %q, want %q", ctx.name, city, k+1, name, want)
+				}
+				city2, isp, ok := namer.decodeHop(name)
+				if ok != sl.decodes || ok && (decodedHop{city: city2, isp: isp}) != sl.hop {
+					t.Fatalf("%s: slot decodes to %+v, %v; decodeHop gives %d, %d, %v",
+						name, sl.hop, sl.decodes, city2, isp, ok)
+				}
+			}
+			_, known := domainForISP[ctx.name]
+			if sl.decodes != known {
+				t.Errorf("%s at city %d: slot decodes = %v, provider in domain table = %v", ctx.name, city, sl.decodes, known)
+			}
+		}
+	}
+	if slots == 0 {
+		t.Fatal("no slots checked")
 	}
 }

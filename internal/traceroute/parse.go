@@ -150,10 +150,7 @@ func (c *Campaign) OverlayParsed(traces []ParsedTrace) int {
 		if first == last {
 			continue
 		}
-		sc.attrs = sc.attrs[:0]
-		misses := attribute(sc, routes)
-		t.add(c.atlasLon(first) < c.atlasLon(last), sc.attrs, misses)
-		if len(sc.attrs) > 0 {
+		if attribute(sc, routes, t, c.atlasLon(first) < c.atlasLon(last)) > 0 {
 			contributed++
 		}
 	}

@@ -36,34 +36,32 @@ import (
 //     tables (routes.go), built on the pool before the first window,
 //     hold pure shortest-path trees, so any worker count produces
 //     bit-identical traces. Per hop, the kernel reads tables filled
-//     once per campaign — city-pair distances and a hop-name arena for
-//     synthesis, provider-indexed rows for attribution — so it does no
-//     trigonometry, string building or Dijkstra; every hop is still
-//     decoded from its name.
-//  3. Attributions are reduced in probe order on one goroutine into a
-//     dense tally (tally.go), which fills the Campaign's maps once.
-
-// segAttr is one conduit attribution extracted from a trace: the
-// overlay's output for a single visible hop pair, before the reduce
-// counts it.
-type segAttr struct {
-	cid     int32 // published conduit
-	isp     int32 // decoder provider index (domainTable)
-	correct bool  // matches the provider's ground-truth footprint
-}
+//     once per campaign — a hop slot per (provider, city) holding what
+//     a study decodes from the slot's names, provider-indexed rows for
+//     attribution — so it does no trigonometry, string building,
+//     Dijkstra or name decoding. A hop's RTT, name and Hop record are
+//     built only in windows that still retain samples; elsewhere the
+//     kernel makes the same draws and keeps only the decoded hop. Each
+//     worker counts its attributions into its own dense tally
+//     (tally.go). Counts are sums, so the tallies fill the Campaign's
+//     maps alike whichever worker ran which probe.
+//  3. A serial reduce walks each window's outcomes in probe order: it
+//     counts the probes that saw transit and keeps the first
+//     RetainTraces of them as samples.
 
 // probeScratch is one worker's probe scratch: the buffers route walks
-// and hop synthesis append to, and the decoded hops and attributions
-// of the trace being attributed.
+// and hop synthesis append to, the decoded hops of the trace being
+// attributed, and the tally its attributions are counted into.
 type probeScratch struct {
 	edges   []int // conduits of one attributed segment
 	path    []int // cities of the probe's ground-truth path(s)
-	trace   []Hop // the probe's synthesized hops
 	decoded []decodedHop
-	// attrs only grows within a window: each probe's attributions are
-	// the tail it appended, handed to the reduce as a capped slice
-	// that is not written again until the window has been reduced.
-	attrs []segAttr
+	tally   *tally
+	// hops only grows within a window: each probe's sampled hops are
+	// the tail it appended, handed to the reduce as a capped slice that
+	// is not written again until the window has been reduced. It grows
+	// only in windows that still retain samples.
+	hops []Hop
 }
 
 // decodedHop is what a measurement study reads off one hop name.
@@ -77,29 +75,34 @@ func newProbeScratch() *probeScratch { return &probeScratch{} }
 // scratchPool keeps the workers' probe scratch for a whole campaign:
 // the pool hands each window's workers a scratch that earlier windows
 // already grew, so buffers and workspaces are reused, not regrown.
+// Each scratch counts into its own tally; the counts are sums, so
+// which worker ran a probe never shows once the tallies are folded.
 type scratchPool struct {
-	mu   sync.Mutex
-	all  []*probeScratch
-	used int // handed out since the last reset
+	conduits int // published conduits, the tallies' size
+	mu       sync.Mutex
+	all      []*probeScratch
+	used     int // handed out since the last reset
 }
 
 func (p *scratchPool) get() *probeScratch {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.used == len(p.all) {
-		p.all = append(p.all, newProbeScratch())
+		sc := newProbeScratch()
+		sc.tally = newTally(p.conduits)
+		p.all = append(p.all, sc)
 	}
 	p.used++
 	return p.all[p.used-1]
 }
 
-// reset takes every scratch back, emptying the attribution buffers;
-// call it only once the previous window is reduced.
+// reset takes every scratch back, emptying the hop buffers; call it
+// only once the previous window is reduced.
 func (p *scratchPool) reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, sc := range p.all {
-		sc.attrs = sc.attrs[:0]
+		sc.hops = sc.hops[:0]
 	}
 	p.used = 0
 }
@@ -108,14 +111,17 @@ func (p *scratchPool) reset() {
 type probeSpec struct {
 	src, dst int
 	ispIdx   int
-	peer     bool
-	peerPick int
+	peer     int // the second provider of a peered probe, -1 if none
 }
 
 // campaignWindow is the number of probes phase 2 fans out and reduces
 // at a time, bounding the in-flight traces regardless of campaign
 // size; phase 1 draws decisions in windows of the same size.
 const campaignWindow = 64 * par.ChunkSize
+
+// hopBlock is the number of hops a worker's sample buffer holds per
+// block.
+const hopBlock = 4096
 
 // decisionBuffers is the number of window buffers phase 1 and phase 2
 // pass between them: one being synthesized, one drawn and waiting, and
@@ -179,7 +185,7 @@ func (d *decisions) draw(ctx context.Context, opts Options, grav *gravity, isps 
 				return ctx.Err()
 			}
 			sp := &specs[i]
-			*sp = probeSpec{}
+			*sp = probeSpec{peer: -1}
 			sp.src = grav.draw(rng)
 			sp.dst = grav.draw(rng)
 			x := rng.Float64() * totalWeight
@@ -189,9 +195,17 @@ func (d *decisions) draw(ctx context.Context, opts Options, grav *gravity, isps 
 					break
 				}
 			}
-			sp.peer = rng.Float64() < opts.PeerProb
+			peered := rng.Float64() < opts.PeerProb
 			if len(isps) > 1 {
-				sp.peerPick = rng.Intn(len(isps))
+				// The peer is any other provider: a pick of the first
+				// moves on to the next.
+				pick := rng.Intn(len(isps))
+				if pick == sp.ispIdx {
+					pick = (pick + 1) % len(isps)
+				}
+				if peered {
+					sp.peer = pick
+				}
 			}
 		}
 		d.ready <- specs
@@ -273,78 +287,84 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	}
 	syn := newSynthesizer(a, c.namer, dist, isps, opts)
 
-	// Phase 2: the pure per-probe kernel — route, synthesize,
-	// attribute. A zero probeOut means the probe saw no long-haul
-	// transit (same rejections as the serial code). The trace itself
-	// is kept only while the reduce still retains samples.
-	type probeOut struct {
-		ok       bool
-		westEast bool
-		misses   int
-		attrs    []segAttr
-		sample   *Trace
+	// sampled is the rest of a probe's trace, which only a retained
+	// sample needs.
+	type sampled struct {
+		mpls bool
+		hops []Hop
 	}
 	var window []probeSpec // the decisions of probes [lo, lo+len(window)), set serially
 	lo := 0
-	sampling := false // set serially before each window
-	probe := func(i int, prng *rand.Rand, sc *probeScratch) probeOut {
+	// samples[i-lo] is probe i's sampled trace. It is set serially
+	// before each window, and only while the reduce still retains
+	// samples; hops are built only then. Otherwise it is nil.
+	var samples []sampled
+
+	// Phase 2: the pure per-probe kernel — route, synthesize,
+	// attribute. It reports whether the probe saw long-haul transit
+	// (same rejections as the serial code).
+	probe := func(i int, prng *rand.Rand, sc *probeScratch) bool {
 		sp := window[i-lo]
 		if sp.src == sp.dst || sp.src < 0 {
-			return probeOut{}
+			return false
 		}
-		trace := Trace{SrcCity: sp.src, DstCity: sp.dst, ISP: isps[sp.ispIdx].name}
-		if sp.peer && len(isps) > 1 {
+		mid := -1 // where the second provider's cities start in sc.path
+		if sp.peer >= 0 {
 			// The trace crosses two providers, handing off at a mutual
 			// peering hub — real paths routinely do, and the overlay
 			// must attribute each segment to the right provider from
 			// its hop names alone.
-			isp2Idx := sp.peerPick
-			if isp2Idx == sp.ispIdx {
-				isp2Idx = (isp2Idx + 1) % len(isps)
-			}
-			hub := truth.peerHub(sp.ispIdx, isp2Idx, sp.src, sp.dst)
+			hub := truth.peerHub(sp.ispIdx, sp.peer, sp.src, sp.dst)
 			if hub < 0 {
-				return probeOut{} // the two providers never meet
+				return false // the two providers never meet
 			}
 			entry := truth.nearestBackbone(sp.ispIdx, sp.src)
-			exit := truth.nearestBackbone(isp2Idx, sp.dst)
+			exit := truth.nearestBackbone(sp.peer, sp.dst)
 			if entry < 0 || exit < 0 || entry == hub || exit == hub {
-				return probeOut{}
+				return false
 			}
 			var ok bool
 			sc.path, ok = truth.appendPath(sc.path[:0], sp.ispIdx, entry, hub)
-			mid := len(sc.path)
+			mid = len(sc.path)
 			if ok {
-				sc.path, ok = truth.appendPath(sc.path, isp2Idx, hub, exit)
+				sc.path, ok = truth.appendPath(sc.path, sp.peer, hub, exit)
 			}
 			if !ok {
-				return probeOut{}
+				return false
 			}
-			trace.PeerISP = isps[isp2Idx].name
-			sc.trace, trace.MPLS = syn.appendPeeredHops(prng, sp.ispIdx, isp2Idx, sp.src, sc.path[:mid], sc.path[mid:], sc.trace[:0])
 		} else {
 			entry := truth.nearestBackbone(sp.ispIdx, sp.src)
 			exit := truth.nearestBackbone(sp.ispIdx, sp.dst)
 			if entry < 0 || exit < 0 || entry == exit {
-				return probeOut{} // no long-haul transit on this trace
+				return false // no long-haul transit on this trace
 			}
 			var ok bool
 			sc.path, ok = truth.appendPath(sc.path[:0], sp.ispIdx, entry, exit)
 			if !ok {
-				return probeOut{}
+				return false
 			}
-			sc.trace, trace.MPLS = syn.appendHops(prng, sp.ispIdx, sp.src, sc.path, sc.trace[:0])
 		}
-		c.decode(sc, sc.trace)
-		start := len(sc.attrs)
-		out := probeOut{ok: true, westEast: trace.WestToEast(c), misses: attribute(sc, overlay)}
-		out.attrs = sc.attrs[start:len(sc.attrs):len(sc.attrs)]
-		if sampling {
-			sample := trace
-			sample.Hops = slices.Clone(sc.trace)
-			out.sample = &sample
+		keep := samples != nil
+		if keep && cap(sc.hops)-len(sc.hops) < len(sc.path) {
+			// A probe shows at most one hop per path city. Start a new
+			// block rather than regrow the buffer: earlier probes' hops
+			// stay in the old one, and copying growth would allocate
+			// several times the hops kept.
+			sc.hops = make([]Hop, 0, max(hopBlock, len(sc.path)))
 		}
-		return out
+		sc.decoded = sc.decoded[:0]
+		hops := len(sc.hops)
+		var mpls bool
+		if mid >= 0 {
+			mpls = syn.appendPeeredHops(prng, sc, keep, sp.ispIdx, sp.peer, sp.src, sc.path[:mid], sc.path[mid:])
+		} else {
+			mpls = syn.appendHops(prng, sc, keep, sp.ispIdx, sp.src, sc.path)
+		}
+		if keep {
+			samples[i-lo] = sampled{mpls: mpls, hops: sc.hops[hops:len(sc.hops):len(sc.hops)]}
+		}
+		attribute(sc, overlay, sc.tally, Trace{SrcCity: sp.src, DstCity: sp.dst}.WestToEast(c))
+		return true
 	}
 
 	// Phases 2+3, windowed: each window fans the kernel out over the
@@ -352,11 +372,13 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	// offset from the campaign seed because phase 1 draws from that
 	// stream; chunk indices stay absolute across windows.
 	synthSeed := opts.Seed + 0x5eed
-	t := newTally(len(res.Map.Conduits))
-	var scratch scratchPool
+	scratch := scratchPool{conduits: len(res.Map.Conduits)}
 	for w := range decide.ready {
 		window = w
-		sampling = len(c.Samples) < opts.RetainTraces
+		samples = nil
+		if len(c.Samples) < opts.RetainTraces {
+			samples = make([]sampled, len(window))
+		}
 		scratch.reset()
 		_, synthSpan := obs.Trace(ctx, "traceroute.synthesize")
 		synthSpan.SetWorkers(par.Workers(opts.Workers))
@@ -368,22 +390,28 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 		}
 		_, reduceSpan := obs.Trace(ctx, "traceroute.reduce")
 		kept := int64(0)
-		for _, o := range outs {
-			if !o.ok {
+		for k, ok := range outs {
+			if !ok {
 				continue
 			}
 			kept++
 			c.Total++
 			if len(c.Samples) < opts.RetainTraces {
-				// A sample outlives the campaign, so its names are
-				// copied out of the arena rather than keeping all of
-				// it alive.
-				for h := range o.sample.Hops {
-					o.sample.Hops[h].Name = strings.Clone(o.sample.Hops[h].Name)
+				sp := window[k]
+				sample := Trace{SrcCity: sp.src, DstCity: sp.dst, ISP: isps[sp.ispIdx].name, MPLS: samples[k].mpls}
+				if sp.peer >= 0 {
+					sample.PeerISP = isps[sp.peer].name
 				}
-				c.Samples = append(c.Samples, *o.sample)
+				// A sample outlives the campaign and its scratch, so its
+				// hops are copied out of the worker's buffer and its
+				// names out of the arena rather than keeping either
+				// alive.
+				sample.Hops = slices.Clone(samples[k].hops)
+				for h := range sample.Hops {
+					sample.Hops[h].Name = strings.Clone(sample.Hops[h].Name)
+				}
+				c.Samples = append(c.Samples, sample)
 			}
-			t.add(o.westEast, o.attrs, o.misses)
 		}
 		reduceSpan.SetItems(kept)
 		reduceSpan.End()
@@ -393,31 +421,36 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	if decide.err != nil {
 		return nil, decide.err
 	}
-	t.fold(c)
+	for _, sc := range scratch.all {
+		sc.tally.fold(c)
+	}
 	return c, nil
 }
 
 // synthesizer renders the visible hops of probe paths. The tables it
 // reads per hop are filled once per campaign with the calls hop
-// synthesis would otherwise make per hop, so a trace is bit-identical
-// to one rendered by making them.
+// synthesis and decoding would otherwise make per hop, so a trace is
+// bit-identical to one rendered by making them.
 type synthesizer struct {
 	opts    Options
 	dist    *cityDistances
 	nCities int
 	// names holds Namer.HopName of every (provider, backbone city,
-	// interface) back to back. A city's interface names differ only
-	// in their one-digit interface number, so they share a length:
-	// nameAt[isp*nCities+city] locates interface 1, and interface k
-	// starts (k-1) lengths later.
-	names  string
-	nameAt []nameSpan
+	// interface) back to back; slots[isp*nCities+city] locates a
+	// provider's names at a city.
+	names string
+	slots []hopSlot
 }
 
-// nameSpan locates a (provider, city)'s first interface name in the
-// arena.
-type nameSpan struct {
-	off, n int32
+// hopSlot is one (provider, backbone city)'s hop names. A city's
+// interface names differ only in their one-digit interface number, so
+// they share a length: interface 1 is at off, and interface k starts
+// (k-1) lengths later. The decoder never reads the interface label,
+// so every name of the slot decodes alike, to hop when decodes is set.
+type hopSlot struct {
+	off, n  int32
+	hop     decodedHop
+	decodes bool
 }
 
 // hopInterfaces is the number of router interfaces hop names draw
@@ -428,51 +461,63 @@ func newSynthesizer(a *atlas.Atlas, namer *Namer, dist *cityDistances, isps []*i
 	n := len(a.Cities)
 	s := &synthesizer{
 		opts: opts, dist: dist, nCities: n,
-		nameAt: make([]nameSpan, len(isps)*n),
+		slots: make([]hopSlot, len(isps)*n),
 	}
 	var arena []byte
 	for i, ctx := range isps {
 		for _, city := range ctx.nodes {
 			off := len(arena)
 			arena = namer.appendHopName(arena, 1, city, ctx.name)
-			s.nameAt[i*n+city] = nameSpan{off: int32(off), n: int32(len(arena) - off)}
+			s.slots[i*n+city] = hopSlot{off: int32(off), n: int32(len(arena) - off)}
 			for ifIndex := 2; ifIndex <= hopInterfaces; ifIndex++ {
 				arena = namer.appendHopName(arena, ifIndex, city, ctx.name)
 			}
 		}
 	}
 	s.names = string(arena)
+	// Decode each slot once, from its interface-1 name.
+	for i := range s.slots {
+		sl := &s.slots[i]
+		if sl.n == 0 {
+			continue // not a backbone city of the provider
+		}
+		city, isp, ok := namer.decodeHop(s.names[sl.off : sl.off+sl.n])
+		sl.hop, sl.decodes = decodedHop{city: city, isp: isp}, ok
+	}
 	return s
 }
 
-// appendPeeredHops renders a two-provider trace's hops onto the empty
-// hops: the first provider's along p1 up to the peering hub, then the
-// second provider's along p2. Either segment may independently ride an
-// MPLS tunnel; it reports whether one does.
-func (s *synthesizer) appendPeeredHops(rng *rand.Rand, isp1, isp2, src int, p1, p2 []int, hops []Hop) ([]Hop, bool) {
-	hops, mpls1 := s.appendHops(rng, isp1, src, p1, hops)
+// appendPeeredHops renders a two-provider trace's hops: the first
+// provider's along p1 up to the peering hub, then the second
+// provider's along p2. Either segment may independently ride an MPLS
+// tunnel; it reports whether one does.
+func (s *synthesizer) appendPeeredHops(rng *rand.Rand, sc *probeScratch, keep bool, isp1, isp2, src int, p1, p2 []int) bool {
+	start := len(sc.hops)
+	mpls1 := s.appendHops(rng, sc, keep, isp1, src, p1)
 	// Continue the clock: the second segment's RTTs stack on the
 	// first segment's final RTT.
-	base := 0.0
-	if len(hops) > 0 {
-		base = hops[len(hops)-1].RTTms
-	}
-	first := len(hops)
+	first := len(sc.hops)
 	// The second segment begins at the peering hub, so its access
 	// tail is zero-length.
-	hops, mpls2 := s.appendHops(rng, isp2, p2[0], p2, hops)
-	for i := first; i < len(hops); i++ {
-		hops[i].RTTms += base
+	mpls2 := s.appendHops(rng, sc, keep, isp2, p2[0], p2)
+	if first > start {
+		base := sc.hops[first-1].RTTms
+		for i := first; i < len(sc.hops); i++ {
+			sc.hops[i].RTTms += base
+		}
 	}
-	return hops, mpls1 || mpls2
+	return mpls1 || mpls2
 }
 
-// appendHops renders the visible hops of one provider segment onto
-// hops: every backbone city on the path, unless the segment rides an
-// MPLS tunnel, in which case only the ingress and egress are visible
-// (paper §4.3's caveat). Each hop name resolves unless rDNS noise
-// hides it. It reports whether the segment tunnels.
-func (s *synthesizer) appendHops(rng *rand.Rand, isp, src int, cities []int, hops []Hop) ([]Hop, bool) {
+// appendHops renders the visible hops of one provider segment: every
+// backbone city on the path, unless the segment rides an MPLS tunnel,
+// in which case only the ingress and egress are visible (paper §4.3's
+// caveat). Each hop name resolves unless rDNS noise hides it; a
+// resolved hop's decoding goes onto sc.decoded, and with keep the hop
+// itself goes onto sc.hops. The draws do not depend on keep, so the
+// stream advances alike either way. It reports whether the segment
+// tunnels.
+func (s *synthesizer) appendHops(rng *rand.Rand, sc *probeScratch, keep bool, isp, src int, cities []int) bool {
 	mpls := rng.Float64() < s.opts.MPLSProb
 
 	visible := cities
@@ -482,41 +527,45 @@ func (s *synthesizer) appendHops(rng *rand.Rand, isp, src int, cities []int, hop
 	}
 	// Cumulative RTT: access tail to the first hop plus fiber distance
 	// along the backbone, times two (round trip), with jitter.
-	rtt := 2 * geo.FiberLatencyMs(s.dist.at(src, cities[0])*1.3)
+	var rtt float64
+	if keep {
+		rtt = 2 * geo.FiberLatencyMs(s.dist.at(src, cities[0])*1.3)
+	}
 	prev := cities[0]
-	nameAt := s.nameAt[isp*s.nCities:]
+	slots := s.slots[isp*s.nCities:]
 	for _, city := range visible {
+		jitter := rng.Float64()
+		iface := -1 // hidden by rDNS noise
+		if rng.Float64() >= s.opts.GeoNoiseProb {
+			iface = rng.Intn(hopInterfaces)
+			if sl := &slots[city]; sl.decodes {
+				sc.decoded = append(sc.decoded, sl.hop)
+			}
+		}
+		if !keep {
+			continue
+		}
 		if city != prev {
 			rtt += 2 * geo.FiberLatencyMs(s.dist.at(prev, city)*1.2)
 			prev = city
 		}
-		h := Hop{City: city, RTTms: rtt + rng.Float64()*0.4}
-		if rng.Float64() >= s.opts.GeoNoiseProb {
-			at := nameAt[city]
-			off := int(at.off) + rng.Intn(hopInterfaces)*int(at.n)
-			h.Name = s.names[off : off+int(at.n)]
+		h := Hop{City: city, RTTms: rtt + jitter*0.4}
+		if iface >= 0 {
+			sl := &slots[city]
+			off := int(sl.off) + iface*int(sl.n)
+			h.Name = s.names[off : off+int(sl.n)]
 		}
-		hops = append(hops, h)
+		sc.hops = append(sc.hops, h)
 	}
-	return hops, mpls
-}
-
-// decode fills sc.decoded with the hops a measurement study could
-// decode from hops' names.
-func (c *Campaign) decode(sc *probeScratch, hops []Hop) {
-	sc.decoded = sc.decoded[:0]
-	for _, h := range hops {
-		if city, isp, ok := c.namer.decodeHop(h.Name); ok {
-			sc.decoded = append(sc.decoded, decodedHop{city: city, isp: isp})
-		}
-	}
+	return mpls
 }
 
 // attribute maps the decoded hop pairs in sc.decoded onto published
-// conduits using only hop names and the published map, appends each
-// attribution, scored against ground truth, to sc.attrs, and returns
-// the number of pairs it could not attribute.
-func attribute(sc *probeScratch, routes *overlayRoutes) (misses int) {
+// conduits using only hop names and the published map, and counts
+// into t each attribution, scored against ground truth, in the trace's
+// direction, and each pair it could not attribute. It returns the
+// number of attributions.
+func attribute(sc *probeScratch, routes *overlayRoutes, t *tally, westEast bool) (n int) {
 	for i := 1; i < len(sc.decoded); i++ {
 		a, b := sc.decoded[i-1], sc.decoded[i]
 		if a.city == b.city {
@@ -526,19 +575,17 @@ func attribute(sc *probeScratch, routes *overlayRoutes) (misses int) {
 		var ok bool
 		sc.edges, ok = routes.segment(sc.edges[:0], a.city, b.city, isp)
 		if !ok {
-			misses++
+			t.unattributed++
 			continue
 		}
 		for _, cid := range sc.edges {
-			sc.attrs = append(sc.attrs, segAttr{
-				cid: int32(cid), isp: int32(isp),
-				// Ground-truth scoring: did the overlay put the probe
-				// in a conduit the provider actually occupies?
-				correct: routes.correct(isp, cid),
-			})
+			// Ground-truth scoring: did the overlay put the probe in a
+			// conduit the provider actually occupies?
+			t.add(westEast, cid, isp, routes.correct(isp, cid))
 		}
+		n += len(sc.edges)
 	}
-	return misses
+	return n
 }
 
 // inf excludes an edge from Dijkstra (the graph package skips +Inf

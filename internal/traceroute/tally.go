@@ -2,12 +2,12 @@ package traceroute
 
 import "intertubes/internal/fiber"
 
-// tally.go holds the overlay's counters while traces are reduced:
+// tally.go holds the overlay's counters while traces are attributed:
 // flat arrays indexed by conduit id and decoder provider index
 // (domainTable), so counting an attribution is two increments and no
-// map update. fold publishes a tally into a Campaign's maps — once at
-// the end of Run, and once per OverlayParsed call, which adds to what
-// the maps already hold.
+// map update. fold adds a tally into a Campaign's maps: each campaign
+// worker's at the end of Run, and one per OverlayParsed call. Every
+// count is a sum, so the order of the folds never shows.
 
 // tally is the dense form of the Campaign aggregates. A provider's
 // inferred tenancy of a conduit is exactly a nonzero probe count, so
@@ -28,21 +28,18 @@ func newTally(conduits int) *tally {
 	}
 }
 
-// add counts one trace: its attributions in the direction the trace
-// runs, and the hop pairs the overlay could not attribute.
-func (t *tally) add(westEast bool, attrs []segAttr, misses int) {
-	t.unattributed += int64(misses)
-	t.checked += int64(len(attrs))
-	for _, at := range attrs {
-		if westEast {
-			t.probes[at.cid].WestEast++
-		} else {
-			t.probes[at.cid].EastWest++
-		}
-		t.isp[int(at.isp)*t.conduits+int(at.cid)]++
-		if at.correct {
-			t.correct++
-		}
+// add counts one attribution of a trace running in the given
+// direction.
+func (t *tally) add(westEast bool, cid, isp int, correct bool) {
+	if westEast {
+		t.probes[cid].WestEast++
+	} else {
+		t.probes[cid].EastWest++
+	}
+	t.isp[isp*t.conduits+cid]++
+	t.checked++
+	if correct {
+		t.correct++
 	}
 }
 

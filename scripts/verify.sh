@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # verify.sh — formatting, the tier-1 gate, the nested perfbench
-# module's tests, the race detector and repeated race passes over the
-# memo primitive and the campaign's cancellation. Fails fast on the
-# first broken step.
+# module's tests, the race detector, repeated race passes over the
+# memo primitive and the campaign's cancellation, and each
+# internal/server test run alone. Fails fast on the first broken step.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -46,6 +46,27 @@ go test -race -count=20 ./internal/memo
 # them running.
 echo "==> go test -race -count=20 -run TestRunCanceled ./internal/traceroute"
 go test -race -count=20 -run 'TestRunCanceled$' ./internal/traceroute
+
+# Each internal/server test also runs by itself, from one prebuilt
+# test binary, so a test that passes only after others have run (an
+# order dependence a full package run hides) fails the gate.
+echo "==> internal/server tests, one at a time"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+go test -c -o "$tmp/server.test" ./internal/server
+tests="$(cd internal/server && "$tmp/server.test" -test.list '^Test')"
+if [ -z "$tests" ]; then
+	echo "internal/server: no tests listed"
+	exit 1
+fi
+for name in $tests; do
+	if ! (cd internal/server && "$tmp/server.test" -test.run "^${name}\$" >"$tmp/out" 2>&1); then
+		cat "$tmp/out"
+		echo "internal/server: $name fails when run alone"
+		exit 1
+	fi
+done
+echo "$(echo "$tests" | wc -l) tests passed alone"
 
 # Fuzz smoke is part of the gate unless explicitly skipped
 # (SKIP_FUZZ=1 sh scripts/verify.sh) — e.g. on machines where the
