@@ -81,9 +81,11 @@ func run(args []string, in io.Reader, errOut io.Writer) error {
 // compareBaseline checks every benchmark present in both the new
 // summary and the baseline file: a ns/op more than tolerance above
 // the baseline's is a regression, and one or more regressions fail
-// the run. A benchmark present on only one side — renamed, moved to
-// another package, added or deleted — is listed as not compared, and
-// a run that compares nothing fails.
+// the run. Each compared benchmark gets one line with both sides'
+// ns/op, their ratio and both sides' allocs/op, before the verdict. A
+// benchmark present on only one side — renamed, moved to another
+// package, added or deleted — is listed as not compared, and a run
+// that compares nothing fails.
 func compareBaseline(sum *Summary, path string, tolerance float64, errOut io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -93,10 +95,10 @@ func compareBaseline(sum *Summary, path string, tolerance float64, errOut io.Wri
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	old := make(map[string]float64)
+	old := make(map[string]map[string]float64)
 	for _, r := range base.Benchmarks {
-		if ns := r.Metrics["ns/op"]; ns > 0 {
-			old[r.Package+" "+r.Name] = ns
+		if r.Metrics["ns/op"] > 0 {
+			old[r.Package+" "+r.Name] = r.Metrics
 		}
 	}
 	matched := make(map[string]bool)
@@ -107,12 +109,15 @@ func compareBaseline(sum *Summary, path string, tolerance float64, errOut io.Wri
 			continue
 		}
 		key := r.Package + " " + r.Name
-		oldNs, ok := old[key]
+		oldMetrics, ok := old[key]
 		if !ok {
 			fmt.Fprintf(errOut, "benchjson: not compared, not in %s: %s\n", path, key)
 			continue
 		}
 		matched[key] = true
+		oldNs := oldMetrics["ns/op"]
+		fmt.Fprintf(errOut, "benchjson: compared %s: %.0f -> %.0f ns/op (x%.3f), allocs/op %s -> %s\n",
+			key, oldNs, ns, ns/oldNs, allocsOf(oldMetrics), allocsOf(r.Metrics))
 		if ns > oldNs*(1+tolerance) {
 			regressions++
 			fmt.Fprintf(errOut, "benchjson: REGRESSION %s %s: %.0f ns/op vs baseline %.0f (+%.0f%%, tolerance %.0f%%)\n",
@@ -138,6 +143,16 @@ func compareBaseline(sum *Summary, path string, tolerance float64, errOut io.Wri
 	}
 	fmt.Fprintf(errOut, "benchjson: %d benchmarks within %.0f%% of %s\n", compared, tolerance*100, path)
 	return nil
+}
+
+// allocsOf formats a benchmark's allocs/op, or "-" when the run did
+// not report it (no -benchmem).
+func allocsOf(metrics map[string]float64) string {
+	a, ok := metrics["allocs/op"]
+	if !ok {
+		return "-"
+	}
+	return strconv.FormatFloat(a, 'f', -1, 64)
 }
 
 // parseStream reads a test2json stream and collects every benchmark

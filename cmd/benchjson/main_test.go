@@ -246,19 +246,23 @@ func writeBaseline(t *testing.T, sum Summary) string {
 
 func TestCompareBaseline(t *testing.T) {
 	base := writeBaseline(t, Summary{Benchmarks: []Result{
-		{Package: "p", Name: "BenchmarkFast", Metrics: map[string]float64{"ns/op": 100}},
+		{Package: "p", Name: "BenchmarkFast", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 3}},
 		{Package: "p", Name: "BenchmarkOnlyInBaseline", Metrics: map[string]float64{"ns/op": 50}},
 	}})
 	within := &Summary{Benchmarks: []Result{
-		{Package: "p", Name: "BenchmarkFast", Metrics: map[string]float64{"ns/op": 120}},
+		{Package: "p", Name: "BenchmarkFast", Metrics: map[string]float64{"ns/op": 120, "allocs/op": 0}},
 		{Package: "p", Name: "BenchmarkNew", Metrics: map[string]float64{"ns/op": 999}},
 	}}
 	var errBuf strings.Builder
 	if err := compareBaseline(within, base, 0.25, &errBuf); err != nil {
 		t.Fatalf("+20%% within a 25%% tolerance failed: %v", err)
 	}
-	if !strings.Contains(errBuf.String(), "1 benchmarks within") {
-		t.Errorf("stderr = %q, want exactly one compared benchmark", errBuf.String())
+	// Each compared benchmark keeps its numbers: both sides' ns/op, the
+	// ratio and both sides' allocs/op, ahead of the verdict.
+	const line = "benchjson: compared p BenchmarkFast: 100 -> 120 ns/op (x1.200), allocs/op 3 -> 0\n"
+	i, j := strings.Index(errBuf.String(), line), strings.Index(errBuf.String(), "1 benchmarks within")
+	if i < 0 || j < 0 || i > j {
+		t.Errorf("stderr = %q, want %q before the verdict for exactly one compared benchmark", errBuf.String(), line)
 	}
 	// A benchmark on one side only is named, never silently skipped.
 	for _, name := range []string{"p BenchmarkOnlyInBaseline", "p BenchmarkNew"} {
@@ -287,6 +291,10 @@ func TestCompareBaseline(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "REGRESSION p BenchmarkFast") {
 		t.Errorf("stderr = %q, want a named regression line", errBuf.String())
+	}
+	// A side run without -benchmem reports its allocs/op as "-".
+	if want := "compared p BenchmarkFast: 100 -> 130 ns/op (x1.300), allocs/op 3 -> -\n"; !strings.Contains(errBuf.String(), want) {
+		t.Errorf("stderr = %q, want %q", errBuf.String(), want)
 	}
 }
 

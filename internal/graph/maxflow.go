@@ -28,6 +28,11 @@ import "math"
 // limit once the flow reaches it. The capacity layer's capacities are
 // whole numbers of wavelengths (fiber/capacity.go), which is what
 // makes its results independent of arc order and hosting graph.
+//
+// After a call the residual arcs still hold the flow and, when the
+// limit did not bind, a minimum cut: FlowOn and MinCutSide read them
+// back, so a caller can keep a demand's flow and cut as a witness of
+// its answer without a second search.
 
 // flowArc is one residual arc: head vertex, twin arc index, and
 // residual capacity.
@@ -46,6 +51,13 @@ type maxflowScratch struct {
 	level []int32   // residual distance to dst; -1 unlabeled or pruned
 	queue []int32
 	path  []int32 // DFS stack of arc indices from src
+	// edgeArc[i] is the U→V arc of staged edge i (base edges, then
+	// extras), or -1 when the edge is not usable; empty after a call
+	// that staged nothing.
+	edgeArc []int32
+	// cut reports whether the last call ended on a failed level search,
+	// so that level holds a minimum cut.
+	cut bool
 }
 
 // maxflow returns the workspace's max-flow scratch, allocating it on
@@ -79,13 +91,15 @@ func (w *Workspace) maxflow() *maxflowScratch {
 // independent of arc order.
 func (g *Graph) MaxFlow(ws *Workspace, src, dst int, caps []float64, extra []Edge, limit float64) float64 {
 	n := g.n
+	mf := ws.maxflow()
+	mf.cut = false
 	if src == dst || src < 0 || src >= n || dst < 0 || dst >= n || !(limit > 0) {
+		mf.edgeArc = mf.edgeArc[:0]
 		return 0
 	}
 	if caps == nil {
 		caps = g.topoView().defWeights
 	}
-	mf := ws.maxflow()
 	mf.stage(g, caps, extra)
 
 	s, t := int32(src), int32(dst)
@@ -95,7 +109,47 @@ func (g *Graph) MaxFlow(ws *Workspace, src, dst int, caps []float64, extra []Edg
 			return limit
 		}
 	}
+	mf.cut = true
 	return total
+}
+
+// FlowOn fills flow with the flow the last MaxFlow call on w left in
+// its residual arcs: flow[i] for base edge i, then flow[NumEdges()+j]
+// for extra[j], positive when it runs from the edge's U to its V and
+// negative the other way. Its magnitude never exceeds the edge's
+// capacity, an excluded edge carries 0, and the net flow out of src
+// equals the returned value, or reaches the limit when that bound.
+// A flow sized to the base edges alone skips the extras; entries past
+// the staged edges, and every entry after a call that staged nothing,
+// read 0.
+func (w *Workspace) FlowOn(flow []float64) {
+	mf := w.maxflow()
+	for i := range flow {
+		flow[i] = 0
+		if i < len(mf.edgeArc) && mf.edgeArc[i] >= 0 {
+			// Twin residuals start at c each and move by f in opposite
+			// directions: c-f on U→V, c+f on V→U.
+			a := &mf.arcs[mf.edgeArc[i]]
+			flow[i] = (mf.arcs[a.twin].cap - a.cap) / 2
+		}
+	}
+}
+
+// MinCutSide reports whether the last MaxFlow call on w returned below
+// its limit. If it did, side[v] (len(side) must cover every vertex) is
+// set for exactly the vertices that cannot reach dst in the final
+// residual network: the source side of a minimum s-t cut, holding src
+// but not dst, whose crossing edges carry exactly the returned flow.
+// Otherwise side is left as it was.
+func (w *Workspace) MinCutSide(side []bool) bool {
+	mf := w.maxflow()
+	if !mf.cut {
+		return false
+	}
+	for v, l := range mf.level {
+		side[v] = l < 0
+	}
+	return true
 }
 
 // usableCap reports whether an edge carries flow: distinct in-range
@@ -122,6 +176,7 @@ func (mf *maxflowScratch) stage(g *Graph, caps []float64, extra []Edge) {
 	mf.level = grow(mf.level, n)
 	mf.queue = grow(mf.queue, n)
 	mf.path = grow(mf.path, n)
+	mf.edgeArc = grow(mf.edgeArc, len(g.edges)+len(extra))
 	off, cur := mf.off, mf.cur
 
 	// Pass 1: count usable arcs per tail vertex.
@@ -154,23 +209,26 @@ func (mf *maxflowScratch) stage(g *Graph, caps []float64, extra []Edge) {
 
 	// Pass 2: place each twin pair in its tails' rows.
 	copy(cur, off[:n])
-	add := func(u, v int, c float64) {
+	add := func(i, u, v int, c float64) {
 		a, b := cur[u], cur[v]
 		cur[u]++
 		cur[v]++
 		arcs[a] = flowArc{to: int32(v), twin: b, cap: c}
 		arcs[b] = flowArc{to: int32(u), twin: a, cap: c}
+		mf.edgeArc[i] = a
 	}
 	for eid := range g.edges {
 		e := &g.edges[eid]
+		mf.edgeArc[eid] = -1
 		if usableCap(e.U, e.V, n, caps[eid]) {
-			add(e.U, e.V, caps[eid])
+			add(eid, e.U, e.V, caps[eid])
 		}
 	}
 	for i := range extra {
 		e := &extra[i]
+		mf.edgeArc[len(g.edges)+i] = -1
 		if usableCap(e.U, e.V, n, e.Weight) {
-			add(e.U, e.V, e.Weight)
+			add(len(g.edges)+i, e.U, e.V, e.Weight)
 		}
 	}
 }

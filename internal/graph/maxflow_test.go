@@ -96,20 +96,26 @@ func combined(g *Graph, caps []float64, extra []Edge) ([]Edge, func(i int) float
 //   - when the result is uncapped, the vertices the final reverse BFS
 //     left unlabeled contain src but not dst, and the edges leaving
 //     them carry exactly got capacity — a cut certifying maximality.
+//
+// checkExportedWitness then holds what FlowOn and MinCutSide report to
+// the same conditions.
 func checkMaxFlowCertificate(g *Graph, ws *Workspace, src, dst int, caps []float64, extra []Edge, limit, got float64) error {
 	n := g.NumVertices()
-	if src == dst || src < 0 || src >= n || dst < 0 || dst >= n || !(limit > 0) {
-		if got != 0 {
-			return fmt.Errorf("degenerate query returned %v, want 0", got)
-		}
-		return nil // nothing staged
-	}
 	all, capOf := combined(g, caps, extra)
 	// The usable-edge rule, restated rather than borrowed from the
 	// kernel: positive finite capacity, not a self-loop.
 	usable := func(i int) (float64, bool) {
 		c := capOf(i)
 		return c, c > 0 && !math.IsInf(c, 1) && all[i].U != all[i].V
+	}
+	if err := checkExportedWitness(n, ws, src, dst, all, usable, limit, got); err != nil {
+		return fmt.Errorf("exported witness: %w", err)
+	}
+	if src == dst || src < 0 || src >= n || dst < 0 || dst >= n || !(limit > 0) {
+		if got != 0 {
+			return fmt.Errorf("degenerate query returned %v, want 0", got)
+		}
+		return nil // nothing staged
 	}
 	type half struct {
 		to  int
@@ -189,6 +195,95 @@ func checkMaxFlowCertificate(g *Graph, ws *Workspace, src, dst int, caps []float
 	}
 	if cut != got {
 		return fmt.Errorf("unlabeled-set cut capacity %v != flow %v", cut, got)
+	}
+	return nil
+}
+
+// checkExportedWitness checks the flow table FlowOn exports and the cut
+// side MinCutSide reports after got = MaxFlow(ws, src, dst, ...) over
+// the staged edges all (base edges, then extras), reading nothing of
+// the kernel's scratch:
+//
+//   - |flow| <= capacity on every usable edge, 0 on every other one,
+//     and 0 past the staged edges;
+//   - flow is conserved at every vertex other than src and dst;
+//   - the net flow out of src equals got, or reaches limit when the
+//     result is capped;
+//   - when the result is uncapped, MinCutSide reports a side holding
+//     src but not dst whose crossing edges carry exactly got
+//     capacity; otherwise it reports no cut.
+//
+// A degenerate query stages nothing: every flow reads 0 and there is
+// no cut.
+func checkExportedWitness(n int, ws *Workspace, src, dst int, all []Edge, usable func(i int) (float64, bool), limit, got float64) error {
+	flow := make([]float64, len(all)+1)
+	for i := range flow {
+		flow[i] = math.NaN()
+	}
+	ws.FlowOn(flow)
+	side := make([]bool, n)
+	hasCut := ws.MinCutSide(side)
+	if src == dst || src < 0 || src >= n || dst < 0 || dst >= n || !(limit > 0) {
+		for i, f := range flow {
+			if f != 0 {
+				return fmt.Errorf("degenerate query: edge %d carries %v", i, f)
+			}
+		}
+		if hasCut {
+			return fmt.Errorf("degenerate query reports a cut")
+		}
+		return nil
+	}
+	if f := flow[len(all)]; f != 0 {
+		return fmt.Errorf("entry past the %d staged edges reads %v", len(all), f)
+	}
+	net := make([]float64, n)
+	for i, e := range all {
+		f := flow[i]
+		c, ok := usable(i)
+		if !ok {
+			if f != 0 {
+				return fmt.Errorf("excluded edge %d (%d-%d) carries %v", i, e.U, e.V, f)
+			}
+			continue
+		}
+		if math.Abs(f) > c {
+			return fmt.Errorf("edge %d (%d-%d): |flow| %v over capacity %v", i, e.U, e.V, f, c)
+		}
+		net[e.U] += f
+		net[e.V] -= f
+	}
+	for v := 0; v < n; v++ {
+		if v != src && v != dst && net[v] != 0 {
+			return fmt.Errorf("vertex %d: exported flow not conserved (net out %v)", v, net[v])
+		}
+	}
+	if got >= limit {
+		if net[src] < limit {
+			return fmt.Errorf("capped result %v: exported net flow %v below limit %v", got, net[src], limit)
+		}
+		if hasCut {
+			return fmt.Errorf("capped result %v reports a cut", got)
+		}
+		return nil
+	}
+	if net[src] != got {
+		return fmt.Errorf("exported net flow out of src = %v, result %v", net[src], got)
+	}
+	if !hasCut {
+		return fmt.Errorf("uncapped result %v reports no cut", got)
+	}
+	if !side[src] || side[dst] {
+		return fmt.Errorf("cut side holds src %v, dst %v; want true, false", side[src], side[dst])
+	}
+	cut := 0.0
+	for i, e := range all {
+		if c, ok := usable(i); ok && side[e.U] != side[e.V] {
+			cut += c
+		}
+	}
+	if cut != got {
+		return fmt.Errorf("exported cut capacity %v != flow %v", cut, got)
 	}
 	return nil
 }

@@ -74,3 +74,49 @@ func TestOverlayEvaluateNoMapClone(t *testing.T) {
 			ovAllocs, cloneAllocs)
 	}
 }
+
+// TestCapacityReuseDecisionZeroAllocs pins that the capacity stage's
+// reuse decision costs no allocation per evaluation: a warmed scratch
+// lists the capacity changes of a scenario that both drops and grows
+// capacity, and decides every demand, allocation-free.
+func TestCapacityReuseDecisionZeroAllocs(t *testing.T) {
+	skipIfAllocsUnmeasurable(t)
+	res, mx := build(t)
+	eng := New(res, mx, Options{Seed: 42})
+	snap := eng.snapshot()
+	m := res.Map
+	sc, err := Resolve(Scenario{
+		CutMostShared: 5,
+		Additions:     []Addition{{A: m.Node(0).Key(), B: m.Node(fiber.NodeID(m.NumNodes() - 1)).Key()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov, _, err := buildOverlay(snap, sc, keptISPs(snap, sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, nb := ov.Final(), ov.NumBaseConduits()
+	cb, g := snap.capacity(), snap.baseline().g
+	scr := getScratch(g.NumEdges())
+	defer putScratch(scr)
+
+	reused := 0
+	decide := func() {
+		scr.capacityNetwork(cb, g, final, nb)
+		reused = 0
+		for i := range cb.demands {
+			if cb.reusable(i, scr.capW[:nb], &scr.capD) {
+				reused++
+			}
+		}
+	}
+	decide() // warm: scratch growth
+	if len(scr.capD.dropped) == 0 || len(scr.capD.grown) == 0 {
+		t.Fatalf("scenario drops %d and grows %d conduits; want both", len(scr.capD.dropped), len(scr.capD.grown))
+	}
+	if avg := testing.AllocsPerRun(100, decide); avg != 0 {
+		t.Fatalf("reuse decision allocates %.1f per run, want 0", avg)
+	}
+	t.Logf("%d of %d demands reused", reused, len(cb.demands))
+}

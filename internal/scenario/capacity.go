@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"slices"
+	"math"
 	"sort"
 
 	"intertubes/internal/fiber"
@@ -23,9 +23,10 @@ import (
 // its flow limit — does not depend on arc order or on the graph that
 // hosts the edges. An evaluation runs on the shared snapshot graph
 // with the overlay's capacity table and virtual conduits as extra
-// edges, and reuses every memoized baseline flow when the
-// perturbation changed no capacity at all; the result equals a
-// recomputation of every pair on the materialized map's own graph.
+// edges. A demand keeps its memoized baseline answer when the
+// perturbation provably cannot change it (reusable) and re-flows
+// otherwise; the result equals a recomputation of every pair on the
+// materialized map's own graph.
 
 // demandPairs is how many top gravity pairs form the demand matrix.
 // Small enough that a capacity stage costs a bounded number of flow
@@ -70,6 +71,16 @@ type capacityBaseline struct {
 	caps []float64
 	// servedTotal is the baseline carried Gbps, summed over demands.
 	servedTotal float64
+	// served[i] is demand i's baseline carried Gbps.
+	served []float64
+	// flow is a len(demands) × len(caps) slab: flow[i*len(caps)+cid]
+	// is |flow| on conduit cid in demand i's baseline max flow, a flow
+	// of at least served[i].
+	flow []float64
+	// side[i] is the source side of a minimum cut of demand i's
+	// baseline network, indexed by node, when the demand is served
+	// below its Gbps; nil when it is served in full.
+	side [][]bool
 }
 
 // capacityTable fills dst with per-conduit capacities under v's
@@ -87,16 +98,36 @@ func capacityTable(v fiber.View, dst []float64) []float64 {
 }
 
 // capacity memoizes the snapshot's capacity baseline: gravity
-// demands, the capacity table, and per-pair baseline flows.
+// demands, the capacity table, and per-pair baseline flows — each
+// pair's served Gbps, its flow per conduit and, when the pair is
+// served below its demand, its min cut, read off the kernel in the
+// same pass that sums them.
 func (s *snapshot) capacity() *capacityBaseline {
 	return kept(&s.capBase, func() *capacityBaseline {
 		m := s.res.Map
+		g := s.baseline().g
 		cb := &capacityBaseline{caps: capacityTable(m, nil)}
 		cb.demands = buildDemands(m, cb.caps)
-		for _, d := range cb.demands {
+		nc := len(cb.caps)
+		cb.served = make([]float64, len(cb.demands))
+		cb.flow = make([]float64, len(cb.demands)*nc)
+		cb.side = make([][]bool, len(cb.demands))
+		ws := graph.NewWorkspace()
+		for i, d := range cb.demands {
 			cb.offered += d.gbps
+			f := g.MaxFlow(ws, int(d.s), int(d.t), cb.caps, nil, d.gbps)
+			cb.served[i] = f
+			cb.servedTotal += f
+			row := cb.flow[i*nc : (i+1)*nc]
+			ws.FlowOn(row)
+			for cid, x := range row {
+				row[cid] = math.Abs(x)
+			}
+			if f < d.gbps {
+				cb.side[i] = make([]bool, g.NumVertices())
+				ws.MinCutSide(cb.side[i])
+			}
 		}
-		cb.servedTotal = cb.servedOn(s.baseline().g, graph.NewWorkspace(), cb.caps, nil)
 		return cb
 	})
 }
@@ -155,16 +186,59 @@ func buildDemands(m *fiber.Map, caps []float64) []trafficDemand {
 	return out
 }
 
-// servedOn evaluates the demand matrix on a perturbed topology and
-// returns the carried Gbps, summed over demands: g must use the view's
-// base conduit ids as edge ids, caps[eid] their perturbed capacities,
-// and extra any overlay-only conduits carrying capacity as Weight.
-func (cb *capacityBaseline) servedOn(g *graph.Graph, ws *graph.Workspace, caps []float64, extra []graph.Edge) float64 {
-	served := 0.0
-	for _, d := range cb.demands {
-		served += g.MaxFlow(ws, int(d.s), int(d.t), caps, extra, d.gbps)
+// capacityDelta is how a perturbed capacity network differs from the
+// baseline's: the base conduits whose capacity fell, and the edges
+// whose capacity rose — base conduits widened by merged additions,
+// then overlay-new conduits with usable capacity.
+type capacityDelta struct {
+	dropped []int
+	grown   []graph.Edge
+}
+
+// reusable reports whether demand i's answer under caps equals its
+// baseline served Gbps, from two sufficient conditions:
+//
+//   - (A) every dropped conduit still carries the demand's baseline
+//     flow. That flow is then feasible, so the new max flow is no
+//     smaller;
+//   - (B) the demand was served in full, or no grown edge crosses its
+//     baseline min cut. The cut's capacity then did not rise, so the
+//     new max flow is no larger.
+//
+// With integral capacities the kernel would return the same float64.
+func (cb *capacityBaseline) reusable(i int, caps []float64, d *capacityDelta) bool {
+	flow := cb.flow[i*len(cb.caps):]
+	for _, cid := range d.dropped {
+		if caps[cid] < flow[cid] {
+			return false
+		}
 	}
-	return served
+	if side := cb.side[i]; side != nil {
+		for _, e := range d.grown {
+			if side[e.U] != side[e.V] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// servedOn evaluates the demand matrix on the perturbed network — g
+// with the view's base conduit ids as edge ids, caps[eid] their
+// perturbed capacities, extra any overlay-only conduits carrying
+// capacity as Weight, d their difference from the baseline — and
+// returns the carried Gbps, summed over demands in order, and how many
+// demands re-flowed; every other one keeps its baseline answer.
+func (cb *capacityBaseline) servedOn(g *graph.Graph, ws *graph.Workspace, caps []float64, extra []graph.Edge, d *capacityDelta) (served float64, flows int) {
+	for i, dm := range cb.demands {
+		if cb.reusable(i, caps, d) {
+			served += cb.served[i]
+			continue
+		}
+		flows++
+		served += g.MaxFlow(ws, int(dm.s), int(dm.t), caps, extra, dm.gbps)
+	}
+	return served, flows
 }
 
 // lostTraffic is the delta from the baseline to a network carrying
@@ -177,18 +251,4 @@ func (cb *capacityBaseline) lostTraffic(served float64) *LostTraffic {
 		ServedAfterGbps:  served,
 		LostGbps:         cb.servedTotal - served,
 	}
-}
-
-// unchanged reports whether a perturbed capacity table (base
-// conduits in caps, overlay-only conduits in extra) leaves the
-// baseline flow network exactly as it was: every base capacity equal
-// and no overlay conduit carrying capacity. Then every demand takes
-// its baseline flow.
-func (cb *capacityBaseline) unchanged(caps []float64, extra []graph.Edge) bool {
-	for _, e := range extra {
-		if e.Weight > 0 {
-			return false
-		}
-	}
-	return slices.Equal(caps, cb.caps)
 }

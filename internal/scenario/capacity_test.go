@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"intertubes/internal/fiber"
+	"intertubes/internal/graph"
 )
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -148,4 +149,136 @@ func TestReduceCellCarriesLostTraffic(t *testing.T) {
 	if h.MaxLostTrafficGbps != out.LostTrafficGbps {
 		t.Fatalf("BuildHeatmap MaxLostTrafficGbps = %v, want %v", h.MaxLostTrafficGbps, out.LostTrafficGbps)
 	}
+}
+
+// reuseDecisions replays the capacity stage's reuse decision for sc on
+// eng's snapshot, one entry per demand: true when the demand keeps its
+// baseline answer. Each reused demand is also re-flowed on the
+// perturbed network, and must return exactly its baseline Gbps.
+func reuseDecisions(t *testing.T, eng *Engine, sc Scenario) []bool {
+	t.Helper()
+	snap := eng.snapshot()
+	sc, err := Resolve(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov, _, err := buildOverlay(snap, sc, keptISPs(snap, sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, g := snap.capacity(), snap.baseline().g
+	nb := ov.NumBaseConduits()
+	scr := &evalScratch{ws: graph.NewWorkspace()}
+	scr.capacityNetwork(cb, g, ov.Final(), nb)
+	out := make([]bool, len(cb.demands))
+	for i, d := range cb.demands {
+		if out[i] = cb.reusable(i, scr.capW[:nb], &scr.capD); !out[i] {
+			continue
+		}
+		if f := g.MaxFlow(scr.ws, int(d.s), int(d.t), scr.capW[:nb], scr.extra, d.gbps); f != cb.served[i] {
+			t.Errorf("%+v: demand %d reused at %v Gbps, re-flows to %v", sc, i, cb.served[i], f)
+		}
+	}
+	return out
+}
+
+// TestCapacityReuseRules drives each reuse rule to accept and to refuse
+// on the seed-42 baseline. Every decision must match the rule read off
+// the memo by hand, and every Result must be byte-identical to the
+// clone reference, which re-flows every demand.
+func TestCapacityReuseRules(t *testing.T) {
+	overlay, clone := enginePair(t)
+	snap := overlay.snapshot()
+	cb := snap.capacity()
+	m := snap.res.Map
+	nc := len(cb.caps)
+	flowOn := func(i, cid int) float64 { return cb.flow[i*nc+cid] }
+
+	check := func(t *testing.T, sc Scenario, want []bool) {
+		t.Helper()
+		got := reuseDecisions(t, overlay, sc)
+		reused := 0
+		for i := range want {
+			if got[i] {
+				reused++
+			}
+			if got[i] != want[i] {
+				t.Errorf("demand %d: reused = %v, want %v", i, got[i], want[i])
+			}
+		}
+		t.Logf("%d of %d demands reused", reused, len(want))
+		diffJSON(t, t.Name(), evalJSON(t, overlay, sc), cloneJSON(t, clone, sc))
+	}
+
+	// carriers[cid] counts the demands whose baseline flow uses cid.
+	carriers := make([]int, nc)
+	for i := range cb.demands {
+		for cid := 0; cid < nc; cid++ {
+			if flowOn(i, cid) > 0 {
+				carriers[cid]++
+			}
+		}
+	}
+
+	t.Run("A refuses a cut under a baseline flow", func(t *testing.T) {
+		// The conduit fewest demands route over, so most still reuse.
+		cut := -1
+		for cid, n := range carriers {
+			if n > 0 && (cut < 0 || n < carriers[cut]) {
+				cut = cid
+			}
+		}
+		if cut < 0 {
+			t.Fatal("no conduit carries baseline flow")
+		}
+		want := make([]bool, len(cb.demands))
+		for i := range want {
+			want[i] = flowOn(i, cut) == 0
+		}
+		check(t, Scenario{CutConduits: []fiber.ConduitID{fiber.ConduitID(cut)}}, want)
+	})
+
+	t.Run("B refuses an addition across an unsaturated cut", func(t *testing.T) {
+		d := -1
+		for i, side := range cb.side {
+			if side != nil {
+				d = i
+				break
+			}
+		}
+		if d < 0 {
+			t.Fatal("every demand is served in full; no cut to cross")
+		}
+		side := cb.side[d]
+		u, v := cb.demands[d].s, cb.demands[d].t
+		if !side[u] || side[v] {
+			t.Fatalf("demand %d: cut side holds s %v, t %v", d, side[u], side[v])
+		}
+		want := make([]bool, len(cb.demands))
+		for i, si := range cb.side {
+			want[i] = si == nil || si[u] == si[v]
+		}
+		if want[d] {
+			t.Fatalf("demand %d: an s-t addition does not cross its cut", d)
+		}
+		check(t, Scenario{Additions: []Addition{{A: m.Node(u).Key(), B: m.Node(v).Key()}}}, want)
+	})
+
+	t.Run("both accept a cut no flow uses", func(t *testing.T) {
+		cut := -1
+		for cid, n := range carriers {
+			if n == 0 && cb.caps[cid] > 0 {
+				cut = cid
+				break
+			}
+		}
+		if cut < 0 {
+			t.Fatal("every lit conduit carries some demand's baseline flow")
+		}
+		want := make([]bool, len(cb.demands))
+		for i := range want {
+			want[i] = true
+		}
+		check(t, Scenario{CutConduits: []fiber.ConduitID{fiber.ConduitID(cut)}}, want)
+	})
 }

@@ -162,8 +162,13 @@ func applyAddition(pm *fiber.Map, ad Addition, kept []string) error {
 }
 
 // lostTrafficClone is the reference capacity stage: recompute every
-// pair on the perturbed map's own graph.
+// pair on the perturbed map's own graph, reusing none.
 func lostTrafficClone(snap *snapshot, pm *fiber.Map) *LostTraffic {
 	cb := snap.capacity()
-	return cb.lostTraffic(cb.servedOn(pm.Graph(), graph.NewWorkspace(), capacityTable(pm, nil), nil))
+	g, ws, caps := pm.Graph(), graph.NewWorkspace(), capacityTable(pm, nil)
+	served := 0.0
+	for _, d := range cb.demands {
+		served += g.MaxFlow(ws, int(d.s), int(d.t), caps, nil, d.gbps)
+	}
+	return cb.lostTraffic(served)
 }

@@ -56,8 +56,10 @@ type evalScratch struct {
 	extra []graph.Edge
 	mark  []bool
 	// capW is the capacity stage's per-conduit capacity table
-	// (base conduits first, overlay virtuals after).
+	// (base conduits first, overlay virtuals after), and capD its
+	// difference from the baseline's.
 	capW []float64
+	capD capacityDelta
 }
 
 var scratchPool = sync.Pool{
@@ -114,6 +116,34 @@ func (s *evalScratch) providerRow(base *baseline, ov *fiber.Overlay, final fiber
 		if on {
 			s.verts = append(s.verts, v)
 			mark[v] = false
+		}
+	}
+}
+
+// capacityNetwork fills the scratch with the capacity stage's
+// perturbed network: capW holds the final view's capacity per conduit
+// (the nb base conduits first, overlay-new ones after), extra the
+// overlay-new conduits as edges weighted by capacity, and capD the
+// difference from cb's baseline. Allocation-free once warm.
+func (s *evalScratch) capacityNetwork(cb *capacityBaseline, g *graph.Graph, final fiber.View, nb int) {
+	s.capW = capacityTable(final, s.capW)
+	d := &s.capD
+	d.dropped, d.grown = d.dropped[:0], d.grown[:0]
+	for cid, c := range s.capW[:nb] {
+		switch {
+		case c < cb.caps[cid]:
+			d.dropped = append(d.dropped, cid)
+		case c > cb.caps[cid]:
+			d.grown = append(d.grown, g.Edge(cid))
+		}
+	}
+	s.extra = s.extra[:0]
+	for cid := nb; cid < len(s.capW); cid++ {
+		a, b := final.ConduitEnds(fiber.ConduitID(cid))
+		e := graph.Edge{U: int(a), V: int(b), Weight: s.capW[cid]}
+		s.extra = append(s.extra, e)
+		if e.Weight > 0 {
+			d.grown = append(d.grown, e)
 		}
 	}
 }
@@ -339,25 +369,16 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	// Capacity stage: re-flow the gravity demand matrix over the
 	// perturbed capacities. Base conduit capacities come from the
 	// final view (cuts dark, removals thinned, merged additions
-	// widened); overlay-new conduits ride as extra edges. When the
-	// perturbation changed no capacity, every pair takes its memoized
-	// baseline flow.
+	// widened); overlay-new conduits ride as extra edges. A pair the
+	// capacity changes provably cannot move keeps its memoized
+	// baseline answer; touched counts the pairs that re-flowed.
 	_ = stage("scenario.stage.capacity", func(sp *obs.Span) error {
 		cb := snap.capacity()
-		scr.capW = capacityTable(final, scr.capW)
-		scr.extra = scr.extra[:0]
 		nb := ov.NumBaseConduits()
-		for cid := nb; cid < len(scr.capW); cid++ {
-			a, b := final.ConduitEnds(fiber.ConduitID(cid))
-			scr.extra = append(scr.extra, graph.Edge{U: int(a), V: int(b), Weight: scr.capW[cid]})
-		}
-		if cb.unchanged(scr.capW[:nb], scr.extra) {
-			res.LostTraffic = cb.lostTraffic(cb.servedTotal)
-			setReuseAttrs(sp, 0, len(cb.demands))
-			return nil
-		}
-		res.LostTraffic = cb.lostTraffic(cb.servedOn(base.g, scr.ws, scr.capW[:nb], scr.extra))
-		setReuseAttrs(sp, len(cb.demands), 0)
+		scr.capacityNetwork(cb, base.g, final, nb)
+		served, flows := cb.servedOn(base.g, scr.ws, scr.capW[:nb], scr.extra, &scr.capD)
+		res.LostTraffic = cb.lostTraffic(served)
+		setReuseAttrs(sp, flows, len(cb.demands)-flows)
 		return nil
 	})
 

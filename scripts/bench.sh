@@ -12,9 +12,11 @@
 #       # regression gate: run the named benchmarks at the given git
 #       # revision (in a temporary worktree) and then in this working
 #       # tree, on the same machine, and fail when any regresses more
-#       # than TOLERANCE (default 0.25, i.e. 25%) in ns/op. Benchmarks
-#       # found on one side only are listed; comparing none fails.
-#       # Both summaries are throwaway; BENCH_obs.json is untouched.
+#       # than TOLERANCE (default 0.25, i.e. 25%) in ns/op. Each compared
+#       # benchmark prints both sides' ns/op, their ratio and both sides'
+#       # allocs/op. Benchmarks found on one side only are listed;
+#       # comparing none fails. Both summaries are throwaway;
+#       # BENCH_obs.json is untouched.
 #
 # The graph-kernel micro-benchmarks (DijkstraSweep, KShortestPaths,
 # EdgeBetweenness) ride along with the figure benchmarks; `make
