@@ -5,14 +5,25 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+// baselineLine matches a heatmap's baseline digest field.
+var baselineLine = regexp.MustCompile(`"baseline": "[0-9a-f]{64}"`)
 
 // TestRunPins pins the sha256 of each command's stdout at the default
 // seed: any change to an artifact's bytes must be deliberate and
 // update its pin.
 func TestRunPins(t *testing.T) {
+	// v1pins holds the pin an output had while the heatmap named its
+	// baseline by a version counter: with its one baseline digest line
+	// put back as "baselineVersion": 1, the output must still hash to
+	// it.
+	v1pins := map[string]string{
+		"whatif -grid 400 -grid-format geojson": "69f6952ffbb41c004bbdc05e996ac2de91aede3f4f8ed1b561f988608ebe9d46",
+	}
 	for _, c := range []struct {
 		args []string
 		sum  string
@@ -23,7 +34,7 @@ func TestRunPins(t *testing.T) {
 		{[]string{"resilience", "-k", "2", "-disaster", "29.95,-90.07,350"}, "0ecfdef324023f16cf6179fb01c8d01628985fe6e0aca6b20666ac224b076997"},
 		{[]string{"tracegen", "-n", "3000", "-samples", "3", "-text"}, "c9c6169ff6877633ffa9a122d21708d79832744124a9fc21f59bae2554f967ad"},
 		{[]string{"whatif", "-preset", "top12-cut", "-json"}, "f4835653ad58367f97ab8116ce3eea5221db0b9e4cf855faa854f49295509aaf"},
-		{[]string{"whatif", "-grid", "400", "-grid-format", "geojson"}, "69f6952ffbb41c004bbdc05e996ac2de91aede3f4f8ed1b561f988608ebe9d46"},
+		{[]string{"whatif", "-grid", "400", "-grid-format", "geojson"}, "725195c0461a9433ce002fd214fae4087fc103662418c2816a79709a7332fcd4"},
 	} {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
 			var out strings.Builder
@@ -33,6 +44,18 @@ func TestRunPins(t *testing.T) {
 			sum := sha256.Sum256([]byte(out.String()))
 			if got := hex.EncodeToString(sum[:]); got != c.sum {
 				t.Errorf("stdout sha256 = %s, want %s", got, c.sum)
+			}
+			v1sum, ok := v1pins[strings.Join(c.args, " ")]
+			if !ok {
+				return
+			}
+			lines := baselineLine.FindAllString(out.String(), -1)
+			if len(lines) != 1 {
+				t.Fatalf("output holds %d baseline digest lines, want 1", len(lines))
+			}
+			sum = sha256.Sum256([]byte(strings.Replace(out.String(), lines[0], `"baselineVersion": 1`, 1)))
+			if got := hex.EncodeToString(sum[:]); got != v1sum {
+				t.Errorf("stdout with the version-1 baseline line: sha256 = %s, want %s", got, v1sum)
 			}
 		})
 	}

@@ -138,21 +138,6 @@ func (t *topology) neighbors(v int32) []halfEdge {
 	return t.half[t.off[v]:t.off[v+1]]
 }
 
-// Degree returns the number of incident edge endpoints at v
-// (a self-loop counts once).
-func (g *Graph) Degree(v int) int {
-	t := g.topoView()
-	return int(t.off[v+1] - t.off[v])
-}
-
-// Neighbors calls fn for every incident edge of v with the neighbor
-// vertex and edge id.
-func (g *Graph) Neighbors(v int, fn func(to, edgeID int)) {
-	for _, h := range g.topoView().neighbors(int32(v)) {
-		fn(int(h.to), int(h.edge))
-	}
-}
-
 // Path is a walk through the graph: Nodes has one more element than
 // Edges, and Edges[i] connects Nodes[i] to Nodes[i+1].
 type Path struct {
@@ -416,16 +401,6 @@ func (g *Graph) Components() [][]int {
 		out = append(out, members)
 	}
 	return out
-}
-
-// Connected reports whether u and v are in the same component
-// (ignoring weights; +Inf default weights still connect).
-func (g *Graph) Connected(u, v int) bool {
-	if u == v {
-		return true
-	}
-	p, ok := g.ShortestPath(NewWorkspace(), u, v, func(int) float64 { return 1 })
-	return ok && len(p.Edges) > 0
 }
 
 // MinimaxDistances computes, for every vertex, the minimum over all

@@ -17,14 +17,14 @@ import (
 // per completed cell — not full Results — which keeps a thousand-cell
 // sweep's checkpoint well under a megabyte while still carrying
 // everything the heatmap artifacts need. Determinism makes that safe:
-// each cell is a pure function of (baseline version, cell scenario),
+// each cell is a pure function of (baseline digest, cell scenario),
 // so re-rendering from checkpointed cells is byte-identical to an
 // uninterrupted run.
 
 // checkpointVersion is the on-disk format version; DecodeCheckpoint
 // rejects anything else so a future format change cannot be silently
-// misread as cells.
-const checkpointVersion = 1
+// misread as cells. Version 2 names the baseline by its digest.
+const checkpointVersion = 2
 
 // Checkpoint is the serialized job state. Canceled cells are never
 // present: a canceled evaluation never ran, so there is nothing to
@@ -32,13 +32,13 @@ const checkpointVersion = 1
 // failed deterministically are present with Err set — they would fail
 // identically on re-run, so re-running them is waste.
 type Checkpoint struct {
-	V               int                    `json:"v"`
-	ID              string                 `json:"id"`
-	Geom            scenario.GridGeom      `json:"geom"`
-	BaselineVersion uint64                 `json:"baselineVersion"`
-	State           State                  `json:"state"`
-	Err             string                 `json:"err,omitempty"`
-	Cells           []scenario.CellOutcome `json:"cells"`
+	V        int                    `json:"v"`
+	ID       string                 `json:"id"`
+	Geom     scenario.GridGeom      `json:"geom"`
+	Baseline string                 `json:"baseline"`
+	State    State                  `json:"state"`
+	Err      string                 `json:"err,omitempty"`
+	Cells    []scenario.CellOutcome `json:"cells"`
 }
 
 // EncodeCheckpoint serializes a checkpoint in the canonical form
@@ -100,8 +100,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 }
 
 // checkpointPath is the job's on-disk location; job IDs are generated
-// from hex hash + version so they are always filename-safe, but guard
-// anyway against a hand-edited directory.
+// from the spec's and the baseline's hex digests so they are always
+// filename-safe, but guard anyway against a hand-edited directory.
 func checkpointPath(dir, id string) (string, error) {
 	if strings.ContainsAny(id, "/\\") || id == "" || id == "." || id == ".." {
 		return "", fmt.Errorf("jobs: invalid job id %q", id)

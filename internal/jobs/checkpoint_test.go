@@ -1,6 +1,10 @@
 package jobs
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,11 +15,11 @@ func validCheckpoint() *Checkpoint {
 	spec := scenario.GridSpec{CellKm: 200, RadiiKm: []float64{50, 100}}
 	spec = scenario.GridSpec{CellKm: spec.CellKm, RadiiKm: spec.RadiiKm, CullKm: 100}
 	return &Checkpoint{
-		V:               1,
-		ID:              "sweep-abc-v1",
-		Geom:            scenario.GridGeom{Hash: spec.Hash(), Spec: spec, Rows: 3, Cols: 4, Total: 10},
-		BaselineVersion: 1,
-		State:           StateRunning,
+		V:        2,
+		ID:       "sweep-abc-def",
+		Geom:     scenario.GridGeom{Hash: spec.Hash(), Spec: spec, Rows: 3, Cols: 4, Total: 10},
+		Baseline: strings.Repeat("d", 64),
+		State:    StateRunning,
 		Cells: []scenario.CellOutcome{
 			{Index: 0}, {Index: 7, MeanDisconnection: 0.25},
 		},
@@ -58,7 +62,8 @@ func TestCheckpointDecodeRejections(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"not json":        []byte("{"),
-		"wrong version":   mutate(func(c *Checkpoint) { c.V = 2 }),
+		"wrong version":   mutate(func(c *Checkpoint) { c.V = 3 }),
+		"version 1":       mutate(func(c *Checkpoint) { c.V = 1 }),
 		"missing id":      mutate(func(c *Checkpoint) { c.ID = "" }),
 		"bad spec":        mutate(func(c *Checkpoint) { c.Geom.Spec.CellKm = -1 }),
 		"hash mismatch":   mutate(func(c *Checkpoint) { c.Geom.Hash = strings.Repeat("0", 32) }),
@@ -74,6 +79,50 @@ func TestCheckpointDecodeRejections(t *testing.T) {
 		if _, err := DecodeCheckpoint(data); err == nil {
 			t.Errorf("%s: decode accepted an invalid checkpoint", name)
 		}
+	}
+}
+
+// TestRecoverSkipsVersionOneCheckpoint: a version-1 document named its
+// baseline by a process counter, which says nothing about the map.
+// Recovery skips it like any unreadable file and leaves it on disk.
+func TestRecoverSkipsVersionOneCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	eng := newEngine(t, 0)
+	plan, _, err := eng.PlanGrid(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := plan.Geom()
+	v1 := []byte(`{
+ "v": 1,
+ "id": "sweep-` + plan.Hash[:12] + `-v1",
+ "geom": {"hash": "` + g.Hash + `", "spec": {"cellKm": 500, "radiiKm": [80], "cullKm": 80},
+  "rows": ` + strconv.Itoa(g.Rows) + `, "cols": ` + strconv.Itoa(g.Cols) + `, "total": ` + strconv.Itoa(g.Total) + `},
+ "baselineVersion": 1,
+ "state": "pending",
+ "cells": []
+}`)
+	path := filepath.Join(dir, "sweep-"+plan.Hash[:12]+"-v1.json")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(v1); err == nil {
+		t.Fatal("decode accepted a version-1 checkpoint")
+	}
+	if _, err := DecodeCheckpoint(bytes.Replace(v1, []byte(`"v": 1`), []byte(`"v": 2`), 1)); err != nil {
+		t.Fatalf("the document is valid but for its version: %v", err)
+	}
+	s, err := NewStore(eng, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := s.List()
+	s.Close()
+	if len(list) != 0 {
+		t.Errorf("recovery listed %d jobs from a version-1 checkpoint: %+v", len(list), list)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, v1) {
+		t.Errorf("version-1 checkpoint changed on disk (err %v)", err)
 	}
 }
 
@@ -93,8 +142,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	if seed, err := EncodeCheckpoint(validCheckpoint()); err == nil {
 		f.Add(seed)
 	}
-	f.Add([]byte(`{"v":1}`))
-	f.Add([]byte(`{"v":1,"id":"x","geom":{"hash":"","spec":{"cellKm":1,"radiiKm":[1]},"rows":1,"cols":1,"total":1},"state":"pending","cells":[]}`))
+	f.Add([]byte(`{"v":2}`))
+	f.Add([]byte(`{"v":2,"id":"x","geom":{"hash":"","spec":{"cellKm":1,"radiiKm":[1]},"rows":1,"cols":1,"total":1},"baseline":"b","state":"pending","cells":[]}`))
 	f.Add([]byte("null"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := DecodeCheckpoint(data)

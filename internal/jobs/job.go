@@ -50,14 +50,16 @@ func (s State) Terminal() bool {
 // Status is the externally visible snapshot of one job, served by
 // GET /api/jobs and GET /api/jobs/{id}.
 type Status struct {
-	ID              string            `json:"id"`
-	Spec            scenario.GridSpec `json:"spec"`
-	SpecHash        string            `json:"specHash"`
-	BaselineVersion uint64            `json:"baselineVersion"`
-	State           State             `json:"state"`
-	Err             string            `json:"err,omitempty"`
-	Total           int               `json:"total"`
-	Completed       int               `json:"completed"`
+	ID       string            `json:"id"`
+	Spec     scenario.GridSpec `json:"spec"`
+	SpecHash string            `json:"specHash"`
+	// Baseline is the digest of the baseline the job sweeps
+	// (scenario.Engine.Baseline).
+	Baseline  string `json:"baseline"`
+	State     State  `json:"state"`
+	Err       string `json:"err,omitempty"`
+	Total     int    `json:"total"`
+	Completed int    `json:"completed"`
 	// Resumed counts cells recovered from a checkpoint rather than
 	// evaluated by this process — observability for the resume path.
 	Resumed  int       `json:"resumed,omitempty"`
@@ -84,11 +86,11 @@ type Event struct {
 // subscriber list (own mutex, so publishing never contends with the
 // store lock).
 type job struct {
-	id              string
-	geom            scenario.GridGeom
-	baselineVersion uint64
-	state           State
-	err             string
+	id       string
+	geom     scenario.GridGeom
+	baseline string
+	state    State
+	err      string
 	// cells maps plan index → completed outcome. Canceled evaluations
 	// never land here. A done job whose terminal checkpoint is on disk
 	// drops the map (nil) and keeps only its size in diskCells; its
@@ -123,18 +125,18 @@ func (j *job) completed() int {
 
 func (j *job) status() Status {
 	return Status{
-		ID:              j.id,
-		Spec:            j.geom.Spec,
-		SpecHash:        j.geom.Hash,
-		BaselineVersion: j.baselineVersion,
-		State:           j.state,
-		Err:             j.err,
-		Total:           j.geom.Total,
-		Completed:       j.completed(),
-		Resumed:         j.resumed,
-		Created:         j.created,
-		Started:         j.started,
-		Finished:        j.finished,
+		ID:        j.id,
+		Spec:      j.geom.Spec,
+		SpecHash:  j.geom.Hash,
+		Baseline:  j.baseline,
+		State:     j.state,
+		Err:       j.err,
+		Total:     j.geom.Total,
+		Completed: j.completed(),
+		Resumed:   j.resumed,
+		Created:   j.created,
+		Started:   j.started,
+		Finished:  j.finished,
 	}
 }
 

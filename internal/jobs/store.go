@@ -130,7 +130,9 @@ func NewStore(eng *scenario.Engine, opts Options) (*Store, error) {
 // recover loads checkpoints from disk: terminal jobs become queryable
 // records (their artifacts still render — a done job's straight from
 // its checkpoint, so its cells are not kept in memory), pending/running
-// ones are re-queued to resume from their completed-cell set.
+// ones are re-queued to resume from their completed-cell set. Only
+// checkpoints of this engine's baseline are loaded; the others stay on
+// disk untouched, for a process built on their own map.
 func (s *Store) recover() error {
 	cps, skipped, err := readCheckpoints(s.opts.Dir)
 	if err != nil {
@@ -144,15 +146,20 @@ func (s *Store) recover() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, cp := range cps {
+		if baseline := s.eng.Baseline(); cp.Baseline != baseline {
+			obs.Logger("jobs").Info("skipping checkpoint of another baseline",
+				"job", cp.ID, "baseline", cp.Baseline, "engine_baseline", baseline)
+			continue
+		}
 		j := &job{
-			id:              cp.ID,
-			geom:            cp.Geom,
-			baselineVersion: cp.BaselineVersion,
-			state:           cp.State,
-			err:             cp.Err,
-			cells:           make(map[int]scenario.CellOutcome, len(cp.Cells)),
-			resumed:         len(cp.Cells),
-			created:         time.Now(),
+			id:       cp.ID,
+			geom:     cp.Geom,
+			baseline: cp.Baseline,
+			state:    cp.State,
+			err:      cp.Err,
+			cells:    make(map[int]scenario.CellOutcome, len(cp.Cells)),
+			resumed:  len(cp.Cells),
+			created:  time.Now(),
 		}
 		if cp.State == StateDone {
 			j.cells, j.diskCells = nil, len(cp.Cells)
@@ -175,16 +182,17 @@ func (s *Store) recover() error {
 }
 
 // Submit admits a grid sweep. Identity is deterministic — the spec's
-// content hash plus the engine's current baseline version — so
-// resubmitting an identical sweep returns the existing job instead of
-// duplicating work; a terminal failed/canceled job is re-queued
-// (keeping its completed cells) as the retry path.
+// content hash plus the engine's baseline digest — so resubmitting an
+// identical sweep returns the existing job instead of duplicating
+// work, and the same sweep over another map is another job; a terminal
+// failed/canceled job is re-queued (keeping its completed cells) as
+// the retry path.
 func (s *Store) Submit(spec scenario.GridSpec) (Status, error) {
-	plan, version, err := s.eng.PlanGrid(spec)
+	plan, baseline, err := s.eng.PlanGrid(spec)
 	if err != nil {
 		return Status{}, err
 	}
-	id := fmt.Sprintf("sweep-%s-v%d", plan.Hash[:12], version)
+	id := fmt.Sprintf("sweep-%s-%s", plan.Hash[:12], baseline[:12])
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -207,12 +215,12 @@ func (s *Store) Submit(spec scenario.GridSpec) (Status, error) {
 		return Status{}, ErrQueueFull
 	}
 	j := &job{
-		id:              id,
-		geom:            plan.Geom(),
-		baselineVersion: version,
-		state:           StatePending,
-		cells:           make(map[int]scenario.CellOutcome),
-		created:         time.Now(),
+		id:       id,
+		geom:     plan.Geom(),
+		baseline: baseline,
+		state:    StatePending,
+		cells:    make(map[int]scenario.CellOutcome),
+		created:  time.Now(),
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -285,25 +293,25 @@ func (s *Store) Heatmap(id string) (*scenario.Heatmap, error) {
 		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	geom, version, want := j.geom, j.baselineVersion, j.diskCells
+	geom, baseline, want := j.geom, j.baseline, j.diskCells
 	if j.cells != nil {
 		cells := make([]scenario.CellOutcome, 0, len(j.cells))
 		for _, c := range j.cells {
 			cells = append(cells, c)
 		}
 		s.mu.Unlock()
-		return scenario.BuildHeatmap(geom, version, cells), nil
+		return scenario.BuildHeatmap(geom, baseline, cells), nil
 	}
 	s.mu.Unlock()
 	cp, err := readCheckpoint(s.opts.Dir, id)
 	if err != nil {
 		return nil, err
 	}
-	if cp.State != StateDone || cp.BaselineVersion != version || len(cp.Cells) != want {
-		return nil, fmt.Errorf("jobs: checkpoint of done job %s changed on disk (state %s, v%d, %d cells)",
-			id, cp.State, cp.BaselineVersion, len(cp.Cells))
+	if cp.State != StateDone || cp.Baseline != baseline || len(cp.Cells) != want {
+		return nil, fmt.Errorf("jobs: checkpoint of done job %s changed on disk (state %s, baseline %.12s, %d cells)",
+			id, cp.State, cp.Baseline, len(cp.Cells))
 	}
-	return scenario.BuildHeatmap(geom, version, cp.Cells), nil
+	return scenario.BuildHeatmap(geom, baseline, cp.Cells), nil
 }
 
 // Subscribe attaches a streaming listener to the job. The channel
@@ -478,7 +486,7 @@ func (s *Store) run() {
 // runJob executes one sweep: plan, evaluate missing cells in
 // checkpoint-sized batches, persist and stream after each batch.
 func (s *Store) runJob(j *job) {
-	plan, version, err := s.eng.PlanGrid(j.geom.Spec)
+	plan, _, err := s.eng.PlanGrid(j.geom.Spec)
 	if err != nil {
 		s.terminate(j, StateFailed, fmt.Sprintf("plan: %v", err))
 		return
@@ -490,17 +498,15 @@ func (s *Store) runJob(j *job) {
 		s.terminate(j, StateCanceled, "canceled before start")
 		return
 	}
-	if version != j.baselineVersion || plan.Total() != j.geom.Total {
-		// The baseline moved between checkpoint and resume (or between
-		// submit and start): completed cells belong to a different map
-		// and would poison the artifact. Start over against the new
-		// baseline.
-		obs.Logger("jobs").Info("baseline changed, discarding checkpointed cells",
-			"job", j.id, "was_version", j.baselineVersion, "now_version", version)
+	if g := plan.Geom(); g.Rows != j.geom.Rows || g.Cols != j.geom.Cols || g.Total != j.geom.Total {
+		// A recovered checkpoint is outside input: recovery matched its
+		// baseline digest, but a lattice that disagrees with the plan
+		// means its cells cannot be trusted to fill it. Start over.
+		obs.Logger("jobs").Info("checkpointed lattice differs from the plan, discarding its cells",
+			"job", j.id, "was_total", j.geom.Total, "now_total", g.Total)
 		j.cells = make(map[int]scenario.CellOutcome)
 		j.resumed = 0
-		j.baselineVersion = version
-		j.geom = plan.Geom()
+		j.geom = g
 	}
 	ctx, cancel := context.WithCancelCause(
 		context.WithValue(s.ctx, jobIDKey{}, j.id))
@@ -537,11 +543,6 @@ func (s *Store) runJob(j *job) {
 			return
 		}
 
-		if v := s.eng.BaselineVersion(); v != j.baselineVersion {
-			s.terminate(j, StateFailed,
-				fmt.Sprintf("baseline swapped mid-sweep (v%d -> v%d)", j.baselineVersion, v))
-			return
-		}
 		scs := make([]scenario.Scenario, len(batch))
 		for i, c := range batch {
 			scs[i] = c.Scenario()
@@ -628,13 +629,13 @@ func (s *Store) persist(j *job, st State, errText string) bool {
 		return true
 	}
 	cp := &Checkpoint{
-		V:               checkpointVersion,
-		ID:              j.id,
-		Geom:            j.geom,
-		BaselineVersion: j.baselineVersion,
-		State:           st,
-		Err:             errText,
-		Cells:           make([]scenario.CellOutcome, 0, len(j.cells)),
+		V:        checkpointVersion,
+		ID:       j.id,
+		Geom:     j.geom,
+		Baseline: j.baseline,
+		State:    st,
+		Err:      errText,
+		Cells:    make([]scenario.CellOutcome, 0, len(j.cells)),
 	}
 	for _, c := range j.cells {
 		cp.Cells = append(cp.Cells, c)

@@ -44,8 +44,8 @@ func TestJobLifecycleInMemory(t *testing.T) {
 	if st.ID == "" || st.Total == 0 {
 		t.Fatalf("submit returned %+v", st)
 	}
-	if st.BaselineVersion != eng.BaselineVersion() {
-		t.Errorf("job pinned version %d, engine at %d", st.BaselineVersion, eng.BaselineVersion())
+	if st.Baseline != eng.Baseline() {
+		t.Errorf("job pinned baseline %s, engine's is %s", st.Baseline, eng.Baseline())
 	}
 
 	// Identical spec resubmission is idempotent (same deterministic ID,
@@ -73,9 +73,9 @@ func TestJobLifecycleInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Completed != final.Total || h.BaselineVersion != final.BaselineVersion {
-		t.Errorf("heatmap %d cells v%d, want %d v%d",
-			h.Completed, h.BaselineVersion, final.Total, final.BaselineVersion)
+	if h.Completed != final.Total || h.Baseline != final.Baseline {
+		t.Errorf("heatmap %d cells baseline %s, want %d baseline %s",
+			h.Completed, h.Baseline, final.Total, final.Baseline)
 	}
 	if _, err := h.GeoJSON(); err != nil {
 		t.Fatal(err)

@@ -167,37 +167,43 @@ type ISPRisk struct {
 
 // Ranking computes Figure 7: per-ISP average shared risk, sorted by
 // increasing mean (the paper plots ISPs from least to most exposed).
+// A sharing degree is an integer in 1..len(ISPs), so the quartiles
+// are read off a count per degree instead of a sorted copy; the mean
+// and the squared deviations are summed in column order.
 func (mx *Matrix) Ranking() []ISPRisk {
 	out := make([]ISPRisk, 0, len(mx.ISPs))
+	count := make([]int, len(mx.ISPs)+1) // count[k]: the ISP's conduits of degree k
 	for i, isp := range mx.ISPs {
-		var vals []float64
-		shared := 0
-		for j := range mx.Conduits {
-			if !mx.present[i][j] {
+		clear(count)
+		var sum float64
+		n, shared := 0, 0
+		for j, present := range mx.present[i] {
+			if !present {
 				continue
 			}
-			vals = append(vals, float64(mx.sharing[j]))
-			if mx.sharing[j] >= 2 {
+			k := mx.sharing[j]
+			count[k]++
+			sum += float64(k)
+			n++
+			if k >= 2 {
 				shared++
 			}
 		}
-		r := ISPRisk{ISP: isp, Conduits: len(vals), SharedConduits: shared}
-		if len(vals) > 0 {
-			var sum float64
-			for _, v := range vals {
-				sum += v
-			}
-			r.Mean = sum / float64(len(vals))
+		r := ISPRisk{ISP: isp, Conduits: n, SharedConduits: shared}
+		if n > 0 {
+			r.Mean = sum / float64(n)
 			var ss float64
-			for _, v := range vals {
-				ss += (v - r.Mean) * (v - r.Mean)
+			for j, present := range mx.present[i] {
+				if present {
+					d := float64(mx.sharing[j]) - r.Mean
+					ss += d * d
+				}
 			}
-			if len(vals) > 1 {
-				r.StdErr = math.Sqrt(ss/float64(len(vals)-1)) / math.Sqrt(float64(len(vals)))
+			if n > 1 {
+				r.StdErr = math.Sqrt(ss/float64(n-1)) / math.Sqrt(float64(n))
 			}
-			sort.Float64s(vals)
-			r.P25 = quantile(vals, 0.25)
-			r.P75 = quantile(vals, 0.75)
+			r.P25 = countQuantile(count, n, 0.25)
+			r.P75 = countQuantile(count, n, 0.75)
 		}
 		out = append(out, r)
 	}
@@ -205,23 +211,30 @@ func (mx *Matrix) Ranking() []ISPRisk {
 	return out
 }
 
-// quantile returns the q-quantile of sorted vals by linear
-// interpolation.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
+// countQuantile returns the q-quantile, by linear interpolation, of
+// the n values that count tallies (count[k] copies of k): the value
+// quantile would return for them sorted. n must be positive.
+func countQuantile(count []int, n int, q float64) float64 {
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	vlo, vhi := nth(count, lo), nth(count, hi)
 	if lo == hi {
-		return sorted[lo]
+		return vlo
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return vlo*(1-frac) + vhi*frac
+}
+
+// nth returns the value at index i of the sorted values count tallies.
+func nth(count []int, i int) float64 {
+	for k, c := range count {
+		if i < c {
+			return float64(k)
+		}
+		i -= c
+	}
+	panic("risk: quantile index out of range")
 }
 
 // Hamming returns the pairwise Hamming distances between ISP presence

@@ -1,7 +1,10 @@
 package risk
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"intertubes/internal/fiber"
@@ -219,6 +222,8 @@ func TestEmptyMatrix(t *testing.T) {
 	}
 }
 
+// TestQuantile checks the sorted-copy reference quantile and the
+// count-based quantile Ranking uses on the same values.
 func TestQuantile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4}
 	if q := quantile(vals, 0); q != 1 {
@@ -236,4 +241,113 @@ func TestQuantile(t *testing.T) {
 	if !math.IsNaN(quantile(nil, 0.5)) {
 		t.Error("empty quantile should be NaN")
 	}
+	count := []int{0, 1, 1, 1, 1} // the values 1, 2, 3, 4
+	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		if got, want := countQuantile(count, 4, q), quantile(vals, q); got != want {
+			t.Errorf("countQuantile(%v) = %v, want %v", q, got, want)
+		}
+	}
+	if q := countQuantile([]int{0, 0, 0, 0, 0, 0, 0, 1}, 1, 0.5); q != 7 {
+		t.Errorf("single = %v", q)
+	}
+}
+
+// TestRankingMatchesSortedReference compares Ranking, field for field
+// and bit for bit, with the sorted-copy computation it replaced, on
+// random matrices whose first three ISPs hold 0, 1 and 2 conduits.
+func TestRankingMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 200; trial++ {
+		nISP, nCol := 3+rng.IntN(20), 1+rng.IntN(80)
+		mx := &Matrix{present: make([][]bool, nISP), sharing: make([]int, nCol)}
+		for i := 0; i < nISP; i++ {
+			mx.ISPs = append(mx.ISPs, fmt.Sprintf("isp%d", i))
+			mx.present[i] = make([]bool, nCol)
+			for j := range mx.present[i] {
+				switch {
+				case i == 0:
+				case i <= 2:
+					mx.present[i][j] = j < i
+				default:
+					mx.present[i][j] = rng.Float64() < 0.4
+				}
+			}
+		}
+		for j := 0; j < nCol; j++ {
+			mx.Conduits = append(mx.Conduits, fiber.ConduitID(j))
+			for i := range mx.ISPs {
+				if mx.present[i][j] {
+					mx.sharing[j]++
+				}
+			}
+		}
+		got, want := mx.Ranking(), rankingReference(mx)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d rows, want %d", trial, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d row %d: %+v, want %+v", trial, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// rankingReference is Ranking as it was before the per-degree counts:
+// it collects and sorts each ISP's sharing values.
+func rankingReference(mx *Matrix) []ISPRisk {
+	out := make([]ISPRisk, 0, len(mx.ISPs))
+	for i, isp := range mx.ISPs {
+		var vals []float64
+		shared := 0
+		for j := range mx.Conduits {
+			if !mx.present[i][j] {
+				continue
+			}
+			vals = append(vals, float64(mx.sharing[j]))
+			if mx.sharing[j] >= 2 {
+				shared++
+			}
+		}
+		r := ISPRisk{ISP: isp, Conduits: len(vals), SharedConduits: shared}
+		if len(vals) > 0 {
+			var sum float64
+			for _, v := range vals {
+				sum += v
+			}
+			r.Mean = sum / float64(len(vals))
+			var ss float64
+			for _, v := range vals {
+				ss += (v - r.Mean) * (v - r.Mean)
+			}
+			if len(vals) > 1 {
+				r.StdErr = math.Sqrt(ss/float64(len(vals)-1)) / math.Sqrt(float64(len(vals)))
+			}
+			sort.Float64s(vals)
+			r.P25 = quantile(vals, 0.25)
+			r.P75 = quantile(vals, 0.75)
+		}
+		out = append(out, r)
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Mean < out[b].Mean })
+	return out
+}
+
+// quantile returns the q-quantile of sorted vals by linear
+// interpolation.
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return math.NaN()
+	}
+	if len(sorted) == 1 {
+		return sorted[0]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

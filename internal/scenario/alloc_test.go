@@ -29,7 +29,7 @@ func TestMaskWeightsZeroAllocs(t *testing.T) {
 	skipIfAllocsUnmeasurable(t)
 	res, mx := build(t)
 	eng := New(res, mx, Options{Seed: 42})
-	base := eng.snapshot().baseline()
+	base := eng.snap.baseline()
 
 	dst := make([]float64, base.g.NumEdges())
 	baseRow := base.ispW[0]
@@ -83,7 +83,6 @@ func TestCapacityReuseDecisionZeroAllocs(t *testing.T) {
 	skipIfAllocsUnmeasurable(t)
 	res, mx := build(t)
 	eng := New(res, mx, Options{Seed: 42})
-	snap := eng.snapshot()
 	m := res.Map
 	sc, err := Resolve(Scenario{
 		CutMostShared: 5,
@@ -92,12 +91,12 @@ func TestCapacityReuseDecisionZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov, _, err := buildOverlay(snap, sc, keptISPs(snap, sc))
+	ov, _, err := eng.buildOverlay(sc, eng.keptISPs(sc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	final, nb := ov.Final(), ov.NumBaseConduits()
-	cb, g := snap.capacity(), snap.baseline().g
+	cb, g := eng.snap.capacity(), eng.snap.baseline().g
 	scr := getScratch(g.NumEdges())
 	defer putScratch(scr)
 

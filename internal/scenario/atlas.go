@@ -58,20 +58,12 @@ func (s *snapshot) litComponents() []int32 {
 	})
 }
 
-// LatencyAtlas returns the baseline snapshot's all-pairs latency
-// atlas and the baseline version it belongs to, building the atlas on
-// first use. The atlas is immutable and shared; a SwapBaseline starts
-// a fresh snapshot whose atlas is rebuilt on demand. A canceled build
-// is not cached.
-func (e *Engine) LatencyAtlas(ctx context.Context) (*latency.Atlas, uint64, error) {
-	snap := e.snapshot()
-	at, err := e.latencyAtlasOn(ctx, snap)
-	return at, snap.version, err
-}
-
-func (e *Engine) latencyAtlasOn(ctx context.Context, snap *snapshot) (*latency.Atlas, error) {
-	return snap.atlas.Get(ctx, func(ctx context.Context) (*latency.Atlas, error) {
-		return latency.Build(ctx, snap.res.Map, latency.Options{Workers: e.opts.Workers})
+// LatencyAtlas returns the baseline's all-pairs latency atlas,
+// building it on first use. The atlas is immutable and shared. A
+// canceled build is not kept.
+func (e *Engine) LatencyAtlas(ctx context.Context) (*latency.Atlas, error) {
+	return e.snap.atlas.Get(ctx, func(ctx context.Context) (*latency.Atlas, error) {
+		return latency.Build(ctx, e.snap.res.Map, latency.Options{Workers: e.opts.Workers})
 	})
 }
 
@@ -82,18 +74,17 @@ func (e *Engine) latencyAtlasOn(ctx context.Context, snap *snapshot) (*latency.A
 // result is byte-identical to a from-scratch build on the
 // materialized perturbed map.
 func (e *Engine) LatencyAtlasFor(ctx context.Context, sc Scenario) (*latency.Atlas, error) {
-	snap := e.snapshot()
-	base, err := e.latencyAtlasOn(ctx, snap)
+	base, err := e.LatencyAtlas(ctx)
 	if err != nil {
 		return nil, err
 	}
-	m := snap.res.Map
-	ov, pert, err := buildOverlay(snap, sc, keptISPs(snap, sc))
+	m := e.snap.res.Map
+	ov, pert, err := e.buildOverlay(sc, e.keptISPs(sc))
 	if err != nil {
 		return nil, err
 	}
 
-	comp := snap.litComponents()
+	comp := e.snap.litComponents()
 	touched := make(map[int32]bool)
 	mark := func(n fiber.NodeID) { touched[comp[n]] = true }
 	for _, cid := range pert.Cuts {

@@ -47,13 +47,12 @@ func sameAtlas(t *testing.T, label string, got, want *latency.Atlas) {
 func referenceAtlases(t *testing.T, eng *Engine, sc Scenario) (*latency.Atlas, *latency.Atlas) {
 	t.Helper()
 	ctx := context.Background()
-	snap := eng.snapshot()
-	m := snap.res.Map
-	cuts, err := resolveCutsOn(snap, sc)
+	m := eng.snap.res.Map
+	cuts, err := eng.ResolveCuts(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := keptISPs(snap, sc)
+	kept := eng.keptISPs(sc)
 	pert := fiber.Perturbation{Cuts: cuts, RemoveISPs: sc.RemoveISPs}
 	for _, ad := range sc.Additions {
 		a, _ := m.NodeByKey(ad.A)
@@ -82,7 +81,7 @@ func referenceAtlases(t *testing.T, eng *Engine, sc Scenario) (*latency.Atlas, *
 func TestLatencyAtlasForDifferential(t *testing.T) {
 	eng := newEngine(t, 0)
 	_, mx := build(t)
-	m := eng.snapshot().res.Map
+	m := eng.snap.res.Map
 	keyOf := func(id fiber.NodeID) string { return m.Node(id).Key() }
 	scenarios := []struct {
 		name string
@@ -114,7 +113,7 @@ func TestLatencyAtlasForDifferential(t *testing.T) {
 func TestLatencyAtlasForEmptyReusesEveryRow(t *testing.T) {
 	eng := newEngine(t, 0)
 	ctx := context.Background()
-	base, _, err := eng.LatencyAtlas(ctx)
+	base, err := eng.LatencyAtlas(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,32 +165,20 @@ func TestLatencyAtlasForIslandReuse(t *testing.T) {
 }
 
 // TestLatencyAtlasMemoized: the baseline atlas is built once per
-// snapshot and rebuilt only after a baseline swap.
+// engine.
 func TestLatencyAtlasMemoized(t *testing.T) {
 	res, mx := build(t)
 	eng := New(res, mx, Options{Seed: 42})
 	ctx := context.Background()
-	at1, v1, err := eng.LatencyAtlas(ctx)
+	at1, err := eng.LatencyAtlas(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at2, v2, err := eng.LatencyAtlas(ctx)
+	at2, err := eng.LatencyAtlas(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if at1 != at2 || v1 != v2 {
+	if at1 != at2 {
 		t.Fatal("second LatencyAtlas call rebuilt the memoized atlas")
 	}
-	eng.SwapBaseline(res, mx)
-	at3, v3, err := eng.LatencyAtlas(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v3 == v1 {
-		t.Fatal("version did not advance across SwapBaseline")
-	}
-	if at3 == at1 {
-		t.Fatal("swapped baseline served the old snapshot's atlas")
-	}
-	sameAtlas(t, "same inputs across swap", at3, at1)
 }

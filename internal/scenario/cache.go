@@ -3,20 +3,17 @@ package scenario
 import (
 	"container/list"
 	"context"
-	"strconv"
 	"sync"
 
 	"intertubes/internal/obs"
 )
 
 // cache.go is the serving layer around the engine: a bounded LRU
-// keyed by (baseline snapshot version, scenario content hash), with
-// singleflight deduplication so that N concurrent identical queries
-// cost exactly one evaluation. Folding the version into the key means
-// a SwapBaseline can never serve results computed against the old
-// baseline: stale entries become unreachable and age out of the LRU.
-// Every counter is an obs metric, so /metrics exposes hit rate,
-// evictions, and coalesced queries.
+// keyed by scenario content hash, with singleflight deduplication so
+// that N concurrent identical queries cost exactly one evaluation. One
+// cache wraps one engine, and an engine has one baseline, so the hash
+// alone names a result. Every counter is an obs metric, so /metrics
+// exposes hit rate, evictions, and coalesced queries.
 
 var (
 	cacheHits = obs.GetCounter("scenario_cache_hits_total",
@@ -49,13 +46,8 @@ type Cache struct {
 }
 
 type entry struct {
-	key string // version-prefixed cache key, not the bare scenario hash
+	key string // the resolved scenario's hash
 	res *Result
-}
-
-// cacheKey scopes a scenario hash to one baseline snapshot version.
-func cacheKey(version uint64, hash string) string {
-	return strconv.FormatUint(version, 10) + "|" + hash
 }
 
 // flight is one in-progress evaluation. It runs on its own goroutine
@@ -108,11 +100,7 @@ func (c *Cache) Eval(ctx context.Context, sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Pin the snapshot now: the key's version and the evaluation the
-	// flight runs must refer to the same baseline even if SwapBaseline
-	// lands mid-query.
-	snap := c.eng.snapshot()
-	key := cacheKey(snap.version, sc.Hash())
+	key := sc.Hash()
 
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -140,14 +128,14 @@ func (c *Cache) Eval(ctx context.Context, sc Scenario) (*Result, error) {
 	// leader's trace carries the evaluation tree, which is truthful —
 	// coalesced followers did not run it.
 	obs.SpanFromContext(ctx).SetAttr("cache", "miss")
-	go c.run(fctx, key, fl, snap, sc)
+	go c.run(fctx, key, fl, sc)
 	return c.wait(ctx, key, fl)
 }
 
 // run executes one flight and publishes its outcome. A panicking
 // evaluation is captured here — the flight goroutine must not crash
 // the process — and re-raised in every waiter by wait.
-func (c *Cache) run(fctx context.Context, key string, fl *flight, snap *snapshot, sc Scenario) {
+func (c *Cache) run(fctx context.Context, key string, fl *flight, sc Scenario) {
 	defer func() {
 		fl.panicV = recover()
 		fl.cancel()
@@ -166,7 +154,7 @@ func (c *Cache) run(fctx context.Context, key string, fl *flight, snap *snapshot
 		c.mu.Unlock()
 		close(fl.done)
 	}()
-	fl.res, fl.err = c.eng.evaluateOn(fctx, snap, sc)
+	fl.res, fl.err = c.eng.Evaluate(fctx, sc)
 }
 
 // wait blocks one caller on a flight it holds a claim on. If the

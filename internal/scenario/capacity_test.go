@@ -145,28 +145,27 @@ func TestReduceCellCarriesLostTraffic(t *testing.T) {
 	if out.LostTrafficGbps != r.LostTraffic.LostGbps {
 		t.Fatalf("ReduceCell LostTrafficGbps = %v, want %v", out.LostTrafficGbps, r.LostTraffic.LostGbps)
 	}
-	h := BuildHeatmap(GridGeom{Hash: "h", Rows: 1, Cols: 1, Total: 1}, 1, []CellOutcome{out})
+	h := BuildHeatmap(GridGeom{Hash: "h", Rows: 1, Cols: 1, Total: 1}, "b", []CellOutcome{out})
 	if h.MaxLostTrafficGbps != out.LostTrafficGbps {
 		t.Fatalf("BuildHeatmap MaxLostTrafficGbps = %v, want %v", h.MaxLostTrafficGbps, out.LostTrafficGbps)
 	}
 }
 
 // reuseDecisions replays the capacity stage's reuse decision for sc on
-// eng's snapshot, one entry per demand: true when the demand keeps its
+// eng's baseline, one entry per demand: true when the demand keeps its
 // baseline answer. Each reused demand is also re-flowed on the
 // perturbed network, and must return exactly its baseline Gbps.
 func reuseDecisions(t *testing.T, eng *Engine, sc Scenario) []bool {
 	t.Helper()
-	snap := eng.snapshot()
 	sc, err := Resolve(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov, _, err := buildOverlay(snap, sc, keptISPs(snap, sc))
+	ov, _, err := eng.buildOverlay(sc, eng.keptISPs(sc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, g := snap.capacity(), snap.baseline().g
+	cb, g := eng.snap.capacity(), eng.snap.baseline().g
 	nb := ov.NumBaseConduits()
 	scr := &evalScratch{ws: graph.NewWorkspace()}
 	scr.capacityNetwork(cb, g, ov.Final(), nb)
@@ -188,7 +187,7 @@ func reuseDecisions(t *testing.T, eng *Engine, sc Scenario) []bool {
 // clone reference, which re-flows every demand.
 func TestCapacityReuseRules(t *testing.T) {
 	overlay, clone := enginePair(t)
-	snap := overlay.snapshot()
+	snap := overlay.snap
 	cb := snap.capacity()
 	m := snap.res.Map
 	nc := len(cb.caps)

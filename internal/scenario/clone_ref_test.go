@@ -20,7 +20,7 @@ import (
 // differential suite in overlay_equiv_test.go, FuzzOverlayEvaluate and
 // the capacity tests compare Engine.Evaluate against it byte for byte.
 
-// referenceEvaluate evaluates sc against eng's current snapshot
+// referenceEvaluate evaluates sc against eng's baseline
 // through the clone evaluator, resolving it first exactly as Evaluate
 // does, so both report the same errors.
 func referenceEvaluate(ctx context.Context, eng *Engine, sc Scenario) (*Result, error) {
@@ -28,7 +28,7 @@ func referenceEvaluate(ctx context.Context, eng *Engine, sc Scenario) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	return evaluateClone(ctx, eng, eng.snapshot(), sc)
+	return evaluateClone(ctx, eng, sc)
 }
 
 // referenceOutcome is Sweep's slot for sc, computed by the reference.
@@ -42,7 +42,7 @@ func referenceOutcome(ctx context.Context, eng *Engine, sc Scenario) Outcome {
 
 // evaluateClone clones the map, mutates, and re-runs every analysis.
 // sc must already be resolved.
-func evaluateClone(ctx context.Context, e *Engine, snap *snapshot, sc Scenario) (*Result, error) {
+func evaluateClone(ctx context.Context, e *Engine, sc Scenario) (*Result, error) {
 	// checkpoint guards stage boundaries: the cheap stages below run a
 	// few hundred microseconds each, so between-stage checks plus the
 	// in-scan chunk-grant checks bound cancellation latency without a
@@ -52,10 +52,10 @@ func evaluateClone(ctx context.Context, e *Engine, snap *snapshot, sc Scenario) 
 		return nil, err
 	}
 
-	m := snap.res.Map
-	base := snap.baseline()
+	m := e.snap.res.Map
+	base := e.snap.baseline()
 
-	cuts, err := resolveCutsOn(snap, sc)
+	cuts, err := e.ResolveCuts(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func evaluateClone(ctx context.Context, e *Engine, snap *snapshot, sc Scenario) 
 	for _, isp := range sc.RemoveISPs {
 		res.LinksRemoved += pmPlus.RemoveISP(isp)
 	}
-	kept := keptISPs(snap, sc)
+	kept := e.keptISPs(sc)
 	for _, ad := range sc.Additions {
 		if err := applyAddition(pmPlus, ad, kept); err != nil {
 			return nil, err
@@ -126,12 +126,12 @@ func evaluateClone(ctx context.Context, e *Engine, snap *snapshot, sc Scenario) 
 	// Capacity stage: the gravity demand matrix re-flowed over the
 	// fully perturbed map's own graph — the specification the
 	// evaluator's unchanged-capacity reuse is tested against.
-	res.LostTraffic = lostTrafficClone(snap, pm)
+	res.LostTraffic = lostTrafficClone(e.snap, pm)
 
-	if err := e.latencyStage(ctx, snap, sc, pm, res); err != nil {
+	if err := e.latencyStage(ctx, sc, pm, res); err != nil {
 		return nil, err
 	}
-	if err := e.trafficStage(ctx, snap, sc, pm, res); err != nil {
+	if err := e.trafficStage(ctx, sc, pm, res); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -82,7 +83,7 @@ func TestResultDigests(t *testing.T) {
 
 func TestHeatmapDigest(t *testing.T) {
 	eng := newEngine(t, 0)
-	plan, version, err := eng.PlanGrid(GridSpec{CellKm: 300, RadiiKm: []float64{100, 200}})
+	plan, baseline, err := eng.PlanGrid(GridSpec{CellKm: 300, RadiiKm: []float64{100, 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,15 +99,34 @@ func TestHeatmapDigest(t *testing.T) {
 	for i, o := range outs {
 		cells[i] = ReduceCell(plan.Cells[i], o)
 	}
-	gj, err := BuildHeatmap(plan.Geom(), version, cells).GeoJSON()
+	gj, err := BuildHeatmap(plan.Geom(), baseline, cells).GeoJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(gj)
-	const want = "5a94680c25d78906a0523f5963367632cb05c7109ffc6332102a4da328968163"
+	const want = "e2172a8c814085072e2d21ef9b526bcbad6dee19573631d171e834b2fadfa7f6"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("heatmap GeoJSON digest = %s, want %s", got, want)
 	}
+	// The cells are unchanged since the baseline was a version counter:
+	// with its identity line put back, the artifact hashes to the pin
+	// it had then.
+	if got := asVersionOne(t, gj, baseline); got != "5a94680c25d78906a0523f5963367632cb05c7109ffc6332102a4da328968163" {
+		t.Errorf("heatmap GeoJSON with the version-1 identity line = %s, want the old pin", got)
+	}
+}
+
+// asVersionOne replaces the artifact's one baseline digest line with
+// the version-counter line older artifacts carried and returns the
+// sha256 of the result.
+func asVersionOne(t *testing.T, gj []byte, baseline string) string {
+	t.Helper()
+	line := `"baseline": "` + baseline + `"`
+	if n := bytes.Count(gj, []byte(line)); n != 1 {
+		t.Fatalf("artifact holds %d baseline lines, want 1", n)
+	}
+	sum := sha256.Sum256(bytes.Replace(gj, []byte(line), []byte(`"baselineVersion": 1`), 1))
+	return hex.EncodeToString(sum[:])
 }
 
 // TestCapacityTablesIntegral pins the premise the flow-limited kernel's
@@ -130,8 +150,7 @@ func TestCapacityTablesIntegral(t *testing.T) {
 	}
 
 	eng := newEngine(t, 0)
-	snap := eng.snapshot()
-	cb := snap.capacity()
+	cb := eng.snap.capacity()
 	for cid, c := range cb.caps {
 		if !integral(c) {
 			t.Fatalf("baseline capacity of conduit %d = %v, not an exact integer", cid, c)
@@ -152,7 +171,7 @@ func TestCapacityTablesIntegral(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ov, _, err := buildOverlay(snap, sc, keptISPs(snap, sc))
+			ov, _, err := eng.buildOverlay(sc, eng.keptISPs(sc))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
@@ -68,13 +67,11 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine evaluates scenarios against one immutable baseline snapshot.
-// It is safe for concurrent use: the snapshot is read-only (its lazy
-// memos are internally synchronized), and SwapBaseline replaces it
-// atomically without disturbing in-flight evaluations.
+// It is safe for concurrent use: the snapshot is read-only and its
+// lazy memos are internally synchronized.
 type Engine struct {
 	opts Options
-
-	snap atomic.Pointer[snapshot]
+	snap *snapshot
 
 	hookMu   sync.Mutex
 	evalHook func(ctx context.Context)
@@ -83,36 +80,11 @@ type Engine struct {
 // New builds an engine over a completed map build and its risk
 // matrix.
 func New(res *mapbuilder.Result, mx *risk.Matrix, opts Options) *Engine {
-	e := &Engine{opts: opts.withDefaults()}
-	e.snap.Store(&snapshot{version: 1, res: res, mx: mx})
-	return e
+	return &Engine{opts: opts.withDefaults(), snap: &snapshot{res: res, mx: mx}}
 }
 
-// snapshot returns the current baseline snapshot. Callers that make
-// several reads against one baseline (an evaluation, a sweep) load it
-// once and pass it down, so a concurrent swap cannot tear them.
-func (e *Engine) snapshot() *snapshot { return e.snap.Load() }
-
-// Matrix returns the current baseline's risk matrix.
-func (e *Engine) Matrix() *risk.Matrix { return e.snapshot().mx }
-
-// BaselineVersion returns the current snapshot's version; it starts
-// at 1 and increments on every SwapBaseline.
-func (e *Engine) BaselineVersion() uint64 { return e.snapshot().version }
-
-// SwapBaseline atomically replaces the engine's baseline with a new
-// map build and matrix. In-flight evaluations finish against the
-// snapshot they started with; subsequent evaluations see the new one.
-// The version bump makes stale cached results unreachable.
-func (e *Engine) SwapBaseline(res *mapbuilder.Result, mx *risk.Matrix) {
-	for {
-		old := e.snap.Load()
-		next := &snapshot{version: old.version + 1, res: res, mx: mx}
-		if e.snap.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
+// Matrix returns the baseline's risk matrix.
+func (e *Engine) Matrix() *risk.Matrix { return e.snap.mx }
 
 // SetEvalHook installs fn to run at the start of every evaluation
 // (after the executed-evaluations counter increments), with the
@@ -144,8 +116,8 @@ func (e *Engine) runCampaign(ctx context.Context, res *mapbuilder.Result, probes
 }
 
 // runLatencyStudy runs the §5.3 study over m, capped at maxPairs pairs.
-func (e *Engine) runLatencyStudy(ctx context.Context, snap *snapshot, m *fiber.Map, maxPairs int) ([]mitigate.PairLatency, error) {
-	return mitigate.LatencyStudy(ctx, m, snap.res.Atlas, mitigate.LatencyOptions{
+func (e *Engine) runLatencyStudy(ctx context.Context, m *fiber.Map, maxPairs int) ([]mitigate.PairLatency, error) {
+	return mitigate.LatencyStudy(ctx, m, e.snap.res.Atlas, mitigate.LatencyOptions{
 		MaxPairs: maxPairs,
 		Workers:  e.opts.Workers,
 	})
@@ -286,24 +258,15 @@ func (r *Result) MeanDisconnectionAfter() float64 {
 // ---- Evaluation ----
 
 // Evaluate resolves, canonicalizes, and evaluates the scenario
-// against the current baseline snapshot. It is deterministic: equal
-// scenarios produce equal Results, bit for bit, at any Workers
-// setting.
+// against the baseline snapshot. It is deterministic: equal scenarios
+// produce equal Results, bit for bit, at any Workers setting.
 //
 // Cancellation is cooperative: ctx is checked between stages and, via
 // the ctx-aware par pool, at every chunk grant inside the heavy scans.
 // A canceled evaluation returns ctx.Err() (and counts toward
 // scenario_evaluations_canceled_total); it never returns a partial
 // Result, so determinism of completed evaluations is unaffected.
-func (e *Engine) Evaluate(ctx context.Context, sc Scenario) (*Result, error) {
-	return e.evaluateOn(ctx, e.snapshot(), sc)
-}
-
-// evaluateOn is the shared evaluation entry: every caller that has
-// pinned a snapshot (Evaluate, the cache's flights, Sweep) funnels
-// through here, so one baseline swap cannot split an evaluation
-// across two baselines.
-func (e *Engine) evaluateOn(ctx context.Context, snap *snapshot, sc Scenario) (_ *Result, err error) {
+func (e *Engine) Evaluate(ctx context.Context, sc Scenario) (_ *Result, err error) {
 	sc, err = Resolve(sc)
 	if err != nil {
 		return nil, err
@@ -327,12 +290,12 @@ func (e *Engine) evaluateOn(ctx context.Context, snap *snapshot, sc Scenario) (_
 		// computing it is skipped entirely when nothing records.
 		hash = sc.Hash()
 		sp.SetAttr("scenario_hash", hash)
-		sp.SetAttrInt("baseline_version", int64(snap.version))
+		sp.SetAttr("baseline", e.Baseline())
 	}
 
 	var res *Result
 	run := func(ctx context.Context) {
-		res, err = e.evaluateOverlay(ctx, snap, sc)
+		res, err = e.evaluateOverlay(ctx, sc)
 	}
 	if hash != "" {
 		// pprof labels make CPU profile samples (including par worker
@@ -351,13 +314,13 @@ func (e *Engine) evaluateOn(ctx context.Context, snap *snapshot, sc Scenario) (_
 
 // keptISPs returns the matrix providers that survive the scenario's
 // removal clause, in matrix order.
-func keptISPs(snap *snapshot, sc Scenario) []string {
-	kept := make([]string, 0, len(snap.mx.ISPs))
+func (e *Engine) keptISPs(sc Scenario) []string {
+	kept := make([]string, 0, len(e.snap.mx.ISPs))
 	removed := make(map[string]bool, len(sc.RemoveISPs))
 	for _, isp := range sc.RemoveISPs {
 		removed[isp] = true
 	}
-	for _, isp := range snap.mx.ISPs {
+	for _, isp := range e.snap.mx.ISPs {
 		if !removed[isp] {
 			kept = append(kept, isp)
 		}
@@ -413,7 +376,7 @@ func fillDisconnection(res *Result, base *baseline, impacts []resilience.Impact)
 
 // latencyStage runs the §5.3 latency comparison when the scenario
 // asks for it. pm is the fully perturbed map.
-func (e *Engine) latencyStage(ctx context.Context, snap *snapshot, sc Scenario, pm *fiber.Map, res *Result) error {
+func (e *Engine) latencyStage(ctx context.Context, sc Scenario, pm *fiber.Map, res *Result) error {
 	if !sc.IncludeLatency {
 		return nil
 	}
@@ -426,11 +389,11 @@ func (e *Engine) latencyStage(ctx context.Context, snap *snapshot, sc Scenario, 
 	if sc.Overrides.LatencyMaxPairs > 0 {
 		maxPairs = sc.Overrides.LatencyMaxPairs
 	}
-	afterStudy, err := e.runLatencyStudy(ctx, snap, pm, maxPairs)
+	afterStudy, err := e.runLatencyStudy(ctx, pm, maxPairs)
 	if err != nil {
 		return err
 	}
-	before, err := e.baselineLatency(ctx, snap, maxPairs)
+	before, err := e.baselineLatency(ctx, maxPairs)
 	if err != nil {
 		return err
 	}
@@ -444,7 +407,7 @@ func (e *Engine) latencyStage(ctx context.Context, snap *snapshot, sc Scenario, 
 
 // trafficStage runs the traffic-overlay comparison when the scenario
 // asks for it. pm is the fully perturbed map.
-func (e *Engine) trafficStage(ctx context.Context, snap *snapshot, sc Scenario, pm *fiber.Map, res *Result) error {
+func (e *Engine) trafficStage(ctx context.Context, sc Scenario, pm *fiber.Map, res *Result) error {
 	if !sc.IncludeTraffic {
 		return nil
 	}
@@ -457,9 +420,9 @@ func (e *Engine) trafficStage(ctx context.Context, snap *snapshot, sc Scenario, 
 	if sc.Overrides.Probes > 0 {
 		probes = sc.Overrides.Probes
 	}
-	res2 := *snap.res
+	res2 := *e.snap.res
 	res2.Map = pm
-	before, err := e.baselineTraffic(ctx, snap, probes)
+	before, err := e.baselineTraffic(ctx, probes)
 	if err != nil {
 		return err
 	}
@@ -476,13 +439,9 @@ func (e *Engine) trafficStage(ctx context.Context, snap *snapshot, sc Scenario, 
 }
 
 // ResolveCuts materializes the scenario's cut clauses against the
-// current baseline map into one sorted, de-duplicated conduit set.
+// baseline map into one sorted, de-duplicated conduit set.
 func (e *Engine) ResolveCuts(sc Scenario) ([]fiber.ConduitID, error) {
-	return resolveCutsOn(e.snapshot(), sc)
-}
-
-func resolveCutsOn(snap *snapshot, sc Scenario) ([]fiber.ConduitID, error) {
-	m := snap.res.Map
+	m := e.snap.res.Map
 	var cuts []fiber.ConduitID
 	for _, cid := range sc.CutConduits {
 		if int(cid) >= len(m.Conduits) {
@@ -491,10 +450,10 @@ func resolveCutsOn(snap *snapshot, sc Scenario) ([]fiber.ConduitID, error) {
 		cuts = append(cuts, cid)
 	}
 	if sc.CutMostShared > 0 {
-		cuts = append(cuts, snap.mx.TopShared(sc.CutMostShared)...)
+		cuts = append(cuts, e.snap.mx.TopShared(sc.CutMostShared)...)
 	}
 	if sc.CutMostBetween > 0 {
-		rank := snap.betweennessRank()
+		rank := e.snap.betweennessRank()
 		k := sc.CutMostBetween
 		if k > len(rank) {
 			k = len(rank)
@@ -508,18 +467,4 @@ func resolveCutsOn(snap *snapshot, sc Scenario) ([]fiber.ConduitID, error) {
 		})...)
 	}
 	return dedupeIDs(cuts), nil
-}
-
-// FromAdditions converts the §5.2 optimizer's chosen builds into
-// scenario additions (open access, matching the paper's framing where
-// any provider may re-route over a new conduit).
-func FromAdditions(m *fiber.Map, adds []mitigate.Addition) []Addition {
-	out := make([]Addition, 0, len(adds))
-	for _, ad := range adds {
-		out = append(out, Addition{
-			A: m.Node(ad.A).Key(),
-			B: m.Node(ad.B).Key(),
-		})
-	}
-	return out
 }

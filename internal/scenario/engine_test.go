@@ -8,7 +8,6 @@ import (
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/mapbuilder"
-	"intertubes/internal/mitigate"
 	"intertubes/internal/risk"
 )
 
@@ -231,20 +230,6 @@ func TestRegionalDisaster(t *testing.T) {
 	}
 	if best := r.Disconnection[len(r.Disconnection)-1].After; best >= worst {
 		t.Error("impact should vary across providers")
-	}
-}
-
-func TestFromAdditions(t *testing.T) {
-	res, _ := build(t)
-	m := res.Map
-	adds := FromAdditions(m, nil)
-	if len(adds) != 0 {
-		t.Errorf("FromAdditions(nil) = %v", adds)
-	}
-	// Round-trip one synthetic addition through the converter.
-	out := FromAdditions(m, []mitigate.Addition{{A: 0, B: 1}})
-	if len(out) != 1 || out[0].A != m.Node(0).Key() || out[0].B != m.Node(1).Key() {
-		t.Errorf("FromAdditions = %+v", out)
 	}
 }
 

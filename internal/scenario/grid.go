@@ -15,11 +15,11 @@ import (
 // circular-disaster centers spanning the mapped fiber plant, crossed
 // with a ladder of radii. Each planned cell is an ordinary regional
 // scenario, so it canonicalizes through the existing content hash and
-// the serving cache, singleflight, and baseline-version keys all apply
-// unchanged. Planning is pure and deterministic: the same spec against
-// the same map always yields the same cells in the same order, which
-// is what lets the job store resume a half-finished sweep and still
-// produce a byte-identical artifact.
+// the serving cache and singleflight apply unchanged. Planning is pure
+// and deterministic: the same spec against the same map always yields
+// the same cells in the same order, which is what lets the job store
+// resume a half-finished sweep and still produce a byte-identical
+// artifact.
 
 // kmPerDegLat is the meridian arc length of one degree of latitude,
 // matching the constant the geo package uses for its planar
@@ -252,15 +252,13 @@ func PlanGrid(m *fiber.Map, spec GridSpec) (*GridPlan, error) {
 // float noise.
 func round6(v float64) float64 { return math.Round(v*1e6) / 1e6 }
 
-// PlanGrid plans the spec against the engine's current baseline map
-// and reports which baseline version the plan is valid for. A job that
-// records the version can detect a baseline swap and re-plan instead
-// of mixing cells from two maps.
-func (e *Engine) PlanGrid(spec GridSpec) (*GridPlan, uint64, error) {
-	snap := e.snapshot()
-	plan, err := PlanGrid(snap.res.Map, spec)
+// PlanGrid plans the spec against the engine's baseline map and
+// returns the baseline's digest (Engine.Baseline) with it: the
+// identity a job records next to its plan.
+func (e *Engine) PlanGrid(spec GridSpec) (*GridPlan, string, error) {
+	plan, err := PlanGrid(e.snap.res.Map, spec)
 	if err != nil {
-		return nil, 0, err
+		return nil, "", err
 	}
-	return plan, snap.version, nil
+	return plan, e.Baseline(), nil
 }

@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"intertubes/internal/mapbuilder"
+	"intertubes/internal/risk"
 )
 
 func testGridSpec() GridSpec {
@@ -142,16 +146,28 @@ func TestPlanGridCullingAndCaps(t *testing.T) {
 	}
 }
 
+// TestEnginePlanGridReportsBaselineVersion: the plan comes with the
+// engine's baseline digest, which names the map by content. A second
+// engine over the same build agrees on it; an engine over another
+// seed's map does not.
 func TestEnginePlanGridReportsBaselineVersion(t *testing.T) {
 	eng := newEngine(t, 0)
-	plan, version, err := eng.PlanGrid(testGridSpec())
+	plan, baseline, err := eng.PlanGrid(testGridSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != eng.BaselineVersion() {
-		t.Errorf("PlanGrid version %d != engine baseline version %d", version, eng.BaselineVersion())
+	if baseline != eng.Baseline() || len(baseline) != 64 {
+		t.Errorf("PlanGrid baseline %q, want the engine's 64-hex digest %q", baseline, eng.Baseline())
 	}
 	if plan.Total() == 0 {
 		t.Error("engine plan has no cells")
+	}
+	res, mx := build(t)
+	if got := New(res, mx, Options{Seed: 42, Workers: 1}).Baseline(); got != baseline {
+		t.Errorf("second engine over the same build: baseline %s, want %s", got, baseline)
+	}
+	res7 := mapbuilder.Build(context.Background(), mapbuilder.Options{Seed: 7})
+	if got := New(res7, risk.Build(res7.Map, nil), Options{Seed: 7}).Baseline(); got == baseline {
+		t.Errorf("seed-7 map has the seed-42 baseline %s", got)
 	}
 }

@@ -133,14 +133,16 @@ func (p *GridPlan) Geom() GridGeom {
 // outcome in plan order plus the lattice geometry needed to raster
 // it. Build one with BuildHeatmap.
 type Heatmap struct {
-	GridHash        string   `json:"gridHash"`
-	BaselineVersion uint64   `json:"baselineVersion"`
-	Spec            GridSpec `json:"spec"`
-	Rows            int      `json:"rows"`
-	Cols            int      `json:"cols"`
-	Total           int      `json:"total"`
-	Completed       int      `json:"completed"`
-	MaxSeverity     float64  `json:"maxSeverity"`
+	GridHash string `json:"gridHash"`
+	// Baseline is the digest of the baseline the cells were evaluated
+	// against (Engine.Baseline).
+	Baseline    string   `json:"baseline"`
+	Spec        GridSpec `json:"spec"`
+	Rows        int      `json:"rows"`
+	Cols        int      `json:"cols"`
+	Total       int      `json:"total"`
+	Completed   int      `json:"completed"`
+	MaxSeverity float64  `json:"maxSeverity"`
 	// MaxLostTrafficGbps is the worst capacity-layer severity across
 	// completed cells, the Gbps counterpart of MaxSeverity.
 	MaxLostTrafficGbps float64       `json:"maxLostTrafficGbps"`
@@ -152,15 +154,15 @@ type Heatmap struct {
 // order). Partial inputs build a partial heatmap — the streaming
 // endpoint uses that — but the determinism contract only applies to
 // complete ones.
-func BuildHeatmap(g GridGeom, baselineVersion uint64, cells []CellOutcome) *Heatmap {
+func BuildHeatmap(g GridGeom, baseline string, cells []CellOutcome) *Heatmap {
 	h := &Heatmap{
-		GridHash:        g.Hash,
-		BaselineVersion: baselineVersion,
-		Spec:            g.Spec,
-		Rows:            g.Rows,
-		Cols:            g.Cols,
-		Total:           g.Total,
-		Completed:       len(cells),
+		GridHash:  g.Hash,
+		Baseline:  baseline,
+		Spec:      g.Spec,
+		Rows:      g.Rows,
+		Cols:      g.Cols,
+		Total:     g.Total,
+		Completed: len(cells),
 	}
 	byIndex := make([]*CellOutcome, g.Total)
 	for i := range cells {
@@ -200,14 +202,14 @@ type heatGeometry struct {
 }
 
 type heatDoc struct {
-	Type            string        `json:"type"`
-	GridHash        string        `json:"gridHash"`
-	BaselineVersion uint64        `json:"baselineVersion"`
-	Rows            int           `json:"rows"`
-	Cols            int           `json:"cols"`
-	Total           int           `json:"total"`
-	Completed       int           `json:"completed"`
-	Features        []heatFeature `json:"features"`
+	Type      string        `json:"type"`
+	GridHash  string        `json:"gridHash"`
+	Baseline  string        `json:"baseline"`
+	Rows      int           `json:"rows"`
+	Cols      int           `json:"cols"`
+	Total     int           `json:"total"`
+	Completed int           `json:"completed"`
+	Features  []heatFeature `json:"features"`
 }
 
 // GeoJSON renders the heatmap as a FeatureCollection: one Point
@@ -216,14 +218,14 @@ type heatDoc struct {
 // order — so equal heatmaps serialize byte-identically.
 func (h *Heatmap) GeoJSON() ([]byte, error) {
 	doc := heatDoc{
-		Type:            "FeatureCollection",
-		GridHash:        h.GridHash,
-		BaselineVersion: h.BaselineVersion,
-		Rows:            h.Rows,
-		Cols:            h.Cols,
-		Total:           h.Total,
-		Completed:       h.Completed,
-		Features:        make([]heatFeature, 0, len(h.Cells)),
+		Type:      "FeatureCollection",
+		GridHash:  h.GridHash,
+		Baseline:  h.Baseline,
+		Rows:      h.Rows,
+		Cols:      h.Cols,
+		Total:     h.Total,
+		Completed: h.Completed,
+		Features:  make([]heatFeature, 0, len(h.Cells)),
 	}
 	for _, c := range h.Cells {
 		doc.Features = append(doc.Features, heatFeature{
@@ -260,8 +262,8 @@ func rampIndex(sev float64) int {
 // ramp (absolute 0..1 mean-disconnection scale) everywhere else.
 func (h *Heatmap) RenderGrid() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "disaster grid %s (baseline v%d): %d/%d cells, %d×%d lattice\n",
-		h.GridHash, h.BaselineVersion, h.Completed, h.Total, h.Rows, h.Cols)
+	fmt.Fprintf(&b, "disaster grid %s (baseline %.12s): %d/%d cells, %d×%d lattice\n",
+		h.GridHash, h.Baseline, h.Completed, h.Total, h.Rows, h.Cols)
 	fmt.Fprintf(&b, "max severity %.4f, max lost traffic %.1f Gbps\n",
 		h.MaxSeverity, h.MaxLostTrafficGbps)
 	byKey := make(map[[3]int]*CellOutcome, len(h.Cells))

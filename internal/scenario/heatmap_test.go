@@ -190,7 +190,7 @@ func TestHeatmapPartialAndErrorCells(t *testing.T) {
 		ReduceCell(plan.Cells[0], Outcome{Result: &Result{}}),
 		ReduceCell(plan.Cells[1], Outcome{Err: "stage exploded"}),
 	}
-	h := BuildHeatmap(plan.Geom(), 1, cells)
+	h := BuildHeatmap(plan.Geom(), "b", cells)
 	if h.Completed != 2 {
 		t.Fatalf("Completed = %d, want 2", h.Completed)
 	}
@@ -206,7 +206,7 @@ func TestHeatmapPartialAndErrorCells(t *testing.T) {
 		t.Error("GeoJSON dropped the failed cell's error")
 	}
 	// Out-of-range indices are ignored rather than panicking.
-	h2 := BuildHeatmap(plan.Geom(), 1, []CellOutcome{{Index: -1}, {Index: plan.Total() + 5}})
+	h2 := BuildHeatmap(plan.Geom(), "b", []CellOutcome{{Index: -1}, {Index: plan.Total() + 5}})
 	if h2.Completed != 0 {
 		t.Errorf("out-of-range cells counted as completed: %d", h2.Completed)
 	}

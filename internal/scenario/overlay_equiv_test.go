@@ -130,8 +130,7 @@ func equivScenarios(t *testing.T) []Scenario {
 // is NodesOf — on Plus without cuts, on Final with them.
 func TestProviderRowMatchesViews(t *testing.T) {
 	eng := newEngine(t, 0)
-	snap := eng.snapshot()
-	base := snap.baseline()
+	base := eng.snap.baseline()
 	scr := getScratch(base.g.NumEdges())
 	defer putScratch(scr)
 	for i, sc := range equivScenarios(t) {
@@ -139,13 +138,13 @@ func TestProviderRowMatchesViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ov, pert, err := buildOverlay(snap, sc, keptISPs(snap, sc))
+		ov, pert, err := eng.buildOverlay(sc, eng.keptISPs(sc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		final := ov.Final()
 		nb := ov.NumBaseConduits()
-		for _, isp := range keptISPs(snap, sc) {
+		for _, isp := range eng.keptISPs(sc) {
 			for _, tc := range []struct {
 				view fiber.View
 				cuts []fiber.ConduitID
@@ -202,9 +201,8 @@ func TestOverlayMatchesCloneLatencyTraffic(t *testing.T) {
 
 // randomScenario draws a composite scenario over valid map entities.
 func randomScenario(rng *rand.Rand, eng *Engine) Scenario {
-	snap := eng.snapshot()
-	m := snap.res.Map
-	isps := snap.mx.ISPs
+	m := eng.snap.res.Map
+	isps := eng.snap.mx.ISPs
 	var sc Scenario
 	for i := 0; i < rng.Intn(4); i++ {
 		sc.CutConduits = append(sc.CutConduits, fiber.ConduitID(rng.Intn(m.NumConduits())))

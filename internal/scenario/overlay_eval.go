@@ -164,12 +164,12 @@ func maskWeights(dst, baseRow []float64, gains []fiber.ConduitID, cuts []fiber.C
 }
 
 // buildOverlay resolves the scenario's cut clauses and additions
-// against the snapshot and records them as a copy-on-write overlay.
+// against the baseline and records them as a copy-on-write overlay.
 // An addition with no tenant list is open access: every kept provider
 // lights the build.
-func buildOverlay(snap *snapshot, sc Scenario, kept []string) (ov *fiber.Overlay, pert fiber.Perturbation, err error) {
-	m := snap.res.Map
-	if pert.Cuts, err = resolveCutsOn(snap, sc); err != nil {
+func (e *Engine) buildOverlay(sc Scenario, kept []string) (ov *fiber.Overlay, pert fiber.Perturbation, err error) {
+	m := e.snap.res.Map
+	if pert.Cuts, err = e.ResolveCuts(sc); err != nil {
 		return nil, pert, err
 	}
 	pert.RemoveISPs = sc.RemoveISPs
@@ -192,14 +192,14 @@ func buildOverlay(snap *snapshot, sc Scenario, kept []string) (ov *fiber.Overlay
 	return ov, pert, err
 }
 
-func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenario) (*Result, error) {
+func (e *Engine) evaluateOverlay(ctx context.Context, sc Scenario) (*Result, error) {
 	checkpoint := func() error { return ctx.Err() }
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
 
-	m := snap.res.Map
-	base := snap.baseline()
+	m := e.snap.res.Map
+	base := e.snap.baseline()
 
 	// Stage spans carry the attribution story of the overlay path —
 	// which stages ran against the delta, which reused baseline rows,
@@ -219,9 +219,9 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	)
 	removed := make(map[string]bool, len(sc.RemoveISPs))
 	err := stage("scenario.stage.apply", func(sp *obs.Span) error {
-		kept = keptISPs(snap, sc)
+		kept = e.keptISPs(sc)
 		var err error
-		if ov, pert, err = buildOverlay(snap, sc, kept); err != nil {
+		if ov, pert, err = e.buildOverlay(sc, kept); err != nil {
 			return err
 		}
 		res = &Result{
@@ -373,7 +373,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	// capacity changes provably cannot move keeps its memoized
 	// baseline answer; touched counts the pairs that re-flowed.
 	_ = stage("scenario.stage.capacity", func(sp *obs.Span) error {
-		cb := snap.capacity()
+		cb := e.snap.capacity()
 		nb := ov.NumBaseConduits()
 		scr.capacityNetwork(cb, base.g, final, nb)
 		served, flows := cb.servedOn(base.g, scr.ws, scr.capW[:nb], scr.extra, &scr.capD)
@@ -386,10 +386,10 @@ func (e *Engine) evaluateOverlay(ctx context.Context, snap *snapshot, sc Scenari
 	// it once, only when asked.
 	if sc.IncludeLatency || sc.IncludeTraffic {
 		pm := ov.Materialize()
-		if err := e.latencyStage(ctx, snap, sc, pm, res); err != nil {
+		if err := e.latencyStage(ctx, sc, pm, res); err != nil {
 			return nil, err
 		}
-		if err := e.trafficStage(ctx, snap, sc, pm, res); err != nil {
+		if err := e.trafficStage(ctx, sc, pm, res); err != nil {
 			return nil, err
 		}
 	}

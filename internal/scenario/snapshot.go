@@ -2,6 +2,10 @@ package scenario
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/graph"
@@ -19,21 +23,24 @@ import (
 // snapshot.go holds the engine's immutable baseline state. Everything
 // an evaluation reads — the map, the risk matrix, the memoized
 // baseline study stages, and the shared tables the copy-on-write
-// overlay evaluation consults — lives in one snapshot value behind an
-// atomic pointer, so a baseline swap is a single pointer store and an
-// in-flight evaluation keeps the snapshot it started with. Snapshots
-// are versioned; the serving cache folds the version into its keys so
-// a swapped baseline can never serve results computed against the old
-// one.
+// overlay evaluation consults — lives in the one snapshot an engine is
+// built with. Its identity is its content: Baseline digests the map
+// and the provider list, so two engines over equal maps agree on it in
+// any process.
+
+// resultFormat enters every baseline digest. Bump it when a change to
+// the evaluation code changes what a Result or a grid cell holds, so
+// identities minted by the older code stop matching.
+const resultFormat = "intertubes-result-1"
 
 // snapshot is one immutable baseline: its inputs and memoized
 // products. Each product is a memo field, built by its first caller
 // and shared after that, so evaluations share a snapshot freely.
 type snapshot struct {
-	version uint64
-	res     *mapbuilder.Result
-	mx      *risk.Matrix
+	res *mapbuilder.Result
+	mx  *risk.Matrix
 
+	digest   memo.Value[string]
 	base     memo.Value[*baseline]
 	btw      memo.Value[[]fiber.ConduitID]
 	capBase  memo.Value[*capacityBaseline]          // capacity.go
@@ -103,6 +110,23 @@ func (s *snapshot) baseline() *baseline {
 	})
 }
 
+// Baseline names the engine's baseline by content: a hex sha256 over
+// resultFormat, the map in fiber.WriteMap's dataset encoding (the
+// bytes ExportDataset writes) and the risk matrix's provider list. It
+// is the identity wherever results leave the process — job ids,
+// checkpoints, heatmaps and the latency ETag — and is computed on
+// first use.
+func (e *Engine) Baseline() string {
+	s := e.snap
+	return kept(&s.digest, func() string {
+		h := sha256.New()
+		fmt.Fprintln(h, resultFormat)
+		_ = fiber.WriteMap(h, s.res.Map) // a hash's Write never fails
+		fmt.Fprintf(h, "isps|%s\n", strings.Join(s.mx.ISPs, "|"))
+		return hex.EncodeToString(h.Sum(nil))
+	})
+}
+
 // betweennessRank memoizes the full betweenness cut ordering; a
 // CutMostBetween=k clause resolves to its first k entries, exactly
 // what resilience.TargetedByBetweenness(m, k) returns.
@@ -112,24 +136,24 @@ func (s *snapshot) betweennessRank() []fiber.ConduitID {
 	})
 }
 
-// Campaign returns the current baseline's traceroute campaign at
+// Campaign returns the baseline's traceroute campaign at
 // Options.Probes, run once under the span study.campaign. It is shared
 // and read-only.
 func (e *Engine) Campaign(ctx context.Context) (*traceroute.Campaign, error) {
-	return e.campaignOn(ctx, e.snapshot(), e.opts.Probes)
+	return e.campaignAt(ctx, e.opts.Probes)
 }
 
-// campaignOn returns the snapshot's campaign of probes probes: the
-// shared campaign at Options.Probes, a fresh one otherwise.
-func (e *Engine) campaignOn(ctx context.Context, snap *snapshot, probes int) (*traceroute.Campaign, error) {
+// campaignAt returns a baseline campaign of probes probes: the shared
+// campaign at Options.Probes, a fresh one otherwise.
+func (e *Engine) campaignAt(ctx context.Context, probes int) (*traceroute.Campaign, error) {
 	if probes != e.opts.Probes {
-		return e.runCampaign(ctx, snap.res, probes)
+		return e.runCampaign(ctx, e.snap.res, probes)
 	}
-	return snap.campaign.Get(ctx, func(ctx context.Context) (*traceroute.Campaign, error) {
+	return e.snap.campaign.Get(ctx, func(ctx context.Context) (*traceroute.Campaign, error) {
 		ctx, sp := obs.Trace(ctx, "study.campaign")
 		defer sp.End()
 		sp.SetWorkers(par.Workers(e.opts.Workers))
-		camp, err := e.runCampaign(ctx, snap.res, probes)
+		camp, err := e.runCampaign(ctx, e.snap.res, probes)
 		if err != nil {
 			return nil, err
 		}
@@ -138,24 +162,24 @@ func (e *Engine) campaignOn(ctx context.Context, snap *snapshot, probes int) (*t
 	})
 }
 
-// LatencyStudy returns the current baseline's §5.3 latency study at
+// LatencyStudy returns the baseline's §5.3 latency study at
 // Options.LatencyMaxPairs, run once under the span study.latency. It
 // is shared and read-only.
 func (e *Engine) LatencyStudy(ctx context.Context) ([]mitigate.PairLatency, error) {
-	return e.latencyStudyOn(ctx, e.snapshot(), e.opts.LatencyMaxPairs)
+	return e.latencyStudyAt(ctx, e.opts.LatencyMaxPairs)
 }
 
-// latencyStudyOn returns the snapshot's study of maxPairs pairs: the
+// latencyStudyAt returns a baseline study of maxPairs pairs: the
 // shared study at Options.LatencyMaxPairs, a fresh one otherwise.
-func (e *Engine) latencyStudyOn(ctx context.Context, snap *snapshot, maxPairs int) ([]mitigate.PairLatency, error) {
+func (e *Engine) latencyStudyAt(ctx context.Context, maxPairs int) ([]mitigate.PairLatency, error) {
 	if maxPairs != e.opts.LatencyMaxPairs {
-		return e.runLatencyStudy(ctx, snap, snap.res.Map, maxPairs)
+		return e.runLatencyStudy(ctx, e.snap.res.Map, maxPairs)
 	}
-	return snap.latStudy.Get(ctx, func(ctx context.Context) ([]mitigate.PairLatency, error) {
+	return e.snap.latStudy.Get(ctx, func(ctx context.Context) ([]mitigate.PairLatency, error) {
 		ctx, sp := obs.Trace(ctx, "study.latency")
 		defer sp.End()
 		sp.SetWorkers(par.Workers(e.opts.Workers))
-		study, err := e.runLatencyStudy(ctx, snap, snap.res.Map, maxPairs)
+		study, err := e.runLatencyStudy(ctx, e.snap.res.Map, maxPairs)
 		if err != nil {
 			return nil, err
 		}
@@ -165,9 +189,9 @@ func (e *Engine) latencyStudyOn(ctx context.Context, snap *snapshot, maxPairs in
 }
 
 // baselineLatency keeps one baseline latency summary per pair cap.
-func (e *Engine) baselineLatency(ctx context.Context, snap *snapshot, maxPairs int) (mitigate.LatencySummary, error) {
-	return snap.latSum.Get(ctx, maxPairs, func(ctx context.Context) (mitigate.LatencySummary, error) {
-		study, err := e.latencyStudyOn(ctx, snap, maxPairs)
+func (e *Engine) baselineLatency(ctx context.Context, maxPairs int) (mitigate.LatencySummary, error) {
+	return e.snap.latSum.Get(ctx, maxPairs, func(ctx context.Context) (mitigate.LatencySummary, error) {
+		study, err := e.latencyStudyAt(ctx, maxPairs)
 		if err != nil {
 			return mitigate.LatencySummary{}, err
 		}
@@ -177,9 +201,9 @@ func (e *Engine) baselineLatency(ctx context.Context, snap *snapshot, maxPairs i
 
 // baselineTraffic keeps one baseline traffic summary per campaign
 // size; a size a client picks never pins a campaign in memory.
-func (e *Engine) baselineTraffic(ctx context.Context, snap *snapshot, probes int) (TrafficSummary, error) {
-	return snap.trafSum.Get(ctx, probes, func(ctx context.Context) (TrafficSummary, error) {
-		camp, err := e.campaignOn(ctx, snap, probes)
+func (e *Engine) baselineTraffic(ctx context.Context, probes int) (TrafficSummary, error) {
+	return e.snap.trafSum.Get(ctx, probes, func(ctx context.Context) (TrafficSummary, error) {
+		camp, err := e.campaignAt(ctx, probes)
 		if err != nil {
 			return TrafficSummary{}, err
 		}

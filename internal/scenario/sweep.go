@@ -60,9 +60,6 @@ func Sweep(ctx context.Context, eng *Engine, scs []Scenario, workers int) []Outc
 	sp.SetWorkers(par.Workers(workers))
 	sp.SetItems(int64(len(scs)))
 	defer sp.End()
-	// Pin one snapshot for the whole batch: every slot evaluates
-	// against the same baseline even if SwapBaseline lands mid-sweep.
-	snap := eng.snapshot()
 
 	total := len(scs)
 	var done atomic.Int64
@@ -93,7 +90,7 @@ func Sweep(ctx context.Context, eng *Engine, scs []Scenario, workers int) []Outc
 	}
 
 	out, err := par.Map(ctx, total, workers, func(i int) Outcome {
-		res, err := eng.evaluateOn(ctx, snap, scs[i])
+		res, err := eng.Evaluate(ctx, scs[i])
 		progress()
 		if err != nil {
 			return Outcome{Err: err.Error(), Canceled: isCancellation(err)}

@@ -10,7 +10,7 @@ import (
 // trace_test.go pins the flight-recorder integration: a recorded
 // evaluation's span tree carries the evaluator's attribution
 // (per-stage reused/recomputed outcome, touched-ISP counts, min-cut
-// path split, scenario hash, baseline version) and the cache stamps
+// path split, scenario hash, baseline digest) and the cache stamps
 // its outcome on the caller's span.
 
 func freshTraces(t *testing.T) *obs.TraceStore {
@@ -56,8 +56,8 @@ func TestRecordedEvaluationAttribution(t *testing.T) {
 	if ea["scenario_hash"] == "" {
 		t.Error("scenario_hash attr missing")
 	}
-	if ea["baseline_version"] == "" {
-		t.Error("baseline_version attr missing")
+	if ea["baseline"] != eng.Baseline() {
+		t.Errorf("baseline attr = %q, want the engine's digest %q", ea["baseline"], eng.Baseline())
 	}
 
 	for _, stageName := range []string{

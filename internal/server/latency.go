@@ -9,9 +9,9 @@ import (
 // latency.go serves the all-pairs latency atlas as a paginated,
 // cacheable resource. Pair order is the atlas's stable source-major
 // ordering, so a page means the same thing on every request against
-// one baseline; responses carry a strong ETag keyed on the engine's
-// baseline version, so clients revalidate with If-None-Match and get
-// 304s until a SwapBaseline rebuilds the atlas.
+// one baseline; responses carry a strong ETag keyed on the baseline's
+// content digest, so clients revalidate with If-None-Match and get
+// 304s across restarts on the same map, and never across maps.
 
 const (
 	latencyDefaultPer = 100
@@ -27,12 +27,12 @@ type latencyPairJSON struct {
 }
 
 type latencyPageJSON struct {
-	BaselineVersion uint64            `json:"baselineVersion"`
-	Page            int               `json:"page"`
-	Per             int               `json:"per"`
-	TotalPairs      int               `json:"totalPairs"`
-	TotalPages      int               `json:"totalPages"`
-	Pairs           []latencyPairJSON `json:"pairs"`
+	Baseline   string            `json:"baseline"`
+	Page       int               `json:"page"`
+	Per        int               `json:"per"`
+	TotalPairs int               `json:"totalPairs"`
+	TotalPages int               `json:"totalPages"`
+	Pairs      []latencyPairJSON `json:"pairs"`
 }
 
 func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
@@ -53,8 +53,8 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 		}
 		per = n
 	}
-	at, version := s.study.LatencyAtlas()
-	etag := fmt.Sprintf("\"latency-v%d\"", version)
+	at, baseline := s.study.LatencyAtlas()
+	etag := `"latency-` + baseline + `"`
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "no-cache") // cacheable, but always revalidated
 	if r.Header.Get("If-None-Match") == etag {
@@ -72,12 +72,12 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 	}
 	m := s.study.Map()
 	out := latencyPageJSON{
-		BaselineVersion: version,
-		Page:            page,
-		Per:             per,
-		TotalPairs:      total,
-		TotalPages:      (total + per - 1) / per,
-		Pairs:           make([]latencyPairJSON, 0, hi-lo),
+		Baseline:   baseline,
+		Page:       page,
+		Per:        per,
+		TotalPairs: total,
+		TotalPages: (total + per - 1) / per,
+		Pairs:      make([]latencyPairJSON, 0, hi-lo),
 	}
 	for _, pl := range pairs[lo:hi] {
 		out.Pairs = append(out.Pairs, latencyPairJSON{

@@ -2,15 +2,18 @@ package server
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"reflect"
-	"strconv"
 	"testing"
+
+	"intertubes"
 )
 
 // latency_test.go exercises the paginated atlas endpoint: page
 // boundaries, stable source-major ordering across requests, parameter
-// validation, and the baseline-versioned ETag lifecycle including a
-// SwapBaseline staleness flip.
+// validation, and the ETag lifecycle: the tag names the baseline by
+// content, so it survives a restart on the same map and never crosses
+// maps.
 
 func TestLatencyFirstPage(t *testing.T) {
 	var out latencyPageJSON
@@ -133,32 +136,43 @@ func TestLatencyETagLifecycle(t *testing.T) {
 	if r2.StatusCode != http.StatusNotModified {
 		t.Fatalf("matching If-None-Match: status %d, want 304", r2.StatusCode)
 	}
-
-	// A baseline swap (same inputs, new snapshot) must stale the tag:
-	// the old value now misses and the response carries a fresh one.
-	st := study(t)
-	st.Scenarios().Engine().SwapBaseline(st.Result(), st.RiskMatrix())
-	r3, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3.Body.Close()
-	if r3.StatusCode != http.StatusOK {
-		t.Fatalf("stale If-None-Match after swap: status %d, want 200", r3.StatusCode)
-	}
-	fresh := r3.Header.Get("ETag")
-	if fresh == "" || fresh == etag {
-		t.Fatalf("ETag after swap = %q, want a new tag (old %q)", fresh, etag)
-	}
 }
 
-// TestLatencyVersionMatchesEngine: the payload's baselineVersion is
-// the engine's current version — the same number the ETag carries.
+// TestLatencyVersionMatchesEngine: the payload's baseline is the
+// engine's digest — the same value the ETag carries.
 func TestLatencyVersionMatchesEngine(t *testing.T) {
 	var out latencyPageJSON
 	resp := getJSON(t, "/api/latency?per=1", &out)
-	want := "\"latency-v" + strconv.FormatUint(out.BaselineVersion, 10) + "\""
+	if want := study(t).Scenarios().Engine().Baseline(); out.Baseline != want {
+		t.Fatalf("page baseline = %q, want the engine's digest %q", out.Baseline, want)
+	}
+	want := "\"latency-" + out.Baseline + "\""
 	if got := resp.Header.Get("ETag"); got != want {
 		t.Fatalf("ETag = %q, want %q", got, want)
+	}
+}
+
+// TestLatencyETagNamesTheMap: two seed-42 studies, as a restart would
+// build them, send the same ETag, so a client's 304 survives the
+// restart; a seed-7 study sends another, so a 304 never crosses maps.
+func TestLatencyETagNamesTheMap(t *testing.T) {
+	etag := func(seed int64) string {
+		t.Helper()
+		st := intertubes.NewStudy(intertubes.Options{Seed: seed, Probes: 1000})
+		s := NewWithConfig(st, discardLogger(), Config{})
+		defer s.Close()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/api/latency?per=1", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d", seed, rec.Code)
+		}
+		return rec.Header().Get("ETag")
+	}
+	a, b, c := etag(42), etag(42), etag(7)
+	if a == "" || a != b {
+		t.Errorf("two seed-42 studies: ETags %q and %q, want one non-empty tag", a, b)
+	}
+	if c == a {
+		t.Errorf("seed-7 study sends the seed-42 ETag %q", c)
 	}
 }

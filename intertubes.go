@@ -96,8 +96,8 @@ func recordsOptions(seed int64) records.Options {
 // Study is a complete, lazily evaluated reproduction of the paper,
 // safe for concurrent use: each lazy product is built once. The
 // campaign, latency study and latency atlas are the what-if engine's
-// baseline products (Scenarios().Engine()); after a SwapBaseline,
-// which only tests call, they follow its new snapshot.
+// baseline products (Scenarios().Engine()), so a process builds each
+// once whichever path asks first.
 type Study struct {
 	opts Options
 

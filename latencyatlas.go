@@ -16,20 +16,25 @@ import (
 // motivates. Both read the engine's snapshot-memoized atlas, so
 // repeated renders and API pages share one source-batched build.
 
-// LatencyAtlas returns (building once per engine baseline) the
-// all-pairs city-to-city latency atlas, plus the baseline version it
-// was built from — the version the latency API folds into its ETag.
-func (s *Study) LatencyAtlas() (*latency.Atlas, uint64) {
-	at, version, _ := s.Scenarios().Engine().LatencyAtlas(context.Background()) // background ctx: cannot fail
-	return at, version
+// LatencyAtlas returns (building once) the all-pairs city-to-city
+// latency atlas, plus the digest of the baseline it was built from
+// (scenario.Engine.Baseline) — the identity the latency API puts in
+// its ETag.
+func (s *Study) LatencyAtlas() (*latency.Atlas, string) {
+	return s.latencyAtlas(), s.Scenarios().Engine().Baseline()
+}
+
+// latencyAtlas is LatencyAtlas without the digest, for the renders.
+func (s *Study) latencyAtlas() *latency.Atlas {
+	at, _ := s.Scenarios().Engine().LatencyAtlas(context.Background()) // background ctx: cannot fail
+	return at
 }
 
 // RenderInflationCDF renders the atlas's latency-inflation study —
 // the Figure 12 machinery pointed at every connected city pair:
 // fiber-path delay, the geodesic c-latency bound, and their ratio.
 func (s *Study) RenderInflationCDF() string {
-	at, _ := s.LatencyAtlas()
-	return renderInflationCDF(at.Pairs())
+	return renderInflationCDF(s.latencyAtlas().Pairs())
 }
 
 // renderInflationCDF is the pure rendering half, split out so the
@@ -65,8 +70,7 @@ func renderInflationCDF(pairs []latency.PairLatency) string {
 // atlas rows and reports the study-pair delay improvement — the
 // overlay-routing payoff of the atlas (see mitigate.PlaceRelays).
 func (s *Study) RelayPlan(k int) mitigate.RelayResult {
-	at, _ := s.LatencyAtlas()
-	return mitigate.PlaceRelays(at, s.Latency(), k)
+	return mitigate.PlaceRelays(s.latencyAtlas(), s.Latency(), k)
 }
 
 // RenderRelayPlan renders a k-relay plan.
