@@ -44,7 +44,7 @@ type ConduitAnnotation struct {
 func (s *Study) AnnotatedMap() []ConduitAnnotation {
 	m := s.res.Map
 	camp := s.Campaign()
-	bc := s.res.Map.Graph().EdgeBetweenness(graph.NewWorkspace(), m.LitWeight(), nil)
+	bc := fiber.Graph(m).EdgeBetweenness(graph.NewWorkspace(), fiber.LitWeight(m), nil)
 
 	var out []ConduitAnnotation
 	for i := range m.Conduits {

@@ -22,6 +22,7 @@ import (
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
+	"intertubes/internal/latency"
 	"intertubes/internal/mapbuilder"
 	"intertubes/internal/mitigate"
 	"intertubes/internal/obs"
@@ -152,7 +153,7 @@ func BenchmarkFigure9_TrafficCDF(b *testing.B) {
 	var shift float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		camp, _ := traceroute.Run(context.Background(), benchRes, traceroute.Options{N: 20000, Seed: 7})
+		camp, _ := traceroute.Run(context.Background(), benchRes, benchRes.Map, traceroute.Options{N: 20000, Seed: 7})
 		pub, over := camp.SharingWithTraffic()
 		var sp, so int
 		for j := range pub {
@@ -169,7 +170,7 @@ func BenchmarkTable2_WestEast(b *testing.B) {
 	sharedStudy()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		camp, _ := traceroute.Run(context.Background(), benchRes, traceroute.Options{N: 20000, Seed: 7})
+		camp, _ := traceroute.Run(context.Background(), benchRes, benchRes.Map, traceroute.Options{N: 20000, Seed: 7})
 		if len(camp.TopConduits(20, true)) == 0 {
 			b.Fatal("no rows")
 		}
@@ -258,13 +259,15 @@ func BenchmarkFigure11_AddLinks(b *testing.B) {
 	b.ReportMetric(float64(added), "conduits-added")
 }
 
-// BenchmarkFigure12_Latency regenerates Figure 12's delay study.
+// BenchmarkFigure12_Latency regenerates Figure 12's delay study: the
+// latency atlas it reads, then the study.
 func BenchmarkFigure12_Latency(b *testing.B) {
 	sharedStudy()
 	var bestEqROW float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		study, _ := mitigate.LatencyStudy(context.Background(), benchRes.Map, benchRes.Atlas, mitigate.LatencyOptions{MaxPairs: 800})
+		at, _ := latency.Build(context.Background(), benchRes.Map, latency.Options{})
+		study, _ := mitigate.LatencyStudy(context.Background(), at, benchRes.Atlas, mitigate.LatencyOptions{MaxPairs: 800})
 		bestEqROW = mitigate.Summarize(study).BestEqualsROW
 	}
 	b.ReportMetric(bestEqROW, "best-eq-row-frac")
@@ -300,8 +303,8 @@ func BenchmarkRecordsInference(b *testing.B) {
 // the built map graph, cycling the source across all vertices.
 func BenchmarkDijkstraSweep(b *testing.B) {
 	sharedStudy()
-	g := benchRes.Map.Graph()
-	wf := benchRes.Map.LitWeight()
+	g := fiber.Graph(benchRes.Map)
+	wf := fiber.LitWeight(benchRes.Map)
 	ws := graph.NewWorkspace()
 	dst := make([]float64, g.NumVertices())
 	dst = g.ShortestDistances(ws, 0, wf, dst) // warm: CSR build + workspace growth
@@ -316,8 +319,8 @@ func BenchmarkDijkstraSweep(b *testing.B) {
 // study's setting) between city pairs cycled across the graph.
 func BenchmarkKShortestPaths(b *testing.B) {
 	sharedStudy()
-	g := benchRes.Map.Graph()
-	wf := benchRes.Map.LitWeight()
+	g := fiber.Graph(benchRes.Map)
+	wf := fiber.LitWeight(benchRes.Map)
 	ws := graph.NewWorkspace()
 	n := g.NumVertices()
 	g.KShortestPaths(ws, 0, n/2, 4, wf) // warm: CSR build + workspace growth
@@ -338,8 +341,8 @@ func BenchmarkKShortestPaths(b *testing.B) {
 // resilience analysis runs to pick backhoe targets.
 func BenchmarkEdgeBetweenness(b *testing.B) {
 	sharedStudy()
-	g := benchRes.Map.Graph()
-	wf := benchRes.Map.LitWeight()
+	g := fiber.Graph(benchRes.Map)
+	wf := fiber.LitWeight(benchRes.Map)
 	ws := graph.NewWorkspace()
 	dst := make([]float64, g.NumEdges())
 	dst = g.EdgeBetweenness(ws, wf, dst) // warm: CSR build + workspace growth
@@ -358,7 +361,7 @@ func BenchmarkEdgeBetweenness(b *testing.B) {
 func BenchmarkMaxFlow(b *testing.B) {
 	sharedStudy()
 	m := benchRes.Map
-	g := m.Graph()
+	g := fiber.Graph(m)
 	caps := make([]float64, g.NumEdges())
 	for eid := range caps {
 		caps[eid] = fiber.ConduitCapacityGbps(m, fiber.ConduitID(eid))
@@ -418,14 +421,14 @@ func formatKm(v float64) string {
 // ranking stabilizes with campaign size.
 func BenchmarkAblationCampaignSize(b *testing.B) {
 	sharedStudy()
-	reference, _ := traceroute.Run(context.Background(), benchRes, traceroute.Options{N: 100000, Seed: 7})
+	reference, _ := traceroute.Run(context.Background(), benchRes, benchRes.Map, traceroute.Options{N: 100000, Seed: 7})
 	refTop := topSet(reference, 20)
 	for _, n := range []int{5000, 20000, 50000} {
 		name := map[int]string{5000: "n-5k", 20000: "n-20k", 50000: "n-50k"}[n]
 		b.Run(name, func(b *testing.B) {
 			var overlap float64
 			for i := 0; i < b.N; i++ {
-				camp, _ := traceroute.Run(context.Background(), benchRes, traceroute.Options{N: n, Seed: 7})
+				camp, _ := traceroute.Run(context.Background(), benchRes, benchRes.Map, traceroute.Options{N: n, Seed: 7})
 				got := topSet(camp, 20)
 				match := 0
 				for k := range got {
@@ -536,7 +539,8 @@ func BenchmarkAblationGreedyVsExact(b *testing.B) {
 // analysis: proposing ROW-following builds.
 func BenchmarkLatencyImprovements(b *testing.B) {
 	sharedStudy()
-	study, _ := mitigate.LatencyStudy(context.Background(), benchRes.Map, benchRes.Atlas, mitigate.LatencyOptions{MaxPairs: 800})
+	at, _ := latency.Build(context.Background(), benchRes.Map, latency.Options{})
+	study, _ := mitigate.LatencyStudy(context.Background(), at, benchRes.Atlas, mitigate.LatencyOptions{MaxPairs: 800})
 	b.ResetTimer()
 	var saved float64
 	for i := 0; i < b.N; i++ {
@@ -615,7 +619,7 @@ func BenchmarkWorkersCampaign(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var total int
 			for i := 0; i < b.N; i++ {
-				camp, _ := traceroute.Run(context.Background(), benchRes, traceroute.Options{N: 20000, Seed: 7, Workers: w})
+				camp, _ := traceroute.Run(context.Background(), benchRes, benchRes.Map, traceroute.Options{N: 20000, Seed: 7, Workers: w})
 				total = camp.Total
 			}
 			b.ReportMetric(float64(total), "probes-kept")
@@ -623,14 +627,16 @@ func BenchmarkWorkersCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkersLatencyStudy times the Figure 12 all-pairs sweep.
+// BenchmarkWorkersLatencyStudy times the Figure 12 all-pairs sweep,
+// the latency atlas it reads included.
 func BenchmarkWorkersLatencyStudy(b *testing.B) {
 	sharedStudy()
 	for _, w := range workerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var pairs int
 			for i := 0; i < b.N; i++ {
-				study, _ := mitigate.LatencyStudy(context.Background(), benchRes.Map, benchRes.Atlas,
+				at, _ := latency.Build(context.Background(), benchRes.Map, latency.Options{Workers: w})
+				study, _ := mitigate.LatencyStudy(context.Background(), at, benchRes.Atlas,
 					mitigate.LatencyOptions{MaxPairs: 800, Workers: w})
 				pairs = len(study)
 			}

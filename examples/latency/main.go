@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"intertubes"
+	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
 	"intertubes/internal/mitigate"
@@ -37,8 +38,8 @@ func main() {
 	}
 
 	// One pair, computed directly with the §5.3 machinery.
-	g := m.Graph()
-	paths := g.KShortestPaths(graph.NewWorkspace(), int(a), int(b), 5, m.LitWeight())
+	g := fiber.Graph(m)
+	paths := g.KShortestPaths(graph.NewWorkspace(), int(a), int(b), 5, fiber.LitWeight(m))
 	if len(paths) == 0 {
 		log.Fatalf("no lit fiber path between %s and %s", *from, *to)
 	}

@@ -229,12 +229,12 @@ func TestIntegrationLatencyAgainstDirectComputation(t *testing.T) {
 	// For a few pairs, the study's BestMs must equal an independent
 	// shortest-path computation.
 	study := s.Latency()
-	g := m.Graph()
+	g := fiber.Graph(m)
 	for i, pl := range study {
 		if i >= 10 {
 			break
 		}
-		p, ok := g.ShortestPath(graph.NewWorkspace(), int(pl.A), int(pl.B), m.LitWeight())
+		p, ok := g.ShortestPath(graph.NewWorkspace(), int(pl.A), int(pl.B), fiber.LitWeight(m))
 		if !ok {
 			t.Fatalf("pair %d unreachable", i)
 		}

@@ -1,10 +1,11 @@
 package fiber
 
-// clone.go extends the Map with the mutation primitives the what-if
-// scenario engine (internal/scenario) perturbs a copy of the baseline
-// map with: deep cloning, tenancy removal, and conduit darkening.
-// The baseline Map built by mapbuilder stays immutable; every scenario
-// evaluates against its own clone.
+// clone.go extends the Map with the mutation path: deep cloning,
+// tenancy removal, and conduit darkening. No production code perturbs
+// a map this way — what-if evaluation reads a copy-on-write Overlay
+// (overlay.go) — but the overlay's semantics are defined by it: the
+// overlay tests and the scenario engine's clone-per-scenario reference
+// replay each perturbation through these primitives and compare.
 
 // Clone returns a deep copy of the map: nodes, conduits (tenancy
 // slices included), and the lookup indexes are all fresh. Geometry

@@ -24,30 +24,59 @@ import (
 
 const datasetHeader = "# intertubes long-haul fiber map v1"
 
-// WriteMap serializes the map.
+// WriteMap serializes the map. Each line is appended into one reused
+// buffer, coordinates in strconv's 'f' format at five decimals, so the
+// encoding allocates a few buffers rather than a few per coordinate.
 func WriteMap(w io.Writer, m *Map) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, datasetHeader)
-	fmt.Fprintf(bw, "# nodes=%d conduits=%d links=%d\n", len(m.Nodes), len(m.Conduits), m.LinkCount())
+	b := append([]byte(datasetHeader), "\n# nodes="...)
+	b = strconv.AppendInt(b, int64(len(m.Nodes)), 10)
+	b = strconv.AppendInt(append(b, " conduits="...), int64(len(m.Conduits)), 10)
+	b = strconv.AppendInt(append(b, " links="...), int64(m.LinkCount()), 10)
+	bw.Write(append(b, '\n'))
 	for i := range m.Nodes {
 		n := &m.Nodes[i]
-		fmt.Fprintf(bw, "node|%s|%s|%.5f|%.5f|%d|%d\n",
-			n.City, n.State, n.Loc.Lat, n.Loc.Lon, n.Population, n.AtlasCity)
+		b = append(append(b[:0], "node|"...), n.City...)
+		b = append(append(b, '|'), n.State...)
+		b = appendCoord(append(b, '|'), n.Loc.Lat)
+		b = appendCoord(append(b, '|'), n.Loc.Lon)
+		b = strconv.AppendInt(append(b, '|'), int64(n.Population), 10)
+		b = strconv.AppendInt(append(b, '|'), int64(n.AtlasCity), 10)
+		bw.Write(append(b, '\n'))
 	}
 	for i := range m.Conduits {
 		c := &m.Conduits[i]
-		var path strings.Builder
+		b = appendKey(append(b[:0], "conduit|"...), &m.Nodes[c.A])
+		b = appendKey(append(b, '|'), &m.Nodes[c.B])
+		b = strconv.AppendInt(append(b, '|'), int64(c.Corridor), 10)
+		b = appendCSV(append(b, '|'), c.Tenants)
+		b = appendCSV(append(b, '|'), c.Hidden)
+		b = append(b, '|')
 		for j, p := range c.Path {
 			if j > 0 {
-				path.WriteByte(';')
+				b = append(b, ';')
 			}
-			fmt.Fprintf(&path, "%.5f,%.5f", p.Lat, p.Lon)
+			b = appendCoord(append(appendCoord(b, p.Lat), ','), p.Lon)
 		}
-		fmt.Fprintf(bw, "conduit|%s|%s|%d|%s|%s|%s\n",
-			m.Nodes[c.A].Key(), m.Nodes[c.B].Key(), c.Corridor,
-			strings.Join(c.Tenants, ","), strings.Join(c.Hidden, ","), path.String())
+		bw.Write(append(b, '\n'))
 	}
-	return bw.Flush()
+	return bw.Flush() // reports the first failed write
+}
+
+func appendCoord(b []byte, deg float64) []byte { return strconv.AppendFloat(b, deg, 'f', 5, 64) }
+
+func appendKey(b []byte, n *Node) []byte {
+	return append(append(append(b, n.City...), ','), n.State...)
+}
+
+func appendCSV(b []byte, xs []string) []byte {
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, x...)
+	}
+	return b
 }
 
 // ReadMap parses a map written by WriteMap.

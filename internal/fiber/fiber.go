@@ -300,40 +300,43 @@ func (m *Map) Stats() Stats {
 	return s
 }
 
-// Graph returns the conduit multigraph over all conduits: vertex i is
-// node i, edge j is conduit j, weighted by length. Conduits with no
-// tenants are included; use WeightFunc filters to exclude them.
-func (m *Map) Graph() *graph.Graph {
-	g := graph.New(len(m.Nodes))
-	for i := range m.Conduits {
-		c := &m.Conduits[i]
-		g.AddEdge(int(c.A), int(c.B), c.LengthKm)
+// Graph compiles the conduit multigraph of v: vertex i is node i,
+// edge j is conduit j, weighted by length. Conduits with no tenants
+// are included; LitWeight and TenantWeight exclude them.
+func Graph(v View) *graph.Graph {
+	g := graph.New(v.NumNodes())
+	for cid := ConduitID(0); int(cid) < v.NumConduits(); cid++ {
+		a, b := v.ConduitEnds(cid)
+		g.AddEdge(int(a), int(b), v.ConduitLengthKm(cid))
 	}
 	return g
 }
 
-// TenantWeight returns a graph.WeightFunc that permits only conduits
-// where isp is a published tenant, weighted by length.
-func (m *Map) TenantWeight(isp string) graph.WeightFunc {
-	return func(eid int) float64 {
-		c := &m.Conduits[eid]
-		if !c.HasTenant(isp) {
-			return inf
-		}
-		return c.LengthKm
-	}
+// TenantWeight returns a graph.WeightFunc over Graph(v) that permits
+// only conduits where isp is a tenant in v, weighted by length.
+func TenantWeight(v View, isp string) graph.WeightFunc {
+	return weightRow(v, func(cid ConduitID) bool { return v.HasTenant(cid, isp) })
 }
 
-// LitWeight returns a graph.WeightFunc permitting any conduit with at
-// least one published tenant (the paper's "conduits with lit fiber").
-func (m *Map) LitWeight() graph.WeightFunc {
-	return func(eid int) float64 {
-		c := &m.Conduits[eid]
-		if len(c.Tenants) == 0 {
-			return inf
+// LitWeight returns a graph.WeightFunc over Graph(v) that permits any
+// conduit with at least one tenant in v (the paper's "conduits with
+// lit fiber"), weighted by length.
+func LitWeight(v View) graph.WeightFunc {
+	return weightRow(v, func(cid ConduitID) bool { return len(v.Tenants(cid)) > 0 })
+}
+
+// weightRow compiles the row once, so the returned function is a slice
+// read: kernels call it once per edge per query, and Yen's k-shortest
+// paths queries once per spur. A conduit open rejects weighs +Inf.
+func weightRow(v View, open func(ConduitID) bool) graph.WeightFunc {
+	w := make([]float64, v.NumConduits())
+	for cid := range w {
+		w[cid] = inf
+		if open(ConduitID(cid)) {
+			w[cid] = v.ConduitLengthKm(ConduitID(cid))
 		}
-		return c.LengthKm
 	}
+	return func(eid int) float64 { return w[eid] }
 }
 
 var inf = math.Inf(1)

@@ -172,18 +172,18 @@ func TestGraphAndWeights(t *testing.T) {
 	m.AddTenant(conduits[1], "Level 3") // Denver-Cheyenne
 	m.AddTenant(conduits[2], "Sprint")  // SLC-Cheyenne
 
-	g := m.Graph()
+	g := Graph(m)
 	if g.NumVertices() != 3 || g.NumEdges() != 3 {
 		t.Fatalf("graph = %d vertices %d edges", g.NumVertices(), g.NumEdges())
 	}
 	// Level 3 cannot use the Sprint-only conduit: SLC->Cheyenne must
 	// route via Denver.
-	p, ok := g.ShortestPath(graph.NewWorkspace(), int(nodes[1]), int(nodes[2]), m.TenantWeight("Level 3"))
+	p, ok := g.ShortestPath(graph.NewWorkspace(), int(nodes[1]), int(nodes[2]), TenantWeight(m, "Level 3"))
 	if !ok || p.Hops() != 2 {
 		t.Errorf("Level 3 path = %+v, %v", p, ok)
 	}
 	// Under LitWeight the direct conduit is usable.
-	p, ok = g.ShortestPath(graph.NewWorkspace(), int(nodes[1]), int(nodes[2]), m.LitWeight())
+	p, ok = g.ShortestPath(graph.NewWorkspace(), int(nodes[1]), int(nodes[2]), LitWeight(m))
 	if !ok || p.Hops() != 1 {
 		t.Errorf("lit path = %+v, %v", p, ok)
 	}
@@ -192,8 +192,8 @@ func TestGraphAndWeights(t *testing.T) {
 func TestLitWeightExcludesEmptyConduits(t *testing.T) {
 	m, nodes, _ := testMap(t)
 	// No tenants anywhere: all conduits unlit.
-	g := m.Graph()
-	if _, ok := g.ShortestPath(graph.NewWorkspace(), int(nodes[0]), int(nodes[1]), m.LitWeight()); ok {
+	g := Graph(m)
+	if _, ok := g.ShortestPath(graph.NewWorkspace(), int(nodes[0]), int(nodes[1]), LitWeight(m)); ok {
 		t.Error("path should not exist over unlit conduits")
 	}
 }

@@ -17,13 +17,13 @@ import (
 //
 // Semantics are pinned to the mutation path: an Overlay's Final view
 // must answer every View query exactly as the map built by Clone +
-// RemoveISP + EnsureConduit/AddTenant + ClearTenants (in that order —
-// the scenario engine's order) would. In particular additions are NOT
-// filtered by removed providers (removal happens first, so an explicit
-// addition can re-introduce a removed provider's tenancy), and cuts
-// are applied last (they darken tenancies merged in by additions).
-// Materialize replays the delta through those primitives, and the
-// overlay test suite diffs the two against each other.
+// RemoveISP + EnsureConduit/AddTenant + ClearTenants (in that order)
+// would. In particular additions are NOT filtered by removed providers
+// (removal happens first, so an explicit addition can re-introduce a
+// removed provider's tenancy), and cuts are applied last (they darken
+// tenancies merged in by additions). The overlay test suite replays
+// each delta through those primitives and diffs the two. Production
+// code reads perturbed maps only through these views.
 
 // OverlayAddition is one resolved new build: endpoints as node ids and
 // an explicit, sorted tenant list (callers expand "open access" before
@@ -48,7 +48,6 @@ type Perturbation struct {
 // safe. The zero value is not ready; use NewOverlay.
 type Overlay struct {
 	base *Map
-	pert Perturbation
 
 	cut     []bool          // len == len(base.Conduits)
 	removed map[string]bool // provider-removal set
@@ -73,7 +72,6 @@ type Overlay struct {
 func NewOverlay(base *Map, p Perturbation) (*Overlay, error) {
 	o := &Overlay{
 		base:    base,
-		pert:    p,
 		cut:     make([]bool, len(base.Conduits)),
 		removed: make(map[string]bool, len(p.RemoveISPs)),
 		effPlus: make(map[ConduitID][]string),
@@ -185,29 +183,6 @@ func (o *Overlay) Plus() View { return overlayView{o: o, dark: false} }
 
 // Final is the fully perturbed view: cuts darkened on top of Plus.
 func (o *Overlay) Final() View { return overlayView{o: o, dark: true} }
-
-// Materialize replays the perturbation through the mutation primitives
-// onto a deep clone of the base, producing the very map the clone
-// evaluation path builds. The heavyweight consumers (latency studies,
-// traffic campaigns) take a concrete *Map; overlay evaluations
-// materialize one only when those stages are actually requested.
-func (o *Overlay) Materialize() *Map {
-	pm := o.base.Clone()
-	for _, isp := range o.pert.RemoveISPs {
-		pm.RemoveISP(isp)
-	}
-	for _, ad := range o.pert.Additions {
-		path := geo.Polyline{pm.Nodes[ad.A].Loc, pm.Nodes[ad.B].Loc}
-		cid := pm.EnsureConduit(ad.A, ad.B, -1, path)
-		for _, isp := range ad.Tenants {
-			pm.AddTenant(cid, isp)
-		}
-	}
-	for _, cid := range o.pert.Cuts {
-		pm.ClearTenants(cid)
-	}
-	return pm
-}
 
 // overlayView adapts an Overlay to the View interface; dark selects
 // whether cut conduits read as tenantless.

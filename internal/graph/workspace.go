@@ -31,9 +31,9 @@ type Workspace struct {
 	epoch  uint32
 	heap   heap4
 
-	// Materialized per-sweep weight table (one wf call per edge, so
+	// Per-sweep weight table, filled with one wf call per edge, so
 	// the relaxation loop indexes an array instead of calling a
-	// closure per edge visit).
+	// closure per edge visit.
 	weights []float64
 	// Yen scratch: a mutable copy of the base table carrying the
 	// spur-iteration exclusion masks.

@@ -168,16 +168,28 @@ func readCheckpoint(dir, id string) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// readCheckpoints loads every decodable checkpoint in dir, skipping
-// (and reporting) corrupt ones rather than failing recovery outright.
-func readCheckpoints(dir string) (cps []*Checkpoint, skipped []string, err error) {
+// jobID names the sweep of a plan over a baseline by both digests, so
+// a checkpoint's file name says which map its cells belong to.
+func jobID(planHash, baseline string) string {
+	return "sweep-" + planHash[:12] + idSuffix(baseline)
+}
+
+// idSuffix is the tail of every job id minted over baseline.
+func idSuffix(baseline string) string { return "-" + baseline[:12] }
+
+// readCheckpoints loads every decodable checkpoint in dir whose file
+// name carries baseline's id suffix, skipping (and reporting) corrupt
+// ones rather than failing recovery outright. Other maps' checkpoints
+// are not opened; the caller still checks each decoded baseline.
+func readCheckpoints(dir, baseline string) (cps []*Checkpoint, skipped []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
+	suffix := idSuffix(baseline) + ".json"
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, suffix) || strings.HasPrefix(name, ".") {
 			continue
 		}
 		cp, lerr := loadCheckpoint(filepath.Join(dir, name))

@@ -84,7 +84,7 @@ func TestCheckpointDecodeRejections(t *testing.T) {
 
 // TestRecoverSkipsVersionOneCheckpoint: a version-1 document named its
 // baseline by a process counter, which says nothing about the map.
-// Recovery skips it like any unreadable file and leaves it on disk.
+// Recovery never resumes it and leaves it on disk.
 func TestRecoverSkipsVersionOneCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	eng := newEngine(t, 0)
@@ -123,6 +123,71 @@ func TestRecoverSkipsVersionOneCheckpoint(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, v1) {
 		t.Errorf("version-1 checkpoint changed on disk (err %v)", err)
+	}
+}
+
+// TestReadCheckpointsSkipsOtherBaselinesByName: recovery opens only
+// the files named for its own baseline. Garbage under another
+// baseline's id suffix is neither loaded nor reported unreadable; the
+// same garbage under this engine's suffix is reported.
+func TestReadCheckpointsSkipsOtherBaselinesByName(t *testing.T) {
+	eng := newEngine(t, 0)
+	baseline := eng.Baseline()
+	other := strings.Repeat("0", 64)
+	if other[:12] == baseline[:12] {
+		t.Fatal("forged digest shares the engine's id suffix")
+	}
+	garbage := []byte("{not a checkpoint")
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, jobID(strings.Repeat("a", 64), other)+".json"), garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cps, skipped, err := readCheckpoints(dir, baseline)
+	if err != nil || len(cps) != 0 || len(skipped) != 0 {
+		t.Fatalf("another baseline's file: %d loaded, skipped %v, err %v; want none opened", len(cps), skipped, err)
+	}
+	own := jobID(strings.Repeat("a", 64), baseline) + ".json"
+	if err := os.WriteFile(filepath.Join(dir, own), garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cps, skipped, err = readCheckpoints(dir, baseline)
+	if err != nil || len(cps) != 0 || len(skipped) != 1 || skipped[0] != own {
+		t.Fatalf("own baseline's garbage: %d loaded, skipped %v, err %v; want %s reported", len(cps), skipped, err, own)
+	}
+}
+
+// TestRecoverChecksDecodedBaseline: the name is only a filter. A
+// well-formed checkpoint filed under this engine's id suffix that
+// carries another digest is neither resumed nor listed.
+func TestRecoverChecksDecodedBaseline(t *testing.T) {
+	dir := t.TempDir()
+	eng := newEngine(t, 0)
+	plan, baseline, err := eng.PlanGrid(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &Checkpoint{
+		V:        checkpointVersion,
+		ID:       jobID(plan.Hash, baseline),
+		Geom:     plan.Geom(),
+		Baseline: strings.Repeat("0", 64),
+		State:    StatePending,
+	}
+	if err := writeCheckpoint(dir, cp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readCheckpoint(dir, cp.ID); err != nil {
+		t.Fatalf("the forged checkpoint does not decode: %v", err)
+	}
+	s, err := NewStore(eng, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := s.List()
+	_, getErr := s.Get(cp.ID)
+	s.Close()
+	if len(list) != 0 || getErr != ErrNotFound {
+		t.Errorf("forged checkpoint: listed %+v, Get err %v; want neither", list, getErr)
 	}
 }
 

@@ -131,10 +131,13 @@ func NewStore(eng *scenario.Engine, opts Options) (*Store, error) {
 // records (their artifacts still render — a done job's straight from
 // its checkpoint, so its cells are not kept in memory), pending/running
 // ones are re-queued to resume from their completed-cell set. Only
-// checkpoints of this engine's baseline are loaded; the others stay on
-// disk untouched, for a process built on their own map.
+// checkpoints of this engine's baseline are loaded: a file named for
+// another baseline is not even opened, and a decoded one that names
+// another baseline is dropped. The others stay on disk untouched, for
+// a process built on their own map.
 func (s *Store) recover() error {
-	cps, skipped, err := readCheckpoints(s.opts.Dir)
+	baseline := s.eng.Baseline()
+	cps, skipped, err := readCheckpoints(s.opts.Dir, baseline)
 	if err != nil {
 		return fmt.Errorf("jobs: recover: %w", err)
 	}
@@ -146,7 +149,7 @@ func (s *Store) recover() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, cp := range cps {
-		if baseline := s.eng.Baseline(); cp.Baseline != baseline {
+		if cp.Baseline != baseline {
 			obs.Logger("jobs").Info("skipping checkpoint of another baseline",
 				"job", cp.ID, "baseline", cp.Baseline, "engine_baseline", baseline)
 			continue
@@ -192,7 +195,7 @@ func (s *Store) Submit(spec scenario.GridSpec) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	id := fmt.Sprintf("sweep-%s-%s", plan.Hash[:12], baseline[:12])
+	id := jobID(plan.Hash, baseline)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,6 +3,7 @@ package latency
 import (
 	"context"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"intertubes/internal/fiber"
@@ -15,13 +16,17 @@ import (
 // cities: one matrix row per city holding the shortest lit-fiber
 // distance to every map node. Rows are compared against the geodesic
 // c-in-fiber bound to give the per-pair latency inflation the
-// "Dissecting Latency" extension studies, and they are the scoring
+// "Dissecting Latency" extension studies. They are the best existing
+// paths of the §5.3 study (mitigate.LatencyStudy), which also runs its
+// k-shortest paths over the atlas's graph and weights, and the scoring
 // substrate for overlay relay placement (mitigate.PlaceRelays).
 //
 // An Atlas is immutable once built and safe for concurrent readers;
 // the derived pair table is built on first use and kept.
 type Atlas struct {
 	m      *fiber.Map
+	g      *graph.Graph
+	lit    graph.WeightFunc
 	mx     *Matrix
 	rowIdx []int32 // vertex -> row index, -1 when not a source
 
@@ -47,7 +52,8 @@ type PairLatency struct {
 type Options struct {
 	// MinPopulation restricts sources to cities at or above this
 	// population — the paper's long-haul definition uses 100,000 (the
-	// default), matching mitigate.LatencyOptions.
+	// default). The §5.3 study (mitigate.LatencyStudy) takes its city
+	// pairs from these sources.
 	MinPopulation int
 	// Workers bounds the worker pool for the source sweep (<= 0 means
 	// all CPUs). The atlas is bit-identical for any value.
@@ -77,8 +83,7 @@ func sourceNodes(m *fiber.Map, minPop int) []int32 {
 // Build computes the atlas over the baseline map: one Dijkstra per
 // major city over the lit-conduit graph.
 func Build(ctx context.Context, m *fiber.Map, opts Options) (*Atlas, error) {
-	opts = opts.withDefaults()
-	return buildAtlas(ctx, m, m.Graph(), m.LitWeight(), nil, nil, opts)
+	return BuildView(ctx, m, m, nil, nil, opts)
 }
 
 // BuildView computes the atlas over an arbitrary fiber.View whose
@@ -90,15 +95,11 @@ func Build(ctx context.Context, m *fiber.Map, opts Options) (*Atlas, error) {
 // that a reusing build is byte-identical to a from-scratch one.
 func BuildView(ctx context.Context, m *fiber.Map, v fiber.View, base *Atlas, reuse func(fiber.NodeID) bool, opts Options) (*Atlas, error) {
 	opts = opts.withDefaults()
-	g, wf := viewGraph(v)
-	return buildAtlas(ctx, m, g, wf, base, reuse, opts)
-}
-
-func buildAtlas(ctx context.Context, m *fiber.Map, g *graph.Graph, wf graph.WeightFunc, base *Atlas, reuse func(fiber.NodeID) bool, opts Options) (*Atlas, error) {
+	g, lit := fiber.Graph(v), fiber.LitWeight(v)
 	srcs := sourceNodes(m, opts.MinPopulation)
 	var reused atomic.Int64
 	var rowReuse func(i int, dst []float64) bool
-	if base != nil && reuse != nil && base.mx.Cols == g.NumVertices() && sameSources(base.mx.Sources, srcs) {
+	if base != nil && reuse != nil && base.mx.Cols == g.NumVertices() && slices.Equal(base.mx.Sources, srcs) {
 		rowReuse = func(i int, dst []float64) bool {
 			if !reuse(fiber.NodeID(srcs[i])) {
 				return false
@@ -108,7 +109,7 @@ func buildAtlas(ctx context.Context, m *fiber.Map, g *graph.Graph, wf graph.Weig
 			return true
 		}
 	}
-	mx, err := BuildMatrix(ctx, g, wf, srcs, opts.Workers, rowReuse)
+	mx, err := BuildMatrix(ctx, g, lit, srcs, opts.Workers, rowReuse)
 	if err != nil {
 		return nil, err
 	}
@@ -119,42 +120,20 @@ func buildAtlas(ctx context.Context, m *fiber.Map, g *graph.Graph, wf graph.Weig
 	for i, s := range srcs {
 		rowIdx[s] = int32(i)
 	}
-	return &Atlas{m: m, mx: mx, rowIdx: rowIdx, ReusedRows: int(reused.Load())}, nil
+	return &Atlas{m: m, g: g, lit: lit, mx: mx, rowIdx: rowIdx, ReusedRows: int(reused.Load())}, nil
 }
 
-func sameSources(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// Map returns the base map whose node metadata the atlas reads.
+func (a *Atlas) Map() *fiber.Map { return a.m }
 
-// viewGraph compiles v into the conduit multigraph (edge id ==
-// conduit id, weighted by length) plus the lit-weight function: +Inf
-// for conduits with no effective tenants, exactly fiber.Map.LitWeight
-// semantics so a view build is byte-identical to building on the
-// materialized map.
-func viewGraph(v fiber.View) (*graph.Graph, graph.WeightFunc) {
-	g := graph.New(v.NumNodes())
-	w := make([]float64, v.NumConduits())
-	for cid := 0; cid < v.NumConduits(); cid++ {
-		id := fiber.ConduitID(cid)
-		a, b := v.ConduitEnds(id)
-		km := v.ConduitLengthKm(id)
-		g.AddEdge(int(a), int(b), km)
-		if len(v.Tenants(id)) > 0 {
-			w[cid] = km
-		} else {
-			w[cid] = math.Inf(1)
-		}
-	}
-	return g, func(eid int) float64 { return w[eid] }
-}
+// Graph returns the conduit multigraph the atlas was built over (edge
+// id == conduit id of the view, overlay-new conduits included).
+// Read-only.
+func (a *Atlas) Graph() *graph.Graph { return a.g }
+
+// LitWeight returns the lit-conduit weights the rows were computed
+// under: conduit length, +Inf for a conduit without tenants.
+func (a *Atlas) LitWeight() graph.WeightFunc { return a.lit }
 
 // NumSources returns the number of matrix rows (major cities).
 func (a *Atlas) NumSources() int { return len(a.mx.Sources) }

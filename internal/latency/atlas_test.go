@@ -234,8 +234,8 @@ func skipIfAllocsUnmeasurable(t *testing.T) {
 func TestRowKernelZeroAlloc(t *testing.T) {
 	skipIfAllocsUnmeasurable(t)
 	res := build(t)
-	g := res.Map.Graph()
-	wf := res.Map.LitWeight()
+	g := fiber.Graph(res.Map)
+	wf := fiber.LitWeight(res.Map)
 	srcs := sourceNodes(res.Map, 100000)
 	if len(srcs) == 0 {
 		t.Fatal("no sources")

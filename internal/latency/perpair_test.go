@@ -21,8 +21,8 @@ import (
 // pins byte-identical output against the batched build.
 func pairsPerPair(ctx context.Context, m *fiber.Map, opts Options) ([]PairLatency, error) {
 	opts = opts.withDefaults()
-	g := m.Graph()
-	wf := m.LitWeight()
+	g := fiber.Graph(m)
+	wf := fiber.LitWeight(m)
 	srcs := sourceNodes(m, opts.MinPopulation)
 	type pair struct{ a, b int32 }
 	var pairs []pair
@@ -119,8 +119,8 @@ func BenchmarkLatencyAtlas(b *testing.B) {
 		}
 	})
 	b.Run("row", func(b *testing.B) {
-		g := m.Graph()
-		wf := m.LitWeight()
+		g := fiber.Graph(m)
+		wf := fiber.LitWeight(m)
 		ws := graph.NewWorkspace()
 		row := make([]float64, g.NumVertices())
 		src := int(warm.Source(0))

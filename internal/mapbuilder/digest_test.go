@@ -7,6 +7,8 @@ import (
 	"io"
 	"sort"
 	"testing"
+
+	"intertubes/internal/fiber"
 )
 
 // digest_test.go pins the whole build: a digest over the Report, every
@@ -51,6 +53,26 @@ func TestBuildDigestPinned(t *testing.T) {
 			if got := resultDigest(res); got != want[seed] {
 				t.Errorf("seed %d workers %d: build digest %s, want %s", seed, workers, got, want[seed])
 			}
+		}
+	}
+}
+
+// TestWriteMapDigestPinned pins fiber.WriteMap's bytes directly: the
+// dataset export and the engine's baseline digest are both these
+// bytes, so an encoder rewrite must reproduce them exactly.
+func TestWriteMapDigestPinned(t *testing.T) {
+	want := map[int64]string{
+		42: "9b3e30e1bd3ecf30a2227915c4abe8b71ef1fa1cf8c7b769840fc6e9f34b1f40",
+		7:  "e6c2a78f643a3c801a8887e3509d4b318c8f763c169c58233e05a4471e243342",
+	}
+	for _, seed := range []int64{42, 7} {
+		res := Build(context.Background(), Options{Seed: seed})
+		h := sha256.New()
+		if err := fiber.WriteMap(h, res.Map); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[seed] {
+			t.Errorf("seed %d: WriteMap digest %s, want %s", seed, got, want[seed])
 		}
 	}
 }

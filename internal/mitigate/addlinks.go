@@ -122,7 +122,7 @@ func ispTargets(m *fiber.Map, mx *risk.Matrix, isp string, n int) []fiber.Condui
 // sweep chooses identical additions at any worker count.
 func AddConduits(ctx context.Context, m *fiber.Map, mx *risk.Matrix, opts AddOptions) (*AddResult, error) {
 	opts = opts.withDefaults()
-	g := m.Graph() // mutated as conduits are added
+	g := fiber.Graph(m) // mutated as conduits are added
 
 	// Candidate set: city pairs with no direct conduit, within the
 	// length window, shortest first.

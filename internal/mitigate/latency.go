@@ -40,101 +40,74 @@ type PairLatency struct {
 
 // LatencyOptions tunes the study.
 type LatencyOptions struct {
-	// MinPopulation restricts the study to city pairs at or above this
-	// population — the paper's long-haul definition uses 100,000
-	// (the default).
-	MinPopulation int
-	// KPaths is how many alternative existing paths contribute to the
-	// average (default 4).
-	KPaths int
-	// MaxStretch drops alternative paths longer than this multiple of
-	// the best (default 2.5); real traffic would never take them.
-	MaxStretch float64
-	// SecondaryKm is the maximum great-circle distance at which two
-	// cities are assumed to be joined by a secondary highway absent a
-	// mapped corridor (default 250 km).
-	SecondaryKm float64
-	// SecondaryCircuity inflates secondary-highway lengths over the
-	// great circle (default 1.15).
-	SecondaryCircuity float64
 	// MaxPairs caps the number of city pairs studied (0 = no cap);
 	// pairs are dropped deterministically by stride, not truncation.
 	MaxPairs int
-	// MaxLosKm restricts the study to pairs within this line-of-sight
-	// distance (default 900 km, matching the 1-4 ms delay range of the
-	// paper's Figure 12).
-	MaxLosKm float64
 	// Workers bounds the worker pool for the all-pairs sweep (<= 0
 	// means all CPUs). The result is identical for any value.
 	Workers int
 }
 
-func (o LatencyOptions) withDefaults() LatencyOptions {
-	if o.MinPopulation == 0 {
-		o.MinPopulation = 100000
-	}
-	if o.KPaths == 0 {
-		o.KPaths = 4
-	}
-	if o.MaxStretch == 0 {
-		o.MaxStretch = 2.5
-	}
-	if o.SecondaryKm == 0 {
-		o.SecondaryKm = 250
-	}
-	if o.SecondaryCircuity == 0 {
-		o.SecondaryCircuity = 1.15
-	}
-	if o.MaxLosKm == 0 {
-		o.MaxLosKm = 900
-	}
-	return o
-}
+// The study's fixed model parameters.
+const (
+	// kPaths is how many alternative existing paths contribute to the
+	// average.
+	kPaths = 4
+	// maxStretch drops alternative paths longer than this multiple of
+	// the best; real traffic would never take them.
+	maxStretch = 2.5
+	// secondaryKm is the maximum great-circle distance at which two
+	// cities are assumed to be joined by a secondary highway absent a
+	// mapped corridor.
+	secondaryKm = 250
+	// secondaryCircuity inflates secondary-highway lengths over the
+	// great circle.
+	secondaryCircuity = 1.15
+	// maxLosKm restricts the study to pairs within this line-of-sight
+	// distance, matching the 1-4 ms delay range of the paper's
+	// Figure 12.
+	maxLosKm = 900
+)
 
 // rowGraph builds the full right-of-way graph over atlas cities:
 // every corridor plus implicit secondary highways between nearby
 // pairs.
-func rowGraph(a *atlas.Atlas, opts LatencyOptions) *graph.Graph {
+func rowGraph(a *atlas.Atlas) *graph.Graph {
 	g := a.Graph()
 	for i := range a.Cities {
 		for j := i + 1; j < len(a.Cities); j++ {
 			d := a.Cities[i].Loc.DistanceKm(a.Cities[j].Loc)
-			if d > opts.SecondaryKm {
+			if d > secondaryKm {
 				continue
 			}
-			g.AddEdge(i, j, d*opts.SecondaryCircuity)
+			g.AddEdge(i, j, d*secondaryCircuity)
 		}
 	}
 	return g
 }
 
-// LatencyStudy computes PairLatency for every pair of map nodes whose
-// cities meet the population threshold and that are connected through
-// lit conduits. Pairs appear once (A < B). Cancellation is
-// cooperative: the all-pairs sweep stops granting chunks once ctx is
-// canceled and the call returns (nil, ctx.Err()). A completed study is
-// bit-identical at any worker count.
-func LatencyStudy(ctx context.Context, m *fiber.Map, a *atlas.Atlas, opts LatencyOptions) ([]PairLatency, error) {
-	opts = opts.withDefaults()
-	g := m.Graph()
-	rg := rowGraph(a, opts)
+// LatencyStudy computes PairLatency for every pair of the latency
+// atlas's sources (the major cities) that lit conduits connect, on the
+// map the atlas was built over. Pairs appear once (A < B).
+// Cancellation is cooperative: the all-pairs sweep stops granting
+// chunks once ctx is canceled and the call returns (nil, ctx.Err()). A
+// completed study is bit-identical at any worker count.
+func LatencyStudy(ctx context.Context, at *latency.Atlas, a *atlas.Atlas, opts LatencyOptions) ([]PairLatency, error) {
+	m, g, litWF := at.Map(), at.Graph(), at.LitWeight()
+	rg := rowGraph(a)
 
-	// Major-city nodes, ascending id.
-	var nodes []fiber.NodeID
-	for i := range m.Nodes {
-		if m.Nodes[i].Population >= opts.MinPopulation {
-			nodes = append(nodes, fiber.NodeID(i))
-		}
+	type pair struct {
+		ra   int // atlas row of a
+		a, b fiber.NodeID
 	}
-	type pair struct{ a, b fiber.NodeID }
 	var pairs []pair
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			d := m.Node(nodes[i]).Loc.DistanceKm(m.Node(nodes[j]).Loc)
-			if d > opts.MaxLosKm {
+	for i := 0; i < at.NumSources(); i++ {
+		for j := i + 1; j < at.NumSources(); j++ {
+			na, nb := at.Source(i), at.Source(j)
+			if m.Node(na).Loc.DistanceKm(m.Node(nb).Loc) > maxLosKm {
 				continue
 			}
-			pairs = append(pairs, pair{a: nodes[i], b: nodes[j]})
+			pairs = append(pairs, pair{ra: i, a: na, b: nb})
 		}
 	}
 	if opts.MaxPairs > 0 && len(pairs) > opts.MaxPairs {
@@ -146,36 +119,22 @@ func LatencyStudy(ctx context.Context, m *fiber.Map, a *atlas.Atlas, opts Latenc
 		pairs = kept
 	}
 
-	// Phase 1 — source-batched SSSP rows (internal/latency): one full
-	// Dijkstra per distinct source over the lit graph and one per
-	// distinct atlas city over the ROW graph, instead of one query per
-	// pair. A pair then reads its best-existing and best-ROW distances
-	// straight off matrix rows; a row value is bit-identical to the
-	// per-pair query it replaces (same Dijkstra accumulation, and an
+	// Phase 1 — source-batched SSSP rows (internal/latency): the lit
+	// rows are the atlas's, and one full Dijkstra per distinct atlas
+	// city runs over the ROW graph, instead of one query per pair. A
+	// pair then reads its best-existing and best-ROW distances straight
+	// off matrix rows; a row value is bit-identical to the per-pair
+	// query it replaces (same Dijkstra accumulation, and an
 	// early-stopped run settles dst at its final distance), so the
 	// output bytes are unchanged — the worker-invariance suite pins
 	// this.
-	litWF := m.LitWeight()
-	litSrc := make([]int32, len(nodes))
-	litIdx := make([]int32, m.NumNodes()) // node id -> lit matrix row
-	for i := range litIdx {
-		litIdx[i] = -1
-	}
-	for i, id := range nodes {
-		litSrc[i] = int32(id)
-		litIdx[id] = int32(i)
-	}
-	litMx, err := latency.BuildMatrix(ctx, g, litWF, litSrc, opts.Workers, nil)
-	if err != nil {
-		return nil, err
-	}
 	rowIdx := make([]int32, rg.NumVertices()) // atlas city -> ROW matrix row
 	for i := range rowIdx {
 		rowIdx[i] = -1
 	}
 	var rowSrc []int32
-	for _, id := range nodes {
-		if ac := m.Node(id).AtlasCity; ac >= 0 && ac < len(rowIdx) && rowIdx[ac] < 0 {
+	for i := 0; i < at.NumSources(); i++ {
+		if ac := m.Node(at.Source(i)).AtlasCity; ac >= 0 && ac < len(rowIdx) && rowIdx[ac] < 0 {
 			rowIdx[ac] = 0 // mark; renumbered after the sort below
 			rowSrc = append(rowSrc, int32(ac))
 		}
@@ -191,9 +150,8 @@ func LatencyStudy(ctx context.Context, m *fiber.Map, a *atlas.Atlas, opts Latenc
 
 	// Phase 2 — per-pair work that a distance matrix cannot batch:
 	// Yen's k-shortest-paths for the alternative-path average. Pairs
-	// the lit matrix shows disconnected skip Yen entirely (previously
-	// each burned a full no-path Dijkstra); dropped pairs are filtered
-	// during the ordered reduce.
+	// the atlas shows disconnected skip Yen entirely; dropped pairs are
+	// filtered during the ordered reduce.
 	type pairResult struct {
 		pl PairLatency
 		ok bool
@@ -205,19 +163,19 @@ func LatencyStudy(ctx context.Context, m *fiber.Map, a *atlas.Atlas, opts Latenc
 		pl.LosMs = geo.FiberLatencyMs(na.Loc.DistanceKm(nb.Loc))
 
 		// Best existing physical path over lit conduits, off the
-		// batched matrix row.
-		best := litMx.Row(int(litIdx[p.a]))[p.b]
+		// atlas row.
+		best := at.DistKm(p.ra, p.b)
 		if math.IsInf(best, 0) {
 			return pairResult{} // no lit path
 		}
-		paths := g.KShortestPaths(ws, int(p.a), int(p.b), opts.KPaths, litWF)
+		paths := g.KShortestPaths(ws, int(p.a), int(p.b), kPaths, litWF)
 		if len(paths) == 0 {
 			return pairResult{}
 		}
 		var sum float64
 		n := 0
 		for _, path := range paths {
-			if path.Weight > best*opts.MaxStretch {
+			if path.Weight > best*maxStretch {
 				break
 			}
 			sum += path.Weight

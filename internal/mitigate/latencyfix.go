@@ -39,8 +39,7 @@ type LatencyImprovement struct {
 // are skipped. Cancellation of the per-pair ROW-graph scan is
 // cooperative; a completed call is bit-identical at any worker count.
 func LatencyImprovements(ctx context.Context, m *fiber.Map, a *atlas.Atlas, study []PairLatency, k int, opts LatencyOptions) ([]LatencyImprovement, error) {
-	opts = opts.withDefaults()
-	rg := rowGraph(a, opts)
+	rg := rowGraph(a)
 	nCorridors := len(a.Corridors)
 
 	// Corridors that already carry lit fiber contribute no new fiber

@@ -7,6 +7,7 @@ import (
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
+	"intertubes/internal/latency"
 	"intertubes/internal/mapbuilder"
 	"intertubes/internal/risk"
 )
@@ -23,6 +24,16 @@ func build(t *testing.T) (*mapbuilder.Result, *risk.Matrix) {
 		cachedMx = risk.Build(cachedRes.Map, nil)
 	}
 	return cachedRes, cachedMx
+}
+
+// litAtlas builds the latency atlas of m, which LatencyStudy reads.
+func litAtlas(t *testing.T, m *fiber.Map, opts latency.Options) *latency.Atlas {
+	t.Helper()
+	at, err := latency.Build(context.Background(), m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return at
 }
 
 // smallMap builds a hand-checked topology:
@@ -205,7 +216,7 @@ func TestLatencyStudySmall(t *testing.T) {
 	m, _, _ := smallMap(t)
 	// The small map's nodes have no atlas cities, so ROW falls back to
 	// the best existing path.
-	study, _ := LatencyStudy(context.Background(), m, res.Atlas, LatencyOptions{MinPopulation: 1})
+	study, _ := LatencyStudy(context.Background(), litAtlas(t, m, latency.Options{MinPopulation: 1}), res.Atlas, LatencyOptions{})
 	if len(study) == 0 {
 		t.Fatal("no pairs studied")
 	}
@@ -224,7 +235,7 @@ func TestLatencyStudySmall(t *testing.T) {
 
 func TestLatencyStudyFullMap(t *testing.T) {
 	res, _ := build(t)
-	study, _ := LatencyStudy(context.Background(), res.Map, res.Atlas, LatencyOptions{MaxPairs: 800})
+	study, _ := LatencyStudy(context.Background(), litAtlas(t, res.Map, latency.Options{}), res.Atlas, LatencyOptions{MaxPairs: 800})
 	if len(study) < 400 {
 		t.Fatalf("pairs = %d", len(study))
 	}
@@ -398,7 +409,7 @@ func TestAddConduitsExactMode(t *testing.T) {
 
 func TestLatencyImprovements(t *testing.T) {
 	res, _ := build(t)
-	study, _ := LatencyStudy(context.Background(), res.Map, res.Atlas, LatencyOptions{MaxPairs: 800})
+	study, _ := LatencyStudy(context.Background(), litAtlas(t, res.Map, latency.Options{}), res.Atlas, LatencyOptions{MaxPairs: 800})
 	imps, _ := LatencyImprovements(context.Background(), res.Map, res.Atlas, study, 10, LatencyOptions{})
 	if len(imps) == 0 {
 		t.Fatal("no latency improvements proposed; ~40% of pairs are off the ROW bound")

@@ -4,18 +4,22 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"intertubes/internal/latency"
 )
 
-// TestLatencyStudyWorkerInvariance pins the parallel all-pairs sweep
-// to the serial result for several worker counts.
+// TestLatencyStudyWorkerInvariance pins the parallel all-pairs sweep,
+// the atlas it reads included, to the serial result for several worker
+// counts.
 func TestLatencyStudyWorkerInvariance(t *testing.T) {
 	res, _ := build(t)
-	base, _ := LatencyStudy(context.Background(), res.Map, res.Atlas, LatencyOptions{MaxPairs: 250, Workers: 1})
+	base, _ := LatencyStudy(context.Background(), litAtlas(t, res.Map, latency.Options{Workers: 1}), res.Atlas, LatencyOptions{MaxPairs: 250, Workers: 1})
 	if len(base) == 0 {
 		t.Fatal("empty latency study")
 	}
 	for _, workers := range []int{2, 6} {
-		got, _ := LatencyStudy(context.Background(), res.Map, res.Atlas, LatencyOptions{MaxPairs: 250, Workers: workers})
+		at := litAtlas(t, res.Map, latency.Options{Workers: workers})
+		got, _ := LatencyStudy(context.Background(), at, res.Atlas, LatencyOptions{MaxPairs: 250, Workers: workers})
 		if !reflect.DeepEqual(got, base) {
 			t.Errorf("workers=%d: latency pairs diverge from serial", workers)
 		}
@@ -27,7 +31,7 @@ func TestLatencyStudyWorkerInvariance(t *testing.T) {
 // be identical for any worker count.
 func TestLatencyImprovementsWorkerInvariance(t *testing.T) {
 	res, _ := build(t)
-	study, _ := LatencyStudy(context.Background(), res.Map, res.Atlas, LatencyOptions{MaxPairs: 250, Workers: 1})
+	study, _ := LatencyStudy(context.Background(), litAtlas(t, res.Map, latency.Options{Workers: 1}), res.Atlas, LatencyOptions{MaxPairs: 250, Workers: 1})
 	base, _ := LatencyImprovements(context.Background(), res.Map, res.Atlas, study, 10, LatencyOptions{Workers: 1})
 	if len(base) == 0 {
 		t.Fatal("no proposed builds")

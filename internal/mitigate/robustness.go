@@ -83,7 +83,7 @@ const hopPenalty = 2.0
 // and peering suggestions. topPeers bounds the suggestion list (the
 // paper shows 3).
 func RobustnessSuggestion(m *fiber.Map, mx *risk.Matrix, targets []fiber.ConduitID, topPeers int) []ISPRobustness {
-	g := m.Graph()
+	g := fiber.Graph(m)
 	// One workspace serves every shortest-path query of the scan.
 	ws := graph.NewWorkspace()
 	var out []ISPRobustness

@@ -59,7 +59,7 @@ func ProviderRow(m *fiber.Map, isp string) (row []float64, verts []int) {
 // CutImpact evaluates a cut set against every ISP in the matrix.
 // Results are sorted by decreasing DisconnectedPairs.
 func CutImpact(m *fiber.Map, mx *risk.Matrix, cuts []fiber.ConduitID) []Impact {
-	g := m.Graph()
+	g := fiber.Graph(m)
 	cut := make([]bool, m.NumConduits())
 	for _, cid := range cuts {
 		cut[cid] = true
@@ -98,8 +98,8 @@ func TargetedBySharing(mx *risk.Matrix, k int) []fiber.ConduitID {
 // TargetedByBetweenness returns the k conduits with the highest
 // shortest-path betweenness over the lit conduit graph.
 func TargetedByBetweenness(m *fiber.Map, k int) []fiber.ConduitID {
-	g := m.Graph()
-	bc := g.EdgeBetweenness(graph.NewWorkspace(), m.LitWeight(), nil)
+	g := fiber.Graph(m)
+	bc := g.EdgeBetweenness(graph.NewWorkspace(), fiber.LitWeight(m), nil)
 	type scored struct {
 		cid fiber.ConduitID
 		v   float64
@@ -171,7 +171,7 @@ type PartitionCost struct {
 // conduit weights). Sorted ascending by MinCuts — the most fragile
 // providers first.
 func PartitionCosts(m *fiber.Map, isps []string) []PartitionCost {
-	g := m.Graph()
+	g := fiber.Graph(m)
 	ws := graph.NewWorkspace()
 	out := make([]PartitionCost, 0, len(isps))
 	for _, isp := range isps {
@@ -199,8 +199,8 @@ type CriticalConduit struct {
 // and "shared by the most ISPs" is the paper's risk story in one
 // table.
 func Criticality(m *fiber.Map, mx *risk.Matrix, k int) []CriticalConduit {
-	g := m.Graph()
-	bc := g.EdgeBetweenness(graph.NewWorkspace(), m.LitWeight(), nil)
+	g := fiber.Graph(m)
+	bc := g.EdgeBetweenness(graph.NewWorkspace(), fiber.LitWeight(m), nil)
 	ids := TargetedByBetweenness(m, k)
 	out := make([]CriticalConduit, 0, len(ids))
 	for _, cid := range ids {

@@ -85,7 +85,7 @@ func connectivity(m *fiber.Map, g *graph.Graph, isp string, cut map[fiber.Condui
 // referenceCutImpact is CutImpact over the map-walking union-find,
 // indexed by provider.
 func referenceCutImpact(m *fiber.Map, mx *risk.Matrix, cuts []fiber.ConduitID) map[string]Impact {
-	g := m.Graph()
+	g := fiber.Graph(m)
 	cut := make(map[fiber.ConduitID]bool, len(cuts))
 	for _, cid := range cuts {
 		cut[cid] = true
@@ -156,7 +156,7 @@ func cutIndicator(n int, cuts []fiber.ConduitID) []bool {
 func TestImpactOnMatchesCutImpactRing(t *testing.T) {
 	m, cids := ringMap(t)
 	mx := risk.Build(m, nil)
-	g := m.Graph()
+	g := fiber.Graph(m)
 	var s ImpactScratch
 	cutSets := [][]fiber.ConduitID{
 		nil,
@@ -185,7 +185,7 @@ func TestImpactOnMatchesCutImpactAtlas(t *testing.T) {
 	want := referenceCutImpact(m, mx, cuts)
 	rows := impactByISP(CutImpact(m, mx, cuts))
 	cut := cutIndicator(m.NumConduits(), cuts)
-	g := m.Graph()
+	g := fiber.Graph(m)
 	var s ImpactScratch
 	for _, isp := range mx.ISPs {
 		got := impactOnView(&s, g, m, m.NumConduits(), isp, cuts, cut)
@@ -232,7 +232,7 @@ func TestImpactOnOverlayMatchesMutatedClone(t *testing.T) {
 	want := referenceCutImpact(pmPlus, mx2, pert.Cuts)
 	cut := cutIndicator(ov.NumBaseConduits(), pert.Cuts)
 	plus := ov.Plus()
-	g := m.Graph()
+	g := fiber.Graph(m)
 	var s ImpactScratch
 	for _, isp := range mx2.ISPs {
 		got := impactOnView(&s, g, plus, ov.NumBaseConduits(), isp, pert.Cuts, cut)
@@ -247,7 +247,7 @@ func TestImpactOnOverlayMatchesMutatedClone(t *testing.T) {
 func TestPartitionCostWSMatchesDense(t *testing.T) {
 	res, mx := build(t)
 	m := res.Map
-	g := m.Graph()
+	g := fiber.Graph(m)
 	ws := graph.NewWorkspace()
 
 	wantByISP := make(map[string]int)

@@ -8,10 +8,11 @@ import (
 )
 
 // atlas.go wires the all-pairs latency atlas (internal/latency) into
-// the engine: the baseline atlas is memoized on the snapshot, and a
-// scenario's atlas is built over the copy-on-write overlay view,
-// reusing every baseline matrix row whose source the perturbation
-// provably cannot affect.
+// the engine: the baseline atlas is memoized on the snapshot, where
+// the baseline §5.3 study reads its lit rows, and a scenario's atlas —
+// the latency stage's input — is built over the copy-on-write overlay
+// view, reusing every baseline matrix row whose source the
+// perturbation provably cannot affect.
 //
 // The reuse rule works on connected components of the lit-conduit
 // graph: a source's reachable region is exactly its lit component, so
@@ -74,16 +75,22 @@ func (e *Engine) LatencyAtlas(ctx context.Context) (*latency.Atlas, error) {
 // result is byte-identical to a from-scratch build on the
 // materialized perturbed map.
 func (e *Engine) LatencyAtlasFor(ctx context.Context, sc Scenario) (*latency.Atlas, error) {
+	ov, pert, err := e.buildOverlay(sc, e.keptISPs(sc))
+	if err != nil {
+		return nil, err
+	}
+	return e.overlayAtlas(ctx, ov, pert)
+}
+
+// overlayAtlas builds the latency atlas over ov's final view, where
+// pert is the perturbation ov records, reusing the baseline rows whose
+// lit component pert leaves untouched.
+func (e *Engine) overlayAtlas(ctx context.Context, ov *fiber.Overlay, pert fiber.Perturbation) (*latency.Atlas, error) {
 	base, err := e.LatencyAtlas(ctx)
 	if err != nil {
 		return nil, err
 	}
 	m := e.snap.res.Map
-	ov, pert, err := e.buildOverlay(sc, e.keptISPs(sc))
-	if err != nil {
-		return nil, err
-	}
-
 	comp := e.snap.litComponents()
 	touched := make(map[int32]bool)
 	mark := func(n fiber.NodeID) { touched[comp[n]] = true }
@@ -92,7 +99,7 @@ func (e *Engine) LatencyAtlasFor(ctx context.Context, sc Scenario) (*latency.Atl
 		mark(a)
 		mark(b)
 	}
-	for _, isp := range sc.RemoveISPs {
+	for _, isp := range pert.RemoveISPs {
 		for _, cid := range m.ConduitsOf(isp) {
 			a, b := m.ConduitEnds(cid)
 			mark(a)

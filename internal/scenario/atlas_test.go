@@ -43,7 +43,8 @@ func sameAtlas(t *testing.T, label string, got, want *latency.Atlas) {
 
 // referenceAtlases rebuilds sc's perturbation the way LatencyAtlasFor
 // does and returns the two from-scratch references: a no-reuse build
-// over the overlay view, and a build over the materialized map.
+// over the overlay view, and a build over the clone reference's fully
+// perturbed map (clone_ref_test.go).
 func referenceAtlases(t *testing.T, eng *Engine, sc Scenario) (*latency.Atlas, *latency.Atlas) {
 	t.Helper()
 	ctx := context.Background()
@@ -71,7 +72,11 @@ func referenceAtlases(t *testing.T, eng *Engine, sc Scenario) (*latency.Atlas, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	materialized, err := latency.Build(ctx, ov.Materialize(), latency.Options{})
+	cm, err := cloneMaps(eng, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	materialized, err := latency.Build(ctx, cm.final, latency.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

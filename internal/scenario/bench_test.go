@@ -184,3 +184,33 @@ func BenchmarkScenarioSweep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScenarioEvaluateLatencyTraffic times a two-conduit cut with
+// both opt-in stages (the §5.3 latency study and a traceroute campaign
+// overlay), at small overrides, per evaluator on a warmed engine: the
+// baseline summaries both stages diff against are memoized by the
+// warm-up, so an iteration pays only the perturbed side.
+func BenchmarkScenarioEvaluateLatencyTraffic(b *testing.B) {
+	res, mx := benchBaseline()
+	sc := Scenario{
+		CutMostShared:  2,
+		IncludeLatency: true,
+		IncludeTraffic: true,
+		Overrides:      Overrides{LatencyMaxPairs: 60, Probes: 2000},
+	}
+	ctx := context.Background()
+	for _, mode := range benchModes {
+		b.Run(mode.name, func(b *testing.B) {
+			eng := New(res, mx, Options{Seed: 42})
+			if _, err := mode.eval(ctx, eng, sc); err != nil { // warm: baseline memos
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mode.eval(ctx, eng, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

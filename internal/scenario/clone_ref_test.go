@@ -7,6 +7,7 @@ import (
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
+	"intertubes/internal/latency"
 	"intertubes/internal/resilience"
 	"intertubes/internal/risk"
 )
@@ -55,45 +56,26 @@ func evaluateClone(ctx context.Context, e *Engine, sc Scenario) (*Result, error)
 	m := e.snap.res.Map
 	base := e.snap.baseline()
 
-	cuts, err := e.ResolveCuts(sc)
+	cm, err := cloneMaps(e, sc)
 	if err != nil {
 		return nil, err
 	}
-
+	cuts, pmPlus, pm, kept := cm.cuts, cm.plus, cm.final, e.keptISPs(sc)
 	res := &Result{
-		Hash:        sc.Hash(),
-		Scenario:    sc,
-		Cut:         cuts,
-		ConduitsCut: len(cuts),
-		ISPsRemoved: sc.RemoveISPs,
+		Hash:          sc.Hash(),
+		Scenario:      sc,
+		Cut:           cuts,
+		ConduitsCut:   len(cuts),
+		ISPsRemoved:   sc.RemoveISPs,
+		LinksRemoved:  cm.linksRemoved,
+		ConduitsAdded: len(sc.Additions),
 	}
 	for _, cid := range cuts {
 		res.TenanciesCut += len(m.Conduit(cid).Tenants)
 	}
 
-	// pmPlus: removals and additions applied, cut conduits still lit —
-	// the topology used for connectivity, where a severed node must
-	// still count against its provider's pair total.
-	pmPlus := m.Clone()
-	for _, isp := range sc.RemoveISPs {
-		res.LinksRemoved += pmPlus.RemoveISP(isp)
-	}
-	kept := e.keptISPs(sc)
-	for _, ad := range sc.Additions {
-		if err := applyAddition(pmPlus, ad, kept); err != nil {
-			return nil, err
-		}
-		res.ConduitsAdded++
-	}
-
 	if err := checkpoint(); err != nil {
 		return nil, err
-	}
-
-	// pm: the fully perturbed map — cuts go dark on top of pmPlus.
-	pm := pmPlus.Clone()
-	for _, cid := range cuts {
-		pm.ClearTenants(cid)
 	}
 
 	mx2 := risk.Build(pm, kept)
@@ -128,13 +110,53 @@ func evaluateClone(ctx context.Context, e *Engine, sc Scenario) (*Result, error)
 	// evaluator's unchanged-capacity reuse is tested against.
 	res.LostTraffic = lostTrafficClone(e.snap, pm)
 
-	if err := e.latencyStage(ctx, sc, pm, res); err != nil {
+	err = e.latencyStage(ctx, sc, res, func(ctx context.Context) (*latency.Atlas, error) {
+		return latency.Build(ctx, pm, latency.Options{Workers: e.opts.Workers})
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := e.trafficStage(ctx, sc, pm, res); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// perturbedMaps is the clone reference's pair of perturbed maps.
+type perturbedMaps struct {
+	// cuts is the resolved cut set; linksRemoved counts the (ISP,
+	// conduit) links the removal clause severed.
+	cuts         []fiber.ConduitID
+	linksRemoved int
+	// plus has removals and additions applied, cut conduits still lit
+	// — the topology used for connectivity, where a severed node must
+	// still count against its provider's pair total. final is plus
+	// with the cuts dark: the fully perturbed map.
+	plus, final *fiber.Map
+}
+
+// cloneMaps deep-copies the baseline map and replays sc on the copies
+// through the mutation primitives: removals, then additions, then cuts.
+func cloneMaps(e *Engine, sc Scenario) (*perturbedMaps, error) {
+	cuts, err := e.ResolveCuts(sc)
+	if err != nil {
+		return nil, err
+	}
+	pm := &perturbedMaps{cuts: cuts, plus: e.snap.res.Map.Clone()}
+	for _, isp := range sc.RemoveISPs {
+		pm.linksRemoved += pm.plus.RemoveISP(isp)
+	}
+	kept := e.keptISPs(sc)
+	for _, ad := range sc.Additions {
+		if err := applyAddition(pm.plus, ad, kept); err != nil {
+			return nil, err
+		}
+	}
+	pm.final = pm.plus.Clone()
+	for _, cid := range cuts {
+		pm.final.ClearTenants(cid)
+	}
+	return pm, nil
 }
 
 // applyAddition materializes one new build on the perturbed map. An
@@ -165,7 +187,7 @@ func applyAddition(pm *fiber.Map, ad Addition, kept []string) error {
 // pair on the perturbed map's own graph, reusing none.
 func lostTrafficClone(snap *snapshot, pm *fiber.Map) *LostTraffic {
 	cb := snap.capacity()
-	g, ws, caps := pm.Graph(), graph.NewWorkspace(), capacityTable(pm, nil)
+	g, ws, caps := fiber.Graph(pm), graph.NewWorkspace(), capacityTable(pm, nil)
 	served := 0.0
 	for _, d := range cb.demands {
 		served += g.MaxFlow(ws, int(d.s), int(d.t), caps, nil, d.gbps)

@@ -81,6 +81,82 @@ func TestResultDigests(t *testing.T) {
 	}
 }
 
+// namedScenario is one scenario of a pinned list.
+type namedScenario struct {
+	name string
+	sc   Scenario
+}
+
+// latencyTrafficScenarios lists scenarios that run the opt-in latency
+// and traffic stages at small overrides, on the seed-42 test map. They
+// cover where a perturbed view and a materialized map could disagree:
+// cut and removed tenancy, an addition between two major cities that
+// no conduit joins (an id past the base map, following corridor -1),
+// a second addition on that pair, which merges into the first, and all
+// of it at once.
+func latencyTrafficScenarios() []namedScenario {
+	small := Overrides{LatencyMaxPairs: 60, Probes: 2000}
+	both := func(sc Scenario) Scenario {
+		sc.IncludeLatency, sc.IncludeTraffic, sc.Overrides = true, true, small
+		return sc
+	}
+	const sea, pdx = "Seattle,WA", "Portland,OR"
+	return []namedScenario{
+		{"cut-most-shared-2", both(Scenario{CutMostShared: 2})},
+		{"remove-level3", both(Scenario{RemoveISPs: []string{"Level 3"}})},
+		{"add-sea-pdx", both(Scenario{Additions: []Addition{{A: sea, B: pdx}}})},
+		{"add-sea-pdx-twice", both(Scenario{Additions: []Addition{
+			{A: sea, B: pdx, Tenants: []string{"Zayo"}},
+			{A: pdx, B: sea, Tenants: []string{"Cogent", "Sprint"}},
+		}})},
+		{"cut-remove-add", both(Scenario{
+			CutMostShared: 3,
+			RemoveISPs:    []string{"AT&T"},
+			Additions:     []Addition{{A: sea, B: pdx, Tenants: []string{"AT&T", "Level 3"}}},
+		})},
+		{"latency-only", Scenario{CutMostShared: 2, IncludeLatency: true, Overrides: Overrides{LatencyMaxPairs: 60}}},
+		{"traffic-only", Scenario{CutMostShared: 2, IncludeTraffic: true, Overrides: Overrides{Probes: 2000}}},
+	}
+}
+
+// TestLatencyTrafficDigests pins the Result bytes of every
+// latencyTrafficScenarios entry at one worker and several, recorded
+// while both stages still ran on a materialized copy of the perturbed
+// map.
+func TestLatencyTrafficDigests(t *testing.T) {
+	want := map[string]string{
+		"cut-most-shared-2": "317d424438499603359d1c645aeb33d8217c8ce6c71c6a0dcfa2b9efeb3db80b",
+		"remove-level3":     "bce0ce3fbec59d933c0cc99f05cf34f829af21c512f716329da3f7aff9038496",
+		"add-sea-pdx":       "830da72113c0a7c68b32ac13c65911b605b7c4c67f4125ba36d5c672de853c6f",
+		"add-sea-pdx-twice": "78590663e955e1a5c1c694c84c7b45d9ede68e09d84b8d3730763e5b9c1f9c87",
+		"cut-remove-add":    "b84cb2bc691725ea8bbe8bc101fcd2cdea39c6618e0ba8183b386d8b9e8c418d",
+		"latency-only":      "4ff1df8042fd871fd4531a0e1b01d09afec2c9b4d5a785e3dd70333f9c96dc0f",
+		"traffic-only":      "03ff7e958f6750c61578aeeacc963501ccf3e7124b0daa84f9ea9db4d522162a",
+	}
+	res, _ := build(t)
+	sea, _ := res.Map.NodeByKey("Seattle,WA")
+	pdx, _ := res.Map.NodeByKey("Portland,OR")
+	if got := res.Map.ConduitsBetween(sea, pdx); len(got) != 0 {
+		t.Fatalf("Seattle-Portland already has conduits %v; the additions would not add one", got)
+	}
+	for _, workers := range []int{0, 1, 4} {
+		eng := newEngine(t, workers)
+		for _, ns := range latencyTrafficScenarios() {
+			r, err := eng.Evaluate(context.Background(), ns.sc)
+			if err != nil {
+				t.Fatalf("%s: %v", ns.name, err)
+			}
+			if r.Latency == nil && ns.sc.IncludeLatency || r.Traffic == nil && ns.sc.IncludeTraffic {
+				t.Fatalf("%s: a requested stage left no delta", ns.name)
+			}
+			sum := sha256.Sum256(mustJSON(t, r))
+			if got := hex.EncodeToString(sum[:]); got != want[ns.name] {
+				t.Errorf("workers %d: %s digest = %s, want %s", workers, ns.name, got, want[ns.name])
+			}
+		}
+	}
+}
+
 func TestHeatmapDigest(t *testing.T) {
 	eng := newEngine(t, 0)
 	plan, baseline, err := eng.PlanGrid(GridSpec{CellKm: 300, RadiiKm: []float64{100, 200}})

@@ -9,6 +9,7 @@ import (
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
+	"intertubes/internal/latency"
 	"intertubes/internal/mapbuilder"
 	"intertubes/internal/mitigate"
 	"intertubes/internal/obs"
@@ -25,10 +26,11 @@ import (
 //
 // Evaluation runs on a copy-on-write overlay (overlay_eval.go): it
 // records the scenario's delta over the shared snapshot and recomputes
-// only the stages the delta touches. The clone-per-scenario evaluator
-// it replaced — deep-copy the map, mutate, re-run everything — lives
-// on in the package's tests as the executable specification the
-// differential suite and FuzzOverlayEvaluate compare against.
+// only the stages the delta touches; no stage copies the map. The
+// clone-per-scenario evaluator it replaced — deep-copy the map, mutate,
+// re-run everything — lives on in the package's tests as the
+// executable specification the differential suite and
+// FuzzOverlayEvaluate compare against.
 
 var evaluations = obs.GetCounter("scenario_evaluations_total",
 	"Scenario evaluations actually executed (cache hits and singleflight followers excluded).")
@@ -106,18 +108,21 @@ func (e *Engine) runEvalHook(ctx context.Context) {
 	}
 }
 
-// runCampaign runs a campaign of probes probes over res on the study's stream.
-func (e *Engine) runCampaign(ctx context.Context, res *mapbuilder.Result, probes int) (*traceroute.Campaign, error) {
-	return traceroute.Run(ctx, res, traceroute.Options{
+// runCampaign runs a campaign of probes probes on the study's stream,
+// attributing its traces onto pub: the baseline map, or a scenario's
+// perturbed view of it.
+func (e *Engine) runCampaign(ctx context.Context, pub fiber.View, probes int) (*traceroute.Campaign, error) {
+	return traceroute.Run(ctx, e.snap.res, pub, traceroute.Options{
 		N:       probes,
 		Seed:    e.opts.Seed + 2,
 		Workers: e.opts.Workers,
 	})
 }
 
-// runLatencyStudy runs the §5.3 study over m, capped at maxPairs pairs.
-func (e *Engine) runLatencyStudy(ctx context.Context, m *fiber.Map, maxPairs int) ([]mitigate.PairLatency, error) {
-	return mitigate.LatencyStudy(ctx, m, e.snap.res.Atlas, mitigate.LatencyOptions{
+// runLatencyStudy runs the §5.3 study over the map at's latency atlas
+// was built on, capped at maxPairs pairs.
+func (e *Engine) runLatencyStudy(ctx context.Context, at *latency.Atlas, maxPairs int) ([]mitigate.PairLatency, error) {
+	return mitigate.LatencyStudy(ctx, at, e.snap.res.Atlas, mitigate.LatencyOptions{
 		MaxPairs: maxPairs,
 		Workers:  e.opts.Workers,
 	})
@@ -375,8 +380,10 @@ func fillDisconnection(res *Result, base *baseline, impacts []resilience.Impact)
 }
 
 // latencyStage runs the §5.3 latency comparison when the scenario
-// asks for it. pm is the fully perturbed map.
-func (e *Engine) latencyStage(ctx context.Context, sc Scenario, pm *fiber.Map, res *Result) error {
+// asks for it, over the perturbed map's latency atlas, which atlasFor
+// builds. The stage span reports how many atlas rows were recomputed
+// and how many were reused from the baseline's.
+func (e *Engine) latencyStage(ctx context.Context, sc Scenario, res *Result, atlasFor func(context.Context) (*latency.Atlas, error)) error {
 	if !sc.IncludeLatency {
 		return nil
 	}
@@ -389,7 +396,12 @@ func (e *Engine) latencyStage(ctx context.Context, sc Scenario, pm *fiber.Map, r
 	if sc.Overrides.LatencyMaxPairs > 0 {
 		maxPairs = sc.Overrides.LatencyMaxPairs
 	}
-	afterStudy, err := e.runLatencyStudy(ctx, pm, maxPairs)
+	at, err := atlasFor(ctx)
+	if err != nil {
+		return err
+	}
+	setReuseAttrs(sp, at.NumSources()-at.ReusedRows, at.ReusedRows)
+	afterStudy, err := e.runLatencyStudy(ctx, at, maxPairs)
 	if err != nil {
 		return err
 	}
@@ -406,8 +418,9 @@ func (e *Engine) latencyStage(ctx context.Context, sc Scenario, pm *fiber.Map, r
 }
 
 // trafficStage runs the traffic-overlay comparison when the scenario
-// asks for it. pm is the fully perturbed map.
-func (e *Engine) trafficStage(ctx context.Context, sc Scenario, pm *fiber.Map, res *Result) error {
+// asks for it, attributing the campaign onto pub, the fully perturbed
+// map.
+func (e *Engine) trafficStage(ctx context.Context, sc Scenario, pub fiber.View, res *Result) error {
 	if !sc.IncludeTraffic {
 		return nil
 	}
@@ -420,13 +433,11 @@ func (e *Engine) trafficStage(ctx context.Context, sc Scenario, pm *fiber.Map, r
 	if sc.Overrides.Probes > 0 {
 		probes = sc.Overrides.Probes
 	}
-	res2 := *e.snap.res
-	res2.Map = pm
 	before, err := e.baselineTraffic(ctx, probes)
 	if err != nil {
 		return err
 	}
-	after, err := e.runCampaign(ctx, &res2, probes)
+	after, err := e.runCampaign(ctx, pub, probes)
 	if err != nil {
 		return err
 	}

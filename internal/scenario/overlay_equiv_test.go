@@ -188,15 +188,15 @@ func TestOverlayMatchesClonePresets(t *testing.T) {
 	}
 }
 
+// TestOverlayMatchesCloneLatencyTraffic runs the opt-in stages on
+// every latencyTrafficScenarios entry: virtual conduit ids, corridor
+// -1 and the tally size are where the overlay view and the clone's
+// mutated map could disagree.
 func TestOverlayMatchesCloneLatencyTraffic(t *testing.T) {
 	ovEng, clEng := enginePair(t)
-	sc := Scenario{
-		CutMostShared:  2,
-		IncludeLatency: true,
-		IncludeTraffic: true,
-		Overrides:      Overrides{LatencyMaxPairs: 60, Probes: 2000},
+	for _, ns := range latencyTrafficScenarios() {
+		diffJSON(t, ns.name, evalJSON(t, ovEng, ns.sc), cloneJSON(t, clEng, ns.sc))
 	}
-	diffJSON(t, "latency+traffic", evalJSON(t, ovEng, sc), cloneJSON(t, clEng, sc))
 }
 
 // randomScenario draws a composite scenario over valid map entities.

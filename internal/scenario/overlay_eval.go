@@ -9,6 +9,7 @@ import (
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/graph"
+	"intertubes/internal/latency"
 	"intertubes/internal/obs"
 	"intertubes/internal/resilience"
 	"intertubes/internal/risk"
@@ -31,8 +32,10 @@ import (
 //     +Inf, overlay-new conduits ride as extra edges), from which the
 //     footprint, the disconnection union-find and the sparse
 //     Stoer-Wagner partition cost are all read;
-//   - the heavyweight optional stages (latency, traffic) materialize
-//     a concrete map only when the scenario requests them.
+//   - the opt-in stages read the final view too: the latency study
+//     runs over the overlay's latency atlas (reusing the baseline rows
+//     the delta cannot reach), and the traffic campaign attributes
+//     onto the view.
 //
 // The output contract is strict: bit-identical Results to the
 // clone-per-scenario reference in clone_ref_test.go, enforced by the
@@ -382,16 +385,15 @@ func (e *Engine) evaluateOverlay(ctx context.Context, sc Scenario) (*Result, err
 		return nil
 	})
 
-	// The optional heavyweight stages consume a concrete *Map; build
-	// it once, only when asked.
-	if sc.IncludeLatency || sc.IncludeTraffic {
-		pm := ov.Materialize()
-		if err := e.latencyStage(ctx, sc, pm, res); err != nil {
-			return nil, err
-		}
-		if err := e.trafficStage(ctx, sc, pm, res); err != nil {
-			return nil, err
-		}
+	// The opt-in stages, each skipped unless the scenario asks for it.
+	err = e.latencyStage(ctx, sc, res, func(ctx context.Context) (*latency.Atlas, error) {
+		return e.overlayAtlas(ctx, ov, pert)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := e.trafficStage(ctx, sc, final, res); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -87,7 +87,7 @@ func (s *snapshot) baseline() *baseline {
 			meanOf:   make(map[string]float64),
 			disc:     make(map[string]resilience.Impact),
 			part:     make(map[string]int),
-			g:        m.Graph(),
+			g:        fiber.Graph(m),
 			ispIdx:   make(map[string]int, len(s.mx.ISPs)),
 			ispW:     make([][]float64, len(s.mx.ISPs)),
 			ispVerts: make([][]int, len(s.mx.ISPs)),
@@ -147,13 +147,13 @@ func (e *Engine) Campaign(ctx context.Context) (*traceroute.Campaign, error) {
 // campaign at Options.Probes, a fresh one otherwise.
 func (e *Engine) campaignAt(ctx context.Context, probes int) (*traceroute.Campaign, error) {
 	if probes != e.opts.Probes {
-		return e.runCampaign(ctx, e.snap.res, probes)
+		return e.runCampaign(ctx, e.snap.res.Map, probes)
 	}
 	return e.snap.campaign.Get(ctx, func(ctx context.Context) (*traceroute.Campaign, error) {
 		ctx, sp := obs.Trace(ctx, "study.campaign")
 		defer sp.End()
 		sp.SetWorkers(par.Workers(e.opts.Workers))
-		camp, err := e.runCampaign(ctx, e.snap.res, probes)
+		camp, err := e.runCampaign(ctx, e.snap.res.Map, probes)
 		if err != nil {
 			return nil, err
 		}
@@ -169,17 +169,25 @@ func (e *Engine) LatencyStudy(ctx context.Context) ([]mitigate.PairLatency, erro
 	return e.latencyStudyAt(ctx, e.opts.LatencyMaxPairs)
 }
 
-// latencyStudyAt returns a baseline study of maxPairs pairs: the
-// shared study at Options.LatencyMaxPairs, a fresh one otherwise.
+// latencyStudyAt returns a baseline study of maxPairs pairs over the
+// baseline's latency atlas: the shared study at
+// Options.LatencyMaxPairs, a fresh one otherwise.
 func (e *Engine) latencyStudyAt(ctx context.Context, maxPairs int) ([]mitigate.PairLatency, error) {
+	run := func(ctx context.Context) ([]mitigate.PairLatency, error) {
+		at, err := e.LatencyAtlas(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return e.runLatencyStudy(ctx, at, maxPairs)
+	}
 	if maxPairs != e.opts.LatencyMaxPairs {
-		return e.runLatencyStudy(ctx, e.snap.res.Map, maxPairs)
+		return run(ctx)
 	}
 	return e.snap.latStudy.Get(ctx, func(ctx context.Context) ([]mitigate.PairLatency, error) {
 		ctx, sp := obs.Trace(ctx, "study.latency")
 		defer sp.End()
 		sp.SetWorkers(par.Workers(e.opts.Workers))
-		study, err := e.runLatencyStudy(ctx, e.snap.res.Map, maxPairs)
+		study, err := run(ctx)
 		if err != nil {
 			return nil, err
 		}

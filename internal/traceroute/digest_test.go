@@ -83,7 +83,7 @@ func TestCampaignDigestPinned(t *testing.T) {
 	res, _ := campaign(t)
 	const want = "d2adcdc5c942c29d2750f2fd885453052fcb658a834b0976efc04c221dd065e2"
 	for _, workers := range []int{1, 3} {
-		c, _ := Run(context.Background(), res, Options{N: 20000, Seed: 99, Workers: workers})
+		c, _ := Run(context.Background(), res, res.Map, Options{N: 20000, Seed: 99, Workers: workers})
 		if got := campaignDigest(c); got != want {
 			t.Errorf("workers=%d: campaign digest %s, want %s", workers, got, want)
 		}
@@ -95,7 +95,7 @@ func TestCampaignDigestPinned(t *testing.T) {
 // into a fresh campaign and pins the merged aggregates.
 func TestOverlayParsedDigestPinned(t *testing.T) {
 	res, _ := campaign(t)
-	src, _ := Run(context.Background(), res, Options{N: 4000, Seed: 17, RetainTraces: 4000})
+	src, _ := Run(context.Background(), res, res.Map, Options{N: 4000, Seed: 17, RetainTraces: 4000})
 	var text strings.Builder
 	for _, tr := range src.Samples {
 		text.WriteString(src.FormatText(tr))
@@ -106,7 +106,7 @@ func TestOverlayParsedDigestPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := Run(context.Background(), res, Options{N: 500, Seed: 31})
+	c, _ := Run(context.Background(), res, res.Map, Options{N: 500, Seed: 31})
 	n := c.OverlayParsed(parsed)
 	got := fmt.Sprintf("%d %s", n, campaignDigest(c))
 	const want = "3527 ef3ceea62420acc5372ede73daac3690aa4383de38db89e453444d30e84bae3d"
@@ -129,7 +129,7 @@ func TestCampaignSamplesDigestPinned(t *testing.T) {
 		{1, "d3253ea1eb0f9491ad7f8b6d413c8233bd07e769b6bdcc93d3f6edb732800272"},
 	} {
 		for _, workers := range []int{1, 3} {
-			c, err := Run(context.Background(), res, Options{N: 20000, Seed: 99, RetainTraces: tc.retain, Workers: workers})
+			c, err := Run(context.Background(), res, res.Map, Options{N: 20000, Seed: 99, RetainTraces: tc.retain, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -110,7 +110,7 @@ func TestHopSlotsDecodeLikeTheirNames(t *testing.T) {
 	}
 	isps = append(isps, &ispContext{name: foreign, nodes: isps[0].nodes})
 	namer := NewNamer(a)
-	syn := newSynthesizer(a, namer, newCityDistances(a), isps, Options{}.withDefaults())
+	syn := newSynthesizer(a, namer, newCityDistances(a), isps)
 	n := len(a.Cities)
 	slots := 0
 	for i, ctx := range isps {

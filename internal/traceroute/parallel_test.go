@@ -16,9 +16,9 @@ import (
 // be identical for any worker count at a fixed seed.
 func TestRunWorkerInvariance(t *testing.T) {
 	res, _ := campaign(t)
-	base, _ := Run(context.Background(), res, Options{N: 6000, Seed: 11, Workers: 1})
+	base, _ := Run(context.Background(), res, res.Map, Options{N: 6000, Seed: 11, Workers: 1})
 	for _, workers := range []int{2, 5} {
-		got, _ := Run(context.Background(), res, Options{N: 6000, Seed: 11, Workers: workers})
+		got, _ := Run(context.Background(), res, res.Map, Options{N: 6000, Seed: 11, Workers: workers})
 		if got.Total != base.Total {
 			t.Errorf("workers=%d: Total = %d, want %d", workers, got.Total, base.Total)
 		}
@@ -92,7 +92,7 @@ func TestRunCanceled(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			before := runtime.NumGoroutine()
 			ctx := tc.ctx()
-			c, err := Run(ctx, res, Options{N: 20000, Seed: 3, Workers: workers})
+			c, err := Run(ctx, res, res.Map, Options{N: 20000, Seed: 3, Workers: workers})
 			if c != nil || !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s, workers=%d: Run = %v, %v; want nil, context.Canceled", tc.name, workers, c, err)
 			}

@@ -129,12 +129,12 @@ func (c *Campaign) FormatText(t Trace) string {
 // resolvable hop cities. It returns the number of traces that
 // contributed at least one attribution.
 func (c *Campaign) OverlayParsed(traces []ParsedTrace) int {
-	routes := newOverlayRoutes(c.res)
+	routes := newOverlayRoutes(c.res, c.pub)
 	// The build can fail only by cancellation, and this signature
 	// carries no ctx.
 	_, _ = buildRouteTables(context.TODO(), c.Opts.Workers, routes.tables())
 	sc := newProbeScratch() // serial overlay: one scratch for every query
-	t := newTally(len(c.res.Map.Conduits))
+	t := newTally(c.pub.NumConduits())
 	contributed := 0
 	for _, pt := range traces {
 		sc.decoded = sc.decoded[:0]

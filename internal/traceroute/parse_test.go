@@ -92,7 +92,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 func TestOverlayParsedMergesCounts(t *testing.T) {
 	res, _ := campaign(t)
 	// A fresh small campaign to overlay into.
-	c, _ := Run(context.Background(), res, Options{N: 500, Seed: 31})
+	c, _ := Run(context.Background(), res, res.Map, Options{N: 500, Seed: 31})
 	beforeChecked := c.AttributionChecked
 
 	// Render some synthetic traces to text, then re-ingest them.
@@ -116,7 +116,7 @@ func TestOverlayParsedMergesCounts(t *testing.T) {
 
 func TestOverlayParsedIgnoresUnresolvable(t *testing.T) {
 	res, _ := campaign(t)
-	c, _ := Run(context.Background(), res, Options{N: 200, Seed: 32})
+	c, _ := Run(context.Background(), res, res.Map, Options{N: 200, Seed: 32})
 	parsed := []ParsedTrace{
 		{Hops: []ParsedHop{{Index: 1, Name: "ae-1.unknowable.example.org"}, {Index: 2}}},
 		{Hops: []ParsedHop{{Index: 1, Name: "ae-1.chicil.level3.net"}}}, // single hop

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"intertubes/internal/atlas"
+	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
 	"intertubes/internal/mapbuilder"
@@ -16,7 +17,7 @@ import (
 
 // routes.go holds the route tables of one campaign. Every route a
 // probe needs is a pure function of the immutable atlas and published
-// map, so the tables resolve each route once, before the first probe,
+// view, so the tables resolve each route once, before the first probe,
 // and keep it for the rest of the campaign:
 //
 //   - nearest backbone city per (provider, city), dense;
@@ -424,8 +425,9 @@ func (r *truthRoutes) appendPath(buf []int, isp, from, to int) ([]int, bool) {
 	return buf, false
 }
 
-// overlayRoutes maps visible hop pairs onto published conduits and
-// scores them against ground truth, for one campaign or one
+// overlayRoutes maps visible hop pairs onto the conduits of a
+// published map (the built map, or a scenario's perturbed view of it)
+// and scores them against ground truth, for one campaign or one
 // OverlayParsed call. Providers are decoder indices (domainTable), so
 // every provider a hop name can carry has a row and no query hashes a
 // name.
@@ -441,36 +443,37 @@ type overlayRoutes struct {
 	conduits int
 }
 
-func newOverlayRoutes(res *mapbuilder.Result) *overlayRoutes {
-	m := res.Map
-	mg := m.Graph()
+func newOverlayRoutes(res *mapbuilder.Result, pub fiber.View) *overlayRoutes {
+	mg := fiber.Graph(pub)
 	nISPs := len(domains.isps)
 	r := &overlayRoutes{
 		cityNode: make([]int, len(res.Atlas.Cities)),
 		tenant:   make([]*routeTable, nISPs),
-		lit:      newRouteTable(mg, mg.Weights(m.LitWeight(), nil)),
-		truth:    make([]bool, nISPs*len(m.Conduits)),
-		conduits: len(m.Conduits),
+		lit:      newRouteTable(mg, mg.Weights(fiber.LitWeight(pub), nil)),
+		truth:    make([]bool, nISPs*pub.NumConduits()),
+		conduits: pub.NumConduits(),
 	}
 	for i := range r.cityNode {
 		r.cityNode[i] = -1
 	}
-	for _, n := range m.Nodes {
+	for _, n := range res.Map.Nodes {
 		if n.AtlasCity >= 0 {
 			r.cityNode[n.AtlasCity] = int(n.ID)
 		}
 	}
 	for isp, name := range domains.isps {
-		row := mg.Weights(m.TenantWeight(name), nil)
+		row := mg.Weights(fiber.TenantWeight(pub, name), nil)
 		for _, w := range row {
 			if !math.IsInf(w, 1) {
 				r.tenant[isp] = newRouteTable(mg, row)
 				break
 			}
 		}
+		// Ground truth follows corridors: a conduit a view adds
+		// follows none, so no provider occupies it.
 		edges := res.Truth[name].Edges
-		for cid := range m.Conduits {
-			if corridor := m.Conduits[cid].Corridor; corridor >= 0 {
+		for cid := range res.Map.Conduits {
+			if corridor := res.Map.Conduits[cid].Corridor; corridor >= 0 {
 				r.truth[isp*r.conduits+cid] = edges[corridor]
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
 	"intertubes/internal/mapbuilder"
@@ -46,10 +47,10 @@ func segmentOracle(res *mapbuilder.Result, cityNode []int, cityA, cityB int, isp
 	if na < 0 || nb < 0 {
 		return nil, false
 	}
-	mg := res.Map.Graph()
-	path, ok := mg.ShortestPath(graph.NewWorkspace(), na, nb, res.Map.TenantWeight(isp))
+	mg := fiber.Graph(res.Map)
+	path, ok := mg.ShortestPath(graph.NewWorkspace(), na, nb, fiber.TenantWeight(res.Map, isp))
 	if !ok {
-		path, ok = mg.ShortestPath(graph.NewWorkspace(), na, nb, res.Map.LitWeight())
+		path, ok = mg.ShortestPath(graph.NewWorkspace(), na, nb, fiber.LitWeight(res.Map))
 	}
 	return path.Edges, ok
 }
@@ -85,7 +86,7 @@ func campaignRoutes(t *testing.T, res *mapbuilder.Result) (*truthRoutes, *overla
 	t.Helper()
 	isps := transitProviders(res, sortedTruthNames(res))
 	truth := newTruthRoutes(res.Atlas, res.Graph, newCityDistances(res.Atlas), isps)
-	overlay := newOverlayRoutes(res)
+	overlay := newOverlayRoutes(res, res.Map)
 	if _, err := buildRouteTables(context.Background(), 2, slices.Concat(truth.tables, overlay.tables())); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestRouteTablesCoverSettledVertices(t *testing.T) {
 		ws := graph.NewWorkspace()
 		var dist []float64
 		rows := 0
-		for _, table := range slices.Concat(truth.tables, newOverlayRoutes(res).tables()) {
+		for _, table := range slices.Concat(truth.tables, newOverlayRoutes(res, res.Map).tables()) {
 			wf := func(eid int) float64 { return table.row[eid] }
 			for v := 0; v < table.g.NumVertices(); v++ {
 				dist = table.g.ShortestDistances(ws, v, wf, dist)

@@ -195,7 +195,7 @@ func (d *decisions) draw(ctx context.Context, opts Options, grav *gravity, isps 
 					break
 				}
 			}
-			peered := rng.Float64() < opts.PeerProb
+			peered := rng.Float64() < peerProb
 			if len(isps) > 1 {
 				// The peer is any other provider: a pick of the first
 				// moves on to the next.
@@ -226,7 +226,10 @@ func (d *decisions) close() {
 }
 
 // Run synthesizes a campaign over the built map and overlays it onto
-// the published conduits. ctx both parents the campaign's stage spans
+// the conduits of pub, the published map: res.Map itself, or a
+// scenario's perturbed view of it. Synthesis reads only res's atlas,
+// ground truth and corridor graph, so pub changes the attribution and
+// never the traces. ctx both parents the campaign's stage spans
 // and carries real cancellation: the phase-1 draws, the route-table
 // build and every phase-2 window check ctx at chunk-grant boundaries,
 // so a canceled campaign stops synthesizing within one window and
@@ -234,7 +237,7 @@ func (d *decisions) close() {
 // to the serial order at any worker count — cancellation can only
 // abort a run, never reorder it. Run returns only after every
 // goroutine it started has exited. A negative opts.N is an error.
-func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, error) {
+func Run(ctx context.Context, res *mapbuilder.Result, pub fiber.View, opts Options) (*Campaign, error) {
 	if opts.N < 0 {
 		return nil, fmt.Errorf("traceroute: N must be >= 0 (got %d)", opts.N)
 	}
@@ -247,6 +250,7 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 		ISPConduits:     make(map[string]map[fiber.ConduitID]int64),
 		InferredTenants: make(map[fiber.ConduitID]map[string]bool),
 		res:             res,
+		pub:             pub,
 		namer:           NewNamer(a),
 	}
 
@@ -276,7 +280,7 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	// results.
 	dist := newCityDistances(a)
 	truth := newTruthRoutes(a, res.Graph, dist, isps)
-	overlay := newOverlayRoutes(res)
+	overlay := newOverlayRoutes(res, pub)
 	_, tablesSpan := obs.Trace(ctx, "traceroute.tables")
 	tablesSpan.SetWorkers(par.Workers(opts.Workers))
 	rows, err := buildRouteTables(ctx, opts.Workers, slices.Concat(truth.tables, overlay.tables()))
@@ -285,7 +289,7 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	if err != nil {
 		return nil, err
 	}
-	syn := newSynthesizer(a, c.namer, dist, isps, opts)
+	syn := newSynthesizer(a, c.namer, dist, isps)
 
 	// sampled is the rest of a probe's trace, which only a retained
 	// sample needs.
@@ -372,7 +376,7 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 	// offset from the campaign seed because phase 1 draws from that
 	// stream; chunk indices stay absolute across windows.
 	synthSeed := opts.Seed + 0x5eed
-	scratch := scratchPool{conduits: len(res.Map.Conduits)}
+	scratch := scratchPool{conduits: pub.NumConduits()}
 	for w := range decide.ready {
 		window = w
 		samples = nil
@@ -432,7 +436,6 @@ func Run(ctx context.Context, res *mapbuilder.Result, opts Options) (*Campaign, 
 // synthesis and decoding would otherwise make per hop, so a trace is
 // bit-identical to one rendered by making them.
 type synthesizer struct {
-	opts    Options
 	dist    *cityDistances
 	nCities int
 	// names holds Namer.HopName of every (provider, backbone city,
@@ -457,10 +460,10 @@ type hopSlot struct {
 // from (ae-1 .. ae-9).
 const hopInterfaces = 9
 
-func newSynthesizer(a *atlas.Atlas, namer *Namer, dist *cityDistances, isps []*ispContext, opts Options) *synthesizer {
+func newSynthesizer(a *atlas.Atlas, namer *Namer, dist *cityDistances, isps []*ispContext) *synthesizer {
 	n := len(a.Cities)
 	s := &synthesizer{
-		opts: opts, dist: dist, nCities: n,
+		dist: dist, nCities: n,
 		slots: make([]hopSlot, len(isps)*n),
 	}
 	var arena []byte
@@ -518,7 +521,7 @@ func (s *synthesizer) appendPeeredHops(rng *rand.Rand, sc *probeScratch, keep bo
 // stream advances alike either way. It reports whether the segment
 // tunnels.
 func (s *synthesizer) appendHops(rng *rand.Rand, sc *probeScratch, keep bool, isp, src int, cities []int) bool {
-	mpls := rng.Float64() < s.opts.MPLSProb
+	mpls := rng.Float64() < mplsProb
 
 	visible := cities
 	if mpls && len(cities) > 2 {
@@ -536,7 +539,7 @@ func (s *synthesizer) appendHops(rng *rand.Rand, sc *probeScratch, keep bool, is
 	for _, city := range visible {
 		jitter := rng.Float64()
 		iface := -1 // hidden by rDNS noise
-		if rng.Float64() >= s.opts.GeoNoiseProb {
+		if rng.Float64() >= geoNoiseProb {
 			iface = rng.Intn(hopInterfaces)
 			if sl := &slots[city]; sl.decodes {
 				sc.decoded = append(sc.decoded, sl.hop)

@@ -28,7 +28,7 @@ func TestOverlayDecoderOnlyProvider(t *testing.T) {
 		}
 	}
 	res := mapbuilder.BuildWithProfiles(context.Background(), mapbuilder.Options{Seed: 42}, profiles)
-	c, err := Run(context.Background(), res, Options{N: 2000, Seed: 5})
+	c, err := Run(context.Background(), res, res.Map, Options{N: 2000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCampaignAllocsPerProbe(t *testing.T) {
 	res, _ := campaign(t)
 	const n = 20000
 	allocs := testing.AllocsPerRun(2, func() {
-		if _, err := Run(context.Background(), res, Options{N: n, Seed: 7, Workers: 2}); err != nil {
+		if _, err := Run(context.Background(), res, res.Map, Options{N: n, Seed: 7, Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -122,7 +122,7 @@ func TestCampaignAllocsPerProbe(t *testing.T) {
 
 func TestRunRejectsNegativeN(t *testing.T) {
 	res, _ := campaign(t)
-	c, err := Run(context.Background(), res, Options{N: -1})
+	c, err := Run(context.Background(), res, res.Map, Options{N: -1})
 	if err == nil || c != nil || !strings.Contains(err.Error(), "N must be >= 0 (got -1)") {
 		t.Fatalf("Run(N=-1) = %v, %v; want an error naming N", c, err)
 	}

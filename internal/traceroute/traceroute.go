@@ -13,7 +13,9 @@
 // elide interior hops, and occasional geolocation noise. The overlay
 // then attributes each trace back onto published conduits using ONLY
 // what a measurement study would have: hop names and the published
-// map.
+// map — the built map, or a scenario's perturbed view of it
+// (fiber.View), which changes what the overlay sees but never the
+// synthesized traces.
 package traceroute
 
 import (
@@ -30,16 +32,6 @@ type Options struct {
 	N int
 	// Seed drives the deterministic generator.
 	Seed int64
-	// MPLSProb is the probability that a trace's transit segment is an
-	// MPLS tunnel hiding interior hops (default 0.25; the paper
-	// observed tunnels but judged their impact limited).
-	MPLSProb float64
-	// GeoNoiseProb is the probability a hop name is unusable (e.g. no
-	// rDNS), leaving only coarse geolocation (default 0.05).
-	GeoNoiseProb float64
-	// PeerProb is the probability a trace crosses two providers with a
-	// handoff at a mutual peering hub (default 0.3).
-	PeerProb float64
 	// RetainTraces keeps this many raw traces for inspection
 	// (default 64).
 	RetainTraces int
@@ -53,20 +45,25 @@ func (o Options) withDefaults() Options {
 	if o.N == 0 {
 		o.N = 200000
 	}
-	if o.MPLSProb == 0 {
-		o.MPLSProb = 0.25
-	}
-	if o.GeoNoiseProb == 0 {
-		o.GeoNoiseProb = 0.05
-	}
-	if o.PeerProb == 0 {
-		o.PeerProb = 0.3
-	}
 	if o.RetainTraces == 0 {
 		o.RetainTraces = 64
 	}
 	return o
 }
+
+// The campaign's fixed model parameters.
+const (
+	// mplsProb is the probability that a trace's transit segment is an
+	// MPLS tunnel hiding interior hops (the paper observed tunnels but
+	// judged their impact limited).
+	mplsProb = 0.25
+	// geoNoiseProb is the probability a hop name is unusable (e.g. no
+	// rDNS), leaving only coarse geolocation.
+	geoNoiseProb = 0.05
+	// peerProb is the probability a trace crosses two providers with a
+	// handoff at a mutual peering hub.
+	peerProb = 0.3
+)
 
 // Hop is one visible layer-3 hop.
 type Hop struct {
@@ -127,6 +124,7 @@ type Campaign struct {
 	Samples []Trace
 
 	res   *mapbuilder.Result
+	pub   fiber.View // the published map the overlay attributes onto
 	namer *Namer
 }
 
@@ -165,11 +163,11 @@ func (c *Campaign) TopConduits(n int, westToEast bool) []ConduitRank {
 		if count == 0 {
 			continue
 		}
-		con := c.res.Map.Conduit(cid)
+		a, b := c.pub.ConduitEnds(cid)
 		out = append(out, ConduitRank{
 			Conduit: cid,
-			A:       c.res.Map.Node(con.A).Key(),
-			B:       c.res.Map.Node(con.B).Key(),
+			A:       c.res.Map.Node(a).Key(),
+			B:       c.res.Map.Node(b).Key(),
 			Probes:  count,
 		})
 	}
@@ -222,19 +220,19 @@ func (c *Campaign) TopISPs(n int) []ISPRank {
 // published tenant count and the tenant count after adding providers
 // inferred from the traceroute overlay — the two CDFs of Figure 9.
 func (c *Campaign) SharingWithTraffic() (published, overlaid []int) {
-	for i := range c.res.Map.Conduits {
-		con := &c.res.Map.Conduits[i]
-		if len(con.Tenants) == 0 {
+	for cid := fiber.ConduitID(0); int(cid) < c.pub.NumConduits(); cid++ {
+		tenants := c.pub.Tenants(cid)
+		if len(tenants) == 0 {
 			continue
 		}
-		published = append(published, len(con.Tenants))
+		published = append(published, len(tenants))
 		extra := 0
-		for isp := range c.InferredTenants[con.ID] {
-			if !con.HasTenant(isp) {
+		for isp := range c.InferredTenants[cid] {
+			if !c.pub.HasTenant(cid, isp) {
 				extra++
 			}
 		}
-		overlaid = append(overlaid, len(con.Tenants)+extra)
+		overlaid = append(overlaid, len(tenants)+extra)
 	}
 	return published, overlaid
 }

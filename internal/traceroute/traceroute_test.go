@@ -17,7 +17,8 @@ var (
 func campaign(t *testing.T) (*mapbuilder.Result, *Campaign) {
 	t.Helper()
 	if cachedCamp == nil {
-		cachedCamp, _ = Run(context.Background(), campaignMap(), Options{N: 20000, Seed: 99})
+		res := campaignMap()
+		cachedCamp, _ = Run(context.Background(), res, res.Map, Options{N: 20000, Seed: 99})
 	}
 	return cachedRes, cachedCamp
 }
@@ -113,8 +114,8 @@ func TestCampaignBasics(t *testing.T) {
 
 func TestCampaignDeterministic(t *testing.T) {
 	res, _ := campaign(t)
-	a, _ := Run(context.Background(), res, Options{N: 3000, Seed: 5})
-	b, _ := Run(context.Background(), res, Options{N: 3000, Seed: 5})
+	a, _ := Run(context.Background(), res, res.Map, Options{N: 3000, Seed: 5})
+	b, _ := Run(context.Background(), res, res.Map, Options{N: 3000, Seed: 5})
 	if a.Total != b.Total || a.Unattributed != b.Unattributed {
 		t.Fatalf("campaigns differ: %d/%d vs %d/%d", a.Total, a.Unattributed, b.Total, b.Unattributed)
 	}
@@ -260,7 +261,7 @@ func TestPeeredTraces(t *testing.T) {
 		}
 	}
 	if peered == 0 {
-		t.Error("no peered traces in samples; PeerProb should produce ~30%")
+		t.Error("no peered traces in samples; peerProb should produce ~30%")
 	}
 }
 
@@ -285,7 +286,10 @@ func TestGravityDraw(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.N != 200000 || o.MPLSProb != 0.25 || o.GeoNoiseProb != 0.05 || o.RetainTraces != 64 {
+	if o.N != 200000 || o.RetainTraces != 64 {
 		t.Errorf("defaults = %+v", o)
+	}
+	if mplsProb != 0.25 || geoNoiseProb != 0.05 || peerProb != 0.3 {
+		t.Errorf("model parameters: MPLS %v, geo noise %v, peering %v", mplsProb, geoNoiseProb, peerProb)
 	}
 }
