@@ -44,13 +44,15 @@ type topology struct {
 
 // Graph is an undirected multigraph. The zero value is an empty graph
 // with no vertices; use New to pre-size. Queries compile the edge list
-// into a CSR adjacency on first use; mutations (AddVertex, AddEdge)
-// invalidate it. Concurrent queries are safe; mutating concurrently
+// into a CSR adjacency on first use, and MaxFlow its series
+// decomposition (maxflow.go); mutations (AddVertex, AddEdge)
+// invalidate both. Concurrent queries are safe; mutating concurrently
 // with queries is not (and never was).
 type Graph struct {
-	n     int
-	edges []Edge
-	topo  memo.Value[*topology]
+	n      int
+	edges  []Edge
+	topo   memo.Value[*topology]
+	chains memo.Value[*series]
 }
 
 // New returns a graph with n vertices (0..n-1) and no edges.
@@ -71,6 +73,7 @@ func (g *Graph) Edge(id int) Edge { return g.edges[id] }
 func (g *Graph) AddVertex() int {
 	g.n++
 	g.topo = memo.Value[*topology]{}
+	g.chains = memo.Value[*series]{}
 	return g.n - 1
 }
 
@@ -87,6 +90,7 @@ func (g *Graph) AddEdge(u, v int, weight float64) int {
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{U: u, V: v, Weight: weight})
 	g.topo = memo.Value[*topology]{}
+	g.chains = memo.Value[*series]{}
 	return id
 }
 

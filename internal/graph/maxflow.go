@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 // maxflow.go grows the kernel from global min-cut to s-t maximum
 // flow. The capacity layer asks "how many Gbps of this demand survive"
@@ -10,17 +13,28 @@ import "math"
 // overlay-only conduits ride along as extra edges, and every byte of
 // scratch lives in the Workspace — zero allocations once warm.
 //
-// The algorithm is Dinic's. An undirected edge of capacity c becomes a
-// twin arc pair (u→v and v→u, capacity c each) that act as each
-// other's residuals — the standard undirected reduction. Arcs are laid
-// out per tail vertex in CSR order, each carrying its head, its
-// residual capacity and its twin's index, so every scan reads arcs in
-// place. Levels are residual distances to dst, from a reverse BFS that
-// stops as soon as src is labeled; the blocking-flow DFS only steps to
-// a vertex one closer to dst, so it never enters a vertex that cannot
-// reach dst in the current phase. A flow limit ends the phase loop as
-// soon as the flow reaches it, so a caller that only needs
-// min(max flow, demand) never pays for the rest.
+// The algorithm is Dinic's, run on the series reduction of the
+// network. Half the conduit map's vertices only pass flow through:
+// they have exactly two incident edges, so a maximal chain of them
+// carries one flow value end to end, bounded by its smallest capacity.
+// The chains depend on the graph alone and are built once per graph
+// (series, memoized next to the CSR topology). A call splits them only
+// at its own endpoints — src, dst and the extras' ends — and stages
+// each resulting segment as one undirected edge at its smallest
+// capacity, so a level search labels only branch and forced vertices,
+// not every vertex on every chain.
+//
+// An undirected edge of capacity c becomes a twin arc pair (u→v and
+// v→u, capacity c each) that act as each other's residuals — the
+// standard undirected reduction. Arcs are laid out per tail vertex in
+// CSR order, each carrying its head, its residual capacity and its
+// twin's index, so every scan reads arcs in place. Levels are residual
+// distances to dst, from a reverse BFS that stops as soon as src is
+// labeled; the blocking-flow DFS only steps to a vertex one closer to
+// dst, so it never enters a vertex that cannot reach dst in the
+// current phase. A flow limit ends the phase loop as soon as the flow
+// reaches it, so a caller that only needs min(max flow, demand) never
+// pays for the rest.
 //
 // Exactness: with integral capacities below 2^53 every residual,
 // bottleneck and running total is an exact integer in float64, so
@@ -30,9 +44,12 @@ import "math"
 // makes its results independent of arc order and hosting graph.
 //
 // After a call the residual arcs still hold the flow and, when the
-// limit did not bind, a minimum cut: FlowOn and MinCutSide read them
-// back, so a caller can keep a demand's flow and cut as a witness of
-// its answer without a second search.
+// limit did not bind, a minimum cut: FlowOn and MinCutSide expand them
+// back onto the base edges and vertices, so a caller can keep a
+// demand's flow and cut as a witness of its answer without a second
+// search. Each edge of a segment carries the segment's flow; a vertex
+// inside a segment reaches dst iff it reaches a labeled end of the
+// segment over edges with residual capacity toward that end.
 
 // flowArc is one residual arc: head vertex, twin arc index, and
 // residual capacity.
@@ -40,6 +57,100 @@ type flowArc struct {
 	to   int32
 	twin int32
 	cap  float64
+}
+
+// series is the series decomposition of a graph's edges. A vertex is
+// interior when it has exactly two incident half-edges and neither is
+// a self-loop. Every edge lies on exactly one chain: a walk from a
+// branch (non-interior) vertex through interior vertices to a branch
+// vertex or, for a cycle of interior vertices, from its lowest vertex
+// around back to it. Built once per graph and never modified.
+type series struct {
+	// Chain c walks positions off[c] to off[c+1]-1 from vertex
+	// start[c].
+	off   []int32
+	start []int32
+	// walk[k] is the id of the edge walked at position k, shifted left
+	// one bit, with the low bit set when the walk runs it from V to U;
+	// head[k] is the vertex the walk reaches over it.
+	walk []int32
+	head []int32
+	// inside[v] is the chain that passes through v, or -1 when v only
+	// starts and ends chains.
+	inside []int32
+}
+
+// seriesView returns the graph's series decomposition, building it
+// on first use. Safe for concurrent use.
+func (g *Graph) seriesView() *series {
+	sr, _ := g.chains.Get(context.TODO(), func(context.Context) (*series, error) {
+		return buildSeries(g.n, g.edges, g.topoView()), nil
+	}) // the build reads no context and cannot fail
+	return sr
+}
+
+// buildSeries walks every chain once: first from each branch vertex in
+// ascending order along its unwalked half-edges, then around each
+// cycle of interior vertices from its lowest vertex.
+func buildSeries(n int, edges []Edge, t *topology) *series {
+	interior := func(v int32) bool {
+		hs := t.neighbors(v)
+		return len(hs) == 2 && hs[0].to != v && hs[1].to != v
+	}
+	sr := &series{
+		off:  make([]int32, 1, len(edges)+1),
+		walk: make([]int32, 0, len(edges)),
+		head: make([]int32, 0, len(edges)),
+	}
+	walked := make([]bool, len(edges))
+	chain := func(v int32, h halfEdge) {
+		sr.start = append(sr.start, v)
+		at := v
+		for {
+			walked[h.edge] = true
+			w := h.edge << 1
+			if int32(edges[h.edge].U) != at {
+				w |= 1
+			}
+			sr.walk = append(sr.walk, w)
+			sr.head = append(sr.head, h.to)
+			at = h.to
+			if at == v || !interior(at) {
+				break
+			}
+			// Leave an interior vertex by its other half-edge.
+			if hs := t.neighbors(at); hs[0].edge == h.edge {
+				h = hs[1]
+			} else {
+				h = hs[0]
+			}
+		}
+		sr.off = append(sr.off, int32(len(sr.walk)))
+	}
+	for v := int32(0); v < int32(n); v++ {
+		if !interior(v) {
+			for _, h := range t.neighbors(v) {
+				if !walked[h.edge] {
+					chain(v, h)
+				}
+			}
+		}
+	}
+	for v := int32(0); v < int32(n); v++ {
+		if hs := t.neighbors(v); interior(v) && !walked[hs[0].edge] {
+			chain(v, hs[0])
+		}
+	}
+	sr.inside = make([]int32, n)
+	for v := range sr.inside {
+		sr.inside[v] = -1
+	}
+	for c := range sr.start {
+		for _, v := range sr.head[sr.off[c] : sr.off[c+1]-1] {
+			sr.inside[v] = int32(c)
+		}
+	}
+	return sr
 }
 
 // maxflowScratch is the reusable state of MaxFlow, owned by a
@@ -51,10 +162,21 @@ type maxflowScratch struct {
 	level []int32   // residual distance to dst; -1 unlabeled or pruned
 	queue []int32
 	path  []int32 // DFS stack of arc indices from src
-	// edgeArc[i] is the U→V arc of staged edge i (base edges, then
-	// extras), or -1 when the edge is not usable; empty after a call
-	// that staged nothing.
+	// edgeArc[i] is the arc of staged edge i (base edges, then
+	// extras) that runs from its U toward its V, or -1 when the edge
+	// carries no flow; empty after a call that staged nothing.
 	edgeArc []int32
+	// The last call's reduction, which MinCutSide expands: the graph's
+	// chains; each walk position's capacity, 0 when not usable; the
+	// forced vertices (src, dst and the usable extras' endpoints) and
+	// the chains they pass through, marked with the call's epoch; and
+	// each unsplit chain's staged capacity, 0 when it stages nothing.
+	sr       *series
+	capAt    []float64
+	chainCap []float64
+	mark     []uint32 // per vertex
+	split    []uint32 // per chain
+	epoch    uint32
 	// cut reports whether the last call ended on a failed level search,
 	// so that level holds a minimum cut.
 	cut bool
@@ -93,6 +215,7 @@ func (g *Graph) MaxFlow(ws *Workspace, src, dst int, caps []float64, extra []Edg
 	n := g.n
 	mf := ws.maxflow()
 	mf.cut = false
+	ws.mfCalls++
 	if src == dst || src < 0 || src >= n || dst < 0 || dst >= n || !(limit > 0) {
 		mf.edgeArc = mf.edgeArc[:0]
 		return 0
@@ -100,11 +223,15 @@ func (g *Graph) MaxFlow(ws *Workspace, src, dst int, caps []float64, extra []Edg
 	if caps == nil {
 		caps = g.topoView().defWeights
 	}
-	mf.stage(g, caps, extra)
-
 	s, t := int32(src), int32(dst)
+	mf.stage(g, g.seriesView(), s, t, caps, extra)
+
 	total := 0.0
-	for mf.levels(s, t) {
+	for {
+		ws.mfSearches++
+		if !mf.levels(s, t) {
+			break
+		}
 		if total = mf.blockingFlow(s, t, total, limit); total >= limit {
 			return limit
 		}
@@ -146,8 +273,34 @@ func (w *Workspace) MinCutSide(side []bool) bool {
 	if !mf.cut {
 		return false
 	}
-	for v, l := range mf.level {
+	level, arcs, sr := mf.level, mf.arcs, mf.sr
+	for v, l := range level {
 		side[v] = l < 0
+	}
+	// A vertex inside a segment has no arcs, so no search labeled it.
+	// It reaches dst iff it reaches a labeled end of its segment: for
+	// the segment's flow f from a to b, every edge between it and a
+	// needs c+f > 0, or every edge between it and b needs c−f > 0.
+	for c := range sr.start {
+		mf.segments(c, func(a, b, k0, k1 int32, _ float64) {
+			f := 0.0
+			if ab := mf.edgeArc[sr.walk[k0]>>1]; ab >= 0 {
+				if sr.walk[k0]&1 != 0 {
+					ab = arcs[ab].twin
+				}
+				f = (arcs[arcs[ab].twin].cap - arcs[ab].cap) / 2
+			}
+			reach := level[a] >= 0
+			for k := k0; k < k1-1; k++ {
+				reach = reach && mf.capAt[k]+f > 0
+				side[sr.head[k]] = !reach
+			}
+			reach = level[b] >= 0
+			for k := k1 - 1; k > k0; k-- {
+				reach = reach && mf.capAt[k]-f > 0
+				side[sr.head[k-1]] = side[sr.head[k-1]] && !reach
+			}
+		})
 	}
 	return true
 }
@@ -161,10 +314,14 @@ func usableCap(u, v, n int, c float64) bool {
 	return u != v && u >= 0 && u < n && v >= 0 && v < n
 }
 
-// stage lays every usable edge's twin arc pair into per-tail CSR rows
-// with a counting sort: base edges ascending by id, then extras.
-func (mf *maxflowScratch) stage(g *Graph, caps []float64, extra []Edge) {
-	n := g.n
+// stage lays the call's reduced network into per-tail CSR rows with a
+// counting sort: every chain split at the forced vertices into
+// segments, each usable segment one twin arc pair at its smallest
+// capacity (chains in walk order), then the usable extras. A chain no
+// forced vertex splits is one segment, so its pass is a running
+// minimum over its edges' capacities.
+func (mf *maxflowScratch) stage(g *Graph, sr *series, s, t int32, caps []float64, extra []Edge) {
+	n, ne, nw, nc := g.n, len(g.edges), len(sr.walk), len(sr.start)
 	grow := func(p []int32, n int) []int32 {
 		if cap(p) < n {
 			return make([]int32, n)
@@ -176,67 +333,170 @@ func (mf *maxflowScratch) stage(g *Graph, caps []float64, extra []Edge) {
 	mf.level = grow(mf.level, n)
 	mf.queue = grow(mf.queue, n)
 	mf.path = grow(mf.path, n)
-	mf.edgeArc = grow(mf.edgeArc, len(g.edges)+len(extra))
-	off, cur := mf.off, mf.cur
-
-	// Pass 1: count usable arcs per tail vertex.
-	for i := range off {
-		off[i] = 0
+	mf.edgeArc = grow(mf.edgeArc, ne+len(extra))
+	if cap(mf.capAt) < nw {
+		mf.capAt = make([]float64, nw)
 	}
-	for eid := range g.edges {
-		e := &g.edges[eid]
-		if usableCap(e.U, e.V, n, caps[eid]) {
+	if cap(mf.chainCap) < nc {
+		mf.chainCap = make([]float64, nc)
+	}
+	// Grown marks start clear: the epoch is never 0.
+	if len(mf.mark) < n {
+		mf.mark = make([]uint32, n)
+	}
+	if len(mf.split) < nc {
+		mf.split = make([]uint32, nc)
+	}
+	mf.sr, mf.capAt, mf.chainCap = sr, mf.capAt[:nw], mf.chainCap[:nc]
+	if mf.epoch++; mf.epoch == 0 {
+		clear(mf.mark)
+		clear(mf.split)
+		mf.epoch = 1
+	}
+	off, capAt, chainCap, split, ep := mf.off, mf.capAt, mf.chainCap, mf.split, mf.epoch
+	walk, head := sr.walk, sr.head
+
+	force := func(v int32) {
+		mf.mark[v] = ep
+		if c := sr.inside[v]; c >= 0 {
+			split[c] = ep
+		}
+	}
+	force(s)
+	force(t)
+	for i := range extra {
+		if e := &extra[i]; usableCap(e.U, e.V, n, e.Weight) {
+			force(int32(e.U))
+			force(int32(e.V))
+		}
+	}
+
+	// Pass 1: read each chain's capacities and count the arcs of its
+	// usable segments per tail vertex.
+	clear(off)
+	for c := 0; c < nc; c++ {
+		k0, k1 := sr.off[c], sr.off[c+1]
+		m := math.Inf(1)
+		for k := k0; k < k1; k++ {
+			x := caps[walk[k]>>1]
+			if !(x > 0 && x <= math.MaxFloat64) {
+				x = 0 // not usable: the chain's runs through it carry nothing
+			}
+			capAt[k] = x
+			if x < m {
+				m = x
+			}
+		}
+		if split[c] == ep {
+			mf.segments(c, func(a, b, _, _ int32, m float64) {
+				if m > 0 {
+					off[a+1]++
+					off[b+1]++
+				}
+			})
+			continue
+		}
+		a, b := sr.start[c], head[k1-1]
+		if a == b {
+			m = 0
+		}
+		chainCap[c] = m
+		if m > 0 {
+			off[a+1]++
+			off[b+1]++
+		}
+	}
+	for i := range extra {
+		if e := &extra[i]; usableCap(e.U, e.V, n, e.Weight) {
 			off[e.U+1]++
 			off[e.V+1]++
 		}
 	}
-	for i := range extra {
-		e := &extra[i]
-		if usableCap(e.U, e.V, n, e.Weight) {
-			off[e.U+1]++
-			off[e.V+1]++
-		}
+	var sum int32
+	for v := 1; v <= n; v++ {
+		sum += off[v]
+		off[v] = sum
 	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
+	if cap(mf.arcs) < int(sum) {
+		mf.arcs = make([]flowArc, sum)
 	}
-	na := int(off[n])
-	if cap(mf.arcs) < na {
-		mf.arcs = make([]flowArc, na)
-	}
-	arcs := mf.arcs[:na]
-	mf.arcs = arcs
+	mf.arcs = mf.arcs[:sum]
 
-	// Pass 2: place each twin pair in its tails' rows.
-	copy(cur, off[:n])
-	add := func(i, u, v int, c float64) {
-		a, b := cur[u], cur[v]
-		cur[u]++
-		cur[v]++
-		arcs[a] = flowArc{to: int32(v), twin: b, cap: c}
-		arcs[b] = flowArc{to: int32(u), twin: a, cap: c}
-		mf.edgeArc[i] = a
-	}
-	for eid := range g.edges {
-		e := &g.edges[eid]
-		mf.edgeArc[eid] = -1
-		if usableCap(e.U, e.V, n, caps[eid]) {
-			add(eid, e.U, e.V, caps[eid])
+	// Pass 2: place the twin pairs in their tails' rows.
+	copy(mf.cur, off[:n])
+	for c := 0; c < nc; c++ {
+		k0, k1 := sr.off[c], sr.off[c+1]
+		if split[c] == ep {
+			mf.segments(c, mf.place)
+		} else {
+			mf.place(sr.start[c], head[k1-1], k0, k1, chainCap[c])
 		}
 	}
 	for i := range extra {
 		e := &extra[i]
-		mf.edgeArc[len(g.edges)+i] = -1
+		mf.edgeArc[ne+i] = -1
 		if usableCap(e.U, e.V, n, e.Weight) {
-			add(len(g.edges)+i, e.U, e.V, e.Weight)
+			mf.edgeArc[ne+i], _ = mf.addPair(int32(e.U), int32(e.V), e.Weight)
 		}
 	}
+}
+
+// segments calls fn for each segment of chain c in the last call's
+// reduction — the runs between the chain's ends and forced vertices —
+// with its ends a and b in walk order, its walk positions k0 to k1-1,
+// and its capacity m: the smallest on the run, or 0 when the run
+// stages nothing (an edge on it is not usable, or its ends coincide).
+// It reads capAt, so staging fills that first.
+func (mf *maxflowScratch) segments(c int, fn func(a, b, k0, k1 int32, m float64)) {
+	sr := mf.sr
+	a, k0, end := sr.start[c], sr.off[c], sr.off[c+1]
+	m := math.Inf(1)
+	for k := k0; k < end; k++ {
+		m = min(m, mf.capAt[k])
+		b := sr.head[k]
+		if k+1 < end && mf.mark[b] != mf.epoch {
+			continue
+		}
+		if a == b {
+			m = 0
+		}
+		fn(a, b, k0, k+1, m)
+		a, k0, m = b, k+1, math.Inf(1)
+	}
+}
+
+// place stages one segment: a twin arc pair between a and b when its
+// capacity m is positive, and, for each edge on walk positions k0 to
+// k1-1, the pair's arc running from the edge's U toward its V (-1 when
+// nothing is staged).
+func (mf *maxflowScratch) place(a, b, k0, k1 int32, m float64) {
+	pair := [2]int32{-1, -1} // indexed by the walk's V→U bit
+	if m > 0 {
+		pair[0], pair[1] = mf.addPair(a, b, m)
+	}
+	edgeArc := mf.edgeArc
+	for _, w := range mf.sr.walk[k0:k1] {
+		edgeArc[w>>1] = pair[w&1]
+	}
+}
+
+// addPair places the twin arcs u→v and v→u of capacity c at the
+// cursors of their tails' rows and returns their indices.
+func (mf *maxflowScratch) addPair(u, v int32, c float64) (uv, vu int32) {
+	uv, vu = mf.cur[u], mf.cur[v]
+	mf.cur[u]++
+	mf.cur[v]++
+	mf.arcs[uv] = flowArc{to: v, twin: vu, cap: c}
+	mf.arcs[vu] = flowArc{to: u, twin: uv, cap: c}
+	return uv, vu
 }
 
 // levels labels vertices with their residual distance to t by a
 // reverse BFS, stopping as soon as s is labeled. It reports whether s
 // can still reach t. Vertices left unlabeled keep level -1; after a
-// failed search they are exactly the source side of a minimum cut.
+// failed search the unlabeled branch and forced vertices are exactly
+// the source side of a minimum cut of the reduced network, and
+// MinCutSide places the vertices inside segments.
 func (mf *maxflowScratch) levels(s, t int32) bool {
 	off, arcs, level, queue := mf.off, mf.arcs, mf.level, mf.queue
 	for i := range level {

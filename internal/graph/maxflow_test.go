@@ -83,22 +83,113 @@ func combined(g *Graph, caps []float64, extra []Edge) ([]Edge, func(i int) float
 	}
 }
 
+// reducedEdge is one edge of the series-reduced network a MaxFlow
+// call should stage: ends a and b, and capacity c — the smallest
+// capacity along it, 0 when any edge on it is not usable.
+type reducedEdge struct {
+	a, b int
+	c    float64
+}
+
+// seriesReduction restates the kernel's reduction from its definition
+// rather than borrowing it: a vertex passes flow through when it has
+// exactly two incident edges, neither a self-loop, and is not forced;
+// every other vertex stays, and so does the lowest vertex of a
+// connected component in which every vertex has two such edges (a
+// cycle). Each maximal walk between two staying vertices through
+// pass-through ones is one reduced edge; self-loops are reduced edges
+// with a == b. Extras are not included.
+func seriesReduction(n int, edges []Edge, capOf func(i int) float64, forced []bool) []reducedEdge {
+	inc := make([][]int, n)
+	loop := make([]bool, n)
+	for i, e := range edges {
+		inc[e.U] = append(inc[e.U], i)
+		if e.U == e.V {
+			loop[e.U] = true
+		} else {
+			inc[e.V] = append(inc[e.V], i)
+		}
+	}
+	through := func(v int) bool { return len(inc[v]) == 2 && !loop[v] }
+	stay := make([]bool, n)
+	seen := make([]bool, n)
+	for v := 0; v < n; v++ {
+		stay[v] = forced[v] || !through(v)
+		if seen[v] {
+			continue
+		}
+		// Flood v's component; one made only of pass-through vertices is
+		// a cycle, and keeps v, its lowest.
+		cycle := true
+		seen[v] = true
+		for queue := []int{v}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			cycle = cycle && through(u)
+			for _, i := range inc[u] {
+				w := edges[i].U ^ edges[i].V ^ u
+				if !seen[w] {
+					seen[w] = true
+					queue = append(queue, w)
+				}
+			}
+		}
+		if cycle {
+			stay[v] = true
+		}
+	}
+	var out []reducedEdge
+	done := make([]bool, len(edges))
+	for v := 0; v < n; v++ {
+		if !stay[v] {
+			continue
+		}
+		for _, i := range inc[v] {
+			if done[i] {
+				continue
+			}
+			r := reducedEdge{a: v, c: math.Inf(1)}
+			for at := v; ; {
+				done[i] = true
+				r.c = math.Min(r.c, capOf(i))
+				at = edges[i].U ^ edges[i].V ^ at
+				if stay[at] {
+					r.b = at
+					break
+				}
+				if next := inc[at][0]; next != i {
+					i = next
+				} else {
+					i = inc[at][1]
+				}
+			}
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // checkMaxFlowCertificate verifies the residual network ws holds
-// after got = MaxFlow(ws, src, dst, caps, extra, limit), without
-// trusting the kernel's layout:
+// after got = MaxFlow(ws, src, dst, caps, extra, limit) against the
+// test's own series reduction (seriesReduction, with src, dst and the
+// usable extras' endpoints forced), without trusting the kernel's
+// layout:
 //
-//   - each vertex's arcs are exactly its usable incident edges (head
-//     and capacity, as multisets), twins pair up, and no residual is
-//     negative — so every arc's flow is within its capacity;
+//   - each vertex's arcs are exactly its usable reduced edges and
+//     extras (head and capacity, as multisets): one twin arc pair per
+//     reduced edge whose ends differ and whose edges are all usable,
+//     at its smallest capacity, and none at a pass-through vertex;
+//     twins pair up, and no residual is negative — so every arc's
+//     flow is within its capacity;
 //   - flow is conserved at every vertex other than src and dst;
 //   - the net flow out of src equals got, or reaches limit when the
 //     result is capped;
 //   - when the result is uncapped, the vertices the final reverse BFS
-//     left unlabeled contain src but not dst, and the edges leaving
-//     them carry exactly got capacity — a cut certifying maximality.
+//     left unlabeled contain src but not dst, and the reduced edges
+//     and extras leaving them carry exactly got capacity — a cut of
+//     the reduced network certifying maximality.
 //
-// checkExportedWitness then holds what FlowOn and MinCutSide report to
-// the same conditions.
+// checkExportedWitness then holds what FlowOn and MinCutSide report on
+// the base edges to the same conditions.
 func checkMaxFlowCertificate(g *Graph, ws *Workspace, src, dst int, caps []float64, extra []Edge, limit, got float64) error {
 	n := g.NumVertices()
 	all, capOf := combined(g, caps, extra)
@@ -117,6 +208,25 @@ func checkMaxFlowCertificate(g *Graph, ws *Workspace, src, dst int, caps []float
 		}
 		return nil // nothing staged
 	}
+	forced := make([]bool, n)
+	forced[src], forced[dst] = true, true
+	var staged []reducedEdge
+	for i, e := range extra {
+		if c, ok := usable(g.NumEdges() + i); ok {
+			forced[e.U], forced[e.V] = true, true
+			staged = append(staged, reducedEdge{e.U, e.V, c})
+		}
+	}
+	for _, r := range seriesReduction(n, g.edges, func(i int) float64 {
+		if c, ok := usable(i); ok {
+			return c
+		}
+		return 0
+	}, forced) {
+		if r.c > 0 && r.a != r.b {
+			staged = append(staged, r)
+		}
+	}
 	type half struct {
 		to  int
 		cap float64
@@ -130,11 +240,9 @@ func checkMaxFlowCertificate(g *Graph, ws *Workspace, src, dst int, caps []float
 		})
 	}
 	want := make([][]half, n)
-	for i, e := range all {
-		if c, ok := usable(i); ok {
-			want[e.U] = append(want[e.U], half{e.V, c})
-			want[e.V] = append(want[e.V], half{e.U, c})
-		}
+	for _, r := range staged {
+		want[r.a] = append(want[r.a], half{r.b, r.c})
+		want[r.b] = append(want[r.b], half{r.a, r.c})
 	}
 
 	mf := ws.mf
@@ -167,7 +275,7 @@ func checkMaxFlowCertificate(g *Graph, ws *Workspace, src, dst int, caps []float
 		sortHalves(have)
 		sortHalves(want[v])
 		if fmt.Sprint(have) != fmt.Sprint(want[v]) {
-			return fmt.Errorf("vertex %d: staged arcs %v, usable edges %v", v, have, want[v])
+			return fmt.Errorf("vertex %d: staged arcs %v, usable reduced edges %v", v, have, want[v])
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -188,9 +296,9 @@ func checkMaxFlowCertificate(g *Graph, ws *Workspace, src, dst int, caps []float
 		return fmt.Errorf("final BFS labeled src (%d) or left dst unlabeled (%d)", mf.level[src], mf.level[dst])
 	}
 	cut := 0.0
-	for i, e := range all {
-		if c, ok := usable(i); ok && (mf.level[e.U] < 0) != (mf.level[e.V] < 0) {
-			cut += c
+	for _, r := range staged {
+		if (mf.level[r.a] < 0) != (mf.level[r.b] < 0) {
+			cut += r.c
 		}
 	}
 	if cut != got {
@@ -211,7 +319,9 @@ func checkMaxFlowCertificate(g *Graph, ws *Workspace, src, dst int, caps []float
 //     result is capped;
 //   - when the result is uncapped, MinCutSide reports a side holding
 //     src but not dst whose crossing edges carry exactly got
-//     capacity; otherwise it reports no cut.
+//     capacity, and that side is exactly the vertices that cannot
+//     reach dst in the exported flow's residual network; otherwise it
+//     reports no cut.
 //
 // A degenerate query stages nothing: every flow reads 0 and there is
 // no cut.
@@ -285,6 +395,35 @@ func checkExportedWitness(n int, ws *Workspace, src, dst int, all []Edge, usable
 	if cut != got {
 		return fmt.Errorf("exported cut capacity %v != flow %v", cut, got)
 	}
+	// Every maximum flow leaves the same set unable to reach dst, so
+	// the side is pinned exactly: a plain BFS back from dst over the
+	// exported flow's residuals, c−f along U→V and c+f along V→U.
+	type step struct {
+		to  int
+		res float64
+	}
+	into := make([][]step, n) // into[v]: the vertices one residual arc from v
+	for i, e := range all {
+		if c, ok := usable(i); ok {
+			into[e.V] = append(into[e.V], step{e.U, c - flow[i]})
+			into[e.U] = append(into[e.U], step{e.V, c + flow[i]})
+		}
+	}
+	reach := make([]bool, n)
+	reach[dst] = true
+	for queue := []int{dst}; len(queue) > 0; queue = queue[1:] {
+		for _, s := range into[queue[0]] {
+			if !reach[s.to] && s.res > 0 {
+				reach[s.to] = true
+				queue = append(queue, s.to)
+			}
+		}
+	}
+	for v := range side {
+		if side[v] == reach[v] {
+			return fmt.Errorf("vertex %d: on the cut side %v, reaches dst in the residual network %v", v, side[v], reach[v])
+		}
+	}
 	return nil
 }
 
@@ -327,19 +466,97 @@ func TestMaxFlowMatchesReference(t *testing.T) {
 			})
 		}
 		src, dst := rng.Intn(n), rng.Intn(n)
+		if err := checkRandomLimit(rng, g, ws, src, dst, caps, extra); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
 
-		all, capOf := combined(g, caps, extra)
-		ref := 0.0
-		if src != dst {
-			ref = refMaxFlow(n, all, capOf, src, dst)
+// checkRandomLimit runs MaxFlow(src, dst) under caps and extra with a
+// limit drawn by randomLimit around the reference max flow, and holds
+// the answer to min(reference, limit) and to the certificate.
+func checkRandomLimit(rng *rand.Rand, g *Graph, ws *Workspace, src, dst int, caps []float64, extra []Edge) error {
+	all, capOf := combined(g, caps, extra)
+	ref := 0.0
+	if src != dst {
+		ref = refMaxFlow(g.NumVertices(), all, capOf, src, dst)
+	}
+	limit := randomLimit(rng, ref)
+	got := g.MaxFlow(ws, src, dst, caps, extra, limit)
+	if want := math.Min(ref, limit); got != want && !(limit <= 0 && got == 0) {
+		return fmt.Errorf("MaxFlow(%d,%d, limit %v) = %v, reference %v", src, dst, limit, got, want)
+	}
+	if err := checkMaxFlowCertificate(g, ws, src, dst, caps, extra, limit, got); err != nil {
+		return fmt.Errorf("MaxFlow(%d,%d, limit %v) = %v: %v", src, dst, limit, got, err)
+	}
+	return nil
+}
+
+// TestMaxFlowSeriesChains runs MaxFlow on multigraphs made of chains —
+// every skeleton edge subdivided into a path of 1–5 edges, with cycles
+// of interior vertices, parallel chains and self-loops at chain ends —
+// drawing src, dst and the extras' endpoints from chain interiors half
+// the time, so calls split chains mid-way. Each graph then gains one
+// more edge and answers again, so the memoized chains are rebuilt.
+func TestMaxFlowSeriesChains(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	ws := NewWorkspace()
+	for trial := 0; trial < 400; trial++ {
+		k := 2 + rng.Intn(8)
+		g := New(k)
+		var mid []int // chain-interior vertices
+		chain := func(u, v, hops int) {
+			for ; hops > 1; hops-- {
+				w := g.AddVertex()
+				mid = append(mid, w)
+				g.AddEdge(u, w, 1)
+				u = w
+			}
+			g.AddEdge(u, v, 1)
 		}
-		limit := randomLimit(rng, ref)
-		got := g.MaxFlow(ws, src, dst, caps, extra, limit)
-		if want := math.Min(ref, limit); got != want && !(limit <= 0 && got == 0) {
-			t.Fatalf("trial %d: MaxFlow(%d,%d, limit %v) = %v, reference %v", trial, src, dst, limit, got, want)
+		for i := rng.Intn(3 * k); i >= 0; i-- {
+			u, v := rng.Intn(k), rng.Intn(k)
+			for par := 1 + rng.Intn(2); par > 0; par-- {
+				chain(u, v, 1+rng.Intn(5))
+			}
 		}
-		if err := checkMaxFlowCertificate(g, ws, src, dst, caps, extra, limit, got); err != nil {
-			t.Fatalf("trial %d: MaxFlow(%d,%d, limit %v) = %v: %v", trial, src, dst, limit, got, err)
+		for i := rng.Intn(3); i > 0; i-- {
+			c := g.AddVertex()
+			mid = append(mid, c)
+			chain(c, c, 2+rng.Intn(4))
+		}
+		for i := rng.Intn(3); i > 0; i-- {
+			v := rng.Intn(k)
+			g.AddEdge(v, v, 1)
+		}
+		pick := func() int {
+			if len(mid) > 0 && rng.Intn(2) == 0 {
+				return mid[rng.Intn(len(mid))]
+			}
+			return rng.Intn(g.NumVertices())
+		}
+		for round := 0; round < 2; round++ {
+			if round == 1 {
+				g.AddEdge(pick(), pick(), 1)
+			}
+			caps := make([]float64, g.NumEdges())
+			for i := range caps {
+				switch rng.Intn(12) {
+				case 0:
+					caps[i] = 0
+				case 1:
+					caps[i] = inf
+				default:
+					caps[i] = float64(1 + rng.Intn(6))
+				}
+			}
+			var extra []Edge
+			for i := rng.Intn(3); i > 0; i-- {
+				extra = append(extra, Edge{U: pick(), V: pick(), Weight: float64(rng.Intn(5))})
+			}
+			if err := checkRandomLimit(rng, g, ws, pick(), pick(), caps, extra); err != nil {
+				t.Fatalf("trial %d.%d: %v", trial, round, err)
+			}
 		}
 	}
 }
@@ -438,6 +655,18 @@ func TestMaxFlowWSZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("MaxFlow allocates %.1f per run, want 0", avg)
 	}
+
+	// src inside a chain of the cycle 0-1-2-3-4-5-0 splits it.
+	ring := New(6)
+	for v := 0; v < 6; v++ {
+		ring.AddEdge(v, (v+1)%6, 1)
+	}
+	ring.MaxFlow(ws, 2, 5, nil, extra, inf)
+	if avg := testing.AllocsPerRun(50, func() {
+		ring.MaxFlow(ws, 2, 5, nil, extra, inf)
+	}); avg != 0 {
+		t.Fatalf("MaxFlow on a split chain allocates %.1f per run, want 0", avg)
+	}
 }
 
 // FuzzMaxFlow decodes a small multigraph from the fuzz bytes — a
@@ -449,6 +678,11 @@ func FuzzMaxFlow(f *testing.F) {
 	f.Add([]byte{4, 0, 3, 1, 2, 0, 1, 5, 1, 2, 3, 2, 3, 4, 0, 2, 9, 0})
 	f.Add([]byte{6, 1, 5, 0xff, 0, 1, 3, 1, 2, 0, 2, 3, 7, 3, 4, 2, 4, 5, 1, 2, 4, 3})
 	f.Add([]byte{2, 0, 1, 1, 0, 1, 0, 0, 1, 2})
+	// Chains: src mid-chain on 0-1-2-3 beside 0-4-3; an extra from the
+	// middle of the path 0-…-5; src and dst on a cycle, capped.
+	f.Add([]byte{3, 1, 3, 0xff, 5, 0, 1, 3, 1, 2, 4, 2, 3, 2, 0, 4, 5, 4, 3, 1})
+	f.Add([]byte{4, 0, 5, 0xff, 5, 0, 1, 6, 1, 2, 2, 2, 3, 7, 3, 4, 3, 4, 5, 5, 2, 5, 4})
+	f.Add([]byte{2, 1, 3, 6, 4, 0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return

@@ -62,6 +62,10 @@ type Workspace struct {
 	// callers read deltas around a batch via MinCutStats.
 	mcFast uint64
 	mcFull uint64
+	// Max-flow counters: MaxFlow calls, and the Dinic level searches
+	// they ran (one per phase, plus the failed or final one).
+	mfCalls    uint64
+	mfSearches uint64
 }
 
 // MinCutStats reports how many GlobalMinCut queries on this
@@ -69,6 +73,12 @@ type Workspace struct {
 // fell through to the full Stoer-Wagner phase loop.
 func (w *Workspace) MinCutStats() (fastPath, stoerWagner uint64) {
 	return w.mcFast, w.mcFull
+}
+
+// MaxFlowStats reports how many MaxFlow calls ran on this workspace
+// and how many Dinic level searches they made in all.
+func (w *Workspace) MaxFlowStats() (calls, searches uint64) {
+	return w.mfCalls, w.mfSearches
 }
 
 // NewWorkspace returns an empty workspace; it grows to fit the first

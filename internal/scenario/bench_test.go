@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
 	"intertubes/internal/fiber"
+	"intertubes/internal/graph"
 	"intertubes/internal/mapbuilder"
 	"intertubes/internal/par"
 	"intertubes/internal/records"
@@ -211,6 +213,52 @@ func BenchmarkScenarioEvaluateLatencyTraffic(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkMaxFlowDemands times the capacity stage's query mix on the
+// Dinic kernel alone: every gravity demand flowed at its Gbps limit,
+// with no reuse, under the baseline capacities and under the capacity
+// tables of scenarioSweepBatch's 10 regional footprints. One op is one
+// MaxFlow call; searches/op is the level searches it ran.
+func BenchmarkMaxFlowDemands(b *testing.B) {
+	res, mx := benchBaseline()
+	eng := New(res, mx, Options{Seed: 42})
+	cb := eng.snap.capacity()
+	g := eng.snap.baseline().g
+	var regions [][]float64
+	for _, sc := range scenarioSweepBatch(res, mx)[:10] {
+		ov, _, err := eng.buildOverlay(sc, eng.keptISPs(sc))
+		if err != nil {
+			b.Fatal(err)
+		}
+		regions = append(regions, capacityTable(ov.Final(), nil)[:ov.NumBaseConduits()])
+	}
+	for _, c := range []struct {
+		name   string
+		tables [][]float64
+	}{
+		{"baseline", [][]float64{cb.caps}},
+		{"regions", regions},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ws := graph.NewWorkspace()
+			nd := len(cb.demands)
+			g.MaxFlow(ws, int(cb.demands[0].s), int(cb.demands[0].t), cb.caps, nil, math.Inf(1)) // warm: scratch growth
+			var served float64
+			_, searches0 := ws.MaxFlowStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := cb.demands[i%nd]
+				caps := c.tables[i/nd%len(c.tables)]
+				served += g.MaxFlow(ws, int(d.s), int(d.t), caps, nil, d.gbps)
+			}
+			b.StopTimer()
+			_, searches := ws.MaxFlowStats()
+			b.ReportMetric(float64(searches-searches0)/float64(b.N), "searches/op")
+			b.ReportMetric(served/float64(b.N), "gbps/op")
 		})
 	}
 }

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -243,6 +245,69 @@ func TestRenderResult(t *testing.T) {
 	for _, want := range []string{"level3-exit", "providers removed", "Sharing distribution", "Risk ranking", "Minimum cuts"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("render missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestNestedCutsMonotone holds the engine to what cutting more can
+// only do: for random cut sets S ⊂ S' (1–6 conduits, then 1–6 more),
+// S' serves no more Gbps, and leaves every provider no less
+// disconnected and its largest component no larger; an open-access
+// addition alone serves no less than the baseline. Every Result must
+// marshal. Partition cost is left out: it is not monotone, because
+// PartitionShift.After is taken over the provider's surviving
+// footprint, which a larger cut can shrink to a connected remainder.
+func TestNestedCutsMonotone(t *testing.T) {
+	eng := newEngine(t, 0)
+	res, _ := build(t)
+	m := res.Map
+	rng := rand.New(rand.NewSource(25))
+	ctx := context.Background()
+	eval := func(sc Scenario) *Result {
+		t.Helper()
+		r, err := eng.Evaluate(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := json.Marshal(r); err != nil {
+			t.Fatalf("%+v: Result does not marshal: %v", sc, err)
+		}
+		return r
+	}
+	for i := 0; i < 200; i++ {
+		perm := rng.Perm(m.NumConduits())
+		k := 1 + rng.Intn(6)
+		cut := make([]fiber.ConduitID, k+1+rng.Intn(6))
+		for j := range cut {
+			cut[j] = fiber.ConduitID(perm[j])
+		}
+		r, rs := eval(Scenario{CutConduits: cut[:k]}), eval(Scenario{CutConduits: cut})
+		if a, b := r.LostTraffic.ServedAfterGbps, rs.LostTraffic.ServedAfterGbps; b > a {
+			t.Errorf("cut %v serves %v Gbps, its superset %v serves more: %v", cut[:k], a, cut, b)
+		}
+		small := make(map[string]Disconnection, len(r.Disconnection))
+		for _, d := range r.Disconnection {
+			small[d.ISP] = d
+		}
+		for _, d := range rs.Disconnection {
+			s, ok := small[d.ISP]
+			switch {
+			case !ok:
+				t.Errorf("cut %v: no disconnection row for %s", cut[:k], d.ISP)
+			case d.After < s.After:
+				t.Errorf("%s: disconnection %v under cut %v falls to %v under %v", d.ISP, s.After, cut[:k], d.After, cut)
+			case d.LargestComponent > s.LargestComponent:
+				t.Errorf("%s: largest component %v under cut %v grows to %v under %v", d.ISP, s.LargestComponent, cut[:k], d.LargestComponent, cut)
+			}
+		}
+	}
+	for i := 0; i < 100; i++ {
+		a := rng.Intn(m.NumNodes())
+		b := (a + 1 + rng.Intn(m.NumNodes()-1)) % m.NumNodes()
+		ad := Addition{A: m.Node(fiber.NodeID(a)).Key(), B: m.Node(fiber.NodeID(b)).Key()}
+		lt := eval(Scenario{Additions: []Addition{ad}}).LostTraffic
+		if lt.ServedAfterGbps < lt.ServedBeforeGbps {
+			t.Errorf("addition %s–%s serves %v Gbps, below the baseline's %v", ad.A, ad.B, lt.ServedAfterGbps, lt.ServedBeforeGbps)
 		}
 	}
 }

@@ -374,14 +374,18 @@ func (e *Engine) evaluateOverlay(ctx context.Context, sc Scenario) (*Result, err
 	// final view (cuts dark, removals thinned, merged additions
 	// widened); overlay-new conduits ride as extra edges. A pair the
 	// capacity changes provably cannot move keeps its memoized
-	// baseline answer; touched counts the pairs that re-flowed.
+	// baseline answer; touched counts the pairs that re-flowed, and
+	// maxflow_phases the Dinic level searches they ran.
 	_ = stage("scenario.stage.capacity", func(sp *obs.Span) error {
+		_, searches0 := scr.ws.MaxFlowStats()
 		cb := e.snap.capacity()
 		nb := ov.NumBaseConduits()
 		scr.capacityNetwork(cb, base.g, final, nb)
 		served, flows := cb.servedOn(base.g, scr.ws, scr.capW[:nb], scr.extra, &scr.capD)
 		res.LostTraffic = cb.lostTraffic(served)
 		setReuseAttrs(sp, flows, len(cb.demands)-flows)
+		_, searches := scr.ws.MaxFlowStats()
+		sp.SetAttrInt("maxflow_phases", int64(searches-searches0))
 		return nil
 	})
 

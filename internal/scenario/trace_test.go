@@ -94,6 +94,15 @@ func TestRecordedEvaluationAttribution(t *testing.T) {
 	if pa["mincut_fastpath"] == "" || pa["mincut_stoerwagner"] == "" {
 		t.Errorf("partition stage missing min-cut split: %v", pa)
 	}
+
+	// Every demand the capacity stage re-flows runs at least one Dinic
+	// level search.
+	ca := attrMap(byName["scenario.stage.capacity"])
+	touched, err1 := strconv.Atoi(ca["touched"])
+	phases, err2 := strconv.Atoi(ca["maxflow_phases"])
+	if err1 != nil || err2 != nil || touched == 0 || phases < touched {
+		t.Errorf("capacity stage attrs %v: want touched > 0 and maxflow_phases >= touched", ca)
+	}
 }
 
 func TestRecordedEvaluationReusedOutcome(t *testing.T) {
@@ -120,6 +129,9 @@ func TestRecordedEvaluationReusedOutcome(t *testing.T) {
 		}
 		if a["touched"] != "0" {
 			t.Errorf("%s touched = %q, want 0", s.Name, a["touched"])
+		}
+		if s.Name == "scenario.stage.capacity" && a["maxflow_phases"] != "0" {
+			t.Errorf("%s maxflow_phases = %q, want 0", s.Name, a["maxflow_phases"])
 		}
 	}
 }
