@@ -7,7 +7,9 @@
 //
 //	go test -run '^$' -bench . -benchmem -json ./... | benchjson -o BENCH_obs.json
 //
-// scripts/bench.sh wraps exactly that pipeline.
+// scripts/bench.sh wraps exactly that pipeline. With -ab it instead
+// summarizes the paired end-to-end runs `scripts/bench.sh ab` records
+// (ab.go).
 package main
 
 import (
@@ -54,8 +56,12 @@ func run(args []string, in io.Reader, errOut io.Writer) error {
 	out := fs.String("o", "BENCH_obs.json", "output file")
 	baseline := fs.String("baseline", "", "baseline summary to compare against (fails on ns/op regressions)")
 	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional ns/op slowdown vs -baseline")
+	ab := fs.String("ab", "", "summarize the A/B runs file written by scripts/bench.sh ab against BENCHMARK.json instead of reading a test2json stream")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *ab != "" {
+		return runAB(*ab, "BENCHMARK.json", *out, errOut)
 	}
 	sum, err := parseStream(in)
 	if err != nil {

@@ -46,10 +46,21 @@ type Perturbation struct {
 // Overlay is a copy-on-write perturbed view of a base map. The base
 // is shared and never mutated; concurrent overlays over one base are
 // safe. The zero value is not ready; use NewOverlay.
+//
+// An Overlay also names the conduits its Final view can disagree with
+// the base map on (Touched): the cut conduits, the base conduits a
+// removal or a merged addition rewrote, and the virtual builds. Every
+// other conduit reads exactly as in the base map, so a per-conduit
+// table of the base map stays valid outside that set, and a consumer
+// can update it at the touched conduits alone.
 type Overlay struct {
 	base *Map
 
-	cut     []bool          // len == len(base.Conduits)
+	cut []bool // len == len(base.Conduits)
+	// touched marks the base conduits in the touched set: the cut ones
+	// and the keys of effPlus. Tenants reads an unmarked conduit
+	// straight from the base map.
+	touched []bool
 	removed map[string]bool // provider-removal set
 	// effPlus overrides the plus-view tenant list for base conduits
 	// affected by removals or merged additions. Cuts are not recorded
@@ -60,8 +71,9 @@ type Overlay struct {
 	virtual []Conduit
 	// targets[i] is the conduit addition i landed on (base or virtual).
 	targets []ConduitID
-	// cutList is the deduplicated cut set (cut's true indices).
-	cutList []ConduitID
+	// touchedList is the touched set in ascending id order: the marked
+	// base conduits, then every virtual build.
+	touchedList []ConduitID
 
 	linksRemoved int
 }
@@ -70,20 +82,20 @@ type Overlay struct {
 // on an addition whose endpoints coincide (mirroring EnsureConduit)
 // or a cut id outside the base conduit range.
 func NewOverlay(base *Map, p Perturbation) (*Overlay, error) {
+	nb := len(base.Conduits)
 	o := &Overlay{
 		base:    base,
-		cut:     make([]bool, len(base.Conduits)),
+		cut:     make([]bool, nb),
+		touched: make([]bool, nb),
 		removed: make(map[string]bool, len(p.RemoveISPs)),
 		effPlus: make(map[ConduitID][]string),
 	}
 	for _, cid := range p.Cuts {
-		if cid < 0 || int(cid) >= len(base.Conduits) {
-			return nil, fmt.Errorf("fiber: overlay cut %d out of range (base has %d conduits)", cid, len(base.Conduits))
+		if cid < 0 || int(cid) >= nb {
+			return nil, fmt.Errorf("fiber: overlay cut %d out of range (base has %d conduits)", cid, nb)
 		}
-		if !o.cut[cid] {
-			o.cut[cid] = true
-			o.cutList = append(o.cutList, cid)
-		}
+		o.cut[cid] = true
+		o.touched[cid] = true
 	}
 
 	// Removals first — the mutation path's order.
@@ -96,6 +108,7 @@ func NewOverlay(base *Map, p Perturbation) (*Overlay, error) {
 		o.linksRemoved += len(cids)
 		for _, cid := range cids {
 			o.effPlus[cid] = removeSorted(o.effTenantsPlus(cid), isp)
+			o.touched[cid] = true
 		}
 	}
 
@@ -142,7 +155,17 @@ func NewOverlay(base *Map, p Perturbation) (*Overlay, error) {
 				eff, _ = insertSorted(eff, isp)
 			}
 			o.effPlus[target] = eff
+			o.touched[target] = true
 		}
+	}
+
+	for cid, t := range o.touched {
+		if t {
+			o.touchedList = append(o.touchedList, ConduitID(cid))
+		}
+	}
+	for i := range o.virtual {
+		o.touchedList = append(o.touchedList, o.virtual[i].ID)
 	}
 	return o, nil
 }
@@ -160,6 +183,12 @@ func (o *Overlay) effTenantsPlus(cid ConduitID) []string {
 // LinksRemoved returns the number of (ISP, conduit) links the
 // provider-removal clause severed — what RemoveISP would have counted.
 func (o *Overlay) LinksRemoved() int { return o.linksRemoved }
+
+// Touched returns, in ascending id order, every conduit whose Final
+// tenancy can differ from the base map's: the cut conduits, the base
+// conduits a removal or a merged addition rewrote, and the virtual
+// builds. Read-only.
+func (o *Overlay) Touched() []ConduitID { return o.touchedList }
 
 // CutMask returns the cut indicator indexed by base conduit id.
 // Read-only; virtual conduits (ids at or beyond its length) are never
@@ -213,6 +242,9 @@ func (v overlayView) Tenants(cid ConduitID) []string {
 	o := v.o
 	if nb := len(o.base.Conduits); int(cid) >= nb {
 		return o.virtual[int(cid)-nb].Tenants
+	}
+	if !o.touched[cid] {
+		return o.base.Conduits[cid].Tenants
 	}
 	if v.dark && o.cut[cid] {
 		return nil
@@ -285,57 +317,46 @@ func (v overlayView) Stats() Stats {
 }
 
 // ispCount counts providers with at least one effective tenancy — the
-// view equivalent of len(byTenant) on a materialized map. Only
-// conduits the delta touched can change a provider's link count, so
-// the diff walks the affected set and adjusts the base count.
+// view equivalent of len(byTenant) on a materialized map. An untouched
+// conduit keeps its base tenants, so a base provider stays as soon as
+// one of its conduits is untouched or still holds it, and a provider
+// the base map lacks can only arrive on an addition's target.
 func (v overlayView) ispCount() int {
 	o := v.o
-	delta := make(map[string]int)
-	diff := func(cid ConduitID) {
-		base := o.base.Conduits[cid].Tenants
-		eff := v.Tenants(cid)
-		// Merge-walk two sorted lists, counting insertions/deletions.
-		i, j := 0, 0
-		for i < len(base) || j < len(eff) {
-			switch {
-			case j == len(eff) || (i < len(base) && base[i] < eff[j]):
-				delta[base[i]]--
-				i++
-			case i == len(base) || base[i] > eff[j]:
-				delta[eff[j]]++
-				j++
-			default:
-				i++
-				j++
-			}
-		}
-	}
-	if v.dark {
-		for _, cid := range o.cutList {
-			diff(cid)
-		}
-	}
-	for cid := range o.effPlus {
-		if v.dark && o.cut[cid] {
-			continue // already diffed as a cut
-		}
-		diff(cid)
-	}
-	for i := range o.virtual {
-		for _, isp := range o.virtual[i].Tenants {
-			delta[isp]++
-		}
-	}
-	count := len(o.base.byTenant)
-	for isp, d := range delta {
-		baseN := len(o.base.byTenant[isp])
-		if baseN > 0 && baseN+d == 0 {
-			count--
-		} else if baseN == 0 && d > 0 {
+	count := 0
+	for isp, cids := range o.base.byTenant {
+		if v.keeps(isp, cids) {
 			count++
 		}
 	}
-	return count
+	var arrived map[string]bool
+	for _, cid := range o.targets {
+		for _, isp := range v.Tenants(cid) {
+			if len(o.base.byTenant[isp]) == 0 && !arrived[isp] {
+				if arrived == nil {
+					arrived = make(map[string]bool)
+				}
+				arrived[isp] = true
+			}
+		}
+	}
+	return count + len(arrived)
+}
+
+// keeps reports whether base provider isp, a tenant of the base
+// conduits cids, has an effective tenancy in the view.
+func (v overlayView) keeps(isp string, cids []ConduitID) bool {
+	for _, cid := range cids {
+		if !v.o.touched[cid] || v.HasTenant(cid, isp) {
+			return true
+		}
+	}
+	for _, cid := range v.o.targets {
+		if v.HasTenant(cid, isp) {
+			return true
+		}
+	}
+	return false
 }
 
 var _ View = overlayView{}

@@ -108,6 +108,52 @@ func diffViews(t *testing.T, label string, v View, want *Map, isps []string) {
 	}
 }
 
+// checkTouched asserts ov.Touched() is ascending, holds every conduit
+// whose Final tenancy differs from the base map's (final is the
+// mutated map) plus every cut and virtual build, and holds nothing
+// the perturbation did not rewrite: a cut, a conduit of a removed
+// provider, or an addition's target.
+func checkTouched(t *testing.T, label string, ov *Overlay, m, final *Map, p Perturbation) {
+	t.Helper()
+	got := ov.Touched()
+	in := make(map[ConduitID]bool, len(got))
+	for i, cid := range got {
+		if i > 0 && got[i-1] >= cid {
+			t.Fatalf("%s: Touched %v not strictly ascending", label, got)
+		}
+		in[cid] = true
+	}
+	may := make(map[ConduitID]bool)
+	for _, cid := range p.Cuts {
+		may[cid] = true
+		if !in[cid] {
+			t.Errorf("%s: cut %d not touched", label, cid)
+		}
+	}
+	for _, isp := range p.RemoveISPs {
+		for _, cid := range m.ConduitsOf(isp) {
+			may[cid] = true
+		}
+	}
+	for _, cid := range ov.AdditionTargets() {
+		may[cid] = true
+	}
+	for cid := ConduitID(0); int(cid) < final.NumConduits(); cid++ {
+		virtual := int(cid) >= m.NumConduits()
+		if virtual || !reflect.DeepEqual(final.Tenants(cid), m.Tenants(cid)) {
+			if !in[cid] {
+				t.Errorf("%s: conduit %d changed but is not touched", label, cid)
+			}
+		}
+		if in[cid] && !virtual && !may[cid] {
+			t.Errorf("%s: conduit %d touched, but nothing rewrote it", label, cid)
+		}
+	}
+	if len(got) > 0 && int(got[len(got)-1]) >= final.NumConduits() {
+		t.Errorf("%s: Touched %v runs past the view's %d conduits", label, got, final.NumConduits())
+	}
+}
+
 func allISPs(m *Map, extra ...string) []string {
 	out := append(m.ISPs(), extra...)
 	return out
@@ -162,6 +208,7 @@ func TestOverlayMatchesMutation(t *testing.T) {
 			isps := allISPs(m, "Zeta", "Nobody")
 			diffViews(t, "plus", ov.Plus(), plus, isps)
 			diffViews(t, "final", ov.Final(), final, isps)
+			checkTouched(t, "touched", ov, m, final, tc.p)
 
 			// LinksRemoved matches what sequential RemoveISP would count.
 			wantRemoved := 0
@@ -207,6 +254,7 @@ func TestOverlayRandomized(t *testing.T) {
 		plus, final := mutate(m, p)
 		diffViews(t, fmt.Sprintf("trial%d-plus", trial), ov.Plus(), plus, isps)
 		diffViews(t, fmt.Sprintf("trial%d-final", trial), ov.Final(), final, isps)
+		checkTouched(t, fmt.Sprintf("trial%d-touched", trial), ov, m, final, p)
 	}
 }
 

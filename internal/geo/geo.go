@@ -150,10 +150,13 @@ func (b Bounds) Contains(p Point) bool {
 }
 
 // ExpandKm grows the bounds by approximately km in every direction.
-func (b Bounds) ExpandKm(km float64) Bounds {
-	dLat := km / 111.32 // km per degree latitude
-	// Use the least-shrunk parallel inside the box for the lon scale so
-	// the expansion is conservative (never too small).
+func (b Bounds) ExpandKm(km float64) Bounds { return b.ExpandKmAt(km, b.KmPerDegreeLon()) }
+
+// KmPerDegreeLon is the longitude scale ExpandKm grows b by: km per
+// degree on the least-shrunk parallel inside the box (the equator when
+// the box straddles it), so the expansion is conservative (never too
+// small), with the cosine clamped at 0.1 near the poles.
+func (b Bounds) KmPerDegreeLon() float64 {
 	absLat := math.Min(math.Abs(b.MinLat), math.Abs(b.MaxLat))
 	if b.MinLat <= 0 && b.MaxLat >= 0 {
 		absLat = 0
@@ -162,7 +165,15 @@ func (b Bounds) ExpandKm(km float64) Bounds {
 	if cos < 0.1 {
 		cos = 0.1
 	}
-	dLon := km / (111.32 * cos)
+	return 111.32 * cos
+}
+
+// ExpandKmAt is ExpandKm with b's longitude scale, kmPerLon =
+// b.KmPerDegreeLon(), supplied by a caller that expands one box by
+// many distances and computes the scale once.
+func (b Bounds) ExpandKmAt(km, kmPerLon float64) Bounds {
+	dLat := km / 111.32 // km per degree latitude
+	dLon := km / kmPerLon
 	b.MinLat -= dLat
 	b.MaxLat += dLat
 	b.MinLon -= dLon

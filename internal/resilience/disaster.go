@@ -1,8 +1,6 @@
 package resilience
 
 import (
-	"sort"
-
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 )
@@ -23,20 +21,53 @@ type Region struct {
 // ConduitsInRegion returns every tenanted conduit whose path enters
 // the region, sorted by id.
 func ConduitsInRegion(m *fiber.Map, r Region) []fiber.ConduitID {
-	var out []fiber.ConduitID
+	ids, _ := NewRegionIndex(m).Conduits(r)
+	return ids
+}
+
+// RegionIndex answers region queries over one map. It keeps each
+// tenanted conduit's path, the path's bounds and the longitude scale
+// ExpandKm derives from those bounds, in id order, so a query pays for
+// neither per conduit. Read-only after NewRegionIndex; safe for
+// concurrent queries.
+type RegionIndex struct {
+	entries []regionEntry
+}
+
+type regionEntry struct {
+	id       fiber.ConduitID
+	path     geo.Polyline
+	bounds   geo.Bounds
+	kmPerLon float64
+}
+
+// NewRegionIndex indexes m's tenanted conduits.
+func NewRegionIndex(m *fiber.Map) *RegionIndex {
+	ix := &RegionIndex{}
 	for i := range m.Conduits {
 		c := &m.Conduits[i]
 		if len(c.Tenants) == 0 {
 			continue
 		}
-		// Cheap bounds rejection before the exact distance test.
-		if !c.Path.Bounds().ExpandKm(r.RadiusKm).Contains(r.Center) {
+		b := c.Path.Bounds()
+		ix.entries = append(ix.entries, regionEntry{id: c.ID, path: c.Path, bounds: b, kmPerLon: b.KmPerDegreeLon()})
+	}
+	return ix
+}
+
+// Conduits returns every indexed conduit whose path enters r, sorted
+// by id, and how many conduits passed the cheap bounds rejection that
+// runs before the exact distance test.
+func (ix *RegionIndex) Conduits(r Region) (ids []fiber.ConduitID, candidates int) {
+	for i := range ix.entries {
+		e := &ix.entries[i]
+		if !e.bounds.ExpandKmAt(r.RadiusKm, e.kmPerLon).Contains(r.Center) {
 			continue
 		}
-		if c.Path.DistanceToKm(r.Center) <= r.RadiusKm {
-			out = append(out, c.ID)
+		candidates++
+		if e.path.DistanceToKm(r.Center) <= r.RadiusKm {
+			ids = append(ids, e.id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return ids, candidates
 }

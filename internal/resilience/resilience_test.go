@@ -3,6 +3,9 @@ package resilience
 import (
 	"context"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"intertubes/internal/fiber"
@@ -229,5 +232,54 @@ func TestConduitsInRegion(t *testing.T) {
 	// A circle in the middle of nowhere catches nothing.
 	if got := ConduitsInRegion(res.Map, Region{Center: geo.Point{Lat: 44.5, Lon: -107.5}, RadiusKm: 30}); len(got) != 0 {
 		t.Errorf("empty Wyoming contains conduits: %v", got)
+	}
+}
+
+// scanRegion is the per-call region scan the index replaced: bounds
+// and longitude scale recomputed for every conduit, then sorted. It
+// also counts the conduits past the bounds prefilter.
+func scanRegion(m *fiber.Map, r Region) (out []fiber.ConduitID, candidates int) {
+	for i := range m.Conduits {
+		c := &m.Conduits[i]
+		if len(c.Tenants) == 0 {
+			continue
+		}
+		if !c.Path.Bounds().ExpandKm(r.RadiusKm).Contains(r.Center) {
+			continue
+		}
+		candidates++
+		if c.Path.DistanceToKm(r.Center) <= r.RadiusKm {
+			out = append(out, c.ID)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out, candidates
+}
+
+// TestRegionIndexMatchesScan: on 1,000 random regions, centred over
+// and around the map with radii from 1 km to beyond the whole map, the
+// index cuts exactly what the per-call scan cuts and lets exactly as
+// many conduits past the prefilter.
+func TestRegionIndexMatchesScan(t *testing.T) {
+	res, _ := build(t)
+	ix := NewRegionIndex(res.Map)
+	rng := rand.New(rand.NewSource(26))
+	hits := 0
+	for i := 0; i < 1000; i++ {
+		r := Region{
+			Center:   geo.Point{Lat: 15 + rng.Float64()*45, Lon: -135 + rng.Float64()*80},
+			RadiusKm: math.Pow(10, rng.Float64()*4), // 1 km to 10,000 km
+		}
+		got, gotN := ix.Conduits(r)
+		want, wantN := scanRegion(res.Map, r)
+		if !reflect.DeepEqual(got, want) || gotN != wantN {
+			t.Fatalf("%+v: index cuts %v (%d candidates), scan %v (%d)", r, got, gotN, want, wantN)
+		}
+		if len(got) > 0 {
+			hits++
+		}
+	}
+	if hits < 300 {
+		t.Errorf("only %d of 1000 regions cut anything", hits)
 	}
 }

@@ -5,7 +5,9 @@
 package risk
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"intertubes/internal/fiber"
@@ -209,6 +211,147 @@ func (mx *Matrix) Ranking() []ISPRisk {
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Mean < out[b].Mean })
 	return out
+}
+
+// Tables are the integer tables of a baseline matrix that Perturb
+// derives a perturbed matrix's Figure 6 and 7 values from: per
+// conduit id, the matrix rows present on it (so its sharing count);
+// per row, the sum of sharing counts over its conduits and its conduit
+// count; and the histogram of sharing counts. Build them once per
+// matrix with Tables; they are read-only after.
+type Tables struct {
+	mx  *Matrix
+	row map[string]int32
+	// rows[start[c]:start[c+1]] are the rows present on conduit c, for
+	// every id up to the matrix's largest column.
+	start []int32
+	rows  []int32
+	sum   []int
+	count []int
+	// hist[k] counts the columns shared by exactly k matrix providers.
+	hist []int
+}
+
+// Tables builds the matrix's integer tables.
+func (mx *Matrix) Tables() *Tables {
+	n := len(mx.ISPs)
+	t := &Tables{
+		mx:    mx,
+		row:   make(map[string]int32, n),
+		sum:   make([]int, n),
+		count: make([]int, n),
+		hist:  make([]int, n+1),
+	}
+	for i, isp := range mx.ISPs {
+		t.row[isp] = int32(i)
+	}
+	nc := 0
+	if len(mx.Conduits) > 0 {
+		nc = int(mx.Conduits[len(mx.Conduits)-1]) + 1
+	}
+	t.start = make([]int32, nc+1)
+	for j, cid := range mx.Conduits {
+		k := mx.sharing[j]
+		t.start[cid+1] = int32(k)
+		t.hist[k]++
+		for i := range mx.ISPs {
+			if mx.present[i][j] {
+				t.rows = append(t.rows, int32(i))
+				t.sum[i] += k
+				t.count[i]++
+			}
+		}
+	}
+	for c := 0; c < nc; c++ {
+		t.start[c+1] += t.start[c]
+	}
+	return t
+}
+
+// MeanRisk is one provider's place in Figure 7: its mean shared risk,
+// Ranking's ISPRisk.Mean.
+type MeanRisk struct {
+	ISP  string
+	Mean float64
+}
+
+// Perturbed is a perturbed matrix as far as Figures 6 and 7 read it.
+type Perturbed struct {
+	// SharingCounts is the perturbed matrix's SharingCounts.
+	SharingCounts []int
+	// Ranking is the perturbed matrix's Ranking, order and Mean.
+	Ranking []MeanRisk
+}
+
+// Perturb returns Figures 6 and 7 of BuildFrom(v, kept) from the
+// baseline tables plus the conduits touched, ascending, the only ones
+// on which v's tenancy may differ from the map the matrix was built
+// on. kept are distinct matrix providers, and every conduit a matrix
+// provider outside kept occupies must be touched. Each touched conduit
+// gives back its baseline contribution and adds its tenancy in v over
+// the kept providers; every sum is an integer, so each mean is the
+// float Ranking computes by summing columns in order, and the stable
+// sort by mean leaves the ranking in Ranking's order.
+func (t *Tables) Perturb(v fiber.View, touched []fiber.ConduitID, kept []string) Perturbed {
+	n := len(t.mx.ISPs)
+	sum := append([]int(nil), t.sum...)
+	count := append([]int(nil), t.count...)
+	hist := append([]int(nil), t.hist...)
+	in := make([]bool, n)
+	for _, isp := range kept {
+		r, ok := t.row[isp]
+		if !ok {
+			panic("risk: Perturb: " + isp + " is not a matrix provider")
+		}
+		in[r] = true
+	}
+	var on []int32 // the kept rows present on one touched conduit
+	for _, cid := range touched {
+		if int(cid) < len(t.start)-1 {
+			rows := t.rows[t.start[cid]:t.start[cid+1]]
+			k := len(rows)
+			hist[k]--
+			for _, r := range rows {
+				sum[r] -= k
+				count[r]--
+			}
+		}
+		on = on[:0]
+		for _, isp := range v.Tenants(cid) {
+			if r, ok := t.row[isp]; ok && in[r] {
+				on = append(on, r)
+			}
+		}
+		k := len(on)
+		hist[k]++
+		for _, r := range on {
+			sum[r] += k
+			count[r]++
+		}
+	}
+	for r, c := range count {
+		if !in[r] && c != 0 {
+			panic("risk: Perturb: a conduit of dropped provider " + t.mx.ISPs[r] + " is not touched")
+		}
+	}
+
+	p := Perturbed{SharingCounts: make([]int, len(kept)), Ranking: make([]MeanRisk, len(kept))}
+	atLeast := 0
+	for k := n; k >= 1; k-- {
+		atLeast += hist[k]
+		if k <= len(kept) {
+			p.SharingCounts[k-1] = atLeast
+		}
+	}
+	for i, isp := range kept {
+		r := t.row[isp]
+		p.Ranking[i].ISP = isp
+		if count[r] > 0 {
+			p.Ranking[i].Mean = float64(sum[r]) / float64(count[r])
+		}
+	}
+	slices.SortStableFunc(p.Ranking, func(a, b MeanRisk) int { return cmp.Compare(a.Mean, b.Mean) })
+	return p
 }
 
 // countQuantile returns the q-quantile, by linear interpolation, of

@@ -351,3 +351,64 @@ func quantile(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
+
+// TestPerturbMatchesRebuild: on the test map, Perturb over an
+// overlay's touched conduits reads the sharing counts, ranking order
+// and means of BuildFrom on the overlay's final view — for cuts,
+// removals, a removed provider re-added on a build, a build lit by a
+// provider outside the matrix, and everything removed.
+func TestPerturbMatchesRebuild(t *testing.T) {
+	m := testMap(t)
+	mx := Build(m, nil)
+	tabs := mx.Tables()
+	for i, p := range []fiber.Perturbation{
+		{},
+		{Cuts: []fiber.ConduitID{0}},
+		{Cuts: []fiber.ConduitID{1, 3}},
+		{RemoveISPs: []string{"Sprint"}},
+		{RemoveISPs: []string{"Level 3"}, Additions: []fiber.OverlayAddition{{A: 0, B: 2, Tenants: []string{"Level 3", "Cox"}}}},
+		{Additions: []fiber.OverlayAddition{{A: 1, B: 2, Tenants: []string{"AT&T", "Nobody"}}}},
+		{RemoveISPs: mx.ISPs, Cuts: []fiber.ConduitID{2}},
+	} {
+		ov, err := fiber.NewOverlay(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for _, isp := range mx.ISPs {
+			if !containsString(p.RemoveISPs, isp) {
+				kept = append(kept, isp)
+			}
+		}
+		got := tabs.Perturb(ov.Final(), ov.Touched(), kept)
+		want := BuildFrom(ov.Final(), kept)
+		if fmt.Sprint(got.SharingCounts) != fmt.Sprint(want.SharingCounts()) {
+			t.Errorf("case %d: sharing counts %v, rebuild %v", i, got.SharingCounts, want.SharingCounts())
+		}
+		var wantRank []MeanRisk
+		for _, r := range want.Ranking() {
+			wantRank = append(wantRank, MeanRisk{ISP: r.ISP, Mean: r.Mean})
+		}
+		if fmt.Sprint(got.Ranking) != fmt.Sprint(wantRank) {
+			t.Errorf("case %d: ranking %v, rebuild %v", i, got.Ranking, wantRank)
+		}
+	}
+
+	// A provider left out of kept whose conduits are not all touched
+	// is a caller's bug, not a result.
+	defer func() {
+		if recover() == nil {
+			t.Error("Perturb accepted a dropped provider on an untouched conduit")
+		}
+	}()
+	tabs.Perturb(m, nil, []string{"AT&T", "Level 3", "Sprint"})
+}
+
+func containsString(xs []string, x string) bool {
+	for _, y := range xs {
+		if y == x {
+			return true
+		}
+	}
+	return false
+}

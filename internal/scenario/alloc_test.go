@@ -102,7 +102,7 @@ func TestCapacityReuseDecisionZeroAllocs(t *testing.T) {
 
 	reused := 0
 	decide := func() {
-		scr.capacityNetwork(cb, g, final, nb)
+		scr.capacityNetwork(cb, g, ov, final)
 		reused = 0
 		for i := range cb.demands {
 			if cb.reusable(i, scr.capW[:nb], &scr.capD) {

@@ -168,7 +168,7 @@ func reuseDecisions(t *testing.T, eng *Engine, sc Scenario) []bool {
 	cb, g := eng.snap.capacity(), eng.snap.baseline().g
 	nb := ov.NumBaseConduits()
 	scr := &evalScratch{ws: graph.NewWorkspace()}
-	scr.capacityNetwork(cb, g, ov.Final(), nb)
+	scr.capacityNetwork(cb, g, ov, ov.Final())
 	out := make([]bool, len(cb.demands))
 	for i, d := range cb.demands {
 		if out[i] = cb.reusable(i, scr.capW[:nb], &scr.capD); !out[i] {

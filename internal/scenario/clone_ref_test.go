@@ -81,8 +81,12 @@ func evaluateClone(ctx context.Context, e *Engine, sc Scenario) (*Result, error)
 	mx2 := risk.Build(pm, kept)
 
 	res.Stats = StatsDelta{Before: base.stats, After: pm.Stats()}
-	fillSharing(res, base, mx2)
-	fillRanking(res, base, mx2)
+	fillSharing(res, base, mx2.SharingCounts())
+	var ranking []risk.MeanRisk
+	for _, r := range mx2.Ranking() {
+		ranking = append(ranking, risk.MeanRisk{ISP: r.ISP, Mean: r.Mean})
+	}
+	fillRanking(res, base, ranking)
 
 	if err := checkpoint(); err != nil {
 		return nil, err

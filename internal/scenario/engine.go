@@ -333,12 +333,15 @@ func (e *Engine) keptISPs(sc Scenario) []string {
 	return kept
 }
 
-// fillSharing writes the Figure 6 distribution shift.
-func fillSharing(res *Result, base *baseline, mx2 *risk.Matrix) {
-	after := mx2.SharingCounts()
+// fillSharing writes the Figure 6 distribution shift; after is the
+// perturbed matrix's SharingCounts.
+func fillSharing(res *Result, base *baseline, after []int) {
 	n := len(base.sharing)
 	if len(after) > n {
 		n = len(after)
+	}
+	if n > 0 { // an empty table stays nil, which encodes as null
+		res.Sharing = make([]SharingShift, 0, n)
 	}
 	for k := 1; k <= n; k++ {
 		s := SharingShift{K: k}
@@ -352,9 +355,13 @@ func fillSharing(res *Result, base *baseline, mx2 *risk.Matrix) {
 	}
 }
 
-// fillRanking writes the Figure 7 movements, in after-ranking order.
-func fillRanking(res *Result, base *baseline, mx2 *risk.Matrix) {
-	for pos, r := range mx2.Ranking() {
+// fillRanking writes the Figure 7 movements in after-ranking order;
+// after is the perturbed matrix's ranking.
+func fillRanking(res *Result, base *baseline, after []risk.MeanRisk) {
+	if len(after) > 0 { // an empty table stays nil, which encodes as null
+		res.Ranking = make([]RankShift, 0, len(after))
+	}
+	for pos, r := range after {
 		res.Ranking = append(res.Ranking, RankShift{
 			ISP:        r.ISP,
 			MeanBefore: base.meanOf[r.ISP],
@@ -452,30 +459,36 @@ func (e *Engine) trafficStage(ctx context.Context, sc Scenario, pub fiber.View, 
 // ResolveCuts materializes the scenario's cut clauses against the
 // baseline map into one sorted, de-duplicated conduit set.
 func (e *Engine) ResolveCuts(sc Scenario) ([]fiber.ConduitID, error) {
+	cuts, _, err := e.resolveCuts(sc)
+	return cuts, err
+}
+
+// resolveCuts is ResolveCuts that also counts the region candidates:
+// the conduits the Regions clauses' bounds prefilter let through to
+// the exact distance test.
+func (e *Engine) resolveCuts(sc Scenario) (cuts []fiber.ConduitID, candidates int, err error) {
 	m := e.snap.res.Map
-	var cuts []fiber.ConduitID
 	for _, cid := range sc.CutConduits {
 		if int(cid) >= len(m.Conduits) {
-			return nil, fmt.Errorf("scenario: conduit %d out of range (map has %d)", cid, len(m.Conduits))
+			return nil, 0, fmt.Errorf("scenario: conduit %d out of range (map has %d)", cid, len(m.Conduits))
 		}
 		cuts = append(cuts, cid)
 	}
 	if sc.CutMostShared > 0 {
-		cuts = append(cuts, e.snap.mx.TopShared(sc.CutMostShared)...)
+		rank := e.snap.sharedRank()
+		cuts = append(cuts, rank[:min(sc.CutMostShared, len(rank))]...)
 	}
 	if sc.CutMostBetween > 0 {
 		rank := e.snap.betweennessRank()
-		k := sc.CutMostBetween
-		if k > len(rank) {
-			k = len(rank)
-		}
-		cuts = append(cuts, rank[:k]...)
+		cuts = append(cuts, rank[:min(sc.CutMostBetween, len(rank))]...)
 	}
 	for _, r := range sc.Regions {
-		cuts = append(cuts, resilience.ConduitsInRegion(m, resilience.Region{
+		ids, n := e.snap.regionIndex().Conduits(resilience.Region{
 			Center:   geo.Point{Lat: r.Lat, Lon: r.Lon},
 			RadiusKm: r.RadiusKm,
-		})...)
+		})
+		cuts = append(cuts, ids...)
+		candidates += n
 	}
-	return dedupeIDs(cuts), nil
+	return dedupeIDs(cuts), candidates, nil
 }

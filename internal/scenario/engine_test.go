@@ -3,12 +3,14 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"intertubes/internal/fiber"
+	"intertubes/internal/latency"
 	"intertubes/internal/mapbuilder"
 	"intertubes/internal/risk"
 )
@@ -275,12 +277,7 @@ func TestNestedCutsMonotone(t *testing.T) {
 		return r
 	}
 	for i := 0; i < 200; i++ {
-		perm := rng.Perm(m.NumConduits())
-		k := 1 + rng.Intn(6)
-		cut := make([]fiber.ConduitID, k+1+rng.Intn(6))
-		for j := range cut {
-			cut[j] = fiber.ConduitID(perm[j])
-		}
+		cut, k := nestedCuts(rng, m)
 		r, rs := eval(Scenario{CutConduits: cut[:k]}), eval(Scenario{CutConduits: cut})
 		if a, b := r.LostTraffic.ServedAfterGbps, rs.LostTraffic.ServedAfterGbps; b > a {
 			t.Errorf("cut %v serves %v Gbps, its superset %v serves more: %v", cut[:k], a, cut, b)
@@ -302,12 +299,73 @@ func TestNestedCutsMonotone(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		a := rng.Intn(m.NumNodes())
-		b := (a + 1 + rng.Intn(m.NumNodes()-1)) % m.NumNodes()
-		ad := Addition{A: m.Node(fiber.NodeID(a)).Key(), B: m.Node(fiber.NodeID(b)).Key()}
+		ad := openAddition(rng, m)
 		lt := eval(Scenario{Additions: []Addition{ad}}).LostTraffic
 		if lt.ServedAfterGbps < lt.ServedBeforeGbps {
 			t.Errorf("addition %s–%s serves %v Gbps, below the baseline's %v", ad.A, ad.B, lt.ServedAfterGbps, lt.ServedBeforeGbps)
 		}
+	}
+}
+
+// nestedCuts draws a cut set S' of distinct conduits whose first k
+// form S ⊂ S': 1–6 conduits, then 1–6 more.
+func nestedCuts(rng *rand.Rand, m *fiber.Map) (cut []fiber.ConduitID, k int) {
+	perm := rng.Perm(m.NumConduits())
+	k = 1 + rng.Intn(6)
+	cut = make([]fiber.ConduitID, k+1+rng.Intn(6))
+	for j := range cut {
+		cut[j] = fiber.ConduitID(perm[j])
+	}
+	return cut, k
+}
+
+// openAddition draws an open-access build between two distinct nodes.
+func openAddition(rng *rand.Rand, m *fiber.Map) Addition {
+	a := rng.Intn(m.NumNodes())
+	b := (a + 1 + rng.Intn(m.NumNodes()-1)) % m.NumNodes()
+	return Addition{A: m.Node(fiber.NodeID(a)).Key(), B: m.Node(fiber.NodeID(b)).Key()}
+}
+
+// TestNestedCutsAtlasMonotone is the atlas half of the metamorphic
+// properties: for 50 nested cut sets S ⊂ S', no latency-atlas distance
+// under S' is shorter than under S, and after each of 30 single
+// open-access builds no distance is longer than in the baseline atlas.
+// An unreachable pair reads +Inf, so a pair cut off stays cut off.
+func TestNestedCutsAtlasMonotone(t *testing.T) {
+	eng := newEngine(t, 0)
+	m := eng.snap.res.Map
+	rng := rand.New(rand.NewSource(26))
+	ctx := context.Background()
+	atlas := func(sc Scenario) *latency.Atlas {
+		t.Helper()
+		at, err := eng.LatencyAtlasFor(ctx, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return at
+	}
+	// noShorter fails when any distance of hi is below lo's.
+	noShorter := func(label string, lo, hi *latency.Atlas) {
+		t.Helper()
+		for i := 0; i < lo.NumSources(); i++ {
+			rl, rh := lo.Row(i), hi.Row(i)
+			for v := range rl {
+				if rh[v] < rl[v] {
+					t.Fatalf("%s: distance %v -> %d falls from %v to %v", label, lo.Source(i), v, rl[v], rh[v])
+				}
+			}
+		}
+	}
+	for i := 0; i < 50; i++ {
+		cut, k := nestedCuts(rng, m)
+		noShorter(fmt.Sprintf("cuts %v then %v", cut[:k], cut), atlas(Scenario{CutConduits: cut[:k]}), atlas(Scenario{CutConduits: cut}))
+	}
+	base, err := eng.LatencyAtlas(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		ad := openAddition(rng, m)
+		noShorter(fmt.Sprintf("build %s–%s", ad.A, ad.B), atlas(Scenario{Additions: []Addition{ad}}), base)
 	}
 }

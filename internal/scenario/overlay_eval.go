@@ -12,15 +12,15 @@ import (
 	"intertubes/internal/latency"
 	"intertubes/internal/obs"
 	"intertubes/internal/resilience"
-	"intertubes/internal/risk"
 )
 
 // overlay_eval.go is the evaluator. Instead of deep-cloning the map
 // per scenario, it records the perturbation as a fiber.Overlay over
 // the shared snapshot and recomputes only what the delta touches:
 //
-//   - stats, sharing, and ranking read straight through the overlay
-//     views (no map copy);
+//   - sharing and ranking update the baseline risk matrix's integer
+//     tables at the conduits the overlay touched, and stats read
+//     through the final view (no map copy);
 //   - disconnection and partition cost are recomputed only for the
 //     providers the delta can affect — a provider is "touched" when a
 //     cut conduit carries its (surviving) tenancy or an addition
@@ -124,31 +124,41 @@ func (s *evalScratch) providerRow(base *baseline, ov *fiber.Overlay, final fiber
 }
 
 // capacityNetwork fills the scratch with the capacity stage's
-// perturbed network: capW holds the final view's capacity per conduit
-// (the nb base conduits first, overlay-new ones after), extra the
-// overlay-new conduits as edges weighted by capacity, and capD the
-// difference from cb's baseline. Allocation-free once warm.
-func (s *evalScratch) capacityNetwork(cb *capacityBaseline, g *graph.Graph, final fiber.View, nb int) {
-	s.capW = capacityTable(final, s.capW)
+// perturbed network over ov, whose Final view is final: capW holds the
+// final view's capacity per conduit (the base conduits first,
+// overlay-new ones after), extra the overlay-new conduits as edges
+// weighted by capacity, and capD the difference from cb's baseline. An
+// untouched conduit keeps its base tenancy, so capW starts as the
+// baseline table and only the touched conduits are recomputed; it
+// returns how many. Allocation-free once warm.
+func (s *evalScratch) capacityNetwork(cb *capacityBaseline, g *graph.Graph, ov *fiber.Overlay, final fiber.View) int {
+	nb := ov.NumBaseConduits()
+	s.capW = append(s.capW[:0], cb.caps...)
 	d := &s.capD
 	d.dropped, d.grown = d.dropped[:0], d.grown[:0]
-	for cid, c := range s.capW[:nb] {
+	s.extra = s.extra[:0]
+	touched := ov.Touched()
+	for _, cid := range touched {
+		c := fiber.ConduitCapacityGbps(final, cid)
+		if int(cid) >= nb {
+			a, b := final.ConduitEnds(cid)
+			e := graph.Edge{U: int(a), V: int(b), Weight: c}
+			s.capW = append(s.capW, c)
+			s.extra = append(s.extra, e)
+			if c > 0 {
+				d.grown = append(d.grown, e)
+			}
+			continue
+		}
+		s.capW[cid] = c
 		switch {
 		case c < cb.caps[cid]:
-			d.dropped = append(d.dropped, cid)
+			d.dropped = append(d.dropped, int(cid))
 		case c > cb.caps[cid]:
-			d.grown = append(d.grown, g.Edge(cid))
+			d.grown = append(d.grown, g.Edge(int(cid)))
 		}
 	}
-	s.extra = s.extra[:0]
-	for cid := nb; cid < len(s.capW); cid++ {
-		a, b := final.ConduitEnds(fiber.ConduitID(cid))
-		e := graph.Edge{U: int(a), V: int(b), Weight: s.capW[cid]}
-		s.extra = append(s.extra, e)
-		if e.Weight > 0 {
-			d.grown = append(d.grown, e)
-		}
-	}
+	return len(touched)
 }
 
 // maskWeights fills dst with the provider's unit weight row under the
@@ -168,13 +178,20 @@ func maskWeights(dst, baseRow []float64, gains []fiber.ConduitID, cuts []fiber.C
 
 // buildOverlay resolves the scenario's cut clauses and additions
 // against the baseline and records them as a copy-on-write overlay.
-// An addition with no tenant list is open access: every kept provider
-// lights the build.
-func (e *Engine) buildOverlay(sc Scenario, kept []string) (ov *fiber.Overlay, pert fiber.Perturbation, err error) {
-	m := e.snap.res.Map
-	if pert.Cuts, err = e.ResolveCuts(sc); err != nil {
-		return nil, pert, err
+func (e *Engine) buildOverlay(sc Scenario, kept []string) (*fiber.Overlay, fiber.Perturbation, error) {
+	cuts, _, err := e.resolveCuts(sc)
+	if err != nil {
+		return nil, fiber.Perturbation{}, err
 	}
+	return e.overlayOf(sc, kept, cuts)
+}
+
+// overlayOf records the scenario, its cut clauses resolved to cuts,
+// as a copy-on-write overlay over the baseline. An addition with no
+// tenant list is open access: every kept provider lights the build.
+func (e *Engine) overlayOf(sc Scenario, kept []string, cuts []fiber.ConduitID) (ov *fiber.Overlay, pert fiber.Perturbation, err error) {
+	m := e.snap.res.Map
+	pert.Cuts = cuts
 	pert.RemoveISPs = sc.RemoveISPs
 	for _, ad := range sc.Additions {
 		a, ok := m.NodeByKey(ad.A)
@@ -223,8 +240,11 @@ func (e *Engine) evaluateOverlay(ctx context.Context, sc Scenario) (*Result, err
 	removed := make(map[string]bool, len(sc.RemoveISPs))
 	err := stage("scenario.stage.apply", func(sp *obs.Span) error {
 		kept = e.keptISPs(sc)
-		var err error
-		if ov, pert, err = e.buildOverlay(sc, kept); err != nil {
+		cuts, candidates, err := e.resolveCuts(sc)
+		if err != nil {
+			return err
+		}
+		if ov, pert, err = e.overlayOf(sc, kept, cuts); err != nil {
 			return err
 		}
 		res = &Result{
@@ -244,6 +264,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, sc Scenario) (*Result, err
 		}
 		sp.SetAttrInt("cuts", int64(len(pert.Cuts)))
 		sp.SetAttrInt("additions", int64(len(pert.Additions)))
+		sp.SetAttrInt("region_candidates", int64(candidates))
 		return nil
 	})
 	if err != nil {
@@ -255,14 +276,18 @@ func (e *Engine) evaluateOverlay(ctx context.Context, sc Scenario) (*Result, err
 		return nil, err
 	}
 
+	// The matrix stage updates the baseline's integer tables at the
+	// conduits the overlay touched; every other conduit reads as in the
+	// baseline.
 	final := ov.Final()
-	var mx2 *risk.Matrix
 	_ = stage("scenario.stage.matrix", func(sp *obs.Span) error {
-		mx2 = risk.BuildFrom(final, kept)
+		touched := ov.Touched()
+		after := base.risk.Perturb(final, touched, kept)
 		res.Stats = StatsDelta{Before: base.stats, After: final.Stats()}
-		fillSharing(res, base, mx2)
-		fillRanking(res, base, mx2)
-		sp.SetAttrInt("isps", int64(len(mx2.ISPs)))
+		fillSharing(res, base, after.SharingCounts)
+		fillRanking(res, base, after.Ranking)
+		sp.SetAttrInt("isps", int64(len(kept)))
+		sp.SetAttrInt("conduits_touched", int64(len(touched)))
 		return nil
 	})
 
@@ -301,8 +326,8 @@ func (e *Engine) evaluateOverlay(ctx context.Context, sc Scenario) (*Result, err
 	// lights reads its row with the gains merged in.
 	_ = stage("scenario.stage.disconnection", func(sp *obs.Span) error {
 		recomputed := 0
-		impacts := make([]resilience.Impact, 0, len(mx2.ISPs))
-		for _, isp := range mx2.ISPs {
+		impacts := make([]resilience.Impact, 0, len(kept))
+		for _, isp := range kept {
 			bits := touched[isp]
 			if bits == 0 {
 				impacts = append(impacts, base.disc[isp])
@@ -321,7 +346,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, sc Scenario) (*Result, err
 			return impacts[i].DisconnectedPairs > impacts[j].DisconnectedPairs
 		})
 		fillDisconnection(res, base, impacts)
-		setReuseAttrs(sp, recomputed, len(mx2.ISPs)-recomputed)
+		setReuseAttrs(sp, recomputed, len(kept)-recomputed)
 		return nil
 	})
 
@@ -370,22 +395,25 @@ func (e *Engine) evaluateOverlay(ctx context.Context, sc Scenario) (*Result, err
 	}
 
 	// Capacity stage: re-flow the gravity demand matrix over the
-	// perturbed capacities. Base conduit capacities come from the
-	// final view (cuts dark, removals thinned, merged additions
-	// widened); overlay-new conduits ride as extra edges. A pair the
-	// capacity changes provably cannot move keeps its memoized
-	// baseline answer; touched counts the pairs that re-flowed, and
-	// maxflow_phases the Dinic level searches they ran.
+	// perturbed capacities. Base conduit capacities are the baseline
+	// table with the touched conduits read from the final view (cuts
+	// dark, removals thinned, merged additions widened); overlay-new
+	// conduits ride as extra edges. A pair the capacity changes
+	// provably cannot move keeps its memoized baseline answer; touched
+	// counts the pairs that re-flowed, maxflow_phases the Dinic level
+	// searches they ran, and capacities_recomputed the conduits whose
+	// capacity was read from the view.
 	_ = stage("scenario.stage.capacity", func(sp *obs.Span) error {
 		_, searches0 := scr.ws.MaxFlowStats()
 		cb := e.snap.capacity()
 		nb := ov.NumBaseConduits()
-		scr.capacityNetwork(cb, base.g, final, nb)
+		recomputed := scr.capacityNetwork(cb, base.g, ov, final)
 		served, flows := cb.servedOn(base.g, scr.ws, scr.capW[:nb], scr.extra, &scr.capD)
 		res.LostTraffic = cb.lostTraffic(served)
 		setReuseAttrs(sp, flows, len(cb.demands)-flows)
 		_, searches := scr.ws.MaxFlowStats()
 		sp.SetAttrInt("maxflow_phases", int64(searches-searches0))
+		sp.SetAttrInt("capacities_recomputed", int64(recomputed))
 		return nil
 	})
 

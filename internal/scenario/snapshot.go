@@ -42,7 +42,9 @@ type snapshot struct {
 
 	digest   memo.Value[string]
 	base     memo.Value[*baseline]
+	shared   memo.Value[[]fiber.ConduitID]
 	btw      memo.Value[[]fiber.ConduitID]
+	regions  memo.Value[*resilience.RegionIndex]
 	capBase  memo.Value[*capacityBaseline]          // capacity.go
 	lit      memo.Value[[]int32]                    // atlas.go
 	atlas    memo.Value[*latency.Atlas]             // atlas.go
@@ -53,10 +55,10 @@ type snapshot struct {
 }
 
 // baseline is everything Evaluate diffs against, computed once per
-// snapshot, plus the overlay tables every evaluation reads: the
-// conduit graph, and per matrix-ISP the dense unit weight row (1 on
-// the provider's conduits, +Inf elsewhere), baseline footprint
-// (ascending vertex ids), and index.
+// snapshot, plus the overlay tables every evaluation reads: the risk
+// matrix's integer tables, the conduit graph, and per matrix-ISP the
+// dense unit weight row (1 on the provider's conduits, +Inf
+// elsewhere), baseline footprint (ascending vertex ids), and index.
 type baseline struct {
 	stats   fiber.Stats
 	sharing []int
@@ -64,6 +66,7 @@ type baseline struct {
 	meanOf  map[string]float64
 	disc    map[string]resilience.Impact
 	part    map[string]int
+	risk    *risk.Tables
 
 	g        *graph.Graph
 	ispIdx   map[string]int
@@ -87,6 +90,7 @@ func (s *snapshot) baseline() *baseline {
 			meanOf:   make(map[string]float64),
 			disc:     make(map[string]resilience.Impact),
 			part:     make(map[string]int),
+			risk:     s.mx.Tables(),
 			g:        fiber.Graph(m),
 			ispIdx:   make(map[string]int, len(s.mx.ISPs)),
 			ispW:     make([][]float64, len(s.mx.ISPs)),
@@ -125,6 +129,19 @@ func (e *Engine) Baseline() string {
 		fmt.Fprintf(h, "isps|%s\n", strings.Join(s.mx.ISPs, "|"))
 		return hex.EncodeToString(h.Sum(nil))
 	})
+}
+
+// sharedRank memoizes the full most-shared cut ordering; a
+// CutMostShared=k clause resolves to its first k entries, exactly what
+// the matrix's TopShared(k) returns.
+func (s *snapshot) sharedRank() []fiber.ConduitID {
+	return kept(&s.shared, func() []fiber.ConduitID { return s.mx.SharedAtLeast(1) })
+}
+
+// regionIndex memoizes the region index over the map's tenanted
+// conduits, which every Regions clause queries.
+func (s *snapshot) regionIndex() *resilience.RegionIndex {
+	return kept(&s.regions, func() *resilience.RegionIndex { return resilience.NewRegionIndex(s.res.Map) })
 }
 
 // betweennessRank memoizes the full betweenness cut ordering; a

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"intertubes/internal/fiber"
 	"intertubes/internal/obs"
 )
 
@@ -133,6 +134,76 @@ func TestRecordedEvaluationReusedOutcome(t *testing.T) {
 		if s.Name == "scenario.stage.capacity" && a["maxflow_phases"] != "0" {
 			t.Errorf("%s maxflow_phases = %q, want 0", s.Name, a["maxflow_phases"])
 		}
+	}
+}
+
+// stageAttrsOf evaluates sc under a recorded trace and returns each
+// stage span's attributes by span name.
+func stageAttrsOf(t *testing.T, st *obs.TraceStore, eng *Engine, sc Scenario) map[string]map[string]string {
+	t.Helper()
+	ctx, root := obs.StartTrace(context.Background(), "test.delta")
+	if _, err := eng.Evaluate(ctx, sc); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	tr, ok := st.Get(root.TraceID())
+	if !ok {
+		t.Fatal("evaluation trace not retained")
+	}
+	out := make(map[string]map[string]string)
+	for _, s := range tr.Spans {
+		out[s.Name] = attrMap(s)
+	}
+	return out
+}
+
+// TestRecordedDeltaSizes: the matrix, capacity and apply stages say
+// how large the scenario's delta was — the conduits the overlay
+// touched, the capacities recomputed, and the conduits past the region
+// prefilter.
+func TestRecordedDeltaSizes(t *testing.T) {
+	st := freshTraces(t)
+	eng := newEngine(t, 0)
+	m := eng.snap.res.Map
+	isp := eng.Matrix().ISPs[0]
+	var held, notHeld []fiber.ConduitID
+	for cid := fiber.ConduitID(0); int(cid) < m.NumConduits(); cid++ {
+		switch {
+		case len(m.Tenants(cid)) == 0:
+		case m.HasTenant(cid, isp):
+			held = append(held, cid)
+		default:
+			notHeld = append(notHeld, cid)
+		}
+	}
+	sizes := func(sc Scenario) (touched, capacities, candidates string) {
+		a := stageAttrsOf(t, st, eng, sc)
+		return a["scenario.stage.matrix"]["conduits_touched"],
+			a["scenario.stage.capacity"]["capacities_recomputed"],
+			a["scenario.stage.apply"]["region_candidates"]
+	}
+
+	if tc, cc, rc := sizes(Scenario{CutConduits: notHeld[:3]}); tc != "3" || cc != "3" || rc != "0" {
+		t.Errorf("3-conduit cut: conduits_touched %s, capacities_recomputed %s, region_candidates %s; want 3, 3, 0", tc, cc, rc)
+	}
+	want := strconv.Itoa(len(held))
+	if tc, cc, _ := sizes(Scenario{RemoveISPs: []string{isp}}); tc != want || cc != want {
+		t.Errorf("removing %s: conduits_touched %s, capacities_recomputed %s; want its %s conduits", isp, tc, cc, want)
+	}
+	// A cut of one of its conduits adds nothing; a cut elsewhere adds one.
+	want = strconv.Itoa(len(held) + 1)
+	if tc, cc, _ := sizes(Scenario{RemoveISPs: []string{isp}, CutConduits: []fiber.ConduitID{held[0], notHeld[0]}}); tc != want || cc != want {
+		t.Errorf("removing %s with two cuts: conduits_touched %s, capacities_recomputed %s; want %s", isp, tc, cc, want)
+	}
+
+	sc := Scenario{Regions: []Region{{Lat: 29.95, Lon: -90.07, RadiusKm: 200}}}
+	res, err := eng.Evaluate(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, rc := sizes(sc)
+	if n, err := strconv.Atoi(rc); err != nil || n < res.ConduitsCut || res.ConduitsCut == 0 {
+		t.Errorf("region cutting %d conduits: region_candidates %q, want at least that many", res.ConduitsCut, rc)
 	}
 }
 
