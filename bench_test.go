@@ -266,7 +266,7 @@ func BenchmarkFigure12_Latency(b *testing.B) {
 	var bestEqROW float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at, _ := latency.Build(context.Background(), benchRes.Map, latency.Options{})
+		at, _ := latency.Build(context.Background(), benchRes.Map, benchRes.Map, latency.Options{})
 		study, _ := mitigate.LatencyStudy(context.Background(), at, benchRes.Atlas, mitigate.LatencyOptions{MaxPairs: 800})
 		bestEqROW = mitigate.Summarize(study).BestEqualsROW
 	}
@@ -539,7 +539,7 @@ func BenchmarkAblationGreedyVsExact(b *testing.B) {
 // analysis: proposing ROW-following builds.
 func BenchmarkLatencyImprovements(b *testing.B) {
 	sharedStudy()
-	at, _ := latency.Build(context.Background(), benchRes.Map, latency.Options{})
+	at, _ := latency.Build(context.Background(), benchRes.Map, benchRes.Map, latency.Options{})
 	study, _ := mitigate.LatencyStudy(context.Background(), at, benchRes.Atlas, mitigate.LatencyOptions{MaxPairs: 800})
 	b.ResetTimer()
 	var saved float64
@@ -635,7 +635,7 @@ func BenchmarkWorkersLatencyStudy(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var pairs int
 			for i := 0; i < b.N; i++ {
-				at, _ := latency.Build(context.Background(), benchRes.Map, latency.Options{Workers: w})
+				at, _ := latency.Build(context.Background(), benchRes.Map, benchRes.Map, latency.Options{Workers: w})
 				study, _ := mitigate.LatencyStudy(context.Background(), at, benchRes.Atlas,
 					mitigate.LatencyOptions{MaxPairs: 800, Workers: w})
 				pairs = len(study)

@@ -87,7 +87,9 @@ func run(args []string, in io.Reader, errOut io.Writer) error {
 // compareBaseline checks every benchmark present in both the new
 // summary and the baseline file: a ns/op more than tolerance above
 // the baseline's is a regression, and one or more regressions fail
-// the run. Each compared benchmark gets one line with both sides'
+// the run. A side that ran a benchmark several times (one result per
+// round of scripts/bench.sh compare) is judged by its median (see
+// medians). Each compared benchmark gets one line with both sides'
 // ns/op, their ratio and both sides' allocs/op, before the verdict. A
 // benchmark present on only one side — renamed, moved to another
 // package, added or deleted — is listed as not compared, and a run
@@ -101,33 +103,24 @@ func compareBaseline(sum *Summary, path string, tolerance float64, errOut io.Wri
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	old := make(map[string]map[string]float64)
-	for _, r := range base.Benchmarks {
-		if r.Metrics["ns/op"] > 0 {
-			old[r.Package+" "+r.Name] = r.Metrics
-		}
-	}
+	_, old := medians(base.Benchmarks)
+	keys, cur := medians(sum.Benchmarks)
 	matched := make(map[string]bool)
 	regressions := 0
-	for _, r := range sum.Benchmarks {
-		ns := r.Metrics["ns/op"]
-		if ns <= 0 {
-			continue
-		}
-		key := r.Package + " " + r.Name
+	for _, key := range keys {
 		oldMetrics, ok := old[key]
 		if !ok {
 			fmt.Fprintf(errOut, "benchjson: not compared, not in %s: %s\n", path, key)
 			continue
 		}
 		matched[key] = true
-		oldNs := oldMetrics["ns/op"]
+		ns, oldNs := cur[key]["ns/op"], oldMetrics["ns/op"]
 		fmt.Fprintf(errOut, "benchjson: compared %s: %.0f -> %.0f ns/op (x%.3f), allocs/op %s -> %s\n",
-			key, oldNs, ns, ns/oldNs, allocsOf(oldMetrics), allocsOf(r.Metrics))
+			key, oldNs, ns, ns/oldNs, allocsOf(oldMetrics), allocsOf(cur[key]))
 		if ns > oldNs*(1+tolerance) {
 			regressions++
-			fmt.Fprintf(errOut, "benchjson: REGRESSION %s %s: %.0f ns/op vs baseline %.0f (+%.0f%%, tolerance %.0f%%)\n",
-				r.Package, r.Name, ns, oldNs, (ns/oldNs-1)*100, tolerance*100)
+			fmt.Fprintf(errOut, "benchjson: REGRESSION %s: %.0f ns/op vs baseline %.0f (+%.0f%%, tolerance %.0f%%)\n",
+				key, ns, oldNs, (ns/oldNs-1)*100, tolerance*100)
 		}
 	}
 	var missing []string
@@ -149,6 +142,43 @@ func compareBaseline(sum *Summary, path string, tolerance float64, errOut io.Wri
 	}
 	fmt.Fprintf(errOut, "benchjson: %d benchmarks within %.0f%% of %s\n", compared, tolerance*100, path)
 	return nil
+}
+
+// medians collapses each benchmark's repeated results to their median
+// ns/op and allocs/op (the mean of the middle two for an even count),
+// so one noisy round cannot decide a verdict. Results without a
+// positive ns/op are skipped. Keys are "package name", returned in
+// first-seen order.
+func medians(rs []Result) ([]string, map[string]map[string]float64) {
+	var keys []string
+	runs := make(map[string][]map[string]float64)
+	for _, r := range rs {
+		if r.Metrics["ns/op"] <= 0 {
+			continue
+		}
+		key := r.Package + " " + r.Name
+		if runs[key] == nil {
+			keys = append(keys, key)
+		}
+		runs[key] = append(runs[key], r.Metrics)
+	}
+	out := make(map[string]map[string]float64, len(runs))
+	for key, ms := range runs {
+		med := make(map[string]float64)
+		for _, unit := range []string{"ns/op", "allocs/op"} {
+			var xs []float64
+			for _, m := range ms {
+				if v, ok := m[unit]; ok {
+					xs = append(xs, v)
+				}
+			}
+			if len(xs) > 0 {
+				med[unit] = statsOf(xs).Median
+			}
+		}
+		out[key] = med
+	}
+	return keys, out
 }
 
 // allocsOf formats a benchmark's allocs/op, or "-" when the run did

@@ -313,3 +313,39 @@ func TestCompareBaselineViaRun(t *testing.T) {
 		t.Errorf("summary not written despite regression: %v", statErr)
 	}
 }
+
+// TestCompareBaselineMedians: a side that ran a benchmark in several
+// rounds is judged by its median ns/op and allocs/op, so one outlier
+// round trips nothing while a slowdown in every round still does.
+func TestCompareBaselineMedians(t *testing.T) {
+	results := func(ns ...float64) []Result {
+		var rs []Result
+		for i, v := range ns {
+			rs = append(rs, Result{Package: "p", Name: "BenchmarkX", Metrics: map[string]float64{"ns/op": v, "allocs/op": float64(3 + 6*(i%2))}})
+		}
+		return rs
+	}
+	for _, tc := range []struct {
+		name       string
+		base, head []float64
+		line       string // the compared line, medians on both sides
+		regressed  bool
+	}{
+		{"odd counts", []float64{100, 300, 110}, []float64{120, 115, 500}, "110 -> 120 ns/op (x1.091), allocs/op 3 -> 3", false},
+		{"even counts", []float64{100, 120}, []float64{130, 140}, "110 -> 135 ns/op (x1.227), allocs/op 6 -> 6", false},
+		{"one outlier round", []float64{100, 100, 100}, []float64{100, 400, 105}, "100 -> 105 ns/op (x1.050)", false},
+		{"slower every round", []float64{100, 100, 100}, []float64{140, 150, 145}, "100 -> 145 ns/op (x1.450)", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := writeBaseline(t, Summary{Benchmarks: results(tc.base...)})
+			var errBuf strings.Builder
+			err := compareBaseline(&Summary{Benchmarks: results(tc.head...)}, base, 0.25, &errBuf)
+			if (err != nil) != tc.regressed {
+				t.Errorf("err = %v, want a regression: %v", err, tc.regressed)
+			}
+			if !strings.Contains(errBuf.String(), "compared p BenchmarkX: "+tc.line) {
+				t.Errorf("stderr = %q, want %q", errBuf.String(), tc.line)
+			}
+		})
+	}
+}

@@ -45,6 +45,10 @@ func TestResilienceBadDisaster(t *testing.T) {
 	if err := run([]string{"resilience", "-disaster", "not-a-region"}, &strings.Builder{}); err == nil {
 		t.Error("expected error for malformed -disaster")
 	}
+	// fmt.Sscanf's %f reads NaN; the scenario's validation rejects it.
+	if err := run([]string{"resilience", "-k", "1", "-disaster", "NaN,-90,350"}, &strings.Builder{}); err == nil {
+		t.Error("expected error for a NaN -disaster latitude")
+	}
 }
 
 func TestResilienceBadLogLevel(t *testing.T) {

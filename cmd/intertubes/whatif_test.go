@@ -157,6 +157,16 @@ func TestWhatifGridFlagErrors(t *testing.T) {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
+	// A non-finite spec field fails validation, which names it.
+	for field, args := range map[string][]string{
+		"radius": {"-grid", "400", "-grid-radii", "+Inf"},
+		"cellKm": {"-grid", "NaN"},
+	} {
+		err := run(append([]string{"whatif"}, args...), &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%v: err = %v, want one naming %s", args, err, field)
+		}
+	}
 }
 
 // TestWhatifGridTimings: -timings prints the build report after a

@@ -178,13 +178,6 @@ func parse(cities, corridors string) (*Atlas, error) {
 	return a, nil
 }
 
-// CityIndex returns the index of the city with the given "Name,ST"
-// key.
-func (a *Atlas) CityIndex(key string) (int, bool) {
-	i, ok := a.byKey[key]
-	return i, ok
-}
-
 // MustCity returns the city index or panics; for tests and embedded
 // configuration that reference cities by name.
 func (a *Atlas) MustCity(key string) int {
@@ -193,29 +186,6 @@ func (a *Atlas) MustCity(key string) int {
 		panic(fmt.Sprintf("atlas: unknown city %q", key))
 	}
 	return i
-}
-
-// Nearest returns the index of the city closest to p.
-func (a *Atlas) Nearest(p geo.Point) int {
-	best, bestD := -1, math.Inf(1)
-	for i, c := range a.Cities {
-		if d := c.Loc.DistanceKm(p); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
-// CitiesOver returns the indices of cities with population >= minPop,
-// in data order.
-func (a *Atlas) CitiesOver(minPop int) []int {
-	var out []int
-	for i, c := range a.Cities {
-		if c.Population >= minPop {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Graph returns the corridor multigraph: vertex i is city i, edge j is

@@ -3,8 +3,6 @@ package atlas
 import (
 	"strings"
 	"testing"
-
-	"intertubes/internal/geo"
 )
 
 func TestLoadParsesCleanly(t *testing.T) {
@@ -66,7 +64,7 @@ func TestPaperCitiesPresent(t *testing.T) {
 		"Gainesville,FL", "Ocala,FL", "Laurel,MS", "Anaheim,CA",
 		"Urbana,IL", "Tucson,AZ", "Denver,CO",
 	} {
-		if _, ok := a.CityIndex(key); !ok {
+		if _, ok := a.byKey[key]; !ok {
 			t.Errorf("missing paper city %q", key)
 		}
 	}
@@ -149,7 +147,7 @@ func TestCityLookups(t *testing.T) {
 	if a.Cities[i].State != "CO" {
 		t.Errorf("MustCity returned %v", a.Cities[i])
 	}
-	if _, ok := a.CityIndex("Atlantis,XX"); ok {
+	if _, ok := a.byKey["Atlantis,XX"]; ok {
 		t.Error("found a city that should not exist")
 	}
 	defer func() {
@@ -158,28 +156,6 @@ func TestCityLookups(t *testing.T) {
 		}
 	}()
 	a.MustCity("Atlantis,XX")
-}
-
-func TestNearest(t *testing.T) {
-	a := Load()
-	// A point in central Kansas should be closest to Salina or Hays.
-	got := a.Cities[a.Nearest(geo.Point{Lat: 38.8, Lon: -98.0})].Key()
-	if got != "Salina,KS" && got != "Hays,KS" {
-		t.Errorf("nearest to central Kansas = %s", got)
-	}
-}
-
-func TestCitiesOver(t *testing.T) {
-	a := Load()
-	big := a.CitiesOver(1000000)
-	if len(big) < 5 || len(big) > 20 {
-		t.Errorf("million-plus cities = %d, want a handful", len(big))
-	}
-	for _, i := range big {
-		if a.Cities[i].Population < 1000000 {
-			t.Errorf("%s below threshold", a.Cities[i].Key())
-		}
-	}
 }
 
 func TestDuplicateCorridorsAreIntentional(t *testing.T) {

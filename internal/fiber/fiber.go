@@ -69,20 +69,6 @@ func (c *Conduit) HasTenant(isp string) bool { return containsSorted(c.Tenants, 
 // SharingDegree returns the number of published tenants.
 func (c *Conduit) SharingDegree() int { return len(c.Tenants) }
 
-// AllTenants returns published plus hidden tenants, sorted,
-// de-duplicated.
-func (c *Conduit) AllTenants() []string {
-	out := make([]string, 0, len(c.Tenants)+len(c.Hidden))
-	out = append(out, c.Tenants...)
-	for _, h := range c.Hidden {
-		if !containsSorted(c.Tenants, h) {
-			out = append(out, h)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 func containsSorted(xs []string, x string) bool {
 	i := sort.SearchStrings(xs, x)
 	return i < len(xs) && xs[i] == x

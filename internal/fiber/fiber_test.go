@@ -114,9 +114,8 @@ func TestHiddenTenants(t *testing.T) {
 	if m.AddHiddenTenant(conduits[0], "Level 3") {
 		t.Error("published tenant must not become hidden")
 	}
-	all := m.Conduit(conduits[0]).AllTenants()
-	if len(all) != 2 || all[0] != "Level 3" || all[1] != "SoftLayer" {
-		t.Errorf("AllTenants = %v", all)
+	if c := m.Conduit(conduits[0]); len(c.Tenants) != 1 || c.Tenants[0] != "Level 3" || len(c.Hidden) != 1 || c.Hidden[0] != "SoftLayer" {
+		t.Errorf("tenants %v, hidden %v", c.Tenants, c.Hidden)
 	}
 	// Hidden tenants do not count as links or published tenants.
 	if m.LinkCount() != 1 {
@@ -275,24 +274,5 @@ func TestInsertSortedProperty(t *testing.T) {
 		return !containsSorted(xs, "0") // digit never inserted
 	}, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGeoJSONSimplified(t *testing.T) {
-	m, _, conduits := testMap(t)
-	m.AddTenant(conduits[0], "Level 3")
-	full, err := m.GeoJSONSimplified(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slim, err := m.GeoJSONSimplified(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slim) >= len(full) {
-		t.Errorf("simplified export (%d bytes) not smaller than full (%d)", len(slim), len(full))
-	}
-	if !json.Valid(slim) {
-		t.Error("simplified export is invalid JSON")
 	}
 }

@@ -31,11 +31,7 @@ func lonLat(p geo.Point) [2]float64 { return [2]float64{p.Lon, p.Lat} }
 // GeoJSON serializes the map: every node becomes a Point feature and
 // every tenanted conduit a LineString feature carrying its tenants
 // and length.
-func (m *Map) GeoJSON() ([]byte, error) { return m.GeoJSONSimplified(0) }
-
-// GeoJSONSimplified is GeoJSON with conduit paths Douglas-Peucker
-// simplified at the given tolerance (km); 0 keeps full geometry.
-func (m *Map) GeoJSONSimplified(toleranceKm float64) ([]byte, error) {
+func (m *Map) GeoJSON() ([]byte, error) {
 	doc := geoJSONDoc{Type: "FeatureCollection"}
 	for i := range m.Nodes {
 		n := &m.Nodes[i]
@@ -54,12 +50,8 @@ func (m *Map) GeoJSONSimplified(toleranceKm float64) ([]byte, error) {
 		if len(c.Tenants) == 0 {
 			continue
 		}
-		path := c.Path
-		if toleranceKm > 0 {
-			path = path.Simplify(toleranceKm)
-		}
-		coords := make([][2]float64, len(path))
-		for j, p := range path {
+		coords := make([][2]float64, len(c.Path))
+		for j, p := range c.Path {
 			coords[j] = lonLat(p)
 		}
 		doc.Features = append(doc.Features, geoJSONFeature{

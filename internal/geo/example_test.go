@@ -16,7 +16,7 @@ func ExamplePoint_DistanceKm() {
 func ExampleFiberLatencyMs() {
 	// The paper's §5.3 rule of thumb: 100 microseconds of one-way
 	// delay is about 20 km of fiber.
-	fmt.Printf("%.1f km per 100 us\n", geo.FiberKmForLatencyMs(0.1))
+	fmt.Printf("%.1f km per 100 us\n", 0.1*geo.FiberKmPerMs)
 	fmt.Printf("%.2f ms across 1000 km\n", geo.FiberLatencyMs(1000))
 	// Output:
 	// 20.4 km per 100 us

@@ -253,11 +253,11 @@ func TestFiberLatency(t *testing.T) {
 	// ~204.2 km per ms.
 	approx(t, "1000 km", FiberLatencyMs(1000), 4.896, 0.01)
 	// Paper's rule of thumb: 100 µs ≈ 20 km.
-	approx(t, "100us km", FiberKmForLatencyMs(0.1), 20.4, 0.01)
+	approx(t, "100us km", 0.1*FiberKmPerMs, 20.4, 0.01)
 	// Round trip.
 	if err := quick.Check(func(raw uint16) bool {
 		km := float64(raw)
-		return math.Abs(FiberKmForLatencyMs(FiberLatencyMs(km))-km) < 1e-9
+		return math.Abs(FiberLatencyMs(km)*FiberKmPerMs-km) < 1e-9
 	}, nil); err != nil {
 		t.Error(err)
 	}

@@ -3,9 +3,9 @@ package geo
 import "math"
 
 // GridIndex is a uniform lat/lon grid spatial index over polyline
-// segments. It answers "which polylines have a segment near this
-// point" queries in roughly constant time for the densities that occur
-// in continental-scale infrastructure maps.
+// segments. It answers "does any polyline pass near this point"
+// queries in roughly constant time for the densities that occur in
+// continental-scale infrastructure maps.
 //
 // The zero value is not usable; construct with NewGridIndex.
 type GridIndex struct {
@@ -14,10 +14,7 @@ type GridIndex struct {
 	cells    map[cellKey][]int32 // cell -> indices into segments
 }
 
-type indexedSegment struct {
-	id   int32
-	a, b Point
-}
+type indexedSegment struct{ a, b Point }
 
 type cellKey struct{ row, col int32 }
 
@@ -40,18 +37,17 @@ func (g *GridIndex) key(p Point) cellKey {
 	}
 }
 
-// InsertPolyline registers every segment of pl under the caller's id.
-// Ids need not be unique or contiguous; a polyline may be inserted in
-// several pieces under the same id.
-func (g *GridIndex) InsertPolyline(id int, pl Polyline) {
+// InsertPolyline registers every segment of pl; a polyline may be
+// inserted in several pieces.
+func (g *GridIndex) InsertPolyline(pl Polyline) {
 	for i := 1; i < len(pl); i++ {
-		g.insertSegment(int32(id), pl[i-1], pl[i])
+		g.insertSegment(pl[i-1], pl[i])
 	}
 }
 
-func (g *GridIndex) insertSegment(id int32, a, b Point) {
+func (g *GridIndex) insertSegment(a, b Point) {
 	segIdx := int32(len(g.segments))
-	g.segments = append(g.segments, indexedSegment{id: id, a: a, b: b})
+	g.segments = append(g.segments, indexedSegment{a: a, b: b})
 	// Register the segment in every cell its bounding box touches.
 	minR := int32(math.Floor(math.Min(a.Lat, b.Lat) / g.cellDeg))
 	maxR := int32(math.Floor(math.Max(a.Lat, b.Lat) / g.cellDeg))
@@ -65,63 +61,10 @@ func (g *GridIndex) insertSegment(id int32, a, b Point) {
 	}
 }
 
-// SegmentCount returns the number of indexed segments.
-func (g *GridIndex) SegmentCount() int { return len(g.segments) }
-
 // AnyWithinKm reports whether any indexed segment passes within
-// radiusKm of p.
+// radiusKm of p. It tests each candidate segment in the cells
+// overlapping the radius around p once.
 func (g *GridIndex) AnyWithinKm(p Point, radiusKm float64) bool {
-	found := false
-	g.visitNear(p, radiusKm, func(seg indexedSegment) bool {
-		if PointSegmentDistanceKm(p, seg.a, seg.b) <= radiusKm {
-			found = true
-			return false // stop
-		}
-		return true
-	})
-	return found
-}
-
-// NearestKm returns the distance from p to the nearest indexed segment
-// found within radiusKm, and whether one was found.
-func (g *GridIndex) NearestKm(p Point, radiusKm float64) (float64, bool) {
-	best := math.Inf(1)
-	g.visitNear(p, radiusKm, func(seg indexedSegment) bool {
-		if d := PointSegmentDistanceKm(p, seg.a, seg.b); d < best {
-			best = d
-		}
-		return true
-	})
-	if best <= radiusKm {
-		return best, true
-	}
-	return 0, false
-}
-
-// IDsWithinKm returns the distinct polyline ids with a segment within
-// radiusKm of p.
-func (g *GridIndex) IDsWithinKm(p Point, radiusKm float64) []int {
-	seen := make(map[int32]struct{})
-	g.visitNear(p, radiusKm, func(seg indexedSegment) bool {
-		if _, ok := seen[seg.id]; ok {
-			return true
-		}
-		if PointSegmentDistanceKm(p, seg.a, seg.b) <= radiusKm {
-			seen[seg.id] = struct{}{}
-		}
-		return true
-	})
-	out := make([]int, 0, len(seen))
-	for id := range seen {
-		out = append(out, int(id))
-	}
-	return out
-}
-
-// visitNear calls fn for every candidate segment in cells overlapping
-// the radius around p, de-duplicated. fn returning false stops the
-// scan early.
-func (g *GridIndex) visitNear(p Point, radiusKm float64, fn func(indexedSegment) bool) {
 	cos := math.Cos(radians(p.Lat))
 	if cos < 0.1 {
 		cos = 0.1
@@ -140,10 +83,11 @@ func (g *GridIndex) visitNear(p Point, radiusKm float64, fn func(indexedSegment)
 					continue
 				}
 				visited[si] = struct{}{}
-				if !fn(g.segments[si]) {
-					return
+				if seg := g.segments[si]; PointSegmentDistanceKm(p, seg.a, seg.b) <= radiusKm {
+					return true
 				}
 			}
 		}
 	}
+	return false
 }

@@ -9,10 +9,7 @@ func TestGridIndexBasics(t *testing.T) {
 	idx := NewGridIndex(25)
 	// A horizontal line along latitude 40.
 	line := Polyline{Point{40, -105}, Point{40, -100}}
-	idx.InsertPolyline(7, line.Resample(25))
-	if idx.SegmentCount() == 0 {
-		t.Fatal("no segments indexed")
-	}
+	idx.InsertPolyline(line.Resample(25))
 
 	near := Point{40.1, -102.5} // ~11 km north of the line
 	far := Point{43, -102.5}    // ~333 km north
@@ -22,39 +19,6 @@ func TestGridIndexBasics(t *testing.T) {
 	}
 	if idx.AnyWithinKm(far, 15) {
 		t.Error("far point should not be within 15 km")
-	}
-
-	// The great circle between the endpoints bulges a few km north of
-	// latitude 40, so the nearest distance is a bit under 11.1 km.
-	if d, ok := idx.NearestKm(near, 50); !ok || d > 12 || d < 6 {
-		t.Errorf("NearestKm = %v,%v want ~8-11", d, ok)
-	}
-	if _, ok := idx.NearestKm(far, 50); ok {
-		t.Error("far point should find nothing within 50 km")
-	}
-
-	ids := idx.IDsWithinKm(near, 15)
-	if len(ids) != 1 || ids[0] != 7 {
-		t.Errorf("IDsWithinKm = %v, want [7]", ids)
-	}
-}
-
-func TestGridIndexMultipleIDs(t *testing.T) {
-	idx := NewGridIndex(25)
-	idx.InsertPolyline(1, Polyline{Point{40, -105}, Point{40, -100}}.Resample(25))
-	idx.InsertPolyline(2, Polyline{Point{40.2, -105}, Point{40.2, -100}}.Resample(25))
-	idx.InsertPolyline(3, Polyline{Point{45, -105}, Point{45, -100}}.Resample(25))
-
-	ids := idx.IDsWithinKm(Point{40.1, -102.5}, 30)
-	if len(ids) != 2 {
-		t.Fatalf("want both nearby lines, got %v", ids)
-	}
-	seen := map[int]bool{}
-	for _, id := range ids {
-		seen[id] = true
-	}
-	if !seen[1] || !seen[2] || seen[3] {
-		t.Errorf("wrong ids: %v", ids)
 	}
 }
 
@@ -68,7 +32,7 @@ func TestGridIndexMatchesBruteForce(t *testing.T) {
 		b := a.Offset(rng.Float64()*360, 50+rng.Float64()*400)
 		pl := GreatCircle(a, b, 6)
 		lines = append(lines, pl)
-		idx.InsertPolyline(i, pl)
+		idx.InsertPolyline(pl)
 	}
 	for trial := 0; trial < 200; trial++ {
 		p := Point{Lat: 30 + rng.Float64()*15, Lon: -120 + rng.Float64()*40}

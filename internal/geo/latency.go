@@ -19,6 +19,3 @@ const (
 // FiberLatencyMs returns the one-way propagation delay, in
 // milliseconds, over km kilometres of fiber.
 func FiberLatencyMs(km float64) float64 { return km / FiberKmPerMs }
-
-// FiberKmForLatencyMs is the inverse of FiberLatencyMs.
-func FiberKmForLatencyMs(ms float64) float64 { return ms * FiberKmPerMs }

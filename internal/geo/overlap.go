@@ -56,8 +56,8 @@ func NewOverlapAnalyzer(layers map[string][]Polyline, opts OverlapOptions) *Over
 	}
 	for name, pls := range layers {
 		idx := NewGridIndex(opts.IndexCellKm)
-		for i, pl := range pls {
-			idx.InsertPolyline(i, pl.Resample(opts.BufferKm))
+		for _, pl := range pls {
+			idx.InsertPolyline(pl.Resample(opts.BufferKm))
 		}
 		a.names = append(a.names, name)
 		a.layers[name] = idx

@@ -3,8 +3,6 @@ package latency
 import (
 	"context"
 	"math"
-	"slices"
-	"sync/atomic"
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
@@ -29,11 +27,6 @@ type Atlas struct {
 	lit    graph.WeightFunc
 	mx     *Matrix
 	rowIdx []int32 // vertex -> row index, -1 when not a source
-
-	// ReusedRows counts matrix rows copied verbatim from a base atlas
-	// during BuildView instead of recomputed — the overlay row-reuse
-	// observability hook (0 for a from-scratch build).
-	ReusedRows int
 
 	pairs memo.Value[[]PairLatency]
 }
@@ -80,36 +73,15 @@ func sourceNodes(m *fiber.Map, minPop int) []int32 {
 	return out
 }
 
-// Build computes the atlas over the baseline map: one Dijkstra per
-// major city over the lit-conduit graph.
-func Build(ctx context.Context, m *fiber.Map, opts Options) (*Atlas, error) {
-	return BuildView(ctx, m, m, nil, nil, opts)
-}
-
-// BuildView computes the atlas over an arbitrary fiber.View whose
-// base map is m (node metadata — names, locations, populations —
-// never changes under a view). When base and reuse are non-nil, rows
-// whose source reuse approves are copied verbatim from base instead
-// of recomputed; the caller must only approve sources whose reachable
-// region the view leaves untouched, and the differential suite pins
-// that a reusing build is byte-identical to a from-scratch one.
-func BuildView(ctx context.Context, m *fiber.Map, v fiber.View, base *Atlas, reuse func(fiber.NodeID) bool, opts Options) (*Atlas, error) {
+// Build computes the atlas over v, a fiber.View whose base map is m
+// (node metadata — names, locations, populations — never changes
+// under a view; the baseline passes the map as its own view): one
+// Dijkstra per major city over the view's lit-conduit graph.
+func Build(ctx context.Context, m *fiber.Map, v fiber.View, opts Options) (*Atlas, error) {
 	opts = opts.withDefaults()
 	g, lit := fiber.Graph(v), fiber.LitWeight(v)
 	srcs := sourceNodes(m, opts.MinPopulation)
-	var reused atomic.Int64
-	var rowReuse func(i int, dst []float64) bool
-	if base != nil && reuse != nil && base.mx.Cols == g.NumVertices() && slices.Equal(base.mx.Sources, srcs) {
-		rowReuse = func(i int, dst []float64) bool {
-			if !reuse(fiber.NodeID(srcs[i])) {
-				return false
-			}
-			copy(dst, base.mx.Row(i))
-			reused.Add(1)
-			return true
-		}
-	}
-	mx, err := BuildMatrix(ctx, g, lit, srcs, opts.Workers, rowReuse)
+	mx, err := BuildMatrix(ctx, g, lit, srcs, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +92,7 @@ func BuildView(ctx context.Context, m *fiber.Map, v fiber.View, base *Atlas, reu
 	for i, s := range srcs {
 		rowIdx[s] = int32(i)
 	}
-	return &Atlas{m: m, g: g, lit: lit, mx: mx, rowIdx: rowIdx, ReusedRows: int(reused.Load())}, nil
+	return &Atlas{m: m, g: g, lit: lit, mx: mx, rowIdx: rowIdx}, nil
 }
 
 // Map returns the base map whose node metadata the atlas reads.

@@ -26,8 +26,7 @@ func build(t *testing.T) *mapbuilder.Result {
 
 // twoIslands builds a map with two lit components — A-B-C connected,
 // D-E connected, no lit path between them — so cross-island pairs are
-// unreachable and per-island perturbations leave the far island's
-// rows untouched.
+// unreachable.
 func twoIslands(t *testing.T) *fiber.Map {
 	t.Helper()
 	m := fiber.NewMap()
@@ -53,7 +52,7 @@ func TestAtlasWorkerInvariance(t *testing.T) {
 	ctx := context.Background()
 	var base *Atlas
 	for _, workers := range []int{1, 2, 6} {
-		at, err := Build(ctx, res.Map, Options{Workers: workers})
+		at, err := Build(ctx, res.Map, res.Map, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +75,7 @@ func TestAtlasWorkerInvariance(t *testing.T) {
 func TestPairsMatchPerPair(t *testing.T) {
 	res := build(t)
 	ctx := context.Background()
-	at, err := Build(ctx, res.Map, Options{})
+	at, err := Build(ctx, res.Map, res.Map, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestPairsMatchPerPair(t *testing.T) {
 
 func TestAtlasProperties(t *testing.T) {
 	res := build(t)
-	at, err := Build(context.Background(), res.Map, Options{})
+	at, err := Build(context.Background(), res.Map, res.Map, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestPairForCoLocated(t *testing.T) {
 // +Inf entries.
 func TestPairsDropDisconnected(t *testing.T) {
 	m := twoIslands(t)
-	at, err := Build(context.Background(), m, Options{MinPopulation: 1})
+	at, err := Build(context.Background(), m, m, Options{MinPopulation: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,56 +164,6 @@ func TestPairsDropDisconnected(t *testing.T) {
 	}
 	if d := at.DistKm(0, 3); !math.IsInf(d, 1) {
 		t.Fatalf("cross-island distance = %v, want +Inf", d)
-	}
-}
-
-// TestBuildViewOfMapMatchesBuild: the map is its own view, so a view
-// build over it must be byte-identical to the baseline build.
-func TestBuildViewOfMapMatchesBuild(t *testing.T) {
-	res := build(t)
-	ctx := context.Background()
-	base, err := Build(ctx, res.Map, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewed, err := BuildView(ctx, res.Map, res.Map, nil, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viewed.ReusedRows != 0 {
-		t.Fatalf("ReusedRows = %d without a reuse rule", viewed.ReusedRows)
-	}
-	if !reflect.DeepEqual(base.mx.Dist, viewed.mx.Dist) {
-		t.Fatal("view build differs from baseline build")
-	}
-}
-
-// TestBuildViewRowReuse: an approve-everything reuse rule must copy
-// every row verbatim; approve-nothing must recompute them all — and
-// both end byte-identical.
-func TestBuildViewRowReuse(t *testing.T) {
-	res := build(t)
-	ctx := context.Background()
-	base, err := Build(ctx, res.Map, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := BuildView(ctx, res.Map, res.Map, base, func(fiber.NodeID) bool { return true }, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.ReusedRows != base.NumSources() {
-		t.Fatalf("ReusedRows = %d, want %d", all.ReusedRows, base.NumSources())
-	}
-	none, err := BuildView(ctx, res.Map, res.Map, base, func(fiber.NodeID) bool { return false }, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if none.ReusedRows != 0 {
-		t.Fatalf("ReusedRows = %d, want 0", none.ReusedRows)
-	}
-	if !reflect.DeepEqual(all.mx.Dist, base.mx.Dist) || !reflect.DeepEqual(none.mx.Dist, base.mx.Dist) {
-		t.Fatal("reused and recomputed matrices diverge")
 	}
 }
 

@@ -40,19 +40,12 @@ func (m *Matrix) Row(i int) []float64 { return m.Dist[i*m.Cols : (i+1)*m.Cols] }
 // BuildMatrix runs one full Dijkstra per source over g under wf. Each
 // source's row compute is the warm-path kernel: with a grown
 // workspace and the weight table materialized, it allocates nothing
-// (pinned by an AllocsPerRun guard). reuse, when non-nil, lets a
-// caller substitute a previously computed row instead of running the
-// source's Dijkstra: it must either copy a byte-identical row into
-// dst and return true, or return false to compute from scratch.
-func BuildMatrix(ctx context.Context, g *graph.Graph, wf graph.WeightFunc, sources []int32, workers int, reuse func(i int, dst []float64) bool) (*Matrix, error) {
+// (pinned by an AllocsPerRun guard).
+func BuildMatrix(ctx context.Context, g *graph.Graph, wf graph.WeightFunc, sources []int32, workers int) (*Matrix, error) {
 	n := g.NumVertices()
 	mx := &Matrix{Sources: sources, Cols: n, Dist: make([]float64, len(sources)*n)}
 	err := par.RunWith(ctx, len(sources), workers, graph.NewWorkspace, func(i int, ws *graph.Workspace) {
-		row := mx.Row(i)
-		if reuse != nil && reuse(i, row) {
-			return
-		}
-		g.ShortestDistances(ws, int(sources[i]), wf, row)
+		g.ShortestDistances(ws, int(sources[i]), wf, mx.Row(i))
 	})
 	if err != nil {
 		return nil, err

@@ -92,7 +92,7 @@ func BenchmarkLatencyAtlas(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm, err := Build(ctx, m, Options{})
+	warm, err := Build(ctx, m, m, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func BenchmarkLatencyAtlas(b *testing.B) {
 	})
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			at, err := Build(ctx, m, Options{})
+			at, err := Build(ctx, m, m, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -463,12 +463,6 @@ func conduitFor(m *fiber.Map, a *atlas.Atlas, eid int) (fiber.ConduitID, bool) {
 	return 0, false
 }
 
-// ConduitForCorridor exposes conduit lookup by corridor edge id for
-// other packages (traceroute overlay, mitigation).
-func (r *Result) ConduitForCorridor(eid int) (fiber.ConduitID, bool) {
-	return conduitFor(r.Map, r.Atlas, eid)
-}
-
 // String renders a one-line summary.
 func (r *Result) String() string {
 	s := r.Map.Stats()

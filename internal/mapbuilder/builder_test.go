@@ -188,12 +188,12 @@ func TestConduitForCorridor(t *testing.T) {
 		if len(c.Tenants) == 0 {
 			continue
 		}
-		cid, ok := res.ConduitForCorridor(c.Corridor)
+		cid, ok := conduitFor(res.Map, res.Atlas, c.Corridor)
 		if !ok || cid != c.ID {
 			t.Fatalf("corridor %d: got %v,%v want %v", c.Corridor, cid, ok, c.ID)
 		}
 	}
-	if _, ok := res.ConduitForCorridor(-99); ok {
+	if _, ok := conduitFor(res.Map, res.Atlas, -99); ok {
 		t.Error("bogus corridor should not resolve")
 	}
 }
@@ -256,7 +256,12 @@ func TestSmallInternationalsRideSharedTrunks(t *testing.T) {
 func TestFootprintGeneration(t *testing.T) {
 	a := atlas.Load()
 	g := a.Graph()
-	prof, _ := ProfileByName("Verizon")
+	var prof Profile
+	for _, p := range Profiles() {
+		if p.Name == "Verizon" {
+			prof = p
+		}
+	}
 	fp := GenerateFootprint(a, g, prof, 1, nil)
 	if len(fp.Edges) == 0 || len(fp.Routes) == 0 {
 		t.Fatal("empty footprint")
@@ -304,12 +309,6 @@ func TestOccupancyDiscountMonotone(t *testing.T) {
 }
 
 func TestProfileLookups(t *testing.T) {
-	if _, ok := ProfileByName("Level 3"); !ok {
-		t.Error("Level 3 profile missing")
-	}
-	if _, ok := ProfileByName("Atlantis Telecom"); ok {
-		t.Error("bogus profile found")
-	}
 	names := MappedNames()
 	if len(names) != 20 {
 		t.Errorf("mapped names = %d, want 20", len(names))

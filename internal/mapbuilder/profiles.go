@@ -114,13 +114,3 @@ func MappedNames() []string {
 	}
 	return out
 }
-
-// ProfileByName returns the profile with the given name.
-func ProfileByName(name string) (Profile, bool) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
-}

@@ -143,7 +143,7 @@ func LatencyStudy(ctx context.Context, at *latency.Atlas, a *atlas.Atlas, opts L
 	for i, ac := range rowSrc {
 		rowIdx[ac] = int32(i)
 	}
-	rowMx, err := latency.BuildMatrix(ctx, rg, nil, rowSrc, opts.Workers, nil)
+	rowMx, err := latency.BuildMatrix(ctx, rg, nil, rowSrc, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

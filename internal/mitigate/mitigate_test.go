@@ -29,7 +29,7 @@ func build(t *testing.T) (*mapbuilder.Result, *risk.Matrix) {
 // litAtlas builds the latency atlas of m, which LatencyStudy reads.
 func litAtlas(t *testing.T, m *fiber.Map, opts latency.Options) *latency.Atlas {
 	t.Helper()
-	at, err := latency.Build(context.Background(), m, opts)
+	at, err := latency.Build(context.Background(), m, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func relayMap(t *testing.T) (*fiber.Map, fiber.NodeID, fiber.NodeID, fiber.NodeI
 
 func TestPlaceRelaysGreedy(t *testing.T) {
 	m, a, b, c := relayMap(t)
-	at, err := latency.Build(context.Background(), m, latency.Options{MinPopulation: 1})
+	at, err := latency.Build(context.Background(), m, m, latency.Options{MinPopulation: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestPlaceRelaysGreedy(t *testing.T) {
 
 func TestPlaceRelaysSkipsUnusablePairs(t *testing.T) {
 	m, a, b, _ := relayMap(t)
-	at, err := latency.Build(context.Background(), m, latency.Options{MinPopulation: 1})
+	at, err := latency.Build(context.Background(), m, m, latency.Options{MinPopulation: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPlaceRelaysSkipsUnusablePairs(t *testing.T) {
 
 func TestPlaceRelaysDegenerateInputs(t *testing.T) {
 	m, a, b, _ := relayMap(t)
-	at, err := latency.Build(context.Background(), m, latency.Options{MinPopulation: 1})
+	at, err := latency.Build(context.Background(), m, m, latency.Options{MinPopulation: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

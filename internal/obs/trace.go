@@ -123,13 +123,6 @@ func (s *Span) SetItems(n int64) {
 	}
 }
 
-// AddItems accumulates processed items across sub-batches.
-func (s *Span) AddItems(n int64) {
-	if s != nil {
-		s.items += n
-	}
-}
-
 // SetWorkers records the worker count the stage fanned out over.
 func (s *Span) SetWorkers(n int) {
 	if s != nil {

@@ -54,7 +54,6 @@ func TestSpanEndIdempotentAndNilSafe(t *testing.T) {
 	nilSpan.End() // must not panic
 	nilSpan.SetItems(1)
 	nilSpan.SetWorkers(1)
-	nilSpan.AddItems(1)
 }
 
 func TestReportRendersStagesAndPercents(t *testing.T) {

@@ -18,13 +18,6 @@ type Region struct {
 	RadiusKm float64
 }
 
-// ConduitsInRegion returns every tenanted conduit whose path enters
-// the region, sorted by id.
-func ConduitsInRegion(m *fiber.Map, r Region) []fiber.ConduitID {
-	ids, _ := NewRegionIndex(m).Conduits(r)
-	return ids
-}
-
 // RegionIndex answers region queries over one map. It keeps each
 // tenanted conduit's path, the path's bounds and the longitude scale
 // ExpandKm derives from those bounds, in id order, so a query pays for

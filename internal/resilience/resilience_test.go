@@ -219,7 +219,8 @@ func TestConduitsInRegion(t *testing.T) {
 	// A 150 km circle around Salt Lake City catches the I-80/I-15
 	// funnels.
 	slc := geo.Point{Lat: 40.76, Lon: -111.89}
-	got := ConduitsInRegion(res.Map, Region{Center: slc, RadiusKm: 150})
+	idx := NewRegionIndex(res.Map)
+	got, _ := idx.Conduits(Region{Center: slc, RadiusKm: 150})
 	if len(got) < 3 {
 		t.Fatalf("only %d conduits near SLC", len(got))
 	}
@@ -230,7 +231,7 @@ func TestConduitsInRegion(t *testing.T) {
 		}
 	}
 	// A circle in the middle of nowhere catches nothing.
-	if got := ConduitsInRegion(res.Map, Region{Center: geo.Point{Lat: 44.5, Lon: -107.5}, RadiusKm: 30}); len(got) != 0 {
+	if got, _ := idx.Conduits(Region{Center: geo.Point{Lat: 44.5, Lon: -107.5}, RadiusKm: 30}); len(got) != 0 {
 		t.Errorf("empty Wyoming contains conduits: %v", got)
 	}
 }

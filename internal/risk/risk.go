@@ -87,20 +87,6 @@ func (mx *Matrix) Sharing(cid fiber.ConduitID) int {
 	return 0
 }
 
-// Occupies reports whether the ISP occupies the conduit.
-func (mx *Matrix) Occupies(isp string, cid fiber.ConduitID) bool {
-	j, ok := mx.colOf[cid]
-	if !ok {
-		return false
-	}
-	for i, name := range mx.ISPs {
-		if name == isp {
-			return mx.present[i][j]
-		}
-	}
-	return false
-}
-
 // SharingCounts returns, for k = 1..len(ISPs), the number of conduits
 // shared by at least k matrix ISPs — the y-values of Figure 6.
 // Index 0 corresponds to k=1.

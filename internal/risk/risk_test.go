@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -66,16 +67,23 @@ func TestSharingValues(t *testing.T) {
 	}
 }
 
+// TestOccupies reads the presence table Build fills, one row per
+// matrix ISP and one column per conduit.
 func TestOccupies(t *testing.T) {
 	m := testMap(t)
 	mx := Build(m, nil)
-	if !mx.Occupies("Level 3", 0) || mx.Occupies("Cox", 0) {
+	occupies := func(isp string, cid fiber.ConduitID) bool {
+		i := slices.Index(mx.ISPs, isp)
+		j, ok := mx.colOf[cid]
+		return i >= 0 && ok && mx.present[i][j]
+	}
+	if !occupies("Level 3", 0) || occupies("Cox", 0) {
 		t.Error("occupancy wrong for conduit 0")
 	}
-	if !mx.Occupies("Cox", 3) || mx.Occupies("Level 3", 3) {
+	if !occupies("Cox", 3) || occupies("Level 3", 3) {
 		t.Error("occupancy wrong for conduit 3")
 	}
-	if mx.Occupies("Nobody", 0) {
+	if occupies("Nobody", 0) {
 		t.Error("unknown ISP occupies nothing")
 	}
 }

@@ -13,10 +13,9 @@ import (
 	"intertubes/internal/risk"
 )
 
-// atlas_test.go pins the overlay row-reuse rule: a scenario atlas that
-// reuses untouched baseline rows must be byte-identical to a
-// from-scratch build — both over the overlay view and over the fully
-// materialized perturbed map.
+// atlas_test.go pins the scenario atlas: the atlas the latency stage
+// builds over the overlay's final view must be byte-identical to a
+// build over the clone reference's fully materialized perturbed map.
 
 // sameAtlas compares two atlases row by row with exact float equality
 // (+Inf entries included) plus the derived pair tables.
@@ -41,107 +40,45 @@ func sameAtlas(t *testing.T, label string, got, want *latency.Atlas) {
 	}
 }
 
-// referenceAtlases rebuilds sc's perturbation the way LatencyAtlasFor
-// does and returns the two from-scratch references: a no-reuse build
-// over the overlay view, and a build over the clone reference's fully
-// perturbed map (clone_ref_test.go).
-func referenceAtlases(t *testing.T, eng *Engine, sc Scenario) (*latency.Atlas, *latency.Atlas) {
+// scenarioAtlas builds sc's atlas the way the latency stage does: over
+// the final view of the scenario's overlay.
+func scenarioAtlas(t *testing.T, eng *Engine, sc Scenario) *latency.Atlas {
 	t.Helper()
-	ctx := context.Background()
-	m := eng.snap.res.Map
-	cuts, err := eng.ResolveCuts(sc)
+	ov, _, err := eng.buildOverlay(sc, eng.keptISPs(sc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := eng.keptISPs(sc)
-	pert := fiber.Perturbation{Cuts: cuts, RemoveISPs: sc.RemoveISPs}
-	for _, ad := range sc.Additions {
-		a, _ := m.NodeByKey(ad.A)
-		b, _ := m.NodeByKey(ad.B)
-		tenants := ad.Tenants
-		if len(tenants) == 0 {
-			tenants = kept
-		}
-		pert.Additions = append(pert.Additions, fiber.OverlayAddition{A: a, B: b, Tenants: tenants})
-	}
-	ov, err := fiber.NewOverlay(m, pert)
+	at, err := latency.Build(context.Background(), eng.snap.res.Map, ov.Final(), latency.Options{Workers: eng.opts.Workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewed, err := latency.BuildView(ctx, m, ov.Final(), nil, nil, latency.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return at
+}
+
+// materializedAtlas is the reference: the atlas of the clone
+// reference's fully perturbed map (clone_ref_test.go).
+func materializedAtlas(t *testing.T, eng *Engine, sc Scenario) *latency.Atlas {
+	t.Helper()
 	cm, err := cloneMaps(eng, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	materialized, err := latency.Build(ctx, cm.final, latency.Options{})
+	at, err := latency.Build(context.Background(), cm.final, cm.final, latency.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return viewed, materialized
+	return at
 }
 
-func TestLatencyAtlasForDifferential(t *testing.T) {
-	eng := newEngine(t, 0)
-	_, mx := build(t)
-	m := eng.snap.res.Map
-	keyOf := func(id fiber.NodeID) string { return m.Node(id).Key() }
-	scenarios := []struct {
-		name string
-		sc   Scenario
-	}{
-		{"empty", Scenario{}},
-		{"explicit-cuts", Scenario{CutConduits: []fiber.ConduitID{0, 5, 9}}},
-		{"shared-cuts", Scenario{CutMostShared: 5}},
-		{"remove-isp", Scenario{RemoveISPs: []string{mx.ISPs[0]}}},
-		{"addition", Scenario{Additions: []Addition{{A: keyOf(0), B: keyOf(7)}}}},
-		{"mixed", Scenario{CutMostShared: 3, Additions: []Addition{{A: keyOf(2), B: keyOf(11)}}}},
-	}
-	ctx := context.Background()
-	for _, tc := range scenarios {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := eng.LatencyAtlasFor(ctx, tc.sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viewed, materialized := referenceAtlases(t, eng, tc.sc)
-			sameAtlas(t, "vs overlay view", got, viewed)
-			sameAtlas(t, "vs materialized map", got, materialized)
-		})
-	}
-}
-
-// TestLatencyAtlasForEmptyReusesEveryRow: an empty perturbation
-// touches no lit component, so every baseline row is copied verbatim.
-func TestLatencyAtlasForEmptyReusesEveryRow(t *testing.T) {
-	eng := newEngine(t, 0)
-	ctx := context.Background()
-	base, err := eng.LatencyAtlas(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, err := eng.LatencyAtlasFor(ctx, Scenario{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at.ReusedRows != base.NumSources() {
-		t.Fatalf("ReusedRows = %d, want %d", at.ReusedRows, base.NumSources())
-	}
-	sameAtlas(t, "empty scenario vs baseline", at, base)
-}
-
-// TestLatencyAtlasForIslandReuse: on a two-island map, cutting the
-// far island's only conduit must leave the near island's rows reused
-// — the component rule recomputes only what the cut can reach.
-func TestLatencyAtlasForIslandReuse(t *testing.T) {
+// twoIslandEngine builds an engine over a map with two lit components,
+// A-B-C and D-E, and returns it with the D-E conduit and its ends.
+func twoIslandEngine() (eng *Engine, bridge fiber.ConduitID, d, e fiber.NodeID) {
 	m := fiber.NewMap()
 	a := m.AddNode("A", "XX", geo.Point{Lat: 40, Lon: -100}, 1000000, -1)
 	b := m.AddNode("B", "XX", geo.Point{Lat: 40, Lon: -98}, 1000000, -1)
 	c := m.AddNode("C", "XX", geo.Point{Lat: 41, Lon: -99}, 1000000, -1)
-	d := m.AddNode("D", "YY", geo.Point{Lat: 33, Lon: -84}, 1000000, -1)
-	e := m.AddNode("E", "YY", geo.Point{Lat: 34, Lon: -85}, 1000000, -1)
+	d = m.AddNode("D", "YY", geo.Point{Lat: 33, Lon: -84}, 1000000, -1)
+	e = m.AddNode("E", "YY", geo.Point{Lat: 34, Lon: -85}, 1000000, -1)
 	mk := func(x, y fiber.NodeID, corr int) fiber.ConduitID {
 		id := m.EnsureConduit(x, y, corr, geo.GreatCircle(m.Node(x).Loc, m.Node(y).Loc, 2))
 		m.AddTenant(id, "X")
@@ -150,22 +87,50 @@ func TestLatencyAtlasForIslandReuse(t *testing.T) {
 	mk(a, b, 0)
 	mk(a, c, 1)
 	mk(c, b, 2)
-	bridge := mk(d, e, 3)
+	bridge = mk(d, e, 3)
+	return New(&mapbuilder.Result{Map: m}, risk.Build(m, nil), Options{Seed: 42}), bridge, d, e
+}
 
-	eng := New(&mapbuilder.Result{Map: m}, risk.Build(m, nil), Options{Seed: 42})
-	ctx := context.Background()
-	at, err := eng.LatencyAtlasFor(ctx, Scenario{CutConduits: []fiber.ConduitID{bridge}})
-	if err != nil {
-		t.Fatal(err)
+// TestLatencyAtlasForDifferential: every scenario atlas equals the
+// materialized reference. The empty scenario's also equals the
+// baseline atlas, and cutting the two-island map's D-E conduit leaves
+// D and E disconnected.
+func TestLatencyAtlasForDifferential(t *testing.T) {
+	eng := newEngine(t, 0)
+	_, mx := build(t)
+	m := eng.snap.res.Map
+	keyOf := func(id fiber.NodeID) string { return m.Node(id).Key() }
+	islands, bridge, d, e := twoIslandEngine()
+	scenarios := []struct {
+		name string
+		eng  *Engine
+		sc   Scenario
+	}{
+		{"empty", eng, Scenario{}},
+		{"explicit-cuts", eng, Scenario{CutConduits: []fiber.ConduitID{0, 5, 9}}},
+		{"shared-cuts", eng, Scenario{CutMostShared: 5}},
+		{"remove-isp", eng, Scenario{RemoveISPs: []string{mx.ISPs[0]}}},
+		{"addition", eng, Scenario{Additions: []Addition{{A: keyOf(0), B: keyOf(7)}}}},
+		{"mixed", eng, Scenario{CutMostShared: 3, Additions: []Addition{{A: keyOf(2), B: keyOf(11)}}}},
+		{"two-island", islands, Scenario{CutConduits: []fiber.ConduitID{bridge}}},
 	}
-	if at.ReusedRows != 3 {
-		t.Fatalf("ReusedRows = %d, want 3 (the untouched island)", at.ReusedRows)
-	}
-	_, materialized := referenceAtlases(t, eng, Scenario{CutConduits: []fiber.ConduitID{bridge}})
-	sameAtlas(t, "island cut vs materialized", at, materialized)
-	// The cut darkened D-E: the atlas must show them disconnected.
-	if di := at.RowIndex(d); !math.IsInf(at.Row(di)[e], 1) {
-		t.Fatalf("D->E after cut = %v, want +Inf", at.Row(di)[e])
+	for _, tc := range scenarios {
+		t.Run(tc.name, func(t *testing.T) {
+			got := scenarioAtlas(t, tc.eng, tc.sc)
+			sameAtlas(t, "vs materialized map", got, materializedAtlas(t, tc.eng, tc.sc))
+			switch tc.name {
+			case "empty":
+				base, err := eng.LatencyAtlas(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameAtlas(t, "vs baseline atlas", got, base)
+			case "two-island":
+				if di := got.RowIndex(d); !math.IsInf(got.Row(di)[e], 1) {
+					t.Fatalf("D->E after cut = %v, want +Inf", got.Row(di)[e])
+				}
+			}
+		})
 	}
 }
 

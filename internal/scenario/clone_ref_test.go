@@ -7,7 +7,6 @@ import (
 	"intertubes/internal/fiber"
 	"intertubes/internal/geo"
 	"intertubes/internal/graph"
-	"intertubes/internal/latency"
 	"intertubes/internal/resilience"
 	"intertubes/internal/risk"
 )
@@ -114,10 +113,7 @@ func evaluateClone(ctx context.Context, e *Engine, sc Scenario) (*Result, error)
 	// evaluator's unchanged-capacity reuse is tested against.
 	res.LostTraffic = lostTrafficClone(e.snap, pm)
 
-	err = e.latencyStage(ctx, sc, res, func(ctx context.Context) (*latency.Atlas, error) {
-		return latency.Build(ctx, pm, latency.Options{Workers: e.opts.Workers})
-	})
-	if err != nil {
+	if err := e.latencyStage(ctx, sc, pm, res); err != nil {
 		return nil, err
 	}
 	if err := e.trafficStage(ctx, sc, pm, res); err != nil {
@@ -142,7 +138,7 @@ type perturbedMaps struct {
 // cloneMaps deep-copies the baseline map and replays sc on the copies
 // through the mutation primitives: removals, then additions, then cuts.
 func cloneMaps(e *Engine, sc Scenario) (*perturbedMaps, error) {
-	cuts, err := e.ResolveCuts(sc)
+	cuts, _, err := e.resolveCuts(sc)
 	if err != nil {
 		return nil, err
 	}

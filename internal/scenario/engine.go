@@ -387,10 +387,8 @@ func fillDisconnection(res *Result, base *baseline, impacts []resilience.Impact)
 }
 
 // latencyStage runs the §5.3 latency comparison when the scenario
-// asks for it, over the perturbed map's latency atlas, which atlasFor
-// builds. The stage span reports how many atlas rows were recomputed
-// and how many were reused from the baseline's.
-func (e *Engine) latencyStage(ctx context.Context, sc Scenario, res *Result, atlasFor func(context.Context) (*latency.Atlas, error)) error {
+// asks for it, over the latency atlas of v, the fully perturbed map.
+func (e *Engine) latencyStage(ctx context.Context, sc Scenario, v fiber.View, res *Result) error {
 	if !sc.IncludeLatency {
 		return nil
 	}
@@ -403,11 +401,10 @@ func (e *Engine) latencyStage(ctx context.Context, sc Scenario, res *Result, atl
 	if sc.Overrides.LatencyMaxPairs > 0 {
 		maxPairs = sc.Overrides.LatencyMaxPairs
 	}
-	at, err := atlasFor(ctx)
+	at, err := latency.Build(ctx, e.snap.res.Map, v, latency.Options{Workers: e.opts.Workers})
 	if err != nil {
 		return err
 	}
-	setReuseAttrs(sp, at.NumSources()-at.ReusedRows, at.ReusedRows)
 	afterStudy, err := e.runLatencyStudy(ctx, at, maxPairs)
 	if err != nil {
 		return err
@@ -456,16 +453,10 @@ func (e *Engine) trafficStage(ctx context.Context, sc Scenario, pub fiber.View, 
 	return nil
 }
 
-// ResolveCuts materializes the scenario's cut clauses against the
-// baseline map into one sorted, de-duplicated conduit set.
-func (e *Engine) ResolveCuts(sc Scenario) ([]fiber.ConduitID, error) {
-	cuts, _, err := e.resolveCuts(sc)
-	return cuts, err
-}
-
-// resolveCuts is ResolveCuts that also counts the region candidates:
-// the conduits the Regions clauses' bounds prefilter let through to
-// the exact distance test.
+// resolveCuts materializes the scenario's cut clauses against the
+// baseline map into one sorted, de-duplicated conduit set, and counts
+// the region candidates: the conduits the Regions clauses' bounds
+// prefilter let through to the exact distance test.
 func (e *Engine) resolveCuts(sc Scenario) (cuts []fiber.ConduitID, candidates int, err error) {
 	m := e.snap.res.Map
 	for _, cid := range sc.CutConduits {

@@ -37,6 +37,16 @@ func newEngine(t *testing.T, workers int) *Engine {
 	return New(res, mx, Options{Seed: 42, Workers: workers})
 }
 
+// buildOverlay resolves the scenario's cut clauses and records it as a
+// copy-on-write overlay over the baseline, as the apply stage does.
+func (e *Engine) buildOverlay(sc Scenario, kept []string) (*fiber.Overlay, fiber.Perturbation, error) {
+	cuts, _, err := e.resolveCuts(sc)
+	if err != nil {
+		return nil, fiber.Perturbation{}, err
+	}
+	return e.overlayOf(sc, kept, cuts)
+}
+
 func TestEvaluateCutScenario(t *testing.T) {
 	eng := newEngine(t, 0)
 	r, err := eng.Evaluate(context.Background(), Scenario{Preset: "top12-cut"})
@@ -177,7 +187,7 @@ func TestResolveCutsUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cuts, err := eng.ResolveCuts(sc)
+	cuts, _, err := eng.resolveCuts(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +196,7 @@ func TestResolveCutsUnion(t *testing.T) {
 		t.Errorf("cuts = %v, want union %v", cuts, want)
 	}
 
-	if _, err := eng.ResolveCuts(Scenario{CutConduits: []fiber.ConduitID{1 << 30}}); err == nil {
+	if _, _, err := eng.resolveCuts(Scenario{CutConduits: []fiber.ConduitID{1 << 30}}); err == nil {
 		t.Error("out-of-range conduit should fail")
 	}
 }
@@ -197,7 +207,7 @@ func TestRegionCutsMatchResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cuts, err := eng.ResolveCuts(sc)
+	cuts, _, err := eng.resolveCuts(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,14 +346,7 @@ func TestNestedCutsAtlasMonotone(t *testing.T) {
 	m := eng.snap.res.Map
 	rng := rand.New(rand.NewSource(26))
 	ctx := context.Background()
-	atlas := func(sc Scenario) *latency.Atlas {
-		t.Helper()
-		at, err := eng.LatencyAtlasFor(ctx, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
+	atlas := func(sc Scenario) *latency.Atlas { return scenarioAtlas(t, eng, sc) }
 	// noShorter fails when any distance of hi is below lo's.
 	noShorter := func(label string, lo, hi *latency.Atlas) {
 		t.Helper()

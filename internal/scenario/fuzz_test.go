@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,7 +17,9 @@ import (
 // fuzzed perturbations over a small atlas: whatever the fuzzer
 // composes, the engine and the clone reference (clone_ref_test.go)
 // must agree byte for byte (or fail with the same error), and neither
-// may panic.
+// may panic. Every scenario that evaluates is evaluated again with one
+// more conduit cut, which must hold TestNestedCutsMonotone's
+// properties.
 
 var (
 	fuzzOnce  sync.Once
@@ -51,6 +54,8 @@ func fuzzEngines() (*Engine, *Engine) {
 // fuzzScenario shapes arbitrary fuzz bytes into a scenario. Values
 // are folded into valid ranges except the cut ids, which may go out
 // of range on purpose — both evaluators must then fail identically.
+// tenantMask's low bits pick the addition's tenants; its top bit asks
+// for the latency stage over a small pair cap.
 func fuzzScenario(cutA, cutB uint16, shared, between, rmMask, addA, addB, tenantMask uint8) Scenario {
 	var sc Scenario
 	nc := fuzzRes.Map.NumConduits()
@@ -81,7 +86,42 @@ func fuzzScenario(cutA, cutB uint16, shared, between, rmMask, addA, addB, tenant
 			Tenants: tenants, // empty = open access
 		}}
 	}
+	if tenantMask&0x80 != 0 {
+		sc.IncludeLatency = true
+		sc.Overrides.LatencyMaxPairs = 12
+	}
 	return sc
+}
+
+// checkOneMoreCut evaluates sc with conduit extra cut as well and
+// checks the nested-cut properties against r, sc's Result: no more
+// Gbps served, no provider's disconnection lower, no largest
+// component larger.
+func checkOneMoreCut(t *testing.T, eng *Engine, sc Scenario, r *Result, extra fiber.ConduitID) {
+	t.Helper()
+	sc.CutConduits = append(slices.Clip(sc.CutConduits), extra)
+	rs, err := eng.Evaluate(context.Background(), sc)
+	if err != nil {
+		t.Fatalf("adding cut %d: %v", extra, err)
+	}
+	if a, b := r.LostTraffic.ServedAfterGbps, rs.LostTraffic.ServedAfterGbps; b > a {
+		t.Fatalf("cut %d raises served Gbps from %v to %v (scenario %+v)", extra, a, b, sc)
+	}
+	before := make(map[string]Disconnection, len(r.Disconnection))
+	for _, d := range r.Disconnection {
+		before[d.ISP] = d
+	}
+	for _, d := range rs.Disconnection {
+		s, ok := before[d.ISP]
+		switch {
+		case !ok:
+			t.Fatalf("cut %d: no disconnection row for %s before it", extra, d.ISP)
+		case d.After < s.After:
+			t.Fatalf("%s: cut %d lowers disconnection from %v to %v (scenario %+v)", d.ISP, extra, s.After, d.After, sc)
+		case d.LargestComponent > s.LargestComponent:
+			t.Fatalf("%s: cut %d grows the largest component from %v to %v (scenario %+v)", d.ISP, extra, s.LargestComponent, d.LargestComponent, sc)
+		}
+	}
 }
 
 func FuzzOverlayEvaluate(f *testing.F) {
@@ -89,6 +129,8 @@ func FuzzOverlayEvaluate(f *testing.F) {
 	f.Add(uint16(1), uint16(5), uint8(3), uint8(2), uint8(1), uint8(0), uint8(7), uint8(2))
 	f.Add(uint16(9999), uint16(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(2), uint8(0))
 	f.Add(uint16(4), uint16(4), uint8(7), uint8(7), uint8(7), uint8(3), uint8(9), uint8(5))
+	f.Add(uint16(40), uint16(0), uint8(0), uint8(1), uint8(0), uint8(9), uint8(9), uint8(0x80))
+	f.Add(uint16(3), uint16(11), uint8(0), uint8(2), uint8(2), uint8(1), uint8(5), uint8(0x81))
 	f.Fuzz(func(t *testing.T, cutA, cutB uint16, shared, between, rmMask, addA, addB, tenantMask uint8) {
 		ov, cl := fuzzEngines()
 		sc := fuzzScenario(cutA, cutB, shared, between, rmMask, addA, addB, tenantMask)
@@ -115,6 +157,10 @@ func FuzzOverlayEvaluate(f *testing.F) {
 		}
 		if !bytes.Equal(bOv, bCl) {
 			t.Fatalf("overlay and clone Results diverge for %+v:\n overlay: %s\n clone:   %s", sc, bOv, bCl)
+		}
+		extra := fiber.ConduitID((int(cutA) + int(cutB) + int(addB)) % fuzzRes.Map.NumConduits())
+		if !slices.Contains(rOv.Cut, extra) {
+			checkOneMoreCut(t, ov, sc, rOv, extra)
 		}
 	})
 }

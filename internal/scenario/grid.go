@@ -77,6 +77,9 @@ func canonicalGrid(spec GridSpec) GridSpec {
 
 // Validate checks the spec's fields without planning it.
 func (spec GridSpec) Validate() error {
+	if err := finite("cellKm", spec.CellKm); err != nil {
+		return fmt.Errorf("grid: %w", err)
+	}
 	if spec.CellKm <= 0 {
 		return fmt.Errorf("grid: cellKm must be positive (got %g)", spec.CellKm)
 	}
@@ -84,9 +87,15 @@ func (spec GridSpec) Validate() error {
 		return fmt.Errorf("grid: at least one radius required")
 	}
 	for _, r := range spec.RadiiKm {
+		if err := finite("radius", r); err != nil {
+			return fmt.Errorf("grid: %w", err)
+		}
 		if r <= 0 {
 			return fmt.Errorf("grid: radius must be positive (got %g)", r)
 		}
+	}
+	if err := finite("cullKm", spec.CullKm); err != nil {
+		return fmt.Errorf("grid: %w", err)
 	}
 	if spec.CullKm < 0 {
 		return fmt.Errorf("grid: cullKm must be non-negative (got %g)", spec.CullKm)
@@ -185,7 +194,7 @@ func PlanGrid(m *fiber.Map, spec GridSpec) (*GridPlan, error) {
 			continue
 		}
 		lit++
-		idx.InsertPolyline(int(c.ID), c.Path)
+		idx.InsertPolyline(c.Path)
 		for _, p := range c.Path {
 			bounds = bounds.Add(p)
 		}

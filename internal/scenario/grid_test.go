@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -43,16 +44,26 @@ func TestGridSpecHashCanonical(t *testing.T) {
 }
 
 func TestGridSpecValidate(t *testing.T) {
-	for _, bad := range []GridSpec{
-		{CellKm: 0, RadiiKm: []float64{10}},
-		{CellKm: -5, RadiiKm: []float64{10}},
-		{CellKm: 100},
-		{CellKm: 100, RadiiKm: []float64{10, -1}},
-		{CellKm: 100, RadiiKm: []float64{10}, CullKm: -2},
-		{CellKm: 100, RadiiKm: []float64{10}, MaxCells: -1},
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []struct {
+		spec  GridSpec
+		field string // named by the error, when set
+	}{
+		{spec: GridSpec{CellKm: 0, RadiiKm: []float64{10}}},
+		{spec: GridSpec{CellKm: -5, RadiiKm: []float64{10}}},
+		{spec: GridSpec{CellKm: 100}},
+		{spec: GridSpec{CellKm: 100, RadiiKm: []float64{10, -1}}},
+		{spec: GridSpec{CellKm: 100, RadiiKm: []float64{10}, CullKm: -2}},
+		{spec: GridSpec{CellKm: 100, RadiiKm: []float64{10}, MaxCells: -1}},
+		{GridSpec{CellKm: nan, RadiiKm: []float64{10}}, "cellKm"},
+		{GridSpec{CellKm: 100, RadiiKm: []float64{10, inf}}, "radius"},
+		{GridSpec{CellKm: 100, RadiiKm: []float64{10}, CullKm: nan}, "cullKm"},
 	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("Validate(%+v) accepted an invalid spec", bad)
+		err := bad.spec.Validate()
+		if err == nil {
+			t.Errorf("Validate(%+v) accepted an invalid spec", bad.spec)
+		} else if !strings.Contains(err.Error(), bad.field) {
+			t.Errorf("Validate(%+v) = %q, want an error naming %s", bad.spec, err, bad.field)
 		}
 	}
 	if err := (testGridSpec()).Validate(); err != nil {

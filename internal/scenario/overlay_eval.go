@@ -9,7 +9,6 @@ import (
 
 	"intertubes/internal/fiber"
 	"intertubes/internal/graph"
-	"intertubes/internal/latency"
 	"intertubes/internal/obs"
 	"intertubes/internal/resilience"
 )
@@ -174,16 +173,6 @@ func maskWeights(dst, baseRow []float64, gains []fiber.ConduitID, cuts []fiber.C
 	for _, cid := range cuts {
 		dst[cid] = inf
 	}
-}
-
-// buildOverlay resolves the scenario's cut clauses and additions
-// against the baseline and records them as a copy-on-write overlay.
-func (e *Engine) buildOverlay(sc Scenario, kept []string) (*fiber.Overlay, fiber.Perturbation, error) {
-	cuts, _, err := e.resolveCuts(sc)
-	if err != nil {
-		return nil, fiber.Perturbation{}, err
-	}
-	return e.overlayOf(sc, kept, cuts)
 }
 
 // overlayOf records the scenario, its cut clauses resolved to cuts,
@@ -418,10 +407,7 @@ func (e *Engine) evaluateOverlay(ctx context.Context, sc Scenario) (*Result, err
 	})
 
 	// The opt-in stages, each skipped unless the scenario asks for it.
-	err = e.latencyStage(ctx, sc, res, func(ctx context.Context) (*latency.Atlas, error) {
-		return e.overlayAtlas(ctx, ov, pert)
-	})
-	if err != nil {
+	if err := e.latencyStage(ctx, sc, final, res); err != nil {
 		return nil, err
 	}
 	if err := e.trafficStage(ctx, sc, final, res); err != nil {

@@ -20,9 +20,11 @@
 package scenario
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -155,6 +157,9 @@ func validate(sc Scenario) error {
 		}
 	}
 	for _, r := range sc.Regions {
+		if err := cmp.Or(finite("lat", r.Lat), finite("lon", r.Lon), finite("radiusKm", r.RadiusKm)); err != nil {
+			return fmt.Errorf("scenario: region %w", err)
+		}
 		if r.RadiusKm <= 0 {
 			return fmt.Errorf("scenario: region radius must be positive (got %g)", r.RadiusKm)
 		}
@@ -166,6 +171,15 @@ func validate(sc Scenario) error {
 		if ad.A == "" || ad.B == "" || ad.A == ad.B {
 			return fmt.Errorf("scenario: addition needs two distinct node keys (got %q - %q)", ad.A, ad.B)
 		}
+	}
+	return nil
+}
+
+// finite rejects a field holding NaN or ±Inf, which the range tests
+// let through: NaN compares false and +Inf is positive.
+func finite(field string, x float64) error {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return fmt.Errorf("%s must be finite (got %g)", field, x)
 	}
 	return nil
 }
@@ -246,12 +260,6 @@ func (sc Scenario) Hash() string {
 		c.IncludeLatency, c.IncludeTraffic, c.Overrides.Probes, c.Overrides.LatencyMaxPairs)
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:16])
-}
-
-// IsZero reports whether the scenario perturbs nothing.
-func (sc Scenario) IsZero() bool {
-	return len(sc.CutConduits) == 0 && sc.CutMostShared == 0 && sc.CutMostBetween == 0 &&
-		len(sc.Regions) == 0 && len(sc.RemoveISPs) == 0 && len(sc.Additions) == 0
 }
 
 func dedupeIDs(ids []fiber.ConduitID) []fiber.ConduitID {

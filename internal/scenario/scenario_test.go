@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"intertubes/internal/fiber"
@@ -122,14 +124,22 @@ func TestResolveErrors(t *testing.T) {
 			t.Errorf("%s: Resolve accepted %+v", tc.name, tc.sc)
 		}
 	}
-}
-
-func TestIsZero(t *testing.T) {
-	if !(Scenario{Name: "noop", IncludeLatency: true}).IsZero() {
-		t.Error("latency-only scenario should be zero-perturbation")
-	}
-	if (Scenario{CutMostShared: 1}).IsZero() {
-		t.Error("cut scenario is not zero")
+	// Non-finite region fields pass the range tests; the error names
+	// the field.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		r     Region
+	}{
+		{"lat", Region{Lat: nan, Lon: -90, RadiusKm: 10}},
+		{"radiusKm", Region{Lat: 30, Lon: -90, RadiusKm: nan}},
+		{"radiusKm", Region{Lat: 30, Lon: -90, RadiusKm: inf}},
+		{"lon", Region{Lat: 30, Lon: -inf, RadiusKm: 10}},
+	} {
+		_, err := Resolve(Scenario{Regions: []Region{tc.r}})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("region %+v: err = %v, want one naming %s", tc.r, err, tc.field)
+		}
 	}
 }
 
@@ -144,7 +154,8 @@ func TestPresetsResolve(t *testing.T) {
 			t.Errorf("preset %s: %v", name, err)
 			continue
 		}
-		if sc.IsZero() {
+		if len(sc.CutConduits) == 0 && sc.CutMostShared == 0 && sc.CutMostBetween == 0 &&
+			len(sc.Regions) == 0 && len(sc.RemoveISPs) == 0 && len(sc.Additions) == 0 {
 			t.Errorf("preset %s resolves to the null scenario", name)
 		}
 	}

@@ -45,9 +45,8 @@ type snapshot struct {
 	shared   memo.Value[[]fiber.ConduitID]
 	btw      memo.Value[[]fiber.ConduitID]
 	regions  memo.Value[*resilience.RegionIndex]
-	capBase  memo.Value[*capacityBaseline]          // capacity.go
-	lit      memo.Value[[]int32]                    // atlas.go
-	atlas    memo.Value[*latency.Atlas]             // atlas.go
+	capBase  memo.Value[*capacityBaseline] // capacity.go
+	atlas    memo.Value[*latency.Atlas]
 	campaign memo.Value[*traceroute.Campaign]       // at Options.Probes
 	latStudy memo.Value[[]mitigate.PairLatency]     // at Options.LatencyMaxPairs
 	latSum   memo.Map[int, mitigate.LatencySummary] // by pair cap
@@ -176,6 +175,16 @@ func (e *Engine) campaignAt(ctx context.Context, probes int) (*traceroute.Campai
 		}
 		sp.SetItems(int64(camp.Total))
 		return camp, nil
+	})
+}
+
+// LatencyAtlas returns the baseline's all-pairs latency atlas,
+// building it on first use. The atlas is immutable and shared. A
+// canceled build is not kept.
+func (e *Engine) LatencyAtlas(ctx context.Context) (*latency.Atlas, error) {
+	return e.snap.atlas.Get(ctx, func(ctx context.Context) (*latency.Atlas, error) {
+		m := e.snap.res.Map
+		return latency.Build(ctx, m, m, latency.Options{Workers: e.opts.Workers})
 	})
 }
 

@@ -207,46 +207,6 @@ func TestRecordedDeltaSizes(t *testing.T) {
 	}
 }
 
-// TestRecordedLatencyStageRowReuse: the latency stage reads its
-// scenario's atlas with the overlay's row reuse, and its span says how
-// many rows were reused. A no-op scenario reuses every baseline row; a
-// most-shared cut recomputes some.
-func TestRecordedLatencyStageRowReuse(t *testing.T) {
-	st := freshTraces(t)
-	eng := newEngine(t, 0)
-	base, err := eng.LatencyAtlas(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stageAttrs := func(sc Scenario) map[string]string {
-		t.Helper()
-		ctx, root := obs.StartTrace(context.Background(), "test.latency")
-		if _, err := eng.Evaluate(ctx, sc); err != nil {
-			t.Fatal(err)
-		}
-		root.End()
-		tr, _ := st.Get(root.TraceID())
-		for _, s := range tr.Spans {
-			if s.Name == "scenario.stage.latency" {
-				return attrMap(s)
-			}
-		}
-		t.Fatalf("no scenario.stage.latency span; got %v", names(tr.Spans))
-		return nil
-	}
-	small := Overrides{LatencyMaxPairs: 20}
-	rows := strconv.Itoa(base.NumSources())
-	if a := stageAttrs(Scenario{IncludeLatency: true, Overrides: small}); a["outcome"] != "reused" || a["touched"] != "0" || a["reused"] != rows {
-		t.Errorf("no-op scenario: latency stage attrs %v, want every one of %s rows reused", a, rows)
-	}
-	a := stageAttrs(Scenario{CutMostShared: 2, IncludeLatency: true, Overrides: small})
-	touched, _ := strconv.Atoi(a["touched"])
-	reused, _ := strconv.Atoi(a["reused"])
-	if a["outcome"] != "recomputed" || touched == 0 || touched+reused != base.NumSources() {
-		t.Errorf("cut scenario: latency stage attrs %v, want recomputed rows adding up to %s", a, rows)
-	}
-}
-
 func TestCacheOutcomeAttrs(t *testing.T) {
 	st := freshTraces(t)
 	eng := newEngine(t, 0)

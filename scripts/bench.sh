@@ -10,13 +10,16 @@
 #
 #   scripts/bench.sh compare HEAD~1 'LatencyAtlas|MaxFlow'
 #       # regression gate: run the named benchmarks at the given git
-#       # revision (in a temporary worktree) and then in this working
-#       # tree, on the same machine, and fail when any regresses more
-#       # than TOLERANCE (default 0.25, i.e. 25%) in ns/op. Each compared
-#       # benchmark prints both sides' ns/op, their ratio and both sides'
-#       # allocs/op. Benchmarks found on one side only are listed;
-#       # comparing none fails. Both summaries are throwaway;
-#       # BENCH_obs.json is untouched.
+#       # revision (extracted from git into a temporary directory, no
+#       # network) and in this working tree, on the same machine, in 3
+#       # rounds; the side that runs first alternates. Each side is
+#       # judged by its median over the rounds, and the gate fails when
+#       # any benchmark regresses more than TOLERANCE (default 0.25,
+#       # i.e. 25%) in ns/op. Each compared benchmark prints both sides'
+#       # median ns/op, their ratio and both sides' median allocs/op.
+#       # Benchmarks found on one side only are listed; comparing none
+#       # fails. Both summaries are throwaway; BENCH_obs.json is
+#       # untouched.
 #
 #   scripts/bench.sh ab HEAD~1 sweep-jobs 10
 #       # end-to-end A/B: build the given git revision (extracted from
@@ -44,13 +47,26 @@ if [ "${1:-}" = "compare" ]; then
 	BENCH="${3:?$usage}"
 	BENCHTIME="${BENCHTIME:-1s}"
 	TOLERANCE="${TOLERANCE:-0.25}"
+	git rev-parse --verify --quiet "$REV^{commit}" >/dev/null || { echo "bench.sh: unknown revision $REV" >&2; exit 1; }
 	TMP="$(mktemp -d -t bench_compare.XXXXXX)"
-	trap 'git worktree remove --force "$TMP/base" 2>/dev/null; rm -rf "$TMP"' EXIT
-	git worktree add --quiet --detach "$TMP/base" "$REV"
-	(cd "$TMP/base" && go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem -json ./...) |
-		go run ./cmd/benchjson -o "$TMP/base.json"
-	go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem -json ./... |
-		go run ./cmd/benchjson -o "$TMP/head.json" -baseline "$TMP/base.json" -tolerance "$TOLERANCE"
+	trap 'rm -rf "$TMP"' EXIT
+	mkdir "$TMP/base"
+	git archive "$REV" | tar -x -C "$TMP/base"
+	head="$(pwd)"
+	: >"$TMP/base.jsonl"
+	: >"$TMP/head.jsonl"
+	for round in 0 1 2; do
+		order="base head"
+		[ $((round % 2)) -eq 1 ] && order="head base"
+		for side in $order; do
+			dir="$TMP/base"
+			[ "$side" = head ] && dir="$head"
+			echo "==> round $round: $side" >&2
+			(cd "$dir" && go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem -json ./...) >>"$TMP/$side.jsonl"
+		done
+	done
+	go run ./cmd/benchjson -o "$TMP/base.json" <"$TMP/base.jsonl"
+	go run ./cmd/benchjson -o "$TMP/head.json" -baseline "$TMP/base.json" -tolerance "$TOLERANCE" <"$TMP/head.jsonl"
 	exit $?
 fi
 
